@@ -8,7 +8,7 @@ use graphiti_common::Value;
 use graphiti_engine::BatchQuery;
 use graphiti_graph::{GraphInstance, GraphSchema};
 use graphiti_store::{Delta, EdgeKey, NodeKey, NodeRef};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 /// Outgoing `FOLLOWS` and `POSTED` edges per seed user.
 pub const EDGES_PER_USER: usize = 3;
@@ -62,10 +62,10 @@ impl Op {
     }
 }
 
-/// Read-mix weights over [`Op::READS`].  Starting from 35/35/20/10, batches
-/// were raised until every read type collects its samples in about the
-/// same time.
-pub const READ_WEIGHTS: [u32; 4] = [25, 25, 25, 25];
+/// Read-mix weights over [`Op::READS`].  A batch runs its queries on every
+/// core, so it slows whatever the other client runs meanwhile; at 10% each
+/// read type still collects its samples within a window.
+pub const READ_WEIGHTS: [u32; 4] = [35, 35, 20, 10];
 
 /// Write-mix weights: insert a user with two follows, rename a user,
 /// delete a seed follow.
@@ -179,14 +179,18 @@ impl ReadReq {
     }
 }
 
-/// Draw weight of a fixed text.  Each set of texts drawn from (Cypher,
-/// SQL) has an odd total, so no group of texts makes up exactly half of
-/// the draws; the text counted twice is one whose latency sits mid-set, so
-/// the p50 falls inside a latency mode rather than on the cliff between
-/// two.  Lookups split 60/40 between the languages for the same reason.
+/// Draw weight of a fixed text.  A mix's p50 is steady only when it falls
+/// well inside one text's latencies, not on the edge between two.  Among
+/// the Cypher texts (two-hop < `EXISTS` ≈ `OPTIONAL` < aggregate) the
+/// `EXISTS` text counts twice, so the middle two texts span 20–80% of the
+/// draws.  Among the SQL texts, the aggregate's translation sits mid-set by
+/// latency with four texts below and, once the `EXISTS` translation counts
+/// twice, weight four above; at weight three it spans 36–64% of the draws.
+/// Lookups split 60/40 between the languages for the same reason.
 fn weight(f: &Fixed) -> u32 {
     match (f.family, f.origin) {
-        ("exists", Origin::Cypher) | ("one_hop_aggregate", Origin::Transpiled) => 2,
+        ("one_hop_aggregate", Origin::Transpiled) => 3,
+        ("exists", Origin::Cypher) | ("exists", Origin::Transpiled) => 2,
         _ => 1,
     }
 }
@@ -255,15 +259,17 @@ pub enum Change {
     },
     /// A new name for seed user `uid`.
     Rename { uid: i64, name: i64 },
-    /// Removal of seed follow `fid`; the same two users are re-linked by a
+    /// Removal of follow `fid` between seed users `src` and `tgt` (a seed
+    /// follow or an earlier re-link); the same two users are re-linked by a
     /// new follow `new_fid`, so the follow count stays put.
-    Delete { fid: i64, edge: EdgeKey, src: usize, tgt: usize, new_fid: i64 },
+    Delete { fid: i64, src: usize, tgt: usize, new_fid: i64 },
 }
 
 impl Change {
-    /// The delta, against a store whose keys for inserted users `resolve`
-    /// finds.  A retirement `resolve` cannot place is left out.
-    pub fn delta(&self, keys: &Keys, resolve: Resolve<'_>) -> Delta {
+    /// The delta against `store`, which resolves inserted users and
+    /// follows to their keys.  A retirement or removal `store` cannot place
+    /// is left out.
+    pub fn delta(&self, keys: &Keys, store: &dyn Resolve) -> Delta {
         let mut delta = Delta::new();
         match *self {
             Change::Insert { uid, name, fids, targets, retired } => {
@@ -277,7 +283,7 @@ impl Change {
                         [("FId", Value::Int(fid))],
                     );
                 }
-                if let Some((node, edges)) = retired.and_then(|(u, f)| resolve(u, f)) {
+                if let Some((node, edges)) = retired.and_then(|(u, f)| inserted(store, u, f)) {
                     for e in edges {
                         delta.remove_edge(e);
                     }
@@ -287,8 +293,10 @@ impl Change {
             Change::Rename { uid, name } => {
                 delta.set_node_prop(keys.users[uid as usize], "UsrName", Value::Int(name));
             }
-            Change::Delete { edge, src, tgt, new_fid, .. } => {
-                delta.remove_edge(edge);
+            Change::Delete { fid, src, tgt, new_fid } => {
+                if let Some(edge) = store.follow(fid) {
+                    delta.remove_edge(edge);
+                }
                 delta.add_edge(
                     "FOLLOWS",
                     keys.users[src],
@@ -307,21 +315,29 @@ impl Change {
 /// with it.
 pub const LIVE_INSERTS: usize = 32;
 
-/// Finds the stable keys of an inserted user and its two follows.
-pub type Resolve<'a> = &'a dyn Fn(i64, [i64; 2]) -> Option<(NodeKey, [EdgeKey; 2])>;
+/// Finds stable keys by id in one store: the served store, or the traced
+/// run's in-memory copy of it.
+pub trait Resolve {
+    fn user(&self, uid: i64) -> Option<NodeKey>;
+    fn follow(&self, fid: i64) -> Option<EdgeKey>;
+}
+
+/// The keys of an inserted user and its two follows, when all resolve.
+fn inserted(store: &dyn Resolve, uid: i64, fids: [i64; 2]) -> Option<(NodeKey, [EdgeKey; 2])> {
+    Some((store.user(uid)?, [store.follow(fids[0])?, store.follow(fids[1])?]))
+}
 
 /// Stable keys of the seed graph, resolved once at set-up.
 #[derive(Debug, Clone, Default)]
 pub struct Keys {
     /// Seed users by id (ids are `0..users`).
     pub users: Vec<NodeKey>,
-    /// Seed FOLLOWS edges: FId, key, and the indexes of both users, in
-    /// FId order.
-    pub follows: Vec<(i64, EdgeKey, usize, usize)>,
+    /// Seed FOLLOWS edges: FId and the indexes of both users, in FId order.
+    pub follows: Vec<(i64, usize, usize)>,
 }
 
 /// A writer's commit stream.  Writer slots own disjoint ranges of new ids,
-/// renamed users and deleted seed edges, so no commit is ever rejected and
+/// renamed users and deleted follows, so no commit is ever rejected and
 /// no edge is deleted twice.
 #[derive(Debug, Clone)]
 pub struct Writer {
@@ -329,10 +345,15 @@ pub struct Writer {
     slot: i64,
     keys: Keys,
     renamable: Vec<i64>,
-    deletable: Vec<(i64, EdgeKey, usize, usize)>,
+    /// Follows this writer may delete: its share of the seed follows, then
+    /// the follows its acknowledged deletes re-linked, so deletes keep
+    /// their share of the mix however long the run.
+    deletable: VecDeque<(i64, usize, usize)>,
     inserted: i64,
     relinked: i64,
-    live: std::collections::VecDeque<(i64, [i64; 2])>,
+    live: VecDeque<(i64, [i64; 2])>,
+    /// Commits sent, by kind: inserts, renames, deletes.
+    pub sent: [u64; 3],
 }
 
 impl Writer {
@@ -340,7 +361,7 @@ impl Writer {
         let mut rng = Rng::new(seed, TAG_WRITER + slot as u64);
         let own = |i: usize| i % CLIENTS == slot;
         let renamable = (0..keys.users.len()).filter(|&i| own(i)).map(|i| i as i64).collect();
-        let mut deletable: Vec<(i64, EdgeKey, usize, usize)> =
+        let mut deletable: Vec<(i64, usize, usize)> =
             keys.follows.iter().enumerate().filter(|(i, _)| own(*i)).map(|(_, e)| *e).collect();
         rng.shuffle(&mut deletable);
         Writer {
@@ -348,41 +369,52 @@ impl Writer {
             slot: slot as i64,
             keys: keys.clone(),
             renamable,
-            deletable,
+            deletable: deletable.into(),
             inserted: 0,
             relinked: 0,
             live: Default::default(),
+            sent: [0; 3],
         }
     }
 
     /// Records that the commit carrying `change` was acknowledged.
     pub fn acked(&mut self, change: Change) {
-        if let Change::Insert { uid, fids, retired, .. } = change {
-            self.live.push_back((uid, fids));
-            if let Some(r) = retired {
-                self.live.retain(|l| *l != r);
+        match change {
+            Change::Insert { uid, fids, retired, .. } => {
+                self.live.push_back((uid, fids));
+                if let Some(r) = retired {
+                    self.live.retain(|l| *l != r);
+                }
             }
+            Change::Delete { src, tgt, new_fid, .. } => {
+                self.deletable.push_front((new_fid, src, tgt))
+            }
+            Change::Rename { .. } => {}
         }
     }
 
-    /// The next commit: its delta against the store `resolve` looks
-    /// inserted users up in, and what it changes.
-    pub fn next_commit(&mut self, resolve: Resolve<'_>) -> (Delta, Change) {
+    /// The next commit: its delta against `store`, and what it changes.
+    pub fn next_commit(&mut self, store: &dyn Resolve) -> (Delta, Change) {
         let users = self.keys.users.len() as u64;
         let mut kind = self.rng.weighted(&WRITE_WEIGHTS);
-        if kind == 2 && self.deletable.is_empty() {
+        let victim = if kind == 2 {
+            self.deletable.pop_back().filter(|&(fid, ..)| store.follow(fid).is_some())
+        } else {
+            None
+        };
+        if kind == 2 && victim.is_none() {
             kind = 1;
         }
-        let change = match kind {
-            1 => {
-                let uid = self.renamable[self.rng.below(self.renamable.len() as u64) as usize];
-                Change::Rename { uid, name: self.rng.below(1 << 40) as i64 }
-            }
-            2 => {
-                let (fid, edge, src, tgt) = self.deletable.pop().expect("checked non-empty above");
+        self.sent[kind] += 1;
+        let change = match (kind, victim) {
+            (2, Some((fid, src, tgt))) => {
                 self.relinked += 1;
                 let new_fid = 10_000_000_000 * (self.slot + 1) + self.relinked;
-                Change::Delete { fid, edge, src, tgt, new_fid }
+                Change::Delete { fid, src, tgt, new_fid }
+            }
+            (1, _) => {
+                let uid = self.renamable[self.rng.below(self.renamable.len() as u64) as usize];
+                Change::Rename { uid, name: self.rng.below(1 << 40) as i64 }
             }
             _ => {
                 let i = self.inserted;
@@ -394,11 +426,11 @@ impl Writer {
                 // the change and the delta always agree.
                 let retired = (self.live.len() >= LIVE_INSERTS)
                     .then(|| self.live[0])
-                    .filter(|&(u, f)| resolve(u, f).is_some());
+                    .filter(|&(u, f)| inserted(store, u, f).is_some());
                 Change::Insert { uid, name, fids: [uid * 2, uid * 2 + 1], targets, retired }
             }
         };
-        (change.delta(&self.keys, resolve), change)
+        (change.delta(&self.keys, store), change)
     }
 }
 
@@ -437,21 +469,40 @@ mod tests {
     fn keys() -> Keys {
         Keys {
             users: (0..50).map(NodeKey).collect(),
-            follows: (0..150)
-                .map(|i| (i as i64, EdgeKey(i), i as usize % 50, (i as usize + 7) % 50))
-                .collect(),
+            follows: (0..150).map(|i| (i as i64, i as usize % 50, (i as usize + 7) % 50)).collect(),
         }
     }
 
-    fn commits(seed: u64, slot: usize) -> Vec<Change> {
+    /// A store in which every id resolves.
+    struct Everything;
+
+    impl Resolve for Everything {
+        fn user(&self, uid: i64) -> Option<NodeKey> {
+            Some(NodeKey(uid as u64))
+        }
+        fn follow(&self, fid: i64) -> Option<EdgeKey> {
+            Some(EdgeKey(fid as u64))
+        }
+    }
+
+    fn commits_n(seed: u64, slot: usize, n: usize) -> Vec<Change> {
         let mut w = Writer::new(seed, slot, &keys());
-        let resolve = |uid: i64, _: [i64; 2]| Some((NodeKey(uid as u64), [EdgeKey(0), EdgeKey(1)]));
-        (0..300)
+        (0..n)
             .map(|_| {
-                let change = w.next_commit(&resolve).1;
+                let change = w.next_commit(&Everything).1;
                 w.acked(change);
                 change
             })
+            .collect()
+    }
+
+    fn commits(seed: u64, slot: usize) -> Vec<Change> {
+        commits_n(seed, slot, 300)
+    }
+
+    fn deleted(cs: &[Change]) -> Vec<i64> {
+        cs.iter()
+            .filter_map(|c| if let Change::Delete { fid, .. } = c { Some(*fid) } else { None })
             .collect()
     }
 
@@ -473,11 +524,6 @@ mod tests {
     #[test]
     fn writer_slots_never_collide() {
         let (a, b) = (commits(7, 0), commits(7, 1));
-        let deleted = |cs: &[Change]| -> Vec<i64> {
-            cs.iter()
-                .filter_map(|c| if let Change::Delete { fid, .. } = c { Some(*fid) } else { None })
-                .collect()
-        };
         let (da, db) = (deleted(&a), deleted(&b));
         assert!(da.iter().all(|f| !db.contains(f)), "slots delete disjoint edges");
         let mut all = da.clone();
@@ -497,5 +543,19 @@ mod tests {
             uids(&a).len() - LIVE_INSERTS,
             "inserts beyond the cap retire one each"
         );
+    }
+
+    #[test]
+    fn deletes_keep_their_share_once_seed_follows_run_out() {
+        // 75 seed follows per slot; 15% of 2000 commits is about 300 deletes.
+        let cs = commits_n(9, 0, 2000);
+        let d = deleted(&cs);
+        assert!((240..=360).contains(&d.len()), "{} deletes in 2000 commits", d.len());
+        let mut distinct = d.clone();
+        distinct.sort();
+        distinct.dedup();
+        assert_eq!(distinct.len(), d.len(), "no follow is deleted twice");
+        let late = deleted(&cs[1000..]).len();
+        assert!((120..=180).contains(&late), "{late} deletes in the second 1000 commits");
     }
 }

@@ -6,7 +6,7 @@
 //! changes; the end-to-end run uses nothing but `Graphiti::builder`,
 //! `Server` and `Client`/`WireSession`.
 
-use crate::data::{Change, Keys, Op};
+use crate::data::{Change, Keys, Op, Resolve};
 use graphiti_common::Value;
 use graphiti_common::{ApiResult, Result};
 use graphiti_core::SdtContext;
@@ -159,7 +159,8 @@ impl Spans {
 #[derive(Clone, Copy)]
 pub struct ReplayCtx<'a> {
     pub service: &'a Graphiti,
-    /// An in-memory store over the same seed graph (commit replays).
+    /// An in-memory store over the same seed graph that every
+    /// acknowledged change is applied to, so it tracks the served graph.
     pub memory: &'a GraphStore,
     /// Seed-graph keys, identical in both stores.
     pub keys: &'a Keys,
@@ -311,9 +312,16 @@ pub fn replay_batch(
     Ok(())
 }
 
+/// Applies one acknowledged change, untimed, to the in-memory store.
+pub fn track(ctx: &ReplayCtx<'_>, change: &Change) -> Result<()> {
+    let delta = change.delta(ctx.keys, ctx.memory);
+    ctx.memory.commit(delta).map_err(|e| graphiti_common::Error::eval(e.to_string()))?;
+    Ok(())
+}
+
 /// Replays one acknowledged commit: the codec on the same delta and
-/// acknowledgement, and the same change through an in-memory store's
-/// commit (validate, apply, derive images, publish; no WAL).
+/// acknowledgement, and the same change through the in-memory store's
+/// commit (validate, apply, derive images, publish; no WAL), timed.
 pub fn replay_commit(
     ctx: &ReplayCtx<'_>,
     spans: &mut Spans,
@@ -328,7 +336,7 @@ pub fn replay_commit(
     let resp = Response::CommitOk { ack, session_generation: ack.published_generation };
     codec_round(spans, op, id, root, &req, &resp).map_err(api)?;
     let memory = ctx.memory;
-    let delta = change.delta(ctx.keys, &|uid, fids| store_keys(memory, uid, fids));
+    let delta = change.delta(ctx.keys, memory);
     let (info, _) =
         spans.record(op, "store.memory_commit", id, Some(root), || memory.commit(delta));
     info.map_err(|e| graphiti_common::Error::eval(e.to_string()))?;
@@ -341,14 +349,17 @@ fn api(e: graphiti_common::ApiError) -> graphiti_common::Error {
 
 // ------------------------------------------------------------ one-shot layers
 
-/// Stable keys in `store` of an inserted user and its two follows.
-/// Writers call this between requests to retire their oldest inserts; it
-/// is bookkeeping, not a measured call.
-pub fn store_keys(store: &GraphStore, uid: i64, fids: [i64; 2]) -> Option<(NodeKey, [EdgeKey; 2])> {
-    let node = store.node_key("USR", &Value::Int(uid))?;
-    let a = store.edge_key("FOLLOWS", &Value::Int(fids[0]))?;
-    let b = store.edge_key("FOLLOWS", &Value::Int(fids[1]))?;
-    Some((node, [a, b]))
+/// Stable keys in a store by id.  Writers look keys up between requests
+/// to retire their oldest inserts and to delete follows; it is
+/// bookkeeping, not a measured call.
+impl Resolve for GraphStore {
+    fn user(&self, uid: i64) -> Option<NodeKey> {
+        self.node_key("USR", &Value::Int(uid))
+    }
+
+    fn follow(&self, fid: i64) -> Option<EdgeKey> {
+        self.edge_key("FOLLOWS", &Value::Int(fid))
+    }
 }
 
 /// An in-memory store over `graph` (the commit replays' target).

@@ -1,6 +1,6 @@
 //! A serving benchmark for Graphiti.
 //!
-//! Three workloads (`read`, `write`, `mixed`) drive a durable,
+//! Two workloads (`read`, `write`) drive a durable,
 //! group-committing Graphiti service over a unix socket from two
 //! closed-loop client connections.  End-to-end metrics come from the
 //! benchmark's own client-side samples; `--trace 1` adds a run that times

@@ -1,4 +1,4 @@
-//! `perfbench --workload <read|write|mixed> --seed <n> --seconds <n> --trace <0|1>`
+//! `perfbench --workload <read|write> --seed <n> --seconds <n> --trace <0|1>`
 //!
 //! Prints a record line (host, policy, sample counts) and, last, one JSON
 //! result line.  Exits nonzero when the run fails or an output check

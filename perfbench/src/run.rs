@@ -1,13 +1,13 @@
-//! The three workloads.  Each run opens a fresh durable, group-committing
+//! The two workloads.  Each run opens a fresh durable, group-committing
 //! service in its own directory, serves it on its own unix socket, and
 //! drives it from two closed-loop client connections:
 //!
 //! - the **window** runs the workload's clients for `--seconds` (longer
 //!   only if an operation type still lacks the samples its p99 needs);
-//! - the **complement** then runs, on the same two connections, the
-//!   operation types the window did not (commits after `read`, the read
-//!   mix after `write`; `mixed` needs none), until each has enough samples,
-//!   so every run reports every end-to-end metric;
+//! - the **complement** runs, on the same two connections, the operation
+//!   types the window does not (commits after `read`, the read mix before
+//!   `write`), until each has enough samples, so every run reports every
+//!   end-to-end metric;
 //! - with `--trace 1` the window and complement run twice: once untraced
 //!   (registry deltas, baseline latencies) and once with a seeded sample
 //!   of requests replayed layer by layer right after their replies.
@@ -26,7 +26,7 @@ use graphiti_graph::GraphInstance;
 use graphiti_relational::Table;
 use graphiti_server::{Client, ClientOptions, Server, ServerHandle, WireSession};
 use graphiti_store::{GraphStore, Graphiti, Session};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -36,7 +36,6 @@ use std::time::{Duration, Instant};
 pub enum Workload {
     Read,
     Write,
-    Mixed,
 }
 
 impl Workload {
@@ -44,7 +43,6 @@ impl Workload {
         match s {
             "read" => Some(Workload::Read),
             "write" => Some(Workload::Write),
-            "mixed" => Some(Workload::Mixed),
             _ => None,
         }
     }
@@ -53,30 +51,18 @@ impl Workload {
         match self {
             Workload::Read => "read",
             Workload::Write => "write",
-            Workload::Mixed => "mixed",
         }
     }
 
-    fn window_roles(self) -> [Role; CLIENTS] {
+    /// The phases of one pass, in order: the role of both clients and the
+    /// phase's minimum length.  The complement of `write` runs first, so
+    /// every read is measured on the seed graph, and no phase's data
+    /// depends on another's throughput.  A complement lasts at least half
+    /// the window, so a short spell of a slow host cannot cover much of it.
+    fn steps(self, seconds: f64) -> [(Role, f64); 2] {
         match self {
-            Workload::Read => [Role::Reader { refresh: false }; CLIENTS],
-            Workload::Write => [Role::Writer; CLIENTS],
-            Workload::Mixed => [Role::Writer, Role::Reader { refresh: true }],
-        }
-    }
-
-    /// The phases of one pass, in order, with their minimum length.  The
-    /// complement of `write` runs first, so every read is measured on the
-    /// seed graph, and no phase's data depends on another's throughput.
-    /// A complement lasts at least a third of the window, so a short spell
-    /// of a slow host cannot cover all of it.
-    fn steps(self, seconds: f64) -> Vec<([Role; CLIENTS], f64)> {
-        let window = (self.window_roles(), seconds);
-        let readers = [Role::Reader { refresh: false }; CLIENTS];
-        match self {
-            Workload::Read => vec![window, ([Role::Writer; CLIENTS], seconds / 3.0)],
-            Workload::Write => vec![(readers, seconds / 3.0), window],
-            Workload::Mixed => vec![window],
+            Workload::Read => [(Role::Reader, seconds), (Role::Writer, seconds / 2.0)],
+            Workload::Write => [(Role::Reader, seconds / 2.0), (Role::Writer, seconds)],
         }
     }
 }
@@ -123,19 +109,6 @@ const RECOVERY_REPS: usize = 20;
 /// spell of the host does not move all of them.
 const REP_GAP: Duration = Duration::from_millis(250);
 
-/// Share of wall time the hypervisor may take from the host's CPUs
-/// (`steal` in `/proc/stat`, summed over CPUs) before a phase or the
-/// recovery measurement is taken again.  Unhindered runs of this
-/// benchmark see under 1%.
-const STEAL_LIMIT: f64 = 0.02;
-
-/// Measurements of one phase, at most.
-const ATTEMPTS: usize = 3;
-
-/// No measurement is taken again once the run is this old, so a run
-/// stays well inside its time limit.
-const RETRY_BUDGET: Duration = Duration::from_secs(90);
-
 impl Config {
     pub fn new(workload: Workload, seed: u64, seconds: f64, trace: bool) -> Config {
         Config {
@@ -144,7 +117,7 @@ impl Config {
             seconds,
             trace,
             users: USERS,
-            setup_reps: 5,
+            setup_reps: 9,
             dir: PathBuf::from(".bench_run").join(format!(
                 "{}-{}-{}",
                 workload.name(),
@@ -169,14 +142,14 @@ pub struct Outcome {
 
 #[derive(Debug, Clone, Copy)]
 enum Role {
-    Reader { refresh: bool },
+    Reader,
     Writer,
 }
 
 impl Role {
     fn ops(self) -> &'static [Op] {
         match self {
-            Role::Reader { .. } => &Op::READS,
+            Role::Reader => &Op::READS,
             Role::Writer => &[Op::Commit],
         }
     }
@@ -237,6 +210,8 @@ struct Shared<'a> {
     start: Instant,
     end: Instant,
     hard_end: Instant,
+    /// Request types that must reach [`MIN_SAMPLES`] before the phase
+    /// ends.
     covered: Vec<Op>,
 }
 
@@ -265,6 +240,8 @@ struct Phase {
     spans: Vec<Span>,
     /// Replays that ran on a newer generation than their request.
     skewed: u64,
+    /// Latencies per fixed text, by index.
+    texts: BTreeMap<usize, Vec<f64>>,
 }
 
 impl Phase {
@@ -277,6 +254,9 @@ impl Phase {
         self.failed += other.failed;
         self.mismatches.extend(other.mismatches);
         self.spans.extend(other.spans);
+        for (i, t) in other.texts {
+            self.texts.entry(i).or_default().extend(t);
+        }
     }
 }
 
@@ -289,15 +269,13 @@ const GRACE: Duration = Duration::from_secs(30);
 fn run_phase(
     service: &Graphiti,
     conns: &mut [Conn],
-    roles: [Role; CLIENTS],
+    role: Role,
     fixed: &[Fixed],
     window: f64,
     expect: Option<&Expect>,
     replay: Option<ReplayCtx<'_>>,
 ) -> Phase {
     let start = Instant::now();
-    let mut covered: Vec<Op> = roles.iter().flat_map(|r| r.ops().iter().copied()).collect();
-    covered.dedup();
     let batch_idx: Vec<usize> =
         (0..fixed.len()).filter(|&i| fixed[i].origin != Origin::Handwritten).collect();
     let shared = Shared {
@@ -310,14 +288,14 @@ fn run_phase(
         start,
         end: start + Duration::from_secs_f64(window),
         hard_end: start + Duration::from_secs_f64(window) + GRACE,
-        covered,
+        // The traced pass reports no p99, so it keeps to its window.
+        covered: if replay.is_some() { Vec::new() } else { role.ops().to_vec() },
     };
     let base = Instant::now();
     let parts: Vec<Phase> = std::thread::scope(|scope| {
         let handles: Vec<_> = conns
             .iter_mut()
-            .zip(roles)
-            .map(|(conn, role)| {
+            .map(|conn| {
                 let shared = &shared;
                 scope.spawn(move || client_loop(conn, role, shared, expect, base))
             })
@@ -344,18 +322,11 @@ fn client_loop(
     while !shared.done() {
         let id = conn.next_id;
         conn.next_id += 1;
-        let replay = shared.replay.as_ref().filter(|_| conn.sampler.below(REPLAY_ONE_IN) == 0);
+        let sampled = shared.replay.is_some() && conn.sampler.below(REPLAY_ONE_IN) == 0;
+        let replay = shared.replay.as_ref().filter(|_| sampled);
         match role {
-            Role::Reader { refresh } => {
-                if refresh {
-                    out.attempted += 1;
-                    if conn.wire.refresh().is_err() {
-                        out.failed += 1;
-                    }
-                }
-                one_read(conn, shared, expect, replay, &mut spans, id, &mut out);
-            }
-            Role::Writer => one_commit(conn, shared, replay, &mut spans, id, &mut out),
+            Role::Reader => one_read(conn, shared, expect, replay, &mut spans, id, &mut out),
+            Role::Writer => one_commit(conn, shared, sampled, &mut spans, id, &mut out),
         }
     }
     out.spans = spans.spans;
@@ -407,9 +378,9 @@ fn one_read(
         }
         return;
     }
-    let (query, expected) = match req {
-        ReadReq::Fixed(_, i) => (shared.fixed[i].query.clone(), expect.map(|e| e.fixed[i])),
-        ReadReq::Lookup { cypher, key, floor } => {
+    let (query, expected) = match &req {
+        &ReadReq::Fixed(_, i) => (shared.fixed[i].query.clone(), expect.map(|e| e.fixed[i])),
+        &ReadReq::Lookup { cypher, key, floor } => {
             (data::lookup(cypher, key, floor), expect.map(|e| e.lookup(key, floor)))
         }
         ReadReq::Batch => unreachable!("handled above"),
@@ -422,6 +393,9 @@ fn one_read(
         return;
     };
     record(out, shared, op, us);
+    if let ReadReq::Fixed(_, i) = req {
+        out.texts.entry(i).or_default().push(us);
+    }
     if expected.is_some_and(|n| n != table.len()) {
         out.mismatches.push(format!(
             "{} answered {} rows: {}",
@@ -439,18 +413,19 @@ fn one_read(
     }
 }
 
+/// One commit.  In the traced pass every acknowledged change is applied
+/// to the in-memory store, and a sampled one is replayed layer by layer.
 fn one_commit(
     conn: &mut Conn,
     shared: &Shared<'_>,
-    replay: Option<&ReplayCtx<'_>>,
+    sampled: bool,
     spans: &mut Spans,
     id: u64,
     out: &mut Phase,
 ) {
     let writer = conn.writer.as_mut().expect("writer roles have a commit stream");
-    let resolve = |uid: i64, fids: [i64; 2]| layers::store_keys(shared.service.store(), uid, fids);
-    let (delta, change) = writer.next_commit(&resolve);
-    let copy = replay.map(|_| delta.clone());
+    let (delta, change) = writer.next_commit(&**shared.service.store());
+    let copy = sampled.then(|| delta.clone());
     out.attempted += 1;
     let t = Instant::now();
     let reply = conn.wire.commit(delta);
@@ -460,10 +435,15 @@ fn one_commit(
             record(out, shared, Op::Commit, us);
             writer.acked(change);
             conn.acked.push(change);
-            if let (Some(ctx), Some(delta)) = (replay, copy) {
-                if let Err(e) = layers::replay_commit(ctx, spans, id, &change, delta, ack) {
-                    out.mismatches.push(format!("commit replay: {e}"));
+            let replayed = match (&shared.replay, copy) {
+                (Some(ctx), Some(delta)) => {
+                    layers::replay_commit(ctx, spans, id, &change, delta, ack)
                 }
+                (Some(ctx), None) => layers::track(ctx, &change),
+                (None, _) => Ok(()),
+            };
+            if let Err(e) = replayed {
+                out.mismatches.push(format!("commit replay: {e}"));
             }
         }
         Err(_) => {
@@ -569,12 +549,12 @@ fn resolve_keys(store: &GraphStore, users: usize) -> Result<Keys, String> {
         keys.users.push(*by_id.get(&uid).ok_or(format!("seed user {uid} has no key"))?);
     }
     let index: HashMap<_, usize> = keys.users.iter().enumerate().map(|(i, k)| (*k, i)).collect();
-    for (key, label, pk, src, tgt) in store.edge_directory() {
+    for (_, label, pk, src, tgt) in store.edge_directory() {
         if label.as_str() == "FOLLOWS" {
             let (Some(&s), Some(&t)) = (index.get(&src), index.get(&tgt)) else {
                 return Err(format!("seed follow {} links a non-seed user", int(&pk)));
             };
-            keys.follows.push((int(&pk), key, s, t));
+            keys.follows.push((int(&pk), s, t));
         }
     }
     keys.follows.sort_by_key(|f| f.0);
@@ -604,8 +584,8 @@ fn check_exactly_once(service: &Graphiti, seed: (usize, usize), conns: &[Conn]) 
     for r in &follows.rows {
         *edge_rows.entry(int(&r[0])).or_default() += 1;
     }
-    let (mut live, mut retired, mut deleted, mut relinks) =
-        (HashMap::new(), Vec::new(), Vec::new(), Vec::new());
+    let (mut live, mut retired) = (HashMap::new(), Vec::new());
+    let (mut deleted, mut relinks) = (HashSet::new(), HashSet::new());
     let mut names: HashMap<i64, i64> = HashMap::new();
     let mut unknown = 0usize;
     for conn in conns {
@@ -620,8 +600,9 @@ fn check_exactly_once(service: &Graphiti, seed: (usize, usize), conns: &[Conn]) 
                     }
                 }
                 Change::Delete { fid, new_fid, .. } => {
-                    deleted.push(fid);
-                    relinks.push(new_fid);
+                    deleted.insert(fid);
+                    relinks.remove(&fid);
+                    relinks.insert(new_fid);
                 }
                 Change::Rename { uid, name } => {
                     names.insert(uid, name);
@@ -694,7 +675,6 @@ impl Drop for Scratch {
 /// carried out (set-up or I/O failure); output mismatches are reported in
 /// the [`Outcome`].
 pub fn run(cfg: &Config) -> Result<Outcome, String> {
-    let run_start = Instant::now();
     std::fs::create_dir_all(&cfg.dir).map_err(|e| format!("create {}: {e}", cfg.dir.display()))?;
     let _scratch = Scratch(cfg.dir.clone());
     let steal_at_start = report::steal_s();
@@ -714,16 +694,18 @@ pub fn run(cfg: &Config) -> Result<Outcome, String> {
         fixed.push(Fixed { family, origin: Origin::Handwritten, query: BatchQuery::sql(hand) });
     }
 
-    // Set-up, timed several times; the last one serves the run.
+    // Set-up, timed several times; each is torn down before the next, and
+    // the last one serves the run.
     let mut setup_s = Vec::new();
     let mut live = None;
     for rep in 0..cfg.setup_reps.max(1) {
-        let (l, secs) = set_up(cfg, rep, graph.clone(), &fixed)?;
-        setup_s.push(secs);
-        if let Some(old) = live.replace(l) {
+        if let Some(old) = live.take() {
             tear_down(old);
         }
         std::thread::sleep(REP_GAP);
+        let (l, secs) = set_up(cfg, rep, graph.clone(), &fixed)?;
+        setup_s.push(secs);
+        live = Some(l);
     }
     let Live { service, handle, wires, dir } = live.expect("at least one set-up");
     let mut mismatches = Vec::new();
@@ -751,16 +733,17 @@ pub fn run(cfg: &Config) -> Result<Outcome, String> {
     } else {
         None
     };
-    let untraced = measure(cfg, &service, &fixed, &mut conns, None, run_start)?;
+    let untraced = measure(cfg, &service, &fixed, &mut conns, None)?;
     let traced = match &memory {
-        Some(m) => Some(measure(
-            cfg,
-            &service,
-            &fixed,
-            &mut conns,
-            Some(ReplayCtx { service: &service, memory: m, keys: &keys }),
-            run_start,
-        )?),
+        Some(m) => {
+            // The in-memory store catches up with the served graph, then
+            // tracks it commit by commit.
+            let ctx = ReplayCtx { service: &service, memory: m, keys: &keys };
+            for change in conns.iter().flat_map(|c| c.acked.iter()) {
+                layers::track(&ctx, change).map_err(|e| format!("memory store: {e}"))?;
+            }
+            Some(measure(cfg, &service, &fixed, &mut conns, Some(ctx))?)
+        }
         None => None,
     };
 
@@ -775,8 +758,7 @@ pub fn run(cfg: &Config) -> Result<Outcome, String> {
     for _ in 0..RECOVERY_TAIL {
         let c = &mut conns[0];
         let writer = c.writer.as_mut().expect("every connection has a commit stream");
-        let resolve = |uid: i64, fids: [i64; 2]| layers::store_keys(service.store(), uid, fids);
-        let (delta, change) = writer.next_commit(&resolve);
+        let (delta, change) = writer.next_commit(&**service.store());
         c.wire.commit(delta).map_err(|e| format!("commit: {e}"))?;
         writer.acked(change);
         c.acked.push(change);
@@ -787,43 +769,36 @@ pub fn run(cfg: &Config) -> Result<Outcome, String> {
     }
 
     // Recovery: drain the server, drop the service, reopen the directory,
-    // answer one query; then drop and reopen again, and report the median.
+    // answer one query; then drop and reopen again, and report the mean of
+    // the middle half.
     drop(memory);
     let t = Instant::now();
     let drain = handle.shutdown();
     drop(service);
     let mut reopened = None;
-    let mut kept: Option<(Vec<f64>, f64)> = None;
-    for attempt in 0.. {
-        let (times, share) = steal_share(|| -> Result<Vec<f64>, String> {
-            let mut times = Vec::new();
-            for rep in 0..RECOVERY_REPS {
-                if attempt + rep > 0 {
-                    std::thread::sleep(REP_GAP);
-                }
-                let t = if attempt + rep == 0 { t } else { Instant::now() };
-                drop(reopened.take());
-                let service = open_service(&dir, GraphInstance::new())?;
-                layers::local_query(&service, &fixed[0].query)
-                    .map_err(|e| format!("query after reopen: {e}"))?;
-                times.push(t.elapsed().as_secs_f64());
-                reopened = Some(service);
-            }
-            Ok(times)
-        });
-        let times = times?;
-        if kept.as_ref().is_none_or(|k| share < k.1) {
-            kept = Some((times, share));
+    let mut recovery_runs_s = Vec::new();
+    for rep in 0..RECOVERY_REPS {
+        if rep > 0 {
+            std::thread::sleep(REP_GAP);
         }
-        if !measure_again(share, attempt, run_start) {
-            break;
-        }
+        let t = if rep == 0 { t } else { Instant::now() };
+        drop(reopened.take());
+        let service = open_service(&dir, GraphInstance::new())?;
+        layers::local_query(&service, &fixed[0].query)
+            .map_err(|e| format!("query after reopen: {e}"))?;
+        recovery_runs_s.push(t.elapsed().as_secs_f64());
+        reopened = Some(service);
     }
     let reopened = reopened.expect("at least one reopen");
-    let (recovery_runs_s, recovery_steal_share) = kept.expect("at least one attempt");
-    let recovery_s = stats::median(&recovery_runs_s);
+    let recovery_s = stats::middle_mean(&recovery_runs_s);
     mismatches.extend(check_exactly_once(&reopened, seed_size, &conns));
 
+    let mut sent = [0u64; 3];
+    for w in conns.iter().filter_map(|c| c.writer.as_ref()) {
+        for (total, n) in sent.iter_mut().zip(w.sent) {
+            *total += n;
+        }
+    }
     let mut record = report::host_record(&cfg.dir);
     record.extend([
         ("workload".into(), report::json_str(cfg.workload.name())),
@@ -835,15 +810,15 @@ pub fn run(cfg: &Config) -> Result<Outcome, String> {
         ("anchor_user".into(), k0.to_string()),
         ("read_weights".into(), format!("{:?}", data::READ_WEIGHTS)),
         ("write_weights".into(), format!("{:?}", data::WRITE_WEIGHTS)),
+        ("commits_sent_insert_rename_delete".into(), format!("{sent:?}")),
         ("drain_ms".into(), format!("{}", drain.duration.as_secs_f64() * 1e3)),
         ("setup_runs_s".into(), format!("{setup_s:?}")),
         ("recovery_runs_s".into(), format!("{recovery_runs_s:?}")),
-        ("recovery_steal_share".into(), format!("{recovery_steal_share}")),
         ("host_steal_s".into(), format!("{}", report::steal_s() - steal_at_start)),
     ]);
-    record.extend(untraced.record("untraced"));
+    record.extend(untraced.record("untraced", &fixed));
     if let Some(t) = &traced {
-        record.extend(t.record("traced"));
+        record.extend(t.record("traced", &fixed));
     }
 
     let metrics = match &traced {
@@ -874,7 +849,7 @@ pub fn run(cfg: &Config) -> Result<Outcome, String> {
     drop(reopened);
     let (mut attempted, mut failed) = (0, 0);
     for pass in std::iter::once(&untraced).chain(traced.as_ref()) {
-        for p in pass.phases.iter().chain([&pass.discarded]) {
+        for p in &pass.phases {
             attempted += p.attempted;
             failed += p.failed;
             mismatches.extend(p.mismatches.iter().cloned());
@@ -887,10 +862,6 @@ pub fn run(cfg: &Config) -> Result<Outcome, String> {
 /// both.
 struct Pass {
     phases: Vec<Phase>,
-    /// Requests, failures and mismatches of attempts measured again.
-    discarded: Phase,
-    /// Attempts and the kept attempt's steal share, per phase.
-    attempts: Vec<(usize, f64)>,
     cells: Cells,
 }
 
@@ -942,7 +913,7 @@ impl Pass {
         self.phases.iter().flat_map(|p| p.spans.iter())
     }
 
-    fn record(&self, tag: &str) -> Vec<(String, String)> {
+    fn record(&self, tag: &str, fixed: &[Fixed]) -> Vec<(String, String)> {
         let mut out = vec![(
             format!("{tag}_phase_s"),
             format!("{:?}", self.phases.iter().map(|p| p.secs).collect::<Vec<_>>()),
@@ -954,8 +925,26 @@ impl Pass {
                 (1..10).filter_map(|d| stats::percentile(&samples, d * 10)).collect();
             out.push((format!("{tag}_deciles_us_{}", op.name()), format!("{deciles:?}")));
         }
-        let attempts: Vec<[f64; 2]> = self.attempts.iter().map(|&(n, s)| [n as f64, s]).collect();
-        out.push((format!("{tag}_attempts_and_steal_share"), format!("{attempts:?}")));
+        let texts: Vec<String> = fixed
+            .iter()
+            .enumerate()
+            .map(|(i, f)| {
+                let mut v: Vec<f64> = self
+                    .phases
+                    .iter()
+                    .flat_map(|p| p.texts.get(&i).into_iter().flatten())
+                    .copied()
+                    .collect();
+                v.sort_by(f64::total_cmp);
+                let p50 = stats::percentile(&v, 50).unwrap_or(0.0);
+                format!(
+                    "{}: [{}, {p50}]",
+                    report::json_str(&format!("{}/{:?}", f.family, f.origin)),
+                    v.len()
+                )
+            })
+            .collect();
+        out.push((format!("{tag}_text_samples_and_p50_us"), format!("{{{}}}", texts.join(", "))));
         let replays = self.spans().filter(|s| s.name == "request").count();
         out.push((format!("{tag}_replays"), replays.to_string()));
         out.push((
@@ -966,72 +955,29 @@ impl Pass {
     }
 }
 
-/// Runs `f` and returns its result with the share of wall time the
-/// hypervisor took from this host's CPUs meanwhile.
-fn steal_share<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let (stolen, t) = (report::steal_s(), Instant::now());
-    let out = f();
-    (out, layers::ratio(report::steal_s() - stolen, t.elapsed().as_secs_f64()))
-}
-
-/// Whether a measurement that the hypervisor slowed by `share` is taken
-/// again: only while the run is young enough to stay well inside its time
-/// limit, and at most [`ATTEMPTS`] times.
-fn measure_again(share: f64, attempt: usize, run_start: Instant) -> bool {
-    share > STEAL_LIMIT && attempt + 1 < ATTEMPTS && run_start.elapsed() < RETRY_BUDGET
-}
-
 fn measure(
     cfg: &Config,
     service: &Graphiti,
     fixed: &[Fixed],
     conns: &mut [Conn],
     replay: Option<ReplayCtx<'_>>,
-    run_start: Instant,
 ) -> Result<Pass, String> {
     let before = Cells::read(service);
     let steps = cfg.workload.steps(cfg.seconds);
-    let (mut phases, mut discarded, mut attempts) = (Vec::new(), Phase::default(), Vec::new());
-    for (roles, window) in steps {
-        let readers = roles.iter().any(|r| matches!(r, Role::Reader { .. }));
-        // Under concurrent writes a reply's size is not fixed; `mixed` is
-        // checked by the differential on its final generation instead.
-        let expect = if readers && cfg.workload != Workload::Mixed {
-            for c in conns.iter_mut() {
-                c.wire.refresh().map_err(|e| format!("refresh: {e}"))?;
+    let mut phases = Vec::new();
+    for (role, window) in steps {
+        let expect = match role {
+            Role::Reader => {
+                for c in conns.iter_mut() {
+                    c.wire.refresh().map_err(|e| format!("refresh: {e}"))?;
+                }
+                Some(Expect::compute(service, fixed)?)
             }
-            Some(Expect::compute(service, fixed)?)
-        } else {
-            None
+            Role::Writer => None,
         };
-        // A phase the hypervisor slowed is measured again; the least
-        // slowed attempt is kept.
-        let mut kept: Option<(Phase, f64)> = None;
-        for attempt in 0.. {
-            let (phase, share) = steal_share(|| {
-                run_phase(service, conns, roles, fixed, window, expect.as_ref(), replay)
-            });
-            match kept.take() {
-                Some((old, s)) if s <= share => {
-                    discarded.absorb(phase);
-                    kept = Some((old, s));
-                }
-                old => {
-                    if let Some((old, _)) = old {
-                        discarded.absorb(old);
-                    }
-                    kept = Some((phase, share));
-                }
-            }
-            if !measure_again(share, attempt, run_start) {
-                attempts.push((attempt + 1, kept.as_ref().map_or(0.0, |k| k.1)));
-                break;
-            }
-        }
-        phases.push(kept.expect("at least one attempt").0);
+        phases.push(run_phase(service, conns, role, fixed, window, expect.as_ref(), replay));
     }
-    discarded.spans.clear();
-    Ok(Pass { phases, discarded, attempts, cells: Cells::read(service).since(&before) })
+    Ok(Pass { phases, cells: Cells::read(service).since(&before) })
 }
 
 fn end_to_end(

@@ -47,6 +47,17 @@ pub fn median(values: &[f64]) -> f64 {
     }
 }
 
+/// Mean of the middle half of unsorted values: the lowest and highest
+/// quarter are dropped (`0` for none).  Unlike the median it moves
+/// smoothly when the values fall into two clusters, and unlike the mean a
+/// single stall does not move it.
+pub fn middle_mean(values: &[f64]) -> f64 {
+    let mut v = values.to_vec();
+    v.sort_by(f64::total_cmp);
+    let cut = v.len() / 4;
+    mean(&v[cut..v.len() - cut])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,5 +91,9 @@ mod tests {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), 2.5);
+        assert_eq!(middle_mean(&[]), 0.0);
+        assert_eq!(middle_mean(&[5.0]), 5.0);
+        // The lowest and highest two of eight are dropped.
+        assert_eq!(middle_mean(&[100.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 0.0]), 3.5);
     }
 }

@@ -55,8 +55,3 @@ fn read_reports_every_metric() {
 fn write_reports_every_metric() {
     check(Workload::Write, 102);
 }
-
-#[test]
-fn mixed_reports_every_metric() {
-    check(Workload::Mixed, 103);
-}
