@@ -1,6 +1,5 @@
 //! PR 4 performance harness: vectorized (columnar) execution vs the
-//! row-at-a-time engine, and the persistent worker pool vs per-batch
-//! thread spawning.
+//! row-at-a-time engine, and the persistent worker pool's ladder.
 //!
 //! The workload is the corpus sweep (every benchmark contributes its
 //! Cypher query, its transpilation, and the manually-written SQL — 612
@@ -18,14 +17,9 @@
 //!   floor of 2× by `check_bench`;
 //! * **persistent-pool ladder** — `Engine::run_batch` throughput at
 //!   1/2/4/8 workers on a replicated batch (pool threads spawn once per
-//!   engine);
-//! * **pool vs per-batch spawning** — many *small* batches (the service
-//!   traffic shape) through the pooled `run_batch` vs the retained
-//!   scoped-thread `run_batch_unpooled`, both at 4 workers: the ratio
-//!   isolates the per-batch spawn overhead the pool removes, and is
-//!   meaningful even on a single-core host (where a same-core speedup
-//!   from *parallelism* is impossible by construction — see
-//!   `workers_available` in the emitted JSON);
+//!   engine; on a single-core host a same-core speedup from parallelism
+//!   is impossible by construction — see `workers_available` in the
+//!   emitted JSON);
 //! * **plan-cache warm-up** — cold round vs warm rounds, as in PR 3.
 //!
 //! Emits `BENCH_PR4.json` with a `"gate"` object of hardware-portable
@@ -252,19 +246,6 @@ fn main() {
         .collect();
     let pool_scaling_4w = ladder[2].queries_per_sec / ladder[0].queries_per_sec;
 
-    // -------------------------------------- pool vs per-batch spawning
-    // The service traffic shape: many small batches.  Same engine, same
-    // queries, 4 workers — the only difference is whether each batch
-    // spawns fresh scoped threads or reuses the persistent pool.
-    let small_rounds = if opts.quick { 150 } else { 400 };
-    let (_, unpooled_qps) = time_rounds(small_rounds, tile.len(), || {
-        ladder_engine.run_batch_unpooled(&tile, 4);
-    });
-    let (_, pooled_qps) = time_rounds(small_rounds, tile.len(), || {
-        ladder_engine.run_batch(&tile, 4);
-    });
-    let pool_small_batch_speedup_4w = pooled_qps / unpooled_qps;
-
     // ------------------------------------------------- cache warm-up
     // Fresh engines; one serial cold round (parse + compile + execute),
     // then warm rounds on the populated caches.
@@ -319,10 +300,6 @@ fn main() {
     let _ = writeln!(json, "  ],");
     let _ = writeln!(
         json,
-        "  \"small_batches\": {{\"description\": \"many 3-query batches at 4 workers: persistent pool vs per-batch scoped-thread spawning\", \"pooled_queries_per_sec\": {pooled_qps:.1}, \"unpooled_queries_per_sec\": {unpooled_qps:.1}}},",
-    );
-    let _ = writeln!(
-        json,
         "  \"plan_cache\": {{\"cold_round_seconds\": {cold_secs:.4}, \"warm_round_seconds_avg\": {warm_round_secs:.4}, \"cache_hits\": {hits}, \"cache_misses\": {misses}}},",
     );
     let _ = writeln!(
@@ -331,8 +308,6 @@ fn main() {
     );
     let _ = writeln!(json, "  \"gate\": {{");
     let _ = writeln!(json, "    \"vectorized_speedup\": {vectorized_speedup:.2},");
-    let _ =
-        writeln!(json, "    \"pool_small_batch_speedup_4w\": {pool_small_batch_speedup_4w:.2},");
     let _ = writeln!(json, "    \"pool_scaling_4w\": {pool_scaling_4w:.2},");
     let _ = writeln!(json, "    \"cache_warm_speedup\": {cache_warm_speedup:.2},");
     let _ = writeln!(json, "    \"sweep_all_agree\": {all_agree}");
@@ -341,12 +316,9 @@ fn main() {
     // below, so a local run fails fast too).  `pool_scaling_4w` has no
     // floor on purpose: same-core parallel speedup is impossible on a
     // 1-core host (see workers_available), so it is regression-tracked
-    // relative to the baseline instead; `pool_small_batch_speedup_4w` is
-    // the hardware-portable form of the pool win (spawn overhead
-    // eliminated at equal parallelism).
+    // relative to the baseline instead.
     let _ = writeln!(json, "  \"floors\": {{");
-    let _ = writeln!(json, "    \"vectorized_speedup\": 2.0,");
-    let _ = writeln!(json, "    \"pool_small_batch_speedup_4w\": 1.2");
+    let _ = writeln!(json, "    \"vectorized_speedup\": 2.0");
     let _ = writeln!(json, "  }}");
     let _ = writeln!(json, "}}");
     std::fs::write(&opts.out, &json).expect("write bench json");
@@ -372,9 +344,6 @@ fn main() {
         );
     }
     println!(
-        "small batches @ 4 workers: pooled {pooled_qps:.0} q/s vs per-batch spawn {unpooled_qps:.0} q/s ({pool_small_batch_speedup_4w:.2}x)"
-    );
-    println!(
         "plan cache: cold round {cold_secs:.4}s, warm rounds {warm_round_secs:.4}s avg ({cache_warm_speedup:.2}x)"
     );
     println!("differential: {checked} queries checked, all_agree = {all_agree}");
@@ -384,12 +353,6 @@ fn main() {
     }
     if vectorized_speedup < 2.0 {
         eprintln!("FLOOR MISSED: vectorized_speedup {vectorized_speedup:.2} < 2.0");
-        std::process::exit(1);
-    }
-    if pool_small_batch_speedup_4w < 1.2 {
-        eprintln!(
-            "FLOOR MISSED: pool_small_batch_speedup_4w {pool_small_batch_speedup_4w:.2} < 1.2"
-        );
         std::process::exit(1);
     }
 }

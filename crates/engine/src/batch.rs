@@ -19,9 +19,7 @@
 //! jobs over a channel, so repeated small batches never pay thread-spawn
 //! latency.  Within a batch, participating workers drain a shared atomic
 //! work queue — cheap items don't stall behind expensive ones — and
-//! results land in submission order.  The pre-pool per-batch scoped-thread
-//! path is retained as [`Engine::run_batch_unpooled`] for ablation
-//! benchmarks.
+//! results land in submission order.
 
 use crate::cache::{CacheStats, PlanCache, SqlPlan, DEFAULT_PLAN_CACHE_CAPACITY};
 use crate::pool::WorkerPool;
@@ -368,7 +366,7 @@ impl Engine {
     /// state is the plan cache, which never changes results (a cached plan
     /// is exactly what the miss path would have built).
     pub fn run_batch(&self, batch: &[BatchQuery], workers: usize) -> BatchReport {
-        self.run_batch_with(batch, workers, true, None)
+        self.run_batch_with(batch, workers, None)
     }
 
     /// [`Engine::run_batch`] against an **explicitly pinned** snapshot
@@ -382,7 +380,7 @@ impl Engine {
         batch: &[BatchQuery],
         workers: usize,
     ) -> BatchReport {
-        self.run_batch_with(batch, workers, true, Some(Arc::clone(snapshot)))
+        self.run_batch_with(batch, workers, Some(Arc::clone(snapshot)))
     }
 
     /// Executes one query against an explicitly pinned snapshot
@@ -391,20 +389,10 @@ impl Engine {
         self.inner.execute_on(snapshot, query)
     }
 
-    /// The pre-pool execution model: `workers` *scoped threads spawned for
-    /// this batch alone*, torn down at the end.  Retained as the ablation
-    /// baseline the persistent pool is benchmarked against (`bench_pr4`'s
-    /// small-batch comparison); results are identical to
-    /// [`Engine::run_batch`].
-    pub fn run_batch_unpooled(&self, batch: &[BatchQuery], workers: usize) -> BatchReport {
-        self.run_batch_with(batch, workers, false, None)
-    }
-
     fn run_batch_with(
         &self,
         batch: &[BatchQuery],
         workers: usize,
-        pooled: bool,
         pin: Option<Arc<Snapshot>>,
     ) -> BatchReport {
         let before = self.inner.cache.stats();
@@ -416,12 +404,8 @@ impl Engine {
         let snapshot = pin.unwrap_or_else(|| self.inner.current());
         let outcomes = if workers <= 1 {
             batch.iter().map(|q| self.inner.execute_on(&snapshot, q)).collect()
-        } else if pooled {
-            self.dispatch_pooled(batch, workers, snapshot)
         } else {
-            crate::run_parallel(batch.len(), workers, |i| {
-                self.inner.execute_on(&snapshot, &batch[i])
-            })
+            self.dispatch_pooled(batch, workers, snapshot)
         };
         let wall_micros = start.elapsed().as_micros() as u64;
         let after = self.inner.cache.stats();

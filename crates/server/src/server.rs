@@ -8,7 +8,7 @@
 //!   receives one typed [`ApiError::Backpressure`] frame and is closed
 //!   before a session ever exists;
 //! * a **bounded commit queue** — wire commits go through the service's
-//!   group committer with [`Graphiti::try_commit_tagged`]; a full queue
+//!   group committer with [`Graphiti::try_commit`]; a full queue
 //!   is a typed backpressure *reply* (the connection survives, the
 //!   client retries).
 //!
@@ -43,7 +43,7 @@ use graphiti_common::{ApiError, ApiResult};
 use graphiti_obs::metrics::{Counter, Histogram, Registry};
 use graphiti_obs::trace::mint_trace_id;
 use graphiti_store::codec;
-use graphiti_store::{Graphiti, Session};
+use graphiti_store::{CommitRequest, Graphiti, Session};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -827,19 +827,15 @@ fn handle_request(
             // backpressure instead of blocking the connection thread.
             // The request's trace id rides along so the commit's WAL,
             // fsync, and publish spans join the server.request span.
-            match service.try_commit_traced(
-                delta,
-                (token != 0).then_some(token),
-                deadline,
-                trace,
-            )? {
+            let req = CommitRequest { delta, token: (token != 0).then_some(token), trace };
+            match service.try_commit(req, deadline)? {
                 Ok(ack) => {
                     // Re-pin for read-your-writes, matching the
                     // embedded session's commit semantics.
                     let session_generation = s.refresh()?;
                     Ok(Response::CommitOk { ack, session_generation })
                 }
-                Err(_delta) => Err(ApiError::Backpressure("commit queue full; retry later".into())),
+                Err(_req) => Err(ApiError::Backpressure("commit queue full; retry later".into())),
             }
         }
         Request::Refresh => Ok(Response::Generation(open(session)?.refresh()?)),

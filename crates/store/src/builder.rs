@@ -1,10 +1,5 @@
-//! One builder for every way of opening a [`GraphStore`].
-//!
-//! The store's constructors grew as a ladder — `open`, `open_with`,
-//! `open_durable`, `open_durable_with`, `open_durable_with_vfs` — each
-//! adding one positional parameter.  [`StoreBuilder`] replaces the
-//! ladder with named, defaulted knobs (the old entry points survive as
-//! thin deprecated shims).
+//! One builder for every way of opening a [`GraphStore`]: in-memory or
+//! durable, each knob named and defaulted.
 
 use crate::vfs::{self, Vfs};
 use crate::{DurabilityOptions, GraphStore, StoreError, StoreResult};
@@ -166,8 +161,9 @@ impl StoreBuilder {
 }
 
 impl GraphStore {
-    /// Starts a [`StoreBuilder`] over `schema` — the one entry point
-    /// subsuming the whole `open`/`open_durable*` ladder.
+    /// Starts a [`StoreBuilder`] over `schema` — the one entry point for
+    /// durable stores, and for in-memory ones that need more than
+    /// [`GraphStore::open`]/[`GraphStore::open_with`].
     pub fn builder(schema: GraphSchema) -> StoreBuilder {
         StoreBuilder::new(schema)
     }
@@ -242,15 +238,6 @@ mod tests {
         let reopened =
             GraphStore::builder(schema()).durable(&dir).plan_cache_capacity(9).open().unwrap();
         assert_eq!(reopened.engine().cache_stats().capacity, 9);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn deprecated_shims_still_work() {
-        #![allow(deprecated)]
-        let dir = scratch("shim");
-        let store = GraphStore::open_durable(&dir, schema()).unwrap();
-        assert_eq!(store.generation(), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -62,8 +62,9 @@ pub enum StoreError {
     },
     /// The operation requires a durability layer and the store has none.
     Unsupported(String),
-    /// An internal invariant broke mid-apply; in-memory state is
-    /// suspect.  The store fences; only a reopen recovers.
+    /// An internal invariant broke (a checkpoint that cannot rebuild
+    /// the store, a group committer gone before replying).  A commit
+    /// that breaks one mid-apply fences the store instead.
     Internal(String),
 }
 

@@ -1,20 +1,22 @@
 //! The asynchronous group-commit front of a [`GraphStore`].
 //!
-//! [`GraphStore::commit_group`] amortizes the WAL fsync and the
-//! generation publication across a *batch* of deltas, but somebody has
-//! to form the batches: [`GroupCommitter`] is that somebody.  Writers
-//! [`submit`](GroupCommitter::submit) deltas into a **bounded** queue
-//! and block on a [`CommitTicket`]; one background thread drains
-//! whatever has accumulated while the previous group was committing
-//! (classic group commit: the slower the disk, the bigger — and more
-//! efficient — the groups) and distributes the per-member results.
+//! The store's one commit pipeline amortizes the WAL fsync, the image
+//! derivation and the generation publication across a *batch* of
+//! [`CommitRequest`]s (a solo [`GraphStore::commit`] is a batch of one),
+//! but somebody has to form larger batches: [`GroupCommitter`] is that
+//! somebody.  Writers [`submit`](GroupCommitter::submit) requests into a
+//! **bounded** queue and block on a [`CommitTicket`]; one background
+//! thread drains whatever has accumulated while the previous group was
+//! committing (classic group commit: the slower the disk, the bigger —
+//! and more efficient — the groups) and distributes the per-member
+//! results.
 //!
 //! The bounded queue doubles as admission control: when it is full,
-//! [`try_submit`](GroupCommitter::try_submit) hands the delta back
+//! [`try_submit`](GroupCommitter::try_submit) hands the request back
 //! instead of queueing unboundedly, which a server maps to a
 //! backpressure reply.
 
-use crate::{CommitInfo, Delta, GraphStore, StoreError, StoreResult};
+use crate::{CommitInfo, CommitRequest, GraphStore, StoreError, StoreResult};
 use graphiti_obs::metrics::{Counter, Histogram};
 use graphiti_obs::trace::Tracer;
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
@@ -25,8 +27,8 @@ use std::time::Instant;
 /// Tuning knobs of a [`GroupCommitter`].
 #[derive(Debug, Clone, Copy)]
 pub struct GroupOptions {
-    /// Maximum deltas coalesced into one [`GraphStore::commit_group`]
-    /// call (bounds worst-case publication latency).
+    /// Maximum requests coalesced into one commit batch (bounds
+    /// worst-case publication latency).
     pub max_group: usize,
     /// Capacity of the submission queue.  A full queue rejects
     /// [`GroupCommitter::try_submit`] (backpressure) and blocks
@@ -59,14 +61,11 @@ struct Counters {
     backpressured: Counter,
 }
 
-/// One queued delta (with its optional idempotency token) plus the
-/// channel its result travels back on.
+/// One queued request plus the channel its result travels back on.
 struct Submission {
-    delta: Delta,
-    token: Option<u128>,
-    /// The request's trace id (0 = untraced) and the `group.queue` span
-    /// opened at submission, closed when the worker drains it.
-    trace: u64,
+    req: CommitRequest,
+    /// The `group.queue` span opened at submission of a traced request,
+    /// closed when the worker drains it.
     queue_span: u64,
     enqueued: Instant,
     reply: SyncSender<StoreResult<CommitInfo>>,
@@ -163,19 +162,19 @@ impl GroupCommitter {
                             Err(_) => break,
                         }
                     }
-                    let mut deltas = Vec::with_capacity(batch.len());
+                    let mut reqs = Vec::with_capacity(batch.len());
                     let mut replies = Vec::with_capacity(batch.len());
                     for s in batch {
                         queue_wait.record(s.enqueued.elapsed().as_micros() as u64);
-                        if s.trace != 0 {
-                            thread_tracer.span_end(s.trace, s.queue_span, 0, "group.queue");
+                        if s.req.trace != 0 {
+                            thread_tracer.span_end(s.req.trace, s.queue_span, 0, "group.queue");
                         }
-                        deltas.push((s.delta, s.token, s.trace));
+                        reqs.push(s.req);
                         replies.push(s.reply);
                     }
                     thread_counters.groups.inc();
                     thread_counters.members.add(replies.len() as u64);
-                    let results = store.commit_group_traced(deltas);
+                    let results = store.commit_batch(reqs);
                     debug_assert_eq!(results.len(), replies.len());
                     for (result, reply) in results.into_iter().zip(replies) {
                         // A submitter that stopped waiting is its own
@@ -188,81 +187,49 @@ impl GroupCommitter {
         GroupCommitter { tx: Some(tx), worker: Some(worker), counters, tracer }
     }
 
-    /// Queues a delta, **blocking** while the queue is full, and
-    /// returns the ticket its result arrives on.
-    pub fn submit(&self, delta: Delta) -> CommitTicket {
-        self.submit_tagged(delta, None)
-    }
-
-    /// [`GroupCommitter::submit`] with an optional idempotency token
-    /// (see [`GraphStore::commit_tagged`]).
-    pub fn submit_tagged(&self, delta: Delta, token: Option<u128>) -> CommitTicket {
-        self.submit_traced(delta, token, 0)
-    }
-
-    /// [`GroupCommitter::submit_tagged`] carrying a request **trace id**
-    /// (0 = untraced).  A traced submission opens a `group.queue` span
-    /// here and the worker closes it when the submission is drained, so
+    /// Queues a request, **blocking** while the queue is full, and
+    /// returns the ticket its result arrives on.  A traced request
+    /// (non-zero [`CommitRequest::trace`]) opens a `group.queue` span
+    /// here and the worker closes it when the request is drained, so
     /// queue wait is visible per request as well as in the
     /// `graphiti_group_queue_wait_micros` histogram.
-    pub fn submit_traced(&self, delta: Delta, token: Option<u128>, trace: u64) -> CommitTicket {
-        let (reply, rx) = sync_channel(1);
+    pub fn submit(&self, req: impl Into<CommitRequest>) -> CommitTicket {
+        let (submission, ticket) = self.submission(req.into());
         let tx = self.tx.as_ref().expect("sender lives until drop");
-        let queue_span =
-            if trace != 0 { self.tracer.span_begin(trace, 0, "group.queue") } else { 0 };
         // The worker owns the receiver for the committer's lifetime, so
         // a send only fails after drop (unreachable from `&self`).
-        tx.send(Submission { delta, token, trace, queue_span, enqueued: Instant::now(), reply })
-            .expect("group-commit worker is alive");
-        CommitTicket { rx }
+        tx.send(submission).expect("group-commit worker is alive");
+        ticket
     }
 
-    /// Queues a delta **without blocking**: a full queue returns the
-    /// delta back (`Err`) so the caller can reply with backpressure
+    /// Queues a request **without blocking**: a full queue hands the
+    /// request back (`Err`) so the caller can reply with backpressure
     /// instead of stalling.
-    pub fn try_submit(&self, delta: Delta) -> std::result::Result<CommitTicket, Delta> {
-        self.try_submit_tagged(delta, None)
-    }
-
-    /// [`GroupCommitter::try_submit`] with an optional idempotency token.
-    pub fn try_submit_tagged(
+    pub fn try_submit(
         &self,
-        delta: Delta,
-        token: Option<u128>,
-    ) -> std::result::Result<CommitTicket, Delta> {
-        self.try_submit_traced(delta, token, 0)
-    }
-
-    /// [`GroupCommitter::try_submit_tagged`] carrying a request trace id
-    /// (see [`GroupCommitter::submit_traced`]).
-    pub fn try_submit_traced(
-        &self,
-        delta: Delta,
-        token: Option<u128>,
-        trace: u64,
-    ) -> std::result::Result<CommitTicket, Delta> {
-        let (reply, rx) = sync_channel(1);
+        req: impl Into<CommitRequest>,
+    ) -> std::result::Result<CommitTicket, CommitRequest> {
+        let (submission, ticket) = self.submission(req.into());
         let tx = self.tx.as_ref().expect("sender lives until drop");
-        let queue_span =
-            if trace != 0 { self.tracer.span_begin(trace, 0, "group.queue") } else { 0 };
-        match tx.try_send(Submission {
-            delta,
-            token,
-            trace,
-            queue_span,
-            enqueued: Instant::now(),
-            reply,
-        }) {
-            Ok(()) => Ok(CommitTicket { rx }),
+        match tx.try_send(submission) {
+            Ok(()) => Ok(ticket),
             Err(TrySendError::Full(s)) | Err(TrySendError::Disconnected(s)) => {
                 self.counters.backpressured.inc();
-                if s.trace != 0 {
-                    // The refused submission never queued: close its span.
-                    self.tracer.span_end(s.trace, s.queue_span, 0, "group.queue");
+                if s.req.trace != 0 {
+                    // The refused request never queued: close its span.
+                    self.tracer.span_end(s.req.trace, s.queue_span, 0, "group.queue");
                 }
-                Err(s.delta)
+                Err(s.req)
             }
         }
+    }
+
+    /// Wraps a request for the queue, opening its `group.queue` span.
+    fn submission(&self, req: CommitRequest) -> (Submission, CommitTicket) {
+        let (reply, rx) = sync_channel(1);
+        let queue_span =
+            if req.trace != 0 { self.tracer.span_begin(req.trace, 0, "group.queue") } else { 0 };
+        (Submission { req, queue_span, enqueued: Instant::now(), reply }, CommitTicket { rx })
     }
 
     /// Point-in-time batching counters.
@@ -296,6 +263,7 @@ impl GraphStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Delta;
     use graphiti_common::Value;
     use graphiti_graph::{GraphSchema, NodeType};
 

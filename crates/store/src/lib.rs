@@ -31,9 +31,14 @@
 //! changes nothing — validation runs to completion before the first
 //! mutation is applied.
 //!
+//! Every write path — [`GraphStore::commit`], the [`GroupCommitter`],
+//! the [`Graphiti`] service and WAL replay — hands the store
+//! [`CommitRequest`]s, and one pipeline commits them: a solo commit is a
+//! batch of one.
+//!
 //! # Durability
 //!
-//! [`GraphStore::open_durable`] adds a crash-safe persistence layer:
+//! [`StoreBuilder::durable`] adds a crash-safe persistence layer:
 //! every committed delta is appended to a checksummed write-ahead log and
 //! flushed (optionally fsynced) **before** the generation is published;
 //! periodic checkpoints snapshot the per-label row logs so replay cost
@@ -118,16 +123,39 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+/// One commit as it crosses every layer: the service, the group
+/// committer, WAL replay and the store.
+#[derive(Debug, Clone)]
+pub struct CommitRequest {
+    /// The mutations to apply atomically.
+    pub delta: Delta,
+    /// Client-generated idempotency token: a later request carrying the
+    /// same token is answered with the original commit's generation
+    /// instead of being applied again (see [`GraphStore::commit`]).
+    pub token: Option<u128>,
+    /// Trace id (0 = untraced).  A traced request emits
+    /// `store.wal_append` spans, and its batch's shared fsync and
+    /// publication emit `store.fsync` / `store.publish` spans.
+    pub trace: u64,
+}
+
+impl From<Delta> for CommitRequest {
+    fn from(delta: Delta) -> CommitRequest {
+        CommitRequest { delta, token: None, trace: 0 }
+    }
+}
+
 /// The outcome of a successful [`GraphStore::commit`].
 #[derive(Debug)]
 pub struct CommitInfo {
     /// The generation the commit published (0 is the opening freeze).
+    /// A replayed token answers its original commit's generation; an
+    /// empty delta answers the generation current at its position.
     pub generation: u64,
-    /// The generation of [`CommitInfo::snapshot`].  Equal to
-    /// [`CommitInfo::generation`] for a solo [`GraphStore::commit`]; for
-    /// a member of a [`GraphStore::commit_group`] it is the generation of
-    /// the *group's* single publication, which already includes every
-    /// later member of the same group.
+    /// The generation of [`CommitInfo::snapshot`]: the single
+    /// publication of the request's batch, which already includes every
+    /// later member of the same batch (the current generation when the
+    /// batch published nothing).
     pub published_generation: u64,
     /// The published snapshot generation.
     pub snapshot: Arc<Snapshot>,
@@ -141,7 +169,7 @@ pub struct CommitInfo {
     pub touched_tables: Vec<String>,
 }
 
-/// Tuning knobs of a durable store (see [`GraphStore::open_durable_with`]).
+/// Tuning knobs of a durable store (see [`StoreBuilder::durability`]).
 #[derive(Debug, Clone, Copy)]
 pub struct DurabilityOptions {
     /// Fsync the WAL on **every** commit (the strict redo rule: a
@@ -180,8 +208,8 @@ impl Default for DurabilityOptions {
 }
 
 /// The durability attachment of a store: the open WAL segment plus
-/// checkpoint bookkeeping.  Present only for stores opened through
-/// [`GraphStore::open_durable`] / [`GraphStore::open_durable_with`].
+/// checkpoint bookkeeping.  Present only for stores opened with
+/// [`StoreBuilder::durable`].
 #[derive(Debug)]
 struct DurableState {
     dir: PathBuf,
@@ -207,7 +235,7 @@ struct DurableState {
     wal_append_failures: Counter,
     /// Per-record WAL append latency (write + flush, excluding fsync).
     wal_append_micros: Arc<Histogram>,
-    /// WAL fsync latency (solo commits and the group's shared fsync).
+    /// WAL fsync latency (one fsync per commit batch).
     wal_fsync_micros: Arc<Histogram>,
 }
 
@@ -250,9 +278,10 @@ struct Fence {
     reason: String,
     /// `true`: the in-memory state is intact and only on-disk state is
     /// untrustworthy — [`GraphStore::checkpoint_now`] can recover by
-    /// re-capturing everything on fresh files.  `false`: an internal
-    /// apply-phase error left the in-memory state suspect; only a
-    /// reopen (which replays durable state from disk) recovers.
+    /// re-capturing everything on fresh files.  `false`: the in-memory
+    /// state is suspect — an internal apply-phase error, or a batch that
+    /// fenced after applying some of its requests — and only a reopen
+    /// (which replays durable state from disk) recovers.
     memory_ok: bool,
 }
 
@@ -301,7 +330,8 @@ pub struct StoreStats {
     pub fenced: bool,
     /// How many times this store has fenced itself.
     pub fence_events: u64,
-    /// Commits refused because the store was fenced.
+    /// Commit requests refused because the store was already fenced
+    /// when they arrived.
     pub fenced_commits: u64,
     /// WAL write retries performed (transient-failure absorption).
     pub wal_retries: u64,
@@ -386,9 +416,10 @@ struct StoreState {
     /// The previous generation's graph handle, kept so the next commit
     /// can reclaim its buffer once every reader has released it.
     retiring_graph: Option<Arc<GraphInstance>>,
-    /// Resolved (id-level) operation logs of the most recent generations,
-    /// enough to replay a reclaimed buffer forward to the master state.
-    backlog: VecDeque<(u64, Vec<ResolvedOp>)>,
+    /// Resolved (id-level) operation logs of the most recent
+    /// publications, enough to replay a reclaimed buffer forward to the
+    /// master state.
+    backlog: VecDeque<Vec<ResolvedOp>>,
     generation: u64,
     /// Counters are registry-backed [`Counter`] handles: the store
     /// increments them exactly where the plain `u64`s used to live, and
@@ -451,9 +482,9 @@ pub struct GraphStore {
     /// layer stacked on top.
     obs: Arc<Obs>,
     /// Commit end-to-end latency (lock acquisition through publication),
-    /// solo and per group member alike.
+    /// recorded once per accepted request.
     commit_e2e_micros: Arc<Histogram>,
-    /// Accepted members per `commit_group_tagged` call.
+    /// Requests per commit batch (a solo commit is a batch of one).
     group_commit_size: Arc<Histogram>,
 }
 
@@ -556,25 +587,8 @@ impl GraphStore {
         })
     }
 
-    /// Opens (or recovers) a **durable** store rooted at `path` with an
-    /// initially empty graph: committed deltas are written ahead to a
-    /// checksummed log and survive process crashes.  See
-    /// [`GraphStore::open_durable_with`] for the recovery contract.
-    #[deprecated(since = "0.1.0", note = "use `GraphStore::builder(schema).durable(path).open()`")]
-    pub fn open_durable(path: impl AsRef<Path>, schema: GraphSchema) -> StoreResult<GraphStore> {
-        GraphStore::durable_open_impl(
-            path.as_ref().to_path_buf(),
-            schema,
-            GraphInstance::new(),
-            [],
-            DurabilityOptions::default(),
-            vfs::std_vfs(),
-            None,
-        )
-    }
-
     /// Opens (or recovers) a durable store rooted at the directory
-    /// `path`.
+    /// `dir` — the path behind [`StoreBuilder::durable`].
     ///
     /// **Fresh directory** (no checkpoint, no WAL): opens over
     /// `bootstrap` exactly like [`GraphStore::open_with`], then writes a
@@ -589,57 +603,6 @@ impl GraphStore {
     /// the ordinary commit path.  A torn tail record (crash mid-append)
     /// is truncated, recovering to the last fully durable commit, never
     /// a partial generation.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `GraphStore::builder(schema).durable(path).bootstrap(..).durability(..).open()`"
-    )]
-    pub fn open_durable_with(
-        path: impl AsRef<Path>,
-        schema: GraphSchema,
-        bootstrap: GraphInstance,
-        extra: impl IntoIterator<Item = (String, RelInstance)>,
-        options: DurabilityOptions,
-    ) -> StoreResult<GraphStore> {
-        GraphStore::durable_open_impl(
-            path.as_ref().to_path_buf(),
-            schema,
-            bootstrap,
-            extra,
-            options,
-            vfs::std_vfs(),
-            None,
-        )
-    }
-
-    /// [`GraphStore::open_durable_with`] over an explicit [`vfs::Vfs`]
-    /// — the hook fault-injection tests use to fail any individual I/O
-    /// operation of the bootstrap, recovery, commit, and checkpoint
-    /// paths.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `GraphStore::builder(schema).durable(path).vfs(fs).open()`"
-    )]
-    pub fn open_durable_with_vfs(
-        path: impl AsRef<Path>,
-        schema: GraphSchema,
-        bootstrap: GraphInstance,
-        extra: impl IntoIterator<Item = (String, RelInstance)>,
-        options: DurabilityOptions,
-        fs: Arc<dyn vfs::Vfs>,
-    ) -> StoreResult<GraphStore> {
-        GraphStore::durable_open_impl(
-            path.as_ref().to_path_buf(),
-            schema,
-            bootstrap,
-            extra,
-            options,
-            fs,
-            None,
-        )
-    }
-
-    /// The one durable open/recover path behind both the builder and
-    /// the deprecated ladder.
     fn durable_open_impl(
         dir: PathBuf,
         schema: GraphSchema,
@@ -732,7 +695,8 @@ impl GraphStore {
                     ));
                 }
                 let generation = rec.generation;
-                store.commit_tagged(rec.delta, rec.token).map_err(|e| {
+                let req = CommitRequest { delta: rec.delta, token: rec.token, trace: 0 };
+                store.commit(req).map_err(|e| {
                     StoreError::corrupt(
                         seg_path,
                         format!("wal replay of generation {generation} failed: {e}"),
@@ -1135,8 +1099,9 @@ impl GraphStore {
         rewritten
     }
 
-    /// Validates and applies a delta atomically, publishing a new snapshot
-    /// generation on success.
+    /// Validates and applies one request atomically, publishing a new
+    /// snapshot generation on success.  This is a batch of one through
+    /// the same pipeline the [`GroupCommitter`] feeds.
     ///
     /// Validation is **incremental and sequential**: each operation is
     /// checked against the master state plus the effects of the delta's
@@ -1151,143 +1116,257 @@ impl GraphStore {
     /// re-materialization never runs), swaps the new generation into the
     /// engine, and returns the assigned stable keys.
     ///
+    /// A request's **idempotency token** is recorded in its WAL record
+    /// and in a bounded dedup table; a later request carrying the same
+    /// token is **not re-applied** — it returns a [`CommitInfo`] whose
+    /// `generation` is the original commit's generation (and whose key
+    /// lists are empty, since nothing new was assigned).  This is what
+    /// makes a retried commit after an ambiguous disconnect or timeout
+    /// exactly-once.  Only successful commits are recorded: rejected or
+    /// aborted attempts leave no entry, so their retries run the full
+    /// commit path.
+    ///
     /// # Failure semantics
     ///
     /// - [`StoreError::Rejected`]: validation failed; nothing written,
     ///   nothing mutated.
     /// - [`StoreError::Io`]: the WAL write failed (after the configured
     ///   retries) and was rolled back; nothing mutated, store live.
-    /// - [`StoreError::Fenced`]: the WAL fsync failed, or a write
-    ///   failure could not be rolled back — on-disk state is uncertain,
-    ///   so the store fenced itself read-only.  Readers still serve the
-    ///   last published generation; recover via
-    ///   [`GraphStore::checkpoint_now`] or reopen.
-    /// - [`StoreError::Internal`]: the apply phase broke an invariant
-    ///   mid-mutation; the store fences with suspect in-memory state and
-    ///   only a reopen recovers.
-    pub fn commit(&self, delta: Delta) -> StoreResult<CommitInfo> {
-        self.commit_tagged(delta, None)
+    /// - [`StoreError::Fenced`]: the WAL fsync failed or a write failure
+    ///   could not be rolled back — on-disk state is uncertain, so the
+    ///   store fenced itself read-only with its in-memory state intact;
+    ///   recover via [`GraphStore::checkpoint_now`] or reopen.  An
+    ///   internal invariant broken mid-apply also fences, with suspect
+    ///   in-memory state that only a reopen recovers.  Either way readers
+    ///   still serve the last published generation.
+    pub fn commit(&self, req: impl Into<CommitRequest>) -> StoreResult<CommitInfo> {
+        let mut results = self.commit_batch(vec![req.into()]);
+        results.pop().expect("a batch of one yields one result")
     }
 
-    /// [`GraphStore::commit`] with an optional client-generated
-    /// **idempotency token**.  The token is recorded in the commit's WAL
-    /// record and in a bounded dedup table; a later commit carrying the
-    /// same token is **not re-applied** — it returns a [`CommitInfo`]
-    /// whose `generation` is the original commit's generation (and whose
-    /// key lists are empty, since nothing new was assigned).  This is
-    /// what makes a retried commit after an ambiguous disconnect or
-    /// timeout exactly-once.  Only successful commits are recorded:
-    /// rejected or aborted attempts leave no entry, so their retries run
-    /// the full commit path.
-    pub fn commit_tagged(&self, delta: Delta, token: Option<u128>) -> StoreResult<CommitInfo> {
-        let commit_started = Instant::now();
+    /// The one commit pipeline: validates and applies a batch of
+    /// requests under one lock acquisition, one WAL fsync, and one
+    /// generation publication, returning one result per request, in
+    /// input order.
+    ///
+    /// The batch is equivalent to committing its requests serially, in
+    /// input order:
+    ///
+    /// - each request validates against the master state as mutated by
+    ///   the accepted requests before it; a rejected request, or one whose
+    ///   WAL write rolled back, fails alone;
+    /// - each accepted request gets its own WAL record and generation;
+    /// - a token already recorded, or carried by an earlier accepted
+    ///   request of the batch, answers that commit's generation, and an
+    ///   empty delta answers the generation current at its position.
+    ///
+    /// What the requests share is the work: one fsync, one image
+    /// derivation per touched table (their [`TableDelta`]s are folded
+    /// with [`TableDelta::absorb`]), and one publication.  The store's
+    /// generation moves, and tokens are recorded, only at that
+    /// publication.
+    ///
+    /// An accepted request is applied in memory only when the next one
+    /// must validate against it, so the last is applied after the fsync.
+    /// A failure that leaves on-disk state uncertain or in-memory state
+    /// suspect fences the store, truncates the WAL to its pre-batch
+    /// length (best effort), and answers [`StoreError::Fenced`] to every
+    /// request not already refused.  In-memory state stays intact — so
+    /// [`GraphStore::checkpoint_now`] can lift the fence — exactly when
+    /// nothing had been applied, which a failed fsync guarantees for a
+    /// batch of one.
+    pub(crate) fn commit_batch(&self, batch: Vec<CommitRequest>) -> Vec<StoreResult<CommitInfo>> {
+        let started = Instant::now();
+        let tracer = self.obs.tracer();
         let mut st = self.state.lock().unwrap_or_else(|p| p.into_inner());
         if let Some(reason) = st.fence.as_ref().map(|f| f.reason.clone()) {
-            st.fenced_commits.inc();
-            return Err(StoreError::Fenced { reason });
+            st.fenced_commits.add(batch.len() as u64);
+            return batch
+                .iter()
+                .map(|_| Err(StoreError::Fenced { reason: reason.clone() }))
+                .collect();
         }
-        if let Some(t) = token {
-            if let Some(generation) = st.idempotency.lookup(t) {
-                st.idempotent_replays.inc();
-                return Ok(CommitInfo {
-                    generation,
-                    published_generation: st.generation,
-                    snapshot: Arc::clone(&st.published_snapshot),
-                    node_keys: Vec::new(),
-                    edge_keys: Vec::new(),
-                    touched_tables: Vec::new(),
-                });
-            }
-        }
-        if delta.is_empty() {
-            // Empty commits publish nothing, but a token still pins the
-            // reply generation so a retry answers consistently.
-            if let Some(t) = token {
-                let generation = st.generation;
-                st.idempotency.record(t, generation);
-            }
-            return Ok(CommitInfo {
-                generation: st.generation,
-                published_generation: st.generation,
-                snapshot: Arc::clone(&st.published_snapshot),
-                node_keys: Vec::new(),
-                edge_keys: Vec::new(),
-                touched_tables: Vec::new(),
+        self.group_commit_size.record(batch.len() as u64);
+        let batch_trace = batch.iter().map(|r| r.trace).find(|t| *t != 0).unwrap_or(0);
+        let wal_start = st.durable.as_ref().map(|d| d.wal.len());
+        let prev = Arc::clone(&st.published_snapshot);
+        let mut acks: Vec<Option<StoreResult<Ack>>> = batch.iter().map(|_| None).collect();
+        let mut folded = Folded::default();
+        // This batch's tokens with the generations they ack.
+        let mut tokens: Vec<(u128, u64)> = Vec::new();
+        let mut replays = 0u64;
+        let mut generation = st.generation;
+        let mut failure: Option<Fence> = None;
+        for (idx, CommitRequest { delta, token, trace }) in batch.into_iter().enumerate() {
+            let original = token.and_then(|t| {
+                st.idempotency
+                    .lookup(t)
+                    .or_else(|| tokens.iter().find(|(seen, _)| *seen == t).map(|(_, g)| *g))
             });
-        }
-        // Phase 1: pure validation (no mutation on any failure path).
-        // Runs to completion BEFORE the WAL is touched, so a rejected
-        // delta is side-effect-free on disk as well as in memory.
-        if let Err(e) = validate_delta(&st, &delta) {
-            st.rejected.inc();
-            return Err(StoreError::Rejected(e));
-        }
-        // Phase 1b (durable stores): the redo rule.  The record must be
-        // appended and flushed (optionally fsynced) before any reader can
-        // observe the generation it describes.  A write failure retries
-        // (bounded, with backoff), then aborts the commit with the file
-        // rolled back and the master state untouched; an un-rollbackable
-        // write or a failed fsync leaves on-disk state uncertain, so the
-        // store fences instead of guessing.
-        let next_generation = st.generation + 1;
-        if st.durable.is_some() {
-            let outcome = {
-                // Invariant: `durable` checked non-None two lines up and
-                // the lock is held throughout.
-                let d = st.durable.as_mut().expect("durable checked above");
-                wal_append_with_retry(d, next_generation, token, &delta, true)
-            };
-            match outcome {
-                WalOutcome::Appended { bytes } => {
-                    let d = st.durable.as_mut().expect("durable checked above");
-                    d.wal_records.inc();
-                    d.wal_bytes.add(bytes);
+            if let Some(original) = original {
+                replays += 1;
+                acks[idx] = Some(Ok(Ack { generation: original, ..Ack::default() }));
+                continue;
+            }
+            if delta.is_empty() {
+                if let Some(t) = token {
+                    tokens.push((t, generation));
                 }
-                WalOutcome::Aborted(e) => return Err(e),
-                WalOutcome::MustFence(e) => {
-                    let reason = format!("wal failure with uncertain on-disk state: {e}");
-                    engage_fence(&mut st, reason.clone(), true);
-                    return Err(StoreError::Fenced { reason });
+                acks[idx] = Some(Ok(Ack { generation, ..Ack::default() }));
+                continue;
+            }
+            // This request validates against every accepted one before it.
+            if let Err(e) = folded.apply_pending(&mut st, &prev, &mut acks) {
+                failure = Some(apply_failure(e));
+                break;
+            }
+            // Pure validation: runs to completion before the WAL is
+            // touched, so a rejected delta is side-effect-free on disk as
+            // well as in memory.
+            if let Err(e) = validate_delta(&st, &delta) {
+                st.rejected.inc();
+                acks[idx] = Some(Err(StoreError::Rejected(e)));
+                continue;
+            }
+            // The redo rule: the record is appended and flushed before any
+            // reader can observe its generation (the fsync is shared by
+            // the whole batch, below).
+            if let Some(d) = st.durable.as_mut() {
+                let span = (trace != 0).then(|| tracer.span(trace, 0, "store.wal_append"));
+                let outcome = wal_append_with_retry(d, generation + 1, token, &delta);
+                drop(span);
+                match outcome {
+                    WalOutcome::Appended => {}
+                    WalOutcome::Aborted(e) => {
+                        acks[idx] = Some(Err(e));
+                        continue;
+                    }
+                    WalOutcome::MustFence(e) => {
+                        failure = Some(Fence {
+                            reason: format!("wal failure with uncertain on-disk state: {e}"),
+                            memory_ok: !folded.applied,
+                        });
+                        break;
+                    }
+                }
+            }
+            generation += 1;
+            if let Some(t) = token {
+                tokens.push((t, generation));
+            }
+            folded.pending = Some((idx, generation, delta));
+        }
+        let accepted = generation - st.generation;
+        // The batch's single fsync.  Its failure can never be trusted
+        // retroactively (the kernel may have dropped the dirty pages —
+        // fsyncgate), so it fences.
+        if failure.is_none() && accepted > 0 {
+            if let Some(d) = st.durable.as_mut().filter(|d| d.options.fsync_each_commit) {
+                let span = (batch_trace != 0).then(|| tracer.span(batch_trace, 0, "store.fsync"));
+                let sync_started = Instant::now();
+                let sync = d.wal.sync();
+                d.wal_fsync_micros.record(sync_started.elapsed().as_micros() as u64);
+                drop(span);
+                if let Err(e) = sync {
+                    failure = Some(Fence {
+                        reason: format!("wal fsync failed: {e}"),
+                        memory_ok: !folded.applied,
+                    });
                 }
             }
         }
-        // Phase 2: apply to the master graph + table logs, recording
-        // per-table change sets.  Guaranteed to succeed by phase 1; an
-        // error here indicates an internal invariant violation — the
-        // master state is part-mutated, so the store fences with
-        // `memory_ok = false` (only a reopen recovers).
-        let applied = match apply_delta(&mut st, &delta) {
-            Ok(a) => a,
-            Err(e) => {
-                let msg = format!("commit apply phase failed mid-mutation: {e}");
-                engage_fence(&mut st, msg.clone(), false);
-                return Err(StoreError::Internal(msg));
+        let published = match failure {
+            Some(fence) => Err(fence),
+            None if accepted == 0 => Ok(prev),
+            None => self
+                .publish(&mut st, &prev, folded, &mut acks, generation, batch_trace)
+                .map_err(apply_failure),
+        };
+        let snapshot = match published {
+            Ok(snapshot) => snapshot,
+            Err(fence) => {
+                if let (Some(d), Some(len)) = (st.durable.as_mut(), wal_start) {
+                    // Best effort: the records' durability is unknown, and
+                    // even a successful truncation lives only in the page
+                    // cache until the next sync, so the fence stands.
+                    let _ = d.wal.truncate_to(len);
+                }
+                let error = StoreError::Fenced { reason: fence.reason.clone() };
+                st.fence = Some(fence);
+                st.fence_events.inc();
+                return acks
+                    .into_iter()
+                    .map(|ack| match ack {
+                        Some(Err(refused)) => Err(refused),
+                        _ => Err(error.clone()),
+                    })
+                    .collect();
             }
         };
-        // Phase 3: derive the new generation's images from the previous
-        // generation's by per-table delta application.
-        let prev = Arc::clone(&st.published_snapshot);
+        st.idempotent_replays.add(replays);
+        // Recorded before the periodic checkpoint, so it carries them.
+        for (token, generation) in tokens {
+            st.idempotency.record(token, generation);
+        }
+        if accepted > 0 {
+            let e2e = started.elapsed().as_micros() as u64;
+            for _ in 0..accepted {
+                self.commit_e2e_micros.record(e2e);
+            }
+            // Periodic checkpoint: bounds replay cost and lets old WAL
+            // segments be vacuumed.  The batch already published; a
+            // checkpoint failure is recorded, not propagated — durability
+            // falls back to a longer replay.
+            let due = st.durable.as_ref().is_some_and(|d| {
+                d.options.checkpoint_interval > 0
+                    && st.generation - d.last_checkpoint >= d.options.checkpoint_interval
+            });
+            if due && write_checkpoint_locked(&mut st).is_err() {
+                if let Some(d) = st.durable.as_mut() {
+                    d.checkpoint_failures.inc();
+                }
+            }
+        }
+        let published_generation = st.generation;
+        acks.into_iter()
+            .map(|ack| {
+                ack.expect("a published batch answers every request").map(|ack| CommitInfo {
+                    generation: ack.generation,
+                    published_generation,
+                    snapshot: Arc::clone(&snapshot),
+                    node_keys: ack.node_keys,
+                    edge_keys: ack.edge_keys,
+                    touched_tables: ack.touched_tables,
+                })
+            })
+            .collect()
+    }
+
+    /// Applies a batch's last accepted request, derives the new images
+    /// from the previous generation's by one [`TableDelta`] per touched
+    /// table, and publishes every accepted request as generation
+    /// `generation`.  An error leaves the master state part-mutated.
+    fn publish(
+        &self,
+        st: &mut StoreState,
+        prev: &Snapshot,
+        mut folded: Folded,
+        acks: &mut [Option<StoreResult<Ack>>],
+        generation: u64,
+        trace: u64,
+    ) -> Result<Arc<Snapshot>> {
+        folded.apply_pending(st, prev, acks)?;
+        let _span = (trace != 0).then(|| self.obs.tracer().span(trace, 0, "store.publish"));
         let mut induced = prev.induced().clone();
         let mut columnar = prev.induced_columnar().clone();
-        let mut touched: Vec<String> = Vec::with_capacity(applied.deltas.len());
-        for (name, table_delta) in &applied.deltas {
-            let (row_base, col_base) = match (induced.table(name), columnar.table(name)) {
-                (Some(r), Some(c)) => (r, c),
-                _ => {
-                    // The master state already carries the delta but the
-                    // published image cannot follow: fence, reopen-only.
-                    let msg = format!("generation lost table `{name}` mid-publish");
-                    engage_fence(&mut st, msg.clone(), false);
-                    return Err(StoreError::Internal(msg));
-                }
+        for (name, (_, delta)) in &folded.tables {
+            let (Some(rows), Some(cols)) = (induced.table(name), columnar.table(name)) else {
+                return Err(Error::instance(format!("generation lost table `{name}` mid-publish")));
             };
-            let row_image = row_base.apply_delta(table_delta);
-            let col_image = col_base.apply_delta(table_delta);
-            // The incrementally patched image must equal what the table
-            // log would materialize from scratch (debug builds only).
-            // Invariant: `applied.deltas` keys come from `touch`, which
-            // only records names present in `st.tables` (debug-only
-            // code, so the `expect` can never fire in release builds).
+            let (row_image, col_image) = (rows.apply_delta(delta), cols.apply_delta(delta));
+            // The patched image must equal what the table log would
+            // materialize from scratch (debug builds only; `folded.tables`
+            // only holds names `apply_delta` found in `st.tables`).
             debug_assert_eq!(
                 row_image,
                 st.tables.get(name).expect("touched table exists").snapshot_table(),
@@ -1295,19 +1374,9 @@ impl GraphStore {
             );
             induced.insert_table(name.clone(), row_image);
             columnar.insert_table(name.clone(), col_image);
-            touched.push(name.clone());
-        }
-        // Compact eagerly-enough logs now that the change sets are
-        // extracted (compaction renumbers slots, not published rows).
-        for name in applied.deltas.keys() {
-            if let Some(t) = st.tables.get_mut(name) {
-                if t.compact(false) {
-                    st.compactions.inc();
-                }
-            }
         }
         let (extra, extra_columnar) = prev.extra_parts();
-        let graph = publish_graph(&mut st, applied.replay);
+        let graph = publish_graph(st, folded.ops);
         let snapshot = Snapshot::from_parts_with_columnar(
             prev.schema_arc(),
             graph,
@@ -1319,390 +1388,9 @@ impl GraphStore {
         );
         st.published_snapshot = Arc::clone(&snapshot);
         self.engine.swap_snapshot(Arc::clone(&snapshot));
-        st.generation += 1;
-        st.commits.inc();
-        // Record the token only now that the commit is fully published:
-        // a failed attempt must leave no dedup entry.  (Recording before
-        // the periodic checkpoint below lets the checkpoint carry it.)
-        if let Some(t) = token {
-            let generation = st.generation;
-            st.idempotency.record(t, generation);
-        }
-        // Periodic checkpoint: bounds replay cost and lets old WAL
-        // segments be vacuumed.  The commit itself already succeeded and
-        // published; a checkpoint failure is recorded, not propagated —
-        // durability falls back to a longer replay.
-        let due = st.durable.as_ref().is_some_and(|d| {
-            d.options.checkpoint_interval > 0
-                && st.generation - d.last_checkpoint >= d.options.checkpoint_interval
-        });
-        if due && write_checkpoint_locked(&mut st).is_err() {
-            if let Some(d) = st.durable.as_mut() {
-                d.checkpoint_failures.inc();
-            }
-        }
-        self.commit_e2e_micros.record(commit_started.elapsed().as_micros() as u64);
-        Ok(CommitInfo {
-            generation: st.generation,
-            published_generation: st.generation,
-            snapshot,
-            node_keys: applied.node_keys,
-            edge_keys: applied.edge_keys,
-            touched_tables: touched,
-        })
-    }
-
-    /// Validates and applies a **group** of deltas under one lock
-    /// acquisition, one WAL fsync, and one generation publication — the
-    /// group-commit write path.  Returns one result per delta, in input
-    /// order.
-    ///
-    /// Each member keeps its *individual* transactional identity:
-    ///
-    /// - members validate **in order**, each against the master state as
-    ///   mutated by the accepted members before it (exactly the
-    ///   incremental sequential validation of [`GraphStore::commit`], so
-    ///   a group is equivalent to committing its accepted members
-    ///   serially in input order);
-    /// - a member that fails validation gets [`StoreError::Rejected`]
-    ///   and is skipped — it never poisons the rest of the group;
-    /// - each accepted member gets its **own WAL record and generation
-    ///   number** (replay stays strictly sequential), but records are
-    ///   only flushed per member and fsynced **once** for the whole
-    ///   group, and the engine sees **one** snapshot publication
-    ///   covering all accepted members.
-    ///
-    /// The amortization is exactly that sharing: at 8 concurrent
-    /// writers, 8 fsyncs, 8 per-table image derivations (each member's
-    /// table deltas are folded with [`TableDelta::absorb`] and
-    /// materialized once per group), and 8 snapshot publications
-    /// collapse into 1.
-    ///
-    /// # Failure semantics
-    ///
-    /// Per-member failures (rejection, a rolled-back WAL write) affect
-    /// only that member.  Failures that leave on-disk or in-memory state
-    /// uncertain (un-rollbackable WAL write, apply-phase error, failed
-    /// group fsync) fence the store; members already applied in memory
-    /// but **not yet published** also get [`StoreError::Fenced`] —
-    /// nothing they wrote is observable, and recovery replays only what
-    /// the WAL proves.  Readers keep the last published generation
-    /// either way.
-    pub fn commit_group(&self, deltas: Vec<Delta>) -> Vec<StoreResult<CommitInfo>> {
-        self.commit_group_tagged(deltas.into_iter().map(|d| (d, None)).collect())
-    }
-
-    /// [`GraphStore::commit_group`] with an optional idempotency token
-    /// per member — the group-commit face of
-    /// [`GraphStore::commit_tagged`].  A member whose token already
-    /// committed is answered from the dedup table (original generation,
-    /// nothing re-applied) and consumes no WAL record or generation; the
-    /// rest of the group proceeds normally.
-    pub fn commit_group_tagged(
-        &self,
-        deltas: Vec<(Delta, Option<u128>)>,
-    ) -> Vec<StoreResult<CommitInfo>> {
-        self.commit_group_traced(deltas.into_iter().map(|(d, t)| (d, t, 0)).collect())
-    }
-
-    /// [`GraphStore::commit_group_tagged`] with a per-member **trace
-    /// id** (0 = untraced): traced members emit `store.wal_append`
-    /// spans, and the group's shared fsync and publication emit
-    /// `store.fsync` / `store.publish` spans under the first traced
-    /// member, into the store's span ring.  Tracing never blocks and
-    /// never changes commit semantics.
-    pub fn commit_group_traced(
-        &self,
-        deltas: Vec<(Delta, Option<u128>, u64)>,
-    ) -> Vec<StoreResult<CommitInfo>> {
-        if deltas.is_empty() {
-            return Vec::new();
-        }
-        let commit_started = Instant::now();
-        let tracer = Arc::clone(self.obs.tracer());
-        let group_trace = deltas.iter().map(|(_, _, t)| *t).find(|t| *t != 0).unwrap_or(0);
-        let mut st = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(reason) = st.fence.as_ref().map(|f| f.reason.clone()) {
-            st.fenced_commits.add(deltas.len() as u64);
-            return deltas
-                .iter()
-                .map(|_| Err(StoreError::Fenced { reason: reason.clone() }))
-                .collect();
-        }
-        /// An accepted member awaiting the group's publication.
-        struct Accepted {
-            idx: usize,
-            generation: u64,
-            token: Option<u128>,
-            node_keys: Vec<NodeKey>,
-            edge_keys: Vec<EdgeKey>,
-            touched: Vec<String>,
-        }
-        let mut results: Vec<Option<StoreResult<CommitInfo>>> =
-            deltas.iter().map(|_| None).collect();
-        let mut accepted: Vec<Accepted> = Vec::new();
-        let mut empties: Vec<usize> = Vec::new();
-        let mut group_replay: Vec<ResolvedOp> = Vec::new();
-        let prev = Arc::clone(&st.published_snapshot);
-        let mut induced = prev.induced().clone();
-        let mut columnar = prev.induced_columnar().clone();
-        // Per touched table: the pre-group row count and the group's
-        // folded delta (every member's table delta absorbed in commit
-        // order) — materialized into row + columnar images once per
-        // group, not once per member.
-        let mut folded: BTreeMap<String, (usize, TableDelta)> = BTreeMap::new();
-        let mut appended_any = false;
-        let mut fence_abort: Option<String> = None;
-        'members: for (idx, (delta, token, trace)) in deltas.iter().enumerate() {
-            if let Some(t) = token {
-                if let Some(generation) = st.idempotency.lookup(*t) {
-                    // Replay hit: the original commit is already durable
-                    // and published, so answer immediately — this member
-                    // consumes no WAL record, generation, or apply work.
-                    st.idempotent_replays.inc();
-                    results[idx] = Some(Ok(CommitInfo {
-                        generation,
-                        published_generation: st.generation,
-                        snapshot: Arc::clone(&st.published_snapshot),
-                        node_keys: Vec::new(),
-                        edge_keys: Vec::new(),
-                        touched_tables: Vec::new(),
-                    }));
-                    continue;
-                }
-            }
-            if delta.is_empty() {
-                if let Some(t) = token {
-                    let generation = st.generation;
-                    st.idempotency.record(*t, generation);
-                }
-                empties.push(idx);
-                continue;
-            }
-            // Validate against master + the accepted members before this
-            // one (they are already applied to `st`), reusing the solo
-            // commit's sequential incremental validator.
-            if let Err(e) = validate_delta(&st, delta) {
-                st.rejected.inc();
-                results[idx] = Some(Err(StoreError::Rejected(e)));
-                continue;
-            }
-            let next_generation = st.generation + 1;
-            if st.durable.is_some() {
-                let outcome = {
-                    // Invariant: `durable` checked non-None above; the
-                    // lock is held throughout.
-                    let d = st.durable.as_mut().expect("durable checked above");
-                    // Append + flush only: the group shares one fsync.
-                    let span = (*trace != 0).then(|| tracer.span(*trace, 0, "store.wal_append"));
-                    let outcome = wal_append_with_retry(d, next_generation, *token, delta, false);
-                    drop(span);
-                    outcome
-                };
-                match outcome {
-                    WalOutcome::Appended { bytes } => {
-                        let d = st.durable.as_mut().expect("durable checked above");
-                        d.wal_records.inc();
-                        d.wal_bytes.add(bytes);
-                        appended_any = true;
-                    }
-                    WalOutcome::Aborted(e) => {
-                        // Rolled back cleanly: this member aborts alone
-                        // and the group continues (generations stay
-                        // contiguous because none was consumed).
-                        results[idx] = Some(Err(e));
-                        continue;
-                    }
-                    WalOutcome::MustFence(e) => {
-                        fence_abort =
-                            Some(format!("wal failure with uncertain on-disk state: {e}"));
-                        break 'members;
-                    }
-                }
-            }
-            let applied = match apply_delta(&mut st, delta) {
-                Ok(a) => a,
-                Err(e) => {
-                    fence_abort =
-                        Some(format!("group commit apply phase failed mid-mutation: {e}"));
-                    break 'members;
-                }
-            };
-            let mut touched: Vec<String> = Vec::with_capacity(applied.deltas.len());
-            for (name, table_delta) in &applied.deltas {
-                // Fold this member's per-table delta into the group's
-                // accumulated delta (cheap index arithmetic — no row is
-                // copied until the single per-group image derivation
-                // below).  The fold base is the *pre-group* image, fixed
-                // at first touch.
-                if !folded.contains_key(name) {
-                    match (induced.table(name), columnar.table(name)) {
-                        (Some(r), Some(_)) => {
-                            folded.insert(name.clone(), (r.len(), TableDelta::new()));
-                        }
-                        _ => {
-                            fence_abort =
-                                Some(format!("generation lost table `{name}` mid-publish"));
-                            break 'members;
-                        }
-                    }
-                }
-                let (base_rows, acc) = folded.get_mut(name).expect("inserted above");
-                acc.absorb(*base_rows, table_delta);
-                touched.push(name.clone());
-            }
-            for name in applied.deltas.keys() {
-                if let Some(t) = st.tables.get_mut(name) {
-                    if t.compact(false) {
-                        st.compactions.inc();
-                    }
-                }
-            }
-            st.generation = next_generation;
-            group_replay.extend(applied.replay);
-            accepted.push(Accepted {
-                idx,
-                generation: next_generation,
-                token: *token,
-                node_keys: applied.node_keys,
-                edge_keys: applied.edge_keys,
-                touched,
-            });
-        }
-        // The single per-group image derivation — the second amortized
-        // step next to the shared fsync: each touched table is patched
-        // once with the group's folded delta, in both layouts.
-        if fence_abort.is_none() {
-            for (name, (_, delta)) in &folded {
-                let images = match (induced.table(name), columnar.table(name)) {
-                    (Some(r), Some(c)) => (r.apply_delta(delta), c.apply_delta(delta)),
-                    _ => {
-                        fence_abort = Some(format!("generation lost table `{name}` mid-publish"));
-                        break;
-                    }
-                };
-                // The folded image must equal what the master log would
-                // materialize (debug builds only), exactly as in the
-                // solo commit.
-                debug_assert_eq!(
-                    images.0,
-                    st.tables.get(name).expect("touched table exists").snapshot_table(),
-                    "patched group image of `{name}` diverges from its log"
-                );
-                induced.insert_table(name.clone(), images.0);
-                columnar.insert_table(name.clone(), images.1);
-            }
-        }
-        // The group's single fsync: the amortized step.  Failure can
-        // never be trusted retroactively, so it fences (memory has
-        // advanced past the published images — reopen-only).
-        if fence_abort.is_none()
-            && appended_any
-            && st.durable.as_ref().is_some_and(|d| d.options.fsync_each_commit)
-        {
-            let span = (group_trace != 0).then(|| tracer.span(group_trace, 0, "store.fsync"));
-            let sync_started = Instant::now();
-            let sync = st.durable.as_mut().expect("durable checked above").wal.sync();
-            if let Some(d) = st.durable.as_ref() {
-                d.wal_fsync_micros.record(sync_started.elapsed().as_micros() as u64);
-            }
-            drop(span);
-            if let Err(e) = sync {
-                fence_abort = Some(format!("wal group fsync failed: {e}"));
-            }
-        }
-        if let Some(reason) = fence_abort {
-            // Accepted-but-unpublished members are lost with the fence:
-            // the master state has advanced past the published images,
-            // so only a reopen (replaying what the WAL proves) recovers.
-            engage_fence(&mut st, reason.clone(), false);
-            for r in results.iter_mut() {
-                if r.is_none() {
-                    st.fenced_commits.inc();
-                    *r = Some(Err(StoreError::Fenced { reason: reason.clone() }));
-                }
-            }
-            return results.into_iter().map(|r| r.expect("every member resolved")).collect();
-        }
-        if accepted.is_empty() {
-            // Nothing to publish (all empty or rejected): empty members
-            // succeed against the unchanged current generation.
-            let snapshot = Arc::clone(&st.published_snapshot);
-            let generation = st.generation;
-            for idx in empties {
-                results[idx] = Some(Ok(CommitInfo {
-                    generation,
-                    published_generation: generation,
-                    snapshot: Arc::clone(&snapshot),
-                    node_keys: Vec::new(),
-                    edge_keys: Vec::new(),
-                    touched_tables: Vec::new(),
-                }));
-            }
-            return results.into_iter().map(|r| r.expect("every member resolved")).collect();
-        }
-        // One publication for the whole group: one backlog entry holding
-        // the concatenated resolved ops, one snapshot, one engine swap.
-        let publish_span = (group_trace != 0).then(|| tracer.span(group_trace, 0, "store.publish"));
-        let (extra, extra_columnar) = prev.extra_parts();
-        let publish_gen = st.generation;
-        let graph = publish_graph_at(&mut st, publish_gen, group_replay);
-        let snapshot = Snapshot::from_parts_with_columnar(
-            prev.schema_arc(),
-            graph,
-            prev.ctx_arc(),
-            induced,
-            columnar,
-            extra,
-            extra_columnar,
-        );
-        st.published_snapshot = Arc::clone(&snapshot);
-        self.engine.swap_snapshot(Arc::clone(&snapshot));
-        drop(publish_span);
-        st.commits.add(accepted.len() as u64);
-        self.group_commit_size.record(accepted.len() as u64);
-        let member_e2e = commit_started.elapsed().as_micros() as u64;
-        for _ in 0..accepted.len() {
-            self.commit_e2e_micros.record(member_e2e);
-        }
-        // Record member tokens only now that the group is published (and
-        // before the periodic checkpoint, so it carries them).
-        for m in &accepted {
-            if let Some(t) = m.token {
-                st.idempotency.record(t, m.generation);
-            }
-        }
-        let published_generation = st.generation;
-        let due = st.durable.as_ref().is_some_and(|d| {
-            d.options.checkpoint_interval > 0
-                && st.generation - d.last_checkpoint >= d.options.checkpoint_interval
-        });
-        if due && write_checkpoint_locked(&mut st).is_err() {
-            if let Some(d) = st.durable.as_mut() {
-                d.checkpoint_failures.inc();
-            }
-        }
-        for m in accepted {
-            results[m.idx] = Some(Ok(CommitInfo {
-                generation: m.generation,
-                published_generation,
-                snapshot: Arc::clone(&snapshot),
-                node_keys: m.node_keys,
-                edge_keys: m.edge_keys,
-                touched_tables: m.touched,
-            }));
-        }
-        for idx in empties {
-            results[idx] = Some(Ok(CommitInfo {
-                generation: published_generation,
-                published_generation,
-                snapshot: Arc::clone(&snapshot),
-                node_keys: Vec::new(),
-                edge_keys: Vec::new(),
-                touched_tables: Vec::new(),
-            }));
-        }
-        results.into_iter().map(|r| r.expect("every member resolved")).collect()
+        st.commits.add(generation - st.generation);
+        st.generation = generation;
+        Ok(snapshot)
     }
 }
 
@@ -1741,39 +1429,33 @@ fn make_engine(snapshot: Arc<Snapshot>, cache_capacity: Option<usize>, obs: Arc<
     Engine::with_observability(snapshot, cache_capacity, obs)
 }
 
-/// Flips the store into read-only degraded mode.  `memory_ok` records
-/// whether the in-memory state is still trustworthy (it decides whether
-/// [`GraphStore::checkpoint_now`] may lift the fence).
-fn engage_fence(st: &mut StoreState, reason: String, memory_ok: bool) {
-    st.fence = Some(Fence { reason, memory_ok });
-    st.fence_events.inc();
+/// The fence a batch raises when its apply phase breaks an invariant:
+/// the master state is part-mutated, so only a reopen recovers.
+fn apply_failure(e: Error) -> Fence {
+    Fence { reason: format!("commit apply phase failed mid-mutation: {e}"), memory_ok: false }
 }
 
-/// How the WAL phase of a commit ended.
+/// How the WAL append of one commit record ended.
 enum WalOutcome {
-    /// Record written and (if configured) fsynced; commit proceeds.
-    Appended { bytes: u64 },
+    /// Record written and flushed; the commit proceeds to the batch's
+    /// fsync.
+    Appended,
     /// Write failed after retries but rolled back cleanly: the commit
     /// aborts side-effect-free and the store stays live.
     Aborted(StoreError),
-    /// Either the rollback failed (bytes of unknown validity past the
-    /// valid prefix) or an fsync failed (durability of the record — and
-    /// of any later truncation — can never be assumed): fence.
+    /// The rollback failed, leaving bytes of unknown validity past the
+    /// valid prefix: fence.
     MustFence(StoreError),
 }
 
-/// Appends one commit record, retrying transient **write** failures with
-/// linear backoff.  Fsync is never retried: a failed fsync may already
-/// have dropped the dirty pages (fsyncgate), so the only honest outcomes
-/// are "fence" or "not configured to fsync".  A group commit passes
-/// `fsync = false` per member and issues one shared
-/// [`WalWriter::sync`](wal::WalWriter::sync) for the whole group.
+/// Appends and flushes one commit record, retrying transient **write**
+/// failures with linear backoff.  The fsync is the caller's single,
+/// never-retried step per batch.
 fn wal_append_with_retry(
     d: &mut DurableState,
     generation: u64,
     token: Option<u128>,
     delta: &Delta,
-    fsync: bool,
 ) -> WalOutcome {
     let max_retries = d.options.wal_retry_attempts;
     let mut attempt = 0u32;
@@ -1782,21 +1464,9 @@ fn wal_append_with_retry(
         match d.wal.append(generation, token, delta) {
             Ok(bytes) => {
                 d.wal_append_micros.record(append_started.elapsed().as_micros() as u64);
-                if fsync && d.options.fsync_each_commit {
-                    let sync_started = Instant::now();
-                    let sync = d.wal.sync();
-                    d.wal_fsync_micros.record(sync_started.elapsed().as_micros() as u64);
-                    if let Err(e) = sync {
-                        // Best-effort removal of the record whose
-                        // durability is unknown; the fence stands either
-                        // way (even a successful truncate only lives in
-                        // the page cache until the *next* sync).
-                        let target = d.wal.len().saturating_sub(bytes);
-                        let _ = d.wal.truncate_to(target);
-                        return WalOutcome::MustFence(e);
-                    }
-                }
-                return WalOutcome::Appended { bytes };
+                d.wal_records.inc();
+                d.wal_bytes.add(bytes);
+                return WalOutcome::Appended;
             }
             Err(ae) => {
                 if !ae.rolled_back {
@@ -1954,34 +1624,26 @@ fn replay(g: &mut GraphInstance, ops: &[ResolvedOp]) -> Result<()> {
     Ok(())
 }
 
-/// Produces the graph handle for the generation being published.
+/// Produces the graph handle for the publication whose resolved
+/// operations are `ops`.
 ///
-/// Fast path: the generation-before-last's buffer has been released by
+/// Fast path: the publication-before-last's buffer has been released by
 /// every reader (`Arc::try_unwrap` succeeds), so the commit **replays**
 /// the backlog of resolved operations onto it — O(delta), no full copy.
 /// Slow path (a reader still pins that generation, or the store just
 /// opened): clone the master graph.  Readers are unaffected either way;
 /// this only decides how the new immutable buffer is produced.
 fn publish_graph(st: &mut StoreState, ops: Vec<ResolvedOp>) -> Arc<GraphInstance> {
-    let next_gen = st.generation + 1;
-    publish_graph_at(st, next_gen, ops)
-}
-
-/// [`publish_graph`] with the published generation passed explicitly: a
-/// group commit advances `st.generation` per member *before* its single
-/// end-of-group publication, so "the generation being published" is no
-/// longer `st.generation + 1` there.
-fn publish_graph_at(st: &mut StoreState, gen: u64, ops: Vec<ResolvedOp>) -> Arc<GraphInstance> {
-    st.backlog.push_back((gen, ops));
+    st.backlog.push_back(ops);
     while st.backlog.len() > 2 {
         st.backlog.pop_front();
     }
     let reclaimed = st.retiring_graph.take().and_then(|arc| Arc::try_unwrap(arc).ok());
     let new_graph = match reclaimed {
         Some(mut g) => {
-            // The buffer holds generation `next_gen - backlog.len()`;
-            // replay every backlog entry to reach the master state.
-            let ok = st.backlog.iter().all(|(_, ops)| replay(&mut g, ops).is_ok());
+            // The buffer holds the publication before every backlog
+            // entry; replaying them all reaches the master state.
+            let ok = st.backlog.iter().all(|ops| replay(&mut g, ops).is_ok());
             if ok && g.node_count() == st.graph.node_count() {
                 debug_assert!(g == st.graph, "replayed buffer must equal the master graph");
                 st.graph_reclaims.inc();
@@ -2372,6 +2034,75 @@ struct Applied {
     replay: Vec<ResolvedOp>,
 }
 
+/// What one request of a batch acks, before the batch publishes.
+#[derive(Default)]
+struct Ack {
+    generation: u64,
+    node_keys: Vec<NodeKey>,
+    edge_keys: Vec<EdgeKey>,
+    touched_tables: Vec<String>,
+}
+
+/// A batch's accepted requests on their way to its one publication.
+#[derive(Default)]
+struct Folded {
+    /// The last accepted request (its index in the batch, generation and
+    /// delta), not yet applied to the master state.
+    pending: Option<(usize, u64, Delta)>,
+    /// Whether any request has been applied to the master state.
+    applied: bool,
+    /// Per touched table: the pre-batch row count (the fold's base) and
+    /// every applied request's delta absorbed in commit order.
+    tables: BTreeMap<String, (usize, TableDelta)>,
+    /// The applied requests' resolved graph operations, in commit order.
+    ops: Vec<ResolvedOp>,
+}
+
+impl Folded {
+    /// Applies the pending request, if any, to the master state and the
+    /// table logs, folds its table deltas in, and answers it in `acks`
+    /// with the keys it assigned.  An error leaves the master state
+    /// part-mutated.
+    fn apply_pending(
+        &mut self,
+        st: &mut StoreState,
+        prev: &Snapshot,
+        acks: &mut [Option<StoreResult<Ack>>],
+    ) -> Result<()> {
+        let Some((idx, generation, delta)) = self.pending.take() else {
+            return Ok(());
+        };
+        let applied = apply_delta(st, &delta)?;
+        self.applied = true;
+        let mut touched_tables = Vec::with_capacity(applied.deltas.len());
+        for (name, table_delta) in applied.deltas {
+            // Compaction renumbers log slots, not published rows, so it
+            // can run once the change set is extracted.
+            if st.tables.get_mut(&name).is_some_and(|t| t.compact(false)) {
+                st.compactions.inc();
+            }
+            match self.tables.get_mut(&name) {
+                Some((base_rows, folded)) => folded.absorb(*base_rows, &table_delta),
+                None => {
+                    // First touch: the delta moves in unfolded.  A table
+                    // missing from `prev` fails the publication instead.
+                    let base_rows = prev.induced().table(&name).map_or(0, |t| t.len());
+                    self.tables.insert(name.clone(), (base_rows, table_delta));
+                }
+            }
+            touched_tables.push(name);
+        }
+        self.ops.extend(applied.replay);
+        acks[idx] = Some(Ok(Ack {
+            generation,
+            node_keys: applied.node_keys,
+            edge_keys: applied.edge_keys,
+            touched_tables,
+        }));
+        Ok(())
+    }
+}
+
 /// Commit-local change set of one table log.
 struct Pending {
     len_before: usize,
@@ -2717,9 +2448,6 @@ fn patch_row(
 
 #[cfg(test)]
 mod tests {
-    // The deprecated `open_durable*` ladder keeps its original test
-    // coverage here; new code goes through `GraphStore::builder`.
-    #![allow(deprecated)]
     use super::*;
     use graphiti_engine::{BatchQuery, SqlTarget};
     use graphiti_graph::{EdgeType, NodeType};
@@ -3179,6 +2907,12 @@ vs\n{tb}"
         assert_matches_cold_freeze(recovered);
     }
 
+    /// A durable store over `emp_schema()` rooted at `dir`: a fresh
+    /// directory bootstraps with `emp_graph()`, an existing one recovers.
+    fn durable(dir: &Path, options: DurabilityOptions) -> StoreBuilder {
+        GraphStore::builder(emp_schema()).durable(dir).bootstrap(emp_graph()).durability(options)
+    }
+
     fn durable_opts(fsync: bool, interval: u64) -> DurabilityOptions {
         DurabilityOptions {
             fsync_each_commit: fsync,
@@ -3195,14 +2929,7 @@ vs\n{tb}"
     fn durable_store_recovers_after_reopen() {
         let dir = scratch("reopen");
         {
-            let store = GraphStore::open_durable_with(
-                &dir,
-                emp_schema(),
-                emp_graph(),
-                [],
-                durable_opts(true, 0),
-            )
-            .unwrap();
+            let store = durable(&dir, durable_opts(true, 0)).open().unwrap();
             for d in scripted_deltas() {
                 store.commit(d).unwrap();
             }
@@ -3210,14 +2937,7 @@ vs\n{tb}"
             assert_eq!(stats.wal_records, 5);
             assert!(stats.wal_bytes > 0);
         }
-        let recovered = GraphStore::open_durable_with(
-            &dir,
-            emp_schema(),
-            GraphInstance::new(), // ignored: the directory is non-empty
-            [],
-            durable_opts(true, 0),
-        )
-        .unwrap();
+        let recovered = durable(&dir, durable_opts(true, 0)).open().unwrap();
         assert_eq!(recovered.stats().replayed_commits, 5);
         assert_stores_equal(&recovered, &oracle_after(5));
         // The recovered store keeps accepting (and logging) commits.
@@ -3232,14 +2952,7 @@ vs\n{tb}"
     fn checkpoints_bound_replay_and_vacuum_segments() {
         let dir = scratch("ckpt");
         {
-            let store = GraphStore::open_durable_with(
-                &dir,
-                emp_schema(),
-                emp_graph(),
-                [],
-                durable_opts(false, 2),
-            )
-            .unwrap();
+            let store = durable(&dir, durable_opts(false, 2)).open().unwrap();
             for d in scripted_deltas() {
                 store.commit(d).unwrap();
             }
@@ -3250,14 +2963,7 @@ vs\n{tb}"
             assert!(stats.wal_segments_removed >= 1, "covered segments are vacuumed");
         }
         assert!(checkpoint_files(&dir).unwrap().len() <= 2, "retention keeps 2 checkpoints");
-        let recovered = GraphStore::open_durable_with(
-            &dir,
-            emp_schema(),
-            GraphInstance::new(),
-            [],
-            durable_opts(false, 2),
-        )
-        .unwrap();
+        let recovered = durable(&dir, durable_opts(false, 2)).open().unwrap();
         assert_eq!(recovered.stats().replayed_commits, 1, "replay only past generation 4");
         assert_stores_equal(&recovered, &oracle_after(5));
     }
@@ -3266,20 +2972,13 @@ vs\n{tb}"
     fn checkpoint_now_rotates_and_later_crash_recovers_without_replay() {
         let dir = scratch("manual-ckpt");
         {
-            let store = GraphStore::open_durable_with(
-                &dir,
-                emp_schema(),
-                emp_graph(),
-                [],
-                durable_opts(true, 0),
-            )
-            .unwrap();
+            let store = durable(&dir, durable_opts(true, 0)).open().unwrap();
             for d in scripted_deltas() {
                 store.commit(d).unwrap();
             }
             assert_eq!(store.checkpoint_now().unwrap(), 5);
         }
-        let recovered = GraphStore::open_durable(&dir, emp_schema()).unwrap();
+        let recovered = durable(&dir, DurabilityOptions::default()).open().unwrap();
         assert_eq!(recovered.stats().replayed_commits, 0, "checkpoint covers everything");
         assert_stores_equal(&recovered, &oracle_after(5));
     }
@@ -3287,14 +2986,7 @@ vs\n{tb}"
     #[test]
     fn rejected_deltas_write_no_wal_record_and_recovery_is_pre_delta() {
         let dir = scratch("reject");
-        let store = GraphStore::open_durable_with(
-            &dir,
-            emp_schema(),
-            emp_graph(),
-            [],
-            durable_opts(true, 0),
-        )
-        .unwrap();
+        let store = durable(&dir, durable_opts(true, 0)).open().unwrap();
         let mut good = Delta::new();
         good.add_node("EMP", [("id", Value::Int(10)), ("name", Value::str("ok"))]);
         store.commit(good).unwrap();
@@ -3314,7 +3006,7 @@ vs\n{tb}"
         // Crash (drop without checkpoint) and recover: the rejected
         // delta must have left no trace on disk either.
         drop(store);
-        let recovered = GraphStore::open_durable(&dir, emp_schema()).unwrap();
+        let recovered = durable(&dir, DurabilityOptions::default()).open().unwrap();
         assert_eq!(recovered.generation(), 1);
         assert_eq!(recovered.stats().rejected_commits, 0, "rejection predates the checkpoint era");
         let emp = recovered.snapshot().induced().table("EMP").unwrap().clone();
@@ -3327,14 +3019,7 @@ vs\n{tb}"
     fn torn_tail_recovers_at_every_byte_offset_of_the_final_record() {
         let dir = scratch("torn");
         {
-            let store = GraphStore::open_durable_with(
-                &dir,
-                emp_schema(),
-                emp_graph(),
-                [],
-                durable_opts(true, 0),
-            )
-            .unwrap();
+            let store = durable(&dir, durable_opts(true, 0)).open().unwrap();
             for d in scripted_deltas().into_iter().take(2) {
                 store.commit(d).unwrap();
             }
@@ -3356,7 +3041,7 @@ vs\n{tb}"
                 .unwrap();
             f.set_len(cut).unwrap();
             drop(f);
-            let recovered = GraphStore::open_durable(&cut_dir, emp_schema()).unwrap();
+            let recovered = durable(&cut_dir, DurabilityOptions::default()).open().unwrap();
             if cut == full {
                 assert_stores_equal(&recovered, &oracle2);
             } else {
@@ -3379,14 +3064,7 @@ vs\n{tb}"
     fn a_corrupt_newest_checkpoint_with_vacuumed_wal_refuses_to_lose_commits() {
         let dir = scratch("fallback-refuse");
         {
-            let store = GraphStore::open_durable_with(
-                &dir,
-                emp_schema(),
-                emp_graph(),
-                [],
-                durable_opts(true, 0),
-            )
-            .unwrap();
+            let store = durable(&dir, durable_opts(true, 0)).open().unwrap();
             store.commit(scripted_deltas().remove(0)).unwrap();
             store.checkpoint_now().unwrap();
         }
@@ -3400,7 +3078,7 @@ vs\n{tb}"
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
         std::fs::write(&newest, &bytes).unwrap();
-        let err = GraphStore::open_durable(&dir, emp_schema()).unwrap_err();
+        let err = durable(&dir, DurabilityOptions::default()).open().unwrap_err();
         match err {
             StoreError::Corrupt { file, detail } => {
                 assert_eq!(file, newest, "the error names the unloadable checkpoint");
@@ -3415,14 +3093,7 @@ vs\n{tb}"
         let dir = scratch("fallback-bridge");
         let wal_before;
         {
-            let store = GraphStore::open_durable_with(
-                &dir,
-                emp_schema(),
-                emp_graph(),
-                [],
-                durable_opts(true, 0),
-            )
-            .unwrap();
+            let store = durable(&dir, durable_opts(true, 0)).open().unwrap();
             store.commit(scripted_deltas().remove(0)).unwrap();
             // Keep a copy of the segment holding commit 1; checkpointing
             // vacuums it.
@@ -3441,7 +3112,7 @@ vs\n{tb}"
         // Fallback to the bootstrap checkpoint is sound here: the
         // surviving segment replays commit 1, reaching the acknowledged
         // generation exactly.
-        let recovered = GraphStore::open_durable(&dir, emp_schema()).unwrap();
+        let recovered = durable(&dir, DurabilityOptions::default()).open().unwrap();
         assert_eq!(recovered.generation(), 1);
         assert_eq!(recovered.stats().replayed_commits, 1);
         assert_stores_equal(&recovered, &oracle_after(1));
@@ -3451,17 +3122,10 @@ vs\n{tb}"
     fn durable_bootstrap_checkpoints_generation_zero() {
         let dir = scratch("bootstrap");
         {
-            let _store = GraphStore::open_durable_with(
-                &dir,
-                emp_schema(),
-                emp_graph(),
-                [],
-                durable_opts(true, 0),
-            )
-            .unwrap();
+            let _store = durable(&dir, durable_opts(true, 0)).open().unwrap();
             // No commits at all: the opening state alone must be durable.
         }
-        let recovered = GraphStore::open_durable(&dir, emp_schema()).unwrap();
+        let recovered = durable(&dir, DurabilityOptions::default()).open().unwrap();
         assert_eq!(recovered.generation(), 0);
         assert_stores_equal(&recovered, &oracle_after(0));
     }
@@ -3470,14 +3134,7 @@ vs\n{tb}"
     fn wal_record_is_on_disk_before_the_generation_publishes() {
         use std::sync::atomic::{AtomicU64, Ordering};
         let dir = scratch("ordering");
-        let store = GraphStore::open_durable_with(
-            &dir,
-            emp_schema(),
-            emp_graph(),
-            [],
-            durable_opts(true, 0),
-        )
-        .unwrap();
+        let store = durable(&dir, durable_opts(true, 0)).open().unwrap();
         let wal_file = wal_segment_files(&dir).unwrap().pop().unwrap();
         let observed = Arc::new(AtomicU64::new(u64::MAX));
         {
@@ -3510,15 +3167,7 @@ vs\n{tb}"
     // ------------------------------------------------ fault injection
 
     fn open_faulted(dir: &Path, vfs: &FaultVfs) -> GraphStore {
-        GraphStore::open_durable_with_vfs(
-            dir,
-            emp_schema(),
-            emp_graph(),
-            [],
-            durable_opts(true, 0),
-            Arc::new(vfs.clone()),
-        )
-        .unwrap()
+        durable(dir, durable_opts(true, 0)).vfs(Arc::new(vfs.clone())).open().unwrap()
     }
 
     #[test]
@@ -3542,7 +3191,7 @@ vs\n{tb}"
         store.commit(d).unwrap();
         assert_eq!(store.generation(), gen_before + 1);
         drop(store);
-        let recovered = GraphStore::open_durable(&dir, emp_schema()).unwrap();
+        let recovered = durable(&dir, DurabilityOptions::default()).open().unwrap();
         assert_eq!(recovered.generation(), gen_before + 1);
         assert_matches_cold_freeze(&recovered);
     }
@@ -3551,19 +3200,12 @@ vs\n{tb}"
     fn transient_write_failures_are_retried_away() {
         let dir = scratch("retry");
         let vfs = FaultVfs::default();
-        let store = GraphStore::open_durable_with_vfs(
-            &dir,
-            emp_schema(),
-            emp_graph(),
-            [],
-            DurabilityOptions {
-                wal_retry_attempts: 2,
-                wal_retry_backoff_ms: 0,
-                ..durable_opts(true, 0)
-            },
-            Arc::new(vfs.clone()),
-        )
-        .unwrap();
+        let options = DurabilityOptions {
+            wal_retry_attempts: 2,
+            wal_retry_backoff_ms: 0,
+            ..durable_opts(true, 0)
+        };
+        let store = durable(&dir, options).vfs(Arc::new(vfs.clone())).open().unwrap();
         vfs.fail_nth(vfs.ops() + 1); // one transient write failure
         store.commit(scripted_deltas().remove(0)).unwrap();
         let stats = store.stats();
@@ -3610,8 +3252,40 @@ vs\n{tb}"
         store.commit(d2).unwrap();
         assert_eq!(store.generation(), 2);
         drop(store);
-        let recovered = GraphStore::open_durable(&dir, emp_schema()).unwrap();
+        let recovered = durable(&dir, DurabilityOptions::default()).open().unwrap();
         assert_eq!(recovered.generation(), 2);
+        assert_matches_cold_freeze(&recovered);
+    }
+
+    #[test]
+    fn a_failed_fsync_fences_a_batch_of_three_without_publishing() {
+        let dir = scratch("batch-fence");
+        let vfs = FaultVfs::default();
+        let store = open_faulted(&dir, &vfs);
+        store.commit(scripted_deltas().remove(0)).unwrap();
+        let snap = store.snapshot();
+        vfs.fail_from(vfs.ops() + 1);
+        vfs.exempt(&[OpClass::Read, OpClass::Write, OpClass::SetLen, OpClass::Meta]);
+        let batch: Vec<CommitRequest> = (91..94)
+            .map(|id| {
+                let mut d = Delta::new();
+                d.add_node("EMP", [("id", Value::Int(id)), ("name", Value::str("doomed"))]);
+                d.into()
+            })
+            .collect();
+        for result in store.commit_batch(batch) {
+            assert!(result.unwrap_err().is_fenced(), "every member of the batch is fenced");
+        }
+        assert_eq!(store.generation(), 1, "the generation moves only at publication");
+        assert!(Arc::ptr_eq(&snap, &store.snapshot()));
+        assert_eq!(store.stats().fenced_commits, 0, "a batch's own fence refuses nothing");
+        // Two members were applied in memory before the fsync, so the
+        // fence holds even on a healed disk: only a reopen recovers.
+        vfs.clear();
+        assert!(store.checkpoint_now().unwrap_err().is_fenced());
+        drop(store);
+        let recovered = durable(&dir, DurabilityOptions::default()).open().unwrap();
+        assert_eq!(recovered.generation(), 1, "the batch's records were truncated");
         assert_matches_cold_freeze(&recovered);
     }
 
@@ -3679,7 +3353,7 @@ vs\n{tb}"
             assert_eq!(tmps, 0, "tmp files are swept by the next checkpoint");
             drop(store);
             // Whatever step failed, recovery lands on the committed state.
-            let recovered = GraphStore::open_durable(&dir, emp_schema()).unwrap();
+            let recovered = durable(&dir, DurabilityOptions::default()).open().unwrap();
             assert_eq!(recovered.generation(), 2);
             assert_stores_equal(&recovered, &oracle_after(2));
             std::fs::remove_dir_all(&dir).ok();
@@ -3690,14 +3364,7 @@ vs\n{tb}"
     fn corrupt_wal_head_without_a_checkpoint_is_a_typed_error() {
         let dir = scratch("corrupt-head");
         {
-            let store = GraphStore::open_durable_with(
-                &dir,
-                emp_schema(),
-                emp_graph(),
-                [],
-                durable_opts(true, 0),
-            )
-            .unwrap();
+            let store = durable(&dir, durable_opts(true, 0)).open().unwrap();
             store.commit(scripted_deltas().remove(0)).unwrap();
         }
         for p in checkpoint_files(&dir).unwrap() {
@@ -3707,7 +3374,7 @@ vs\n{tb}"
         let mut bytes = std::fs::read(&wal_file).unwrap();
         bytes[4] ^= 0xFF; // break the head record's checksum
         std::fs::write(&wal_file, &bytes).unwrap();
-        let err = GraphStore::open_durable(&dir, emp_schema()).unwrap_err();
+        let err = durable(&dir, DurabilityOptions::default()).open().unwrap_err();
         match err {
             StoreError::Corrupt { file, detail } => {
                 assert_eq!(file, wal_file, "the error names the offending file");
@@ -3721,14 +3388,7 @@ vs\n{tb}"
     fn no_valid_checkpoint_and_no_wal_records_is_a_typed_error() {
         let dir = scratch("all-corrupt");
         {
-            let _store = GraphStore::open_durable_with(
-                &dir,
-                emp_schema(),
-                emp_graph(),
-                [],
-                durable_opts(true, 0),
-            )
-            .unwrap();
+            let _store = durable(&dir, durable_opts(true, 0)).open().unwrap();
         }
         let ckpt = checkpoint_files(&dir).unwrap().pop().unwrap();
         let mut bytes = std::fs::read(&ckpt).unwrap();
@@ -3737,7 +3397,7 @@ vs\n{tb}"
         std::fs::write(&ckpt, &bytes).unwrap();
         // The WAL segment exists but is empty: nothing can rebuild the
         // bootstrap graph, and starting empty would silently drop it.
-        let err = GraphStore::open_durable(&dir, emp_schema()).unwrap_err();
+        let err = durable(&dir, DurabilityOptions::default()).open().unwrap_err();
         match err {
             StoreError::Corrupt { file, .. } => assert_eq!(file, ckpt),
             other => panic!("expected Corrupt, got: {other}"),
@@ -3748,14 +3408,7 @@ vs\n{tb}"
     fn recovery_without_a_checkpoint_rejects_a_gapped_wal() {
         let dir = scratch("gap");
         {
-            let store = GraphStore::open_durable_with(
-                &dir,
-                emp_schema(),
-                emp_graph(),
-                [],
-                durable_opts(true, 0),
-            )
-            .unwrap();
+            let store = durable(&dir, durable_opts(true, 0)).open().unwrap();
             for d in scripted_deltas().into_iter().take(2) {
                 store.commit(d).unwrap();
             }
@@ -3765,7 +3418,7 @@ vs\n{tb}"
         for p in checkpoint_files(&dir).unwrap() {
             std::fs::remove_file(p).unwrap();
         }
-        let err = GraphStore::open_durable(&dir, emp_schema()).unwrap_err();
+        let err = durable(&dir, DurabilityOptions::default()).open().unwrap_err();
         match err {
             StoreError::Corrupt { detail, .. } => {
                 assert!(detail.contains("gap"), "unexpected detail: {detail}");
@@ -3836,24 +3489,28 @@ vs\n{tb}"
 
     // ----------------------------------------------------- idempotency
 
+    fn tagged(delta: Delta, token: u128) -> CommitRequest {
+        CommitRequest { delta, token: Some(token), trace: 0 }
+    }
+
     #[test]
     fn tagged_commit_replays_instead_of_reapplying() {
         let store = GraphStore::open(emp_schema(), emp_graph()).unwrap();
         let token = 0xABCD_u128;
         let mut d = Delta::new();
         d.add_node("EMP", [("id", Value::Int(3)), ("name", Value::str("C"))]);
-        let first = store.commit_tagged(d.clone(), Some(token)).unwrap();
+        let first = store.commit(tagged(d.clone(), token)).unwrap();
         assert_eq!(first.generation, 1);
         // The retry would be Rejected (duplicate id 3) if it re-applied;
         // the dedup table answers it with the original generation.
-        let replay = store.commit_tagged(d.clone(), Some(token)).unwrap();
+        let replay = store.commit(tagged(d.clone(), token)).unwrap();
         assert_eq!(replay.generation, 1);
         assert!(replay.node_keys.is_empty(), "nothing new is assigned on replay");
         assert_eq!(store.stats().commits, 1, "exactly one commit happened");
         assert_eq!(store.stats().idempotent_replays, 1);
         // A different token is a different logical commit: it runs the
         // full path and (here) rejects on the duplicate key.
-        assert!(matches!(store.commit_tagged(d, Some(token + 1)), Err(StoreError::Rejected(_))));
+        assert!(matches!(store.commit(tagged(d, token + 1)), Err(StoreError::Rejected(_))));
         assert_eq!(store.stats().rejected_commits, 1);
         assert_matches_cold_freeze(&store);
     }
@@ -3864,12 +3521,12 @@ vs\n{tb}"
         let token = 7_u128;
         let mut dup = Delta::new();
         dup.add_node("EMP", [("id", Value::Int(1)), ("name", Value::str("dup"))]);
-        assert!(matches!(store.commit_tagged(dup, Some(token)), Err(StoreError::Rejected(_))));
+        assert!(matches!(store.commit(tagged(dup, token)), Err(StoreError::Rejected(_))));
         // The same token with a *valid* delta must commit for real — a
         // failed attempt records nothing.
         let mut ok = Delta::new();
         ok.add_node("EMP", [("id", Value::Int(3)), ("name", Value::str("C"))]);
-        let info = store.commit_tagged(ok, Some(token)).unwrap();
+        let info = store.commit(tagged(ok, token)).unwrap();
         assert_eq!(info.generation, 1);
         assert_eq!(store.stats().idempotent_replays, 0);
     }
@@ -3881,18 +3538,47 @@ vs\n{tb}"
         a.add_node("EMP", [("id", Value::Int(3)), ("name", Value::str("C"))]);
         let mut b = Delta::new();
         b.add_node("EMP", [("id", Value::Int(4)), ("name", Value::str("D"))]);
-        let r = store.commit_group_tagged(vec![(a.clone(), Some(1)), (b, Some(2))]);
+        let r = store.commit_batch(vec![tagged(a.clone(), 1), tagged(b, 2)]);
         assert_eq!(r[0].as_ref().unwrap().generation, 1);
         assert_eq!(r[1].as_ref().unwrap().generation, 2);
         // Retry member 1 inside a later group alongside a fresh member.
         let mut c = Delta::new();
         c.add_node("EMP", [("id", Value::Int(5)), ("name", Value::str("E"))]);
-        let r = store.commit_group_tagged(vec![(a, Some(1)), (c, Some(3))]);
+        let r = store.commit_batch(vec![tagged(a, 1), tagged(c, 3)]);
         assert_eq!(r[0].as_ref().unwrap().generation, 1, "replayed, not re-applied");
         assert_eq!(r[1].as_ref().unwrap().generation, 3, "fresh member gets the next generation");
         assert_eq!(store.stats().commits, 3);
         assert_eq!(store.stats().idempotent_replays, 1);
         assert_matches_cold_freeze(&store);
+    }
+
+    #[test]
+    fn a_token_repeated_within_one_batch_replays_its_first_occurrence() {
+        let store = GraphStore::open(emp_schema(), emp_graph()).unwrap();
+        let mut a = Delta::new();
+        a.add_node("EMP", [("id", Value::Int(3)), ("name", Value::str("C"))]);
+        // A retry that queued behind its still-queued original drains
+        // into the same batch.
+        let r = store.commit_batch(vec![tagged(a.clone(), 9), tagged(a, 9)]);
+        assert_eq!(r[0].as_ref().unwrap().generation, 1);
+        assert_eq!(r[1].as_ref().unwrap().generation, 1, "replayed, not re-applied");
+        assert_eq!(store.stats().commits, 1);
+        assert_eq!(store.stats().idempotent_replays, 1);
+        assert_matches_cold_freeze(&store);
+    }
+
+    #[test]
+    fn a_tokened_empty_delta_acks_the_generation_its_retry_returns() {
+        let store = GraphStore::open(emp_schema(), emp_graph()).unwrap();
+        let (mut a, mut b) = (Delta::new(), Delta::new());
+        a.add_node("EMP", [("id", Value::Int(3)), ("name", Value::str("C"))]);
+        b.add_node("EMP", [("id", Value::Int(4)), ("name", Value::str("D"))]);
+        let r = store.commit_batch(vec![a.into(), tagged(Delta::new(), 77), b.into()]);
+        let ack = r[1].as_ref().unwrap();
+        assert_eq!(ack.generation, 1, "the generation current at its position");
+        assert_eq!(ack.published_generation, 2);
+        let retry = store.commit(tagged(Delta::new(), 77)).unwrap();
+        assert_eq!(retry.generation, ack.generation);
     }
 
     #[test]
@@ -3907,7 +3593,7 @@ vs\n{tb}"
                 .unwrap();
             let mut d = Delta::new();
             d.add_node("EMP", [("id", Value::Int(3)), ("name", Value::str("C"))]);
-            assert_eq!(store.commit_tagged(d, Some(token)).unwrap().generation, 1);
+            assert_eq!(store.commit(tagged(d, token)).unwrap().generation, 1);
         }
         // Recovery replays the WAL record, token included: the dedup
         // table repopulates and the retry replays.
@@ -3919,7 +3605,7 @@ vs\n{tb}"
                 .unwrap();
             let mut d = Delta::new();
             d.add_node("EMP", [("id", Value::Int(3)), ("name", Value::str("C"))]);
-            let replay = store.commit_tagged(d, Some(token)).unwrap();
+            let replay = store.commit(tagged(d, token)).unwrap();
             assert_eq!(replay.generation, 1);
             assert_eq!(store.stats().idempotent_replays, 1);
             // Checkpoint now: the token must survive via the checkpoint
@@ -3934,7 +3620,7 @@ vs\n{tb}"
                 .unwrap();
             let mut d = Delta::new();
             d.add_node("EMP", [("id", Value::Int(3)), ("name", Value::str("C"))]);
-            let replay = store.commit_tagged(d, Some(token)).unwrap();
+            let replay = store.commit(tagged(d, token)).unwrap();
             assert_eq!(replay.generation, 1, "token restored from the checkpoint image");
             assert_eq!(store.stats().commits, 1);
         }

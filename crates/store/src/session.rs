@@ -14,7 +14,7 @@
 //! embedded callers and wire clients share one error surface.
 
 use crate::group::{GroupCommitter, GroupOptions, GroupStats};
-use crate::{Delta, DurabilityOptions, GraphStore, StoreBuilder};
+use crate::{CommitInfo, CommitRequest, Delta, DurabilityOptions, GraphStore, StoreBuilder};
 use graphiti_common::{ApiError, ApiResult};
 use graphiti_engine::{BatchQuery, BatchReport, Engine, QuerySurface, Snapshot};
 use graphiti_graph::{GraphInstance, GraphSchema};
@@ -164,99 +164,54 @@ impl Graphiti {
 
     /// Commits through the configured write path: the group committer
     /// when one exists (blocking submit — the bounded queue is the
-    /// admission throttle), the solo path otherwise.
-    pub fn commit(&self, delta: Delta) -> ApiResult<CommitAck> {
+    /// admission throttle), the store directly otherwise.
+    pub fn commit(&self, req: impl Into<CommitRequest>) -> ApiResult<CommitAck> {
         let info = match &self.committer {
-            Some(c) => c.submit(delta).wait()?,
-            None => self.store.commit(delta)?,
+            Some(c) => c.submit(req).wait()?,
+            None => self.store.commit(req)?,
         };
-        Ok(CommitAck {
-            generation: info.generation,
-            published_generation: info.published_generation,
-        })
+        Ok(ack(&info))
     }
 
-    /// Like [`Graphiti::commit`] but refuses instead of blocking when
-    /// the group queue is full, returning the delta so the caller can
-    /// reply with backpressure.  With no group committer this is just a
-    /// solo commit (the store's mutex is the only queue).
-    pub fn try_commit(&self, delta: Delta) -> ApiResult<std::result::Result<CommitAck, Delta>> {
-        match &self.committer {
-            Some(c) => match c.try_submit(delta) {
-                Ok(ticket) => {
-                    let info = ticket.wait()?;
-                    Ok(Ok(CommitAck {
-                        generation: info.generation,
-                        published_generation: info.published_generation,
-                    }))
-                }
-                Err(delta) => Ok(Err(delta)),
-            },
-            None => self.commit(delta).map(Ok),
-        }
-    }
-
-    /// [`Graphiti::try_commit`] with an optional idempotency token and a
-    /// wait deadline — the serving front-end's commit path.
+    /// Like [`Graphiti::commit`], but refuses instead of blocking when
+    /// the group queue is full, and bounds the wait for the group by
+    /// `deadline` — the serving front-end's commit path.
     ///
     /// Outcomes:
     /// - `Ok(Ok(ack))` — committed (or answered from the dedup table).
-    /// - `Ok(Err(delta))` — the group queue was full; reply backpressure.
+    /// - `Ok(Err(req))` — the group queue was full; reply backpressure.
     /// - `Err(DeadlineExceeded)` — the deadline passed while the commit
     ///   was queued.  The commit **may still land** (the submission is
     ///   not cancelled), so the outcome is ambiguous; the token is what
     ///   makes a retry exactly-once.
     /// - `Err(other)` — the commit itself failed.
-    pub fn try_commit_tagged(
+    ///
+    /// With no group committer the store's mutex is the only queue; its
+    /// lock is not abandonable, so the caller checks the deadline before
+    /// entering.
+    pub fn try_commit(
         &self,
-        delta: Delta,
-        token: Option<u128>,
+        req: impl Into<CommitRequest>,
         deadline: Option<Instant>,
-    ) -> ApiResult<std::result::Result<CommitAck, Delta>> {
-        self.try_commit_traced(delta, token, deadline, 0)
-    }
-
-    /// [`Graphiti::try_commit_tagged`] carrying a request **trace id**
-    /// (0 = untraced): the submission's queue wait, WAL append, group
-    /// fsync, and publication emit spans into the store's trace ring.
-    pub fn try_commit_traced(
-        &self,
-        delta: Delta,
-        token: Option<u128>,
-        deadline: Option<Instant>,
-        trace: u64,
-    ) -> ApiResult<std::result::Result<CommitAck, Delta>> {
-        let ack = |info: crate::CommitInfo| CommitAck {
-            generation: info.generation,
-            published_generation: info.published_generation,
+    ) -> ApiResult<std::result::Result<CommitAck, CommitRequest>> {
+        let Some(committer) = &self.committer else {
+            return Ok(Ok(ack(&self.store.commit(req)?)));
         };
-        match &self.committer {
-            Some(c) => match c.try_submit_traced(delta, token, trace) {
-                Ok(ticket) => match deadline {
-                    Some(d) => match ticket.wait_deadline(d) {
-                        Ok(result) => Ok(Ok(ack(result?))),
-                        Err(_abandoned) => Err(ApiError::DeadlineExceeded(
-                            "deadline expired while the commit was queued; the write may still                              land — retry with the same idempotency token"
-                                .into(),
-                        )),
-                    },
-                    None => Ok(Ok(ack(ticket.wait()?))),
-                },
-                Err(delta) => Ok(Err(delta)),
-            },
-            // Solo path: the store's mutex is the only queue.  The lock
-            // is not abandonable, so the deadline is checked by the
-            // caller before entering; a token still dedupes retries.
-            // The traced group path handles its own spans; the solo path
-            // commits through the group entry point so a traced solo
-            // commit still emits WAL/publish spans.
-            None if trace != 0 => {
-                let mut results = self.store.commit_group_traced(vec![(delta, token, trace)]);
-                let info = results.pop().expect("one member yields one result")?;
-                Ok(Ok(ack(info)))
-            }
-            None => Ok(Ok(ack(self.store.commit_tagged(delta, token)?))),
-        }
+        let ticket = match committer.try_submit(req) {
+            Ok(ticket) => ticket,
+            Err(req) => return Ok(Err(req)),
+        };
+        let info = match deadline {
+            Some(d) => ticket.wait_deadline(d).map_err(|_abandoned| {
+                ApiError::DeadlineExceeded(
+                    "deadline expired while the commit was queued; the write may still land — \
+                     retry with the same idempotency token"
+                        .into(),
+                )
+            })?,
+            None => ticket.wait(),
+        };
+        Ok(Ok(ack(&info?)))
     }
 
     /// Service-level counters — a point-in-time *view* over the shared
@@ -304,6 +259,11 @@ impl Graphiti {
     fn engine(&self) -> &Engine {
         self.store.query_engine()
     }
+}
+
+/// The acknowledgement a committed request's [`CommitInfo`] carries.
+fn ack(info: &CommitInfo) -> CommitAck {
+    CommitAck { generation: info.generation, published_generation: info.published_generation }
 }
 
 /// The in-process [`Session`]: pins an `Arc<Snapshot>` and queries it
@@ -536,6 +496,44 @@ mod tests {
         assert_eq!(stats.commits, 1);
         assert_eq!(stats.group_members, 1);
         assert!(stats.groups_formed >= 1);
+    }
+
+    #[test]
+    fn a_deadline_expiring_in_the_queue_is_ambiguous_and_the_retry_replays() {
+        use std::sync::{mpsc, Mutex};
+        let service = Graphiti::builder(schema()).group_commit_default().open().unwrap();
+        // Hold the first group inside its publication, so the next
+        // submission waits in the queue.
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let gate = Mutex::new((entered_tx, release_rx));
+        service.store().engine().set_publish_hook(move |_| {
+            let gate = gate.lock().unwrap();
+            let _ = gate.0.send(());
+            let _ = gate.1.recv();
+        });
+        let first = {
+            let service = service.clone();
+            std::thread::spawn(move || service.commit(emp(1)))
+        };
+        entered_rx.recv().unwrap();
+        let tokened = || CommitRequest { token: Some(77), ..emp(2).into() };
+        let deadline = Instant::now() + std::time::Duration::from_millis(1);
+        assert_eq!(
+            service.try_commit(tokened(), Some(deadline)).unwrap_err(),
+            ApiError::DeadlineExceeded(
+                "deadline expired while the commit was queued; the write may still land — retry \
+                 with the same idempotency token"
+                    .into()
+            )
+        );
+        drop(release_tx);
+        assert_eq!(first.join().unwrap().unwrap().generation, 1);
+        let retry = service.try_commit(tokened(), None).unwrap().unwrap();
+        assert_eq!(retry.generation, 2, "the queued original landed; the retry replays it");
+        let stats = service.service_stats();
+        assert_eq!(stats.commits, 2);
+        assert_eq!(stats.idempotent_replays, 1);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! registry cell there), the equality assertions below catch the split.
 
 use graphiti_common::Value;
-use graphiti_store::{Delta, Graphiti, Session};
+use graphiti_store::{CommitRequest, Delta, Graphiti, Session};
 use graphiti_testkit::fixtures;
 use std::path::PathBuf;
 
@@ -65,14 +65,11 @@ fn every_preexisting_counter_name_still_moves_through_the_registry() {
     let dup = service.commit(emp(100));
     assert!(dup.is_err(), "duplicate default key must reject");
     let token = 0xAB_u128;
-    let first = service
-        .try_commit_tagged(emp(200), Some(token), None)
-        .expect("tagged commit")
-        .expect("not backpressured");
-    let replay = service
-        .try_commit_tagged(emp(200), Some(token), None)
-        .expect("tagged replay")
-        .expect("not backpressured");
+    let tagged = || CommitRequest { token: Some(token), ..emp(200).into() };
+    let first =
+        service.try_commit(tagged(), None).expect("tagged commit").expect("not backpressured");
+    let replay =
+        service.try_commit(tagged(), None).expect("tagged replay").expect("not backpressured");
     assert_eq!(first.generation, replay.generation, "replay returns the original generation");
     let mut session = service.session();
     for _ in 0..3 {
