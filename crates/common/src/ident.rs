@@ -6,9 +6,8 @@
 //! [`Ident`] is a thin newtype over an **interned** `Arc<str>` (the same
 //! interner backing [`Value::Str`](crate::Value::Str)): the data model
 //! clones identifiers constantly — every node and edge carries its label
-//! and property keys, and the store's clone-fallback publication path used
-//! to deep-copy all of them — so cloning an `Ident` is a reference-count
-//! bump, equal identifiers share one allocation, and equality takes an
+//! and property keys — so cloning an `Ident` is a reference-count bump,
+//! equal identifiers share one allocation, and equality takes an
 //! `Arc::ptr_eq` fast path before falling back to a byte comparison.
 
 use crate::intern::intern;

@@ -385,7 +385,7 @@ impl<'a> Evaluator<'a> {
         context: Option<&Binding>,
         next: &mut Vec<Binding>,
     ) {
-        for edge in self.graph.edges().iter().filter(|e| e.label == edge_pat.label) {
+        for edge in self.graph.edges().filter(|e| e.label == edge_pat.label) {
             let candidates: [Option<(NodeId, NodeId)>; 2] = match edge_pat.dir {
                 Direction::Right => [Some((edge.src, edge.tgt)), None],
                 Direction::Left => [Some((edge.tgt, edge.src)), None],

@@ -5,11 +5,13 @@
 //! typing function `T` is the element's label (labels and types are
 //! interchangeable per the paper's uniqueness assumption).
 
+use crate::cow::CowVec;
 use crate::schema::GraphSchema;
 use graphiti_common::{Error, Ident, Result, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// Index of a node in a [`GraphInstance`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -74,8 +76,7 @@ impl Edge {
 /// A property-graph instance.
 ///
 /// Besides the node/edge arenas, the instance maintains **persistent
-/// adjacency indexes** that are kept up to date on every `add_node` /
-/// `add_edge` call:
+/// adjacency indexes** that are kept up to date on every mutation:
 ///
 /// * label → node ids and label → edge ids, backing
 ///   [`nodes_with_label`](GraphInstance::nodes_with_label) and
@@ -89,15 +90,36 @@ impl Edge {
 /// walks.  They are derived data: equality and serialization semantics are
 /// determined by the arenas alone (two instances built by the same
 /// insertion sequence have identical indexes).
+///
+/// # Clone cost and copy-on-write
+///
+/// The instance is a value: a clone is independent of the original, and
+/// a mutation of either is never visible through the other.  Cloning is
+/// nevertheless cheap, because the four arenas (nodes, edges, out- and
+/// in-adjacency) are chunked copy-on-write vectors and each label index
+/// entry sits behind an `Arc`.  A clone bumps one refcount per 32
+/// elements and one per label, whatever the elements hold.  The first
+/// write after a clone copies what it touches and the clone still shares:
+/// the 32-slot chunk holding the element (its slots are shared, not
+/// copied), the element itself, and the label entry it updates.  Elements
+/// that no write touched stay one allocation in every clone, so a series
+/// of clones, each followed by a small mutation, costs O(touched chunks)
+/// per clone instead of O(graph).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct GraphInstance {
-    nodes: Vec<Node>,
-    edges: Vec<Edge>,
-    nodes_by_label: HashMap<Ident, Vec<NodeId>>,
-    edges_by_label: HashMap<Ident, Vec<EdgeId>>,
-    out_adjacency: Vec<Vec<EdgeId>>,
-    in_adjacency: Vec<Vec<EdgeId>>,
+    nodes: CowVec<Node>,
+    edges: CowVec<Edge>,
+    nodes_by_label: HashMap<Ident, Arc<Vec<NodeId>>>,
+    edges_by_label: HashMap<Ident, Arc<Vec<EdgeId>>>,
+    out_adjacency: CowVec<Vec<EdgeId>>,
+    in_adjacency: CowVec<Vec<EdgeId>>,
 }
+
+// Snapshots hand instances across reader and writer threads.
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<GraphInstance>();
+};
 
 impl PartialEq for GraphInstance {
     fn eq(&self, other: &Self) -> bool {
@@ -121,7 +143,7 @@ impl GraphInstance {
     ) -> NodeId {
         let id = NodeId(self.nodes.len());
         let label = label.into();
-        self.nodes_by_label.entry(label.clone()).or_default().push(id);
+        Arc::make_mut(self.nodes_by_label.entry(label.clone()).or_default()).push(id);
         self.out_adjacency.push(Vec::new());
         self.in_adjacency.push(Vec::new());
         self.nodes.push(Node {
@@ -152,7 +174,7 @@ impl GraphInstance {
         );
         let id = EdgeId(self.edges.len());
         let label = label.into();
-        self.edges_by_label.entry(label.clone()).or_default().push(id);
+        Arc::make_mut(self.edges_by_label.entry(label.clone()).or_default()).push(id);
         self.out_adjacency[src.0].push(id);
         self.in_adjacency[tgt.0].push(id);
         self.edges.push(Edge {
@@ -188,7 +210,7 @@ impl GraphInstance {
                 (moved.label.clone(), moved.src, moved.tgt)
             };
             if let Some(ids) = self.edges_by_label.get_mut(&label) {
-                rewrite_id(ids, last, id);
+                rewrite_id(Arc::make_mut(ids).as_mut_slice(), last, id);
             }
             rewrite_id(&mut self.out_adjacency[src.0], last, id);
             rewrite_id(&mut self.in_adjacency[tgt.0], last, id);
@@ -219,7 +241,7 @@ impl GraphInstance {
                 moved.label.clone()
             };
             if let Some(ids) = self.nodes_by_label.get_mut(&label) {
-                rewrite_id(ids, last, id);
+                rewrite_id(Arc::make_mut(ids).as_mut_slice(), last, id);
             }
             // Incident edges of the moved node still reference `last`.
             for k in 0..self.out_adjacency[id.0].len() {
@@ -260,14 +282,14 @@ impl GraphInstance {
         Ok(self.edges[id.0].props.insert(key.into(), value))
     }
 
-    /// All nodes.
-    pub fn nodes(&self) -> &[Node] {
-        &self.nodes
+    /// Iterates over all nodes, in arena (id) order.
+    pub fn nodes(&self) -> impl DoubleEndedIterator<Item = &Node> + '_ {
+        self.nodes.iter()
     }
 
-    /// All edges.
-    pub fn edges(&self) -> &[Edge] {
-        &self.edges
+    /// Iterates over all edges, in arena (id) order.
+    pub fn edges(&self) -> impl DoubleEndedIterator<Item = &Edge> + '_ {
+        self.edges.iter()
     }
 
     /// Number of nodes.
@@ -321,7 +343,7 @@ impl GraphInstance {
     pub fn nodes_with_label<'a>(&'a self, label: &'a str) -> impl Iterator<Item = &'a Node> + 'a {
         self.nodes_by_label
             .get(label)
-            .map(Vec::as_slice)
+            .map(|ids| ids.as_slice())
             .unwrap_or_default()
             .iter()
             .map(move |id| &self.nodes[id.0])
@@ -334,7 +356,7 @@ impl GraphInstance {
     pub fn edges_with_label<'a>(&'a self, label: &'a str) -> impl Iterator<Item = &'a Edge> + 'a {
         self.edges_by_label
             .get(label)
-            .map(Vec::as_slice)
+            .map(|ids| ids.as_slice())
             .unwrap_or_default()
             .iter()
             .map(move |id| &self.edges[id.0])
@@ -370,7 +392,7 @@ impl GraphInstance {
     /// * edge endpoints exist and have the declared source/target labels.
     pub fn validate(&self, schema: &GraphSchema) -> Result<()> {
         let mut default_seen: HashSet<(String, Value)> = HashSet::new();
-        for node in &self.nodes {
+        for node in self.nodes.iter() {
             let ty = schema
                 .node_type(node.label.as_str())
                 .ok_or_else(|| Error::instance(format!("unknown node label `{}`", node.label)))?;
@@ -397,7 +419,7 @@ impl GraphInstance {
                 )));
             }
         }
-        for edge in &self.edges {
+        for edge in self.edges.iter() {
             let ty = schema
                 .edge_type(edge.label.as_str())
                 .ok_or_else(|| Error::instance(format!("unknown edge label `{}`", edge.label)))?;
@@ -444,11 +466,12 @@ impl GraphInstance {
 
 /// Drops `id` from a label index entry, removing the entry once empty.
 fn remove_from_index<I: Copy + PartialEq>(
-    index: &mut HashMap<Ident, Vec<I>>,
+    index: &mut HashMap<Ident, Arc<Vec<I>>>,
     label: &Ident,
     id: I,
 ) {
     if let Some(ids) = index.get_mut(label) {
+        let ids = Arc::make_mut(ids);
         ids.retain(|e| *e != id);
         if ids.is_empty() {
             index.remove(label);
@@ -557,11 +580,10 @@ mod tests {
         let ee =
             g.nodes_with_label("DEPT").find(|n| n.prop("dname") == Value::str("EE")).unwrap().id;
         // Index-backed traversals agree with a full scan.
-        assert_eq!(g.in_edges(cs).count(), g.edges().iter().filter(|e| e.tgt == cs).count());
+        assert_eq!(g.in_edges(cs).count(), g.edges().filter(|e| e.tgt == cs).count());
         assert_eq!(g.in_edges(ee).count(), 0);
         for n in g.nodes() {
-            let scanned: Vec<_> =
-                g.edges().iter().filter(|e| e.src == n.id).map(|e| e.id).collect();
+            let scanned: Vec<_> = g.edges().filter(|e| e.src == n.id).map(|e| e.id).collect();
             let indexed: Vec<_> = g.out_edges(n.id).map(|e| e.id).collect();
             assert_eq!(scanned, indexed);
         }
@@ -570,11 +592,10 @@ mod tests {
     #[test]
     fn label_indexes_preserve_insertion_order() {
         let g = fig15_instance();
-        let scanned: Vec<_> = g.nodes().iter().filter(|n| n.label == "EMP").map(|n| n.id).collect();
+        let scanned: Vec<_> = g.nodes().filter(|n| n.label == "EMP").map(|n| n.id).collect();
         let indexed: Vec<_> = g.nodes_with_label("EMP").map(|n| n.id).collect();
         assert_eq!(scanned, indexed);
-        let scanned_e: Vec<_> =
-            g.edges().iter().filter(|e| e.label == "WORK_AT").map(|e| e.id).collect();
+        let scanned_e: Vec<_> = g.edges().filter(|e| e.label == "WORK_AT").map(|e| e.id).collect();
         let indexed_e: Vec<_> = g.edges_with_label("WORK_AT").map(|e| e.id).collect();
         assert_eq!(scanned_e, indexed_e);
         assert_eq!(g.nodes_with_label("GHOST").count(), 0);
@@ -600,34 +621,30 @@ mod tests {
     /// Every index agrees with a full arena scan — the invariant the
     /// removal paths must preserve.
     fn assert_indexes_consistent(g: &GraphInstance) {
-        for (i, n) in g.nodes().iter().enumerate() {
+        for (i, n) in g.nodes().enumerate() {
             assert_eq!(n.id, NodeId(i), "node ids must match arena slots");
         }
-        for (i, e) in g.edges().iter().enumerate() {
+        for (i, e) in g.edges().enumerate() {
             assert_eq!(e.id, EdgeId(i), "edge ids must match arena slots");
             assert!(e.src.0 < g.node_count() && e.tgt.0 < g.node_count());
         }
-        let labels: HashSet<Ident> = g.nodes().iter().map(|n| n.label.clone()).collect();
+        let labels: HashSet<Ident> = g.nodes().map(|n| n.label.clone()).collect();
         for l in &labels {
-            let scanned: Vec<_> =
-                g.nodes().iter().filter(|n| n.label == *l).map(|n| n.id).collect();
+            let scanned: Vec<_> = g.nodes().filter(|n| n.label == *l).map(|n| n.id).collect();
             let indexed: Vec<_> = g.nodes_with_label(l.as_str()).map(|n| n.id).collect();
             assert_eq!(scanned, indexed, "node label index for `{l}`");
         }
-        let elabels: HashSet<Ident> = g.edges().iter().map(|e| e.label.clone()).collect();
+        let elabels: HashSet<Ident> = g.edges().map(|e| e.label.clone()).collect();
         for l in &elabels {
-            let scanned: Vec<_> =
-                g.edges().iter().filter(|e| e.label == *l).map(|e| e.id).collect();
+            let scanned: Vec<_> = g.edges().filter(|e| e.label == *l).map(|e| e.id).collect();
             let indexed: Vec<_> = g.edges_with_label(l.as_str()).map(|e| e.id).collect();
             assert_eq!(scanned, indexed, "edge label index for `{l}`");
         }
         for n in g.nodes() {
-            let scanned: Vec<_> =
-                g.edges().iter().filter(|e| e.src == n.id).map(|e| e.id).collect();
+            let scanned: Vec<_> = g.edges().filter(|e| e.src == n.id).map(|e| e.id).collect();
             let indexed: Vec<_> = g.out_edges(n.id).map(|e| e.id).collect();
             assert_eq!(scanned, indexed, "out adjacency of {}", n.id);
-            let scanned_in: Vec<_> =
-                g.edges().iter().filter(|e| e.tgt == n.id).map(|e| e.id).collect();
+            let scanned_in: Vec<_> = g.edges().filter(|e| e.tgt == n.id).map(|e| e.id).collect();
             let indexed_in: Vec<_> = g.in_edges(n.id).map(|e| e.id).collect();
             assert_eq!(scanned_in, indexed_in, "in adjacency of {}", n.id);
         }

@@ -10,6 +10,7 @@
 //!   builder API, schema validation, and traversal helpers used by the
 //!   Cypher evaluator.
 
+mod cow;
 pub mod instance;
 pub mod schema;
 

@@ -22,7 +22,11 @@
 //!    generation's row and columnar images with
 //!    [`TableDelta`](graphiti_relational::TableDelta)s — untouched tables
 //!    are shared, touched columns are patched column-at-a-time — and
-//!    swapping the result into the embedded [`Engine`].
+//!    swapping the result into the embedded [`Engine`] together with a
+//!    clone of the master graph.  The clone is copy-on-write (see
+//!    [`GraphInstance`]): it shares every arena chunk with the master,
+//!    and the next commit copies only the chunks it writes, however many
+//!    generations readers pin.
 //!
 //! Readers are never blocked: every query/batch pins the generation
 //! current at its start (`Arc<Snapshot>`), writers serialize on the
@@ -304,12 +308,6 @@ pub struct StoreStats {
     pub logged_rows: usize,
     /// Tombstoned log slots awaiting compaction.
     pub tombstoned_rows: usize,
-    /// Commits that published the graph by cloning the master (a reader
-    /// still held every reclaimable buffer).
-    pub graph_clones: u64,
-    /// Commits that published the graph by replaying the delta backlog
-    /// onto a reclaimed buffer (O(delta), no full copy).
-    pub graph_reclaims: u64,
     /// WAL records appended by this process (always 0 for an in-memory
     /// store).
     pub wal_records: u64,
@@ -410,16 +408,6 @@ struct StoreState {
     /// could have swapped in a foreign snapshot, and patching that would
     /// silently desynchronize the published images from the master state.
     published_snapshot: Arc<Snapshot>,
-    /// The graph handle published with the current generation (shared
-    /// with the engine's snapshot and any readers).
-    published_graph: Arc<GraphInstance>,
-    /// The previous generation's graph handle, kept so the next commit
-    /// can reclaim its buffer once every reader has released it.
-    retiring_graph: Option<Arc<GraphInstance>>,
-    /// Resolved (id-level) operation logs of the most recent
-    /// publications, enough to replay a reclaimed buffer forward to the
-    /// master state.
-    backlog: VecDeque<Vec<ResolvedOp>>,
     generation: u64,
     /// Counters are registry-backed [`Counter`] handles: the store
     /// increments them exactly where the plain `u64`s used to live, and
@@ -428,8 +416,6 @@ struct StoreState {
     commits: Counter,
     rejected: Counter,
     compactions: Counter,
-    graph_clones: Counter,
-    graph_reclaims: Counter,
     /// WAL + checkpoint attachment (durable stores only).
     durable: Option<DurableState>,
     /// Set when the store has fenced itself read-only.
@@ -448,8 +434,6 @@ struct StoreCounters {
     commits: Counter,
     rejected: Counter,
     compactions: Counter,
-    graph_clones: Counter,
-    graph_reclaims: Counter,
     fence_events: Counter,
     fenced_commits: Counter,
     idempotent_replays: Counter,
@@ -461,8 +445,6 @@ impl StoreCounters {
             commits: registry.counter("graphiti_store_commits_total"),
             rejected: registry.counter("graphiti_store_rejected_commits_total"),
             compactions: registry.counter("graphiti_store_compactions_total"),
-            graph_clones: registry.counter("graphiti_store_graph_clones_total"),
-            graph_reclaims: registry.counter("graphiti_store_graph_reclaims_total"),
             fence_events: registry.counter("graphiti_store_fence_events_total"),
             fenced_commits: registry.counter("graphiti_store_fenced_commits_total"),
             idempotent_replays: registry.counter("graphiti_store_idempotent_replays_total"),
@@ -547,7 +529,6 @@ impl GraphStore {
             tables.insert(name.to_string(), StoreTable::from_table(image));
         }
         let next_key = (graph.node_count() + graph.edge_count()) as u64;
-        let published_graph = snapshot.graph_arc();
         let published_snapshot = Arc::clone(&snapshot);
         let obs = Arc::new(Obs::new());
         let c = StoreCounters::register(obs.registry());
@@ -565,15 +546,10 @@ impl GraphStore {
                 edge_ids,
                 next_key,
                 tables,
-                published_graph,
-                retiring_graph: None,
-                backlog: VecDeque::new(),
                 generation: 0,
                 commits: c.commits,
                 rejected: c.rejected,
                 compactions: c.compactions,
-                graph_clones: c.graph_clones,
-                graph_reclaims: c.graph_reclaims,
                 durable: None,
                 fence: None,
                 fence_events: c.fence_events,
@@ -850,7 +826,6 @@ impl GraphStore {
             extra_maps,
             extra_columnar,
         );
-        let published_graph = cold.graph_arc();
         let obs = Arc::new(Obs::new());
         let c = StoreCounters::register(obs.registry());
         // Restore the checkpointed lifetime counters into the registry
@@ -872,15 +847,10 @@ impl GraphStore {
                 next_key: image.next_key,
                 tables,
                 published_snapshot: published,
-                published_graph,
-                retiring_graph: None,
-                backlog: VecDeque::new(),
                 generation: image.generation,
                 commits: c.commits,
                 rejected: c.rejected,
                 compactions: c.compactions,
-                graph_clones: c.graph_clones,
-                graph_reclaims: c.graph_reclaims,
                 durable: None,
                 fence: None,
                 fence_events: c.fence_events,
@@ -993,8 +963,6 @@ impl GraphStore {
             live_edges: st.graph.edge_count(),
             logged_rows: st.tables.values().map(StoreTable::log_len).sum(),
             tombstoned_rows: st.tables.values().map(StoreTable::dead_count).sum(),
-            graph_clones: st.graph_clones.get(),
-            graph_reclaims: st.graph_reclaims.get(),
             wal_records: st.durable.as_ref().map_or(0, |d| d.wal_records.get()),
             wal_bytes: st.durable.as_ref().map_or(0, |d| d.wal_bytes.get()),
             checkpoints: st.durable.as_ref().map_or(0, |d| d.checkpoints_written.get()),
@@ -1049,7 +1017,6 @@ impl GraphStore {
         let st = self.state.lock().unwrap_or_else(|p| p.into_inner());
         st.graph
             .nodes()
-            .iter()
             .filter_map(|n| {
                 // Every published node passed schema validation (cold
                 // freeze or commit), and both require a declared label.
@@ -1065,7 +1032,6 @@ impl GraphStore {
         let st = self.state.lock().unwrap_or_else(|p| p.into_inner());
         st.graph
             .edges()
-            .iter()
             .filter_map(|e| {
                 // Every published edge passed schema validation, which
                 // requires a declared label.
@@ -1376,10 +1342,11 @@ impl GraphStore {
             columnar.insert_table(name.clone(), col_image);
         }
         let (extra, extra_columnar) = prev.extra_parts();
-        let graph = publish_graph(st, folded.ops);
+        // The clone shares every arena chunk with the master; the next
+        // commit's writes copy only the chunks they touch.
         let snapshot = Snapshot::from_parts_with_columnar(
             prev.schema_arc(),
-            graph,
+            Arc::new(st.graph.clone()),
             prev.ctx_arc(),
             induced,
             columnar,
@@ -1496,7 +1463,6 @@ fn build_checkpoint_image(st: &StoreState) -> checkpoint::CheckpointImage {
     let nodes = st
         .graph
         .nodes()
-        .iter()
         .map(|n| checkpoint::CkptNode {
             key: st.node_keys[n.id.0].0,
             label: n.label.as_str().to_owned(),
@@ -1506,7 +1472,6 @@ fn build_checkpoint_image(st: &StoreState) -> checkpoint::CheckpointImage {
     let edges = st
         .graph
         .edges()
-        .iter()
         .map(|e| checkpoint::CkptEdge {
             key: st.edge_keys[e.id.0].0,
             label: e.label.as_str().to_owned(),
@@ -1576,94 +1541,6 @@ fn write_checkpoint_locked(st: &mut StoreState) -> StoreResult<()> {
     Ok(())
 }
 
-// ----------------------------------------------------- graph publication
-
-/// One mutation resolved to concrete arena ids, exactly as phase 2
-/// executed it against the master graph.  Replaying a generation's log on
-/// a buffer that holds the previous generation reproduces the master
-/// graph bit-for-bit, because every [`GraphInstance`] mutation (including
-/// swap-remove renumbering) is deterministic.
-#[derive(Debug, Clone)]
-enum ResolvedOp {
-    AddNode { label: Ident, props: Vec<(Ident, Value)> },
-    AddEdge { label: Ident, src: NodeId, tgt: NodeId, props: Vec<(Ident, Value)> },
-    RemoveNode(NodeId),
-    RemoveEdge(EdgeId),
-    SetNodeProp(NodeId, Ident, Value),
-    SetEdgeProp(EdgeId, Ident, Value),
-}
-
-fn replay(g: &mut GraphInstance, ops: &[ResolvedOp]) -> Result<()> {
-    for op in ops {
-        match op {
-            ResolvedOp::AddNode { label, props } => {
-                g.add_node(label.clone(), props.iter().map(|(k, v)| (k.clone(), v.clone())));
-            }
-            ResolvedOp::AddEdge { label, src, tgt, props } => {
-                g.add_edge(
-                    label.clone(),
-                    *src,
-                    *tgt,
-                    props.iter().map(|(k, v)| (k.clone(), v.clone())),
-                );
-            }
-            ResolvedOp::RemoveNode(id) => {
-                g.remove_node(*id)?;
-            }
-            ResolvedOp::RemoveEdge(id) => {
-                g.remove_edge(*id)?;
-            }
-            ResolvedOp::SetNodeProp(id, key, value) => {
-                g.set_node_prop(*id, key.clone(), value.clone())?;
-            }
-            ResolvedOp::SetEdgeProp(id, key, value) => {
-                g.set_edge_prop(*id, key.clone(), value.clone())?;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Produces the graph handle for the publication whose resolved
-/// operations are `ops`.
-///
-/// Fast path: the publication-before-last's buffer has been released by
-/// every reader (`Arc::try_unwrap` succeeds), so the commit **replays**
-/// the backlog of resolved operations onto it — O(delta), no full copy.
-/// Slow path (a reader still pins that generation, or the store just
-/// opened): clone the master graph.  Readers are unaffected either way;
-/// this only decides how the new immutable buffer is produced.
-fn publish_graph(st: &mut StoreState, ops: Vec<ResolvedOp>) -> Arc<GraphInstance> {
-    st.backlog.push_back(ops);
-    while st.backlog.len() > 2 {
-        st.backlog.pop_front();
-    }
-    let reclaimed = st.retiring_graph.take().and_then(|arc| Arc::try_unwrap(arc).ok());
-    let new_graph = match reclaimed {
-        Some(mut g) => {
-            // The buffer holds the publication before every backlog
-            // entry; replaying them all reaches the master state.
-            let ok = st.backlog.iter().all(|ops| replay(&mut g, ops).is_ok());
-            if ok && g.node_count() == st.graph.node_count() {
-                debug_assert!(g == st.graph, "replayed buffer must equal the master graph");
-                st.graph_reclaims.inc();
-                g
-            } else {
-                // An impossible replay failure: fall back to a clone.
-                st.graph_clones.inc();
-                st.graph.clone()
-            }
-        }
-        None => {
-            st.graph_clones.inc();
-            st.graph.clone()
-        }
-    };
-    let arc = Arc::new(new_graph);
-    st.retiring_graph = Some(std::mem::replace(&mut st.published_graph, Arc::clone(&arc)));
-    arc
-}
-
 // ------------------------------------------------------------ validation
 
 /// An endpoint resolved during validation: an existing node or the `i`-th
@@ -1731,7 +1608,7 @@ impl<'a> Check<'a> {
 
     fn node_label(&self, ep: Endpoint) -> &Ident {
         match ep {
-            Endpoint::Existing(k) => &self.st.graph.nodes()[self.st.node_ids[&k].0].label,
+            Endpoint::Existing(k) => &self.st.graph.node(self.st.node_ids[&k]).label,
             Endpoint::New(i) => &self.new_nodes[i].label,
         }
     }
@@ -1742,7 +1619,7 @@ impl<'a> Check<'a> {
                 if let Some(v) = self.node_overrides.get(&(k, key.clone())) {
                     return v.clone();
                 }
-                self.st.graph.nodes()[self.st.node_ids[&k].0].prop(key.as_str())
+                self.st.graph.node(self.st.node_ids[&k]).prop(key.as_str())
             }
             Endpoint::New(i) => self.new_nodes[i].props.get(key).cloned().unwrap_or(Value::Null),
         }
@@ -1767,7 +1644,7 @@ impl<'a> Check<'a> {
 
     fn edge_label(&self, slot: EdgeSlot) -> &Ident {
         match slot {
-            EdgeSlot::Existing(k) => &self.st.graph.edges()[self.st.edge_ids[&k].0].label,
+            EdgeSlot::Existing(k) => &self.st.graph.edge(self.st.edge_ids[&k]).label,
             EdgeSlot::New(i) => &self.new_edges[i].label,
         }
     }
@@ -1778,7 +1655,7 @@ impl<'a> Check<'a> {
                 if let Some(v) = self.edge_overrides.get(&(k, key.clone())) {
                     return v.clone();
                 }
-                self.st.graph.edges()[self.st.edge_ids[&k].0].prop(key.as_str())
+                self.st.graph.edge(self.st.edge_ids[&k]).prop(key.as_str())
             }
             EdgeSlot::New(i) => self.new_edges[i].props.get(key).cloned().unwrap_or(Value::Null),
         }
@@ -2030,8 +1907,6 @@ struct Applied {
     deltas: BTreeMap<String, TableDelta>,
     node_keys: Vec<NodeKey>,
     edge_keys: Vec<EdgeKey>,
-    /// The id-level operation log, for replay-based graph publication.
-    replay: Vec<ResolvedOp>,
 }
 
 /// What one request of a batch acks, before the batch publishes.
@@ -2054,8 +1929,6 @@ struct Folded {
     /// Per touched table: the pre-batch row count (the fold's base) and
     /// every applied request's delta absorbed in commit order.
     tables: BTreeMap<String, (usize, TableDelta)>,
-    /// The applied requests' resolved graph operations, in commit order.
-    ops: Vec<ResolvedOp>,
 }
 
 impl Folded {
@@ -2092,7 +1965,6 @@ impl Folded {
             }
             touched_tables.push(name);
         }
-        self.ops.extend(applied.replay);
         acks[idx] = Some(Ok(Ack {
             generation,
             node_keys: applied.node_keys,
@@ -2138,7 +2010,6 @@ fn apply_delta(st: &mut StoreState, delta: &Delta) -> Result<Applied> {
     let mut pending: BTreeMap<String, Pending> = BTreeMap::new();
     let mut new_node_keys: Vec<NodeKey> = Vec::with_capacity(delta.nodes_added);
     let mut new_edge_keys: Vec<EdgeKey> = Vec::with_capacity(delta.edges_added);
-    let mut replay: Vec<ResolvedOp> = Vec::with_capacity(delta.len());
     for op in delta.ops() {
         match op {
             Mutation::AddNode { label, props } => {
@@ -2157,7 +2028,6 @@ fn apply_delta(st: &mut StoreState, delta: &Delta) -> Result<Applied> {
                 let row: Vec<Value> =
                     ty.keys.iter().map(|k| st.graph.node(id).prop(k.as_str())).collect();
                 append_row(st, &mut pending, label.as_str(), row)?;
-                replay.push(ResolvedOp::AddNode { label: label.clone(), props: props.clone() });
             }
             Mutation::AddEdge { label, src, tgt, props } => {
                 let key = EdgeKey(st.next_key);
@@ -2192,12 +2062,6 @@ fn apply_delta(st: &mut StoreState, delta: &Delta) -> Result<Applied> {
                 row.push(st.graph.node(src_id).prop(src_dk.as_str()));
                 row.push(st.graph.node(tgt_id).prop(tgt_dk.as_str()));
                 append_row(st, &mut pending, label.as_str(), row)?;
-                replay.push(ResolvedOp::AddEdge {
-                    label: label.clone(),
-                    src: src_id,
-                    tgt: tgt_id,
-                    props: props.clone(),
-                });
             }
             Mutation::RemoveEdge { edge } => {
                 let key = match edge {
@@ -2223,7 +2087,6 @@ fn apply_delta(st: &mut StoreState, delta: &Delta) -> Result<Applied> {
                     st.edge_ids.insert(st.edge_keys[id.0], id);
                 }
                 tombstone_row(st, &mut pending, label.as_str(), &pk)?;
-                replay.push(ResolvedOp::RemoveEdge(id));
             }
             Mutation::RemoveNode { node } => {
                 let key = match node {
@@ -2248,7 +2111,6 @@ fn apply_delta(st: &mut StoreState, delta: &Delta) -> Result<Applied> {
                     st.node_ids.insert(st.node_keys[id.0], id);
                 }
                 tombstone_row(st, &mut pending, label.as_str(), &pk)?;
-                replay.push(ResolvedOp::RemoveNode(id));
             }
             Mutation::SetNodeProp { node, key, value } => {
                 let nkey = match node {
@@ -2271,7 +2133,6 @@ fn apply_delta(st: &mut StoreState, delta: &Delta) -> Result<Applied> {
                     .ok_or_else(|| Error::instance(format!("undeclared key `{key}`")))?;
                 let pk_before = st.graph.try_node(id)?.prop(ty.default_key().as_str());
                 st.graph.set_node_prop(id, key.clone(), value.clone())?;
-                replay.push(ResolvedOp::SetNodeProp(id, key.clone(), value.clone()));
                 patch_row(st, &mut pending, label.as_str(), &pk_before, col, value.clone())?;
                 if col == 0 && pk_before != *value {
                     // The node's default key is the join value every
@@ -2323,7 +2184,6 @@ fn apply_delta(st: &mut StoreState, delta: &Delta) -> Result<Applied> {
                     .ok_or_else(|| Error::instance(format!("undeclared key `{key}`")))?;
                 let pk_before = st.graph.try_edge(id)?.prop(ty.default_key().as_str());
                 st.graph.set_edge_prop(id, key.clone(), value.clone())?;
-                replay.push(ResolvedOp::SetEdgeProp(id, key.clone(), value.clone()));
                 patch_row(st, &mut pending, label.as_str(), &pk_before, col, value.clone())?;
             }
         }
@@ -2362,7 +2222,7 @@ fn apply_delta(st: &mut StoreState, delta: &Delta) -> Result<Applied> {
             deltas.insert(name, out);
         }
     }
-    Ok(Applied { deltas, node_keys: new_node_keys, edge_keys: new_edge_keys, replay })
+    Ok(Applied { deltas, node_keys: new_node_keys, edge_keys: new_edge_keys })
 }
 
 fn resolve_applied_node(st: &StoreState, new_node_keys: &[NodeKey], r: &NodeRef) -> Result<NodeId> {
@@ -3427,41 +3287,41 @@ vs\n{tb}"
         }
     }
 
-    // --------------------------------------- interned-Ident regression
+    // ------------------------------------------- copy-on-write publication
 
     #[test]
-    fn clone_fallback_publication_shares_interned_idents() {
+    fn pinned_generations_share_every_node_no_commit_touched() {
         let store = GraphStore::open(emp_schema(), emp_graph()).unwrap();
         let mut pinned = vec![store.snapshot()];
-        for i in 0..5 {
+        // 70 additions grow the node arena across three 32-slot chunks,
+        // with every generation pinned.
+        for i in 0..70 {
             let mut d = Delta::new();
             d.add_node("EMP", [("id", Value::Int(100 + i)), ("name", Value::str("w"))]);
             store.commit(d).unwrap();
-            // Pin every generation: publication must clone every time.
             pinned.push(store.snapshot());
         }
-        let stats = store.stats();
-        assert_eq!(stats.graph_clones, 5, "pinned readers force the clone fallback");
-        assert_eq!(stats.graph_reclaims, 0);
-        // Regression (interned `Ident`): even deep graph clones share the
-        // identifier allocations — labels across generations are
-        // pointer-identical, not copied strings.
-        let label_arc = |s: &Snapshot| {
-            s.graph().nodes().iter().find(|n| n.label == "EMP").unwrap().label.as_arc().clone()
-        };
-        assert!(
-            Arc::ptr_eq(&label_arc(&pinned[1]), &label_arc(&pinned[5])),
-            "clone-fallback publication deep-copied an identifier string"
-        );
-        drop(pinned);
-        // With no reader pinning the retiring buffer, publication goes
-        // back to O(delta) reclaim-and-replay.
-        for i in 0..2 {
-            let mut d = Delta::new();
-            d.add_node("EMP", [("id", Value::Int(200 + i)), ("name", Value::str("w"))]);
-            store.commit(d).unwrap();
+        let count = BatchQuery::cypher("MATCH (n:EMP) RETURN Count(n)");
+        for (generation, snap) in pinned.iter().enumerate() {
+            let table = store.engine().execute_on(snap, &count).result.unwrap();
+            assert_eq!(
+                table.rows[0][0],
+                Value::Int(2 + generation as i64),
+                "generation {generation}"
+            );
         }
-        assert!(store.stats().graph_reclaims >= 1, "released buffers are reclaimed again");
+        let (oldest, newest) = (pinned[0].graph(), pinned[70].graph());
+        assert!(
+            std::ptr::eq(oldest.node(NodeId(0)), newest.node(NodeId(0))),
+            "an untouched node was copied by publication"
+        );
+        // Regression (interned `Ident`): a label a commit wrote is the
+        // same allocation as the bootstrap graph's, not a copied string.
+        let added = newest.node(NodeId(newest.node_count() - 1));
+        assert!(
+            Arc::ptr_eq(oldest.node(NodeId(0)).label.as_arc(), added.label.as_arc()),
+            "a committed label deep-copied its identifier string"
+        );
     }
 
     #[test]
