@@ -9,7 +9,7 @@
 use graphiti_bench::{table1, table2, table3, table4, table5, transpile_latency, HarnessOptions};
 
 fn main() {
-    let opts = HarnessOptions::from_args();
+    let opts = HarnessOptions::from_args("all_tables");
     let corpus = opts.corpus();
     println!("== Graphiti evaluation ({} benchmarks) ==\n", corpus.len());
 

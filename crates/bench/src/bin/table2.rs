@@ -5,7 +5,7 @@
 use graphiti_bench::{table2, HarnessOptions};
 
 fn main() {
-    let opts = HarnessOptions::from_args();
+    let opts = HarnessOptions::from_args("table2");
     let corpus = opts.corpus();
     println!(
         "Table 2: bounded equivalence checking ({} benchmarks, {} ms/benchmark budget)",

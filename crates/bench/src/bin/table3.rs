@@ -5,7 +5,7 @@
 use graphiti_bench::{table3, HarnessOptions};
 
 fn main() {
-    let opts = HarnessOptions::from_args();
+    let opts = HarnessOptions::from_args("table3");
     let corpus = opts.corpus();
     println!("Table 3: full equivalence verification ({} benchmarks)", corpus.len());
     println!("{}", table3(&corpus, opts.workers));

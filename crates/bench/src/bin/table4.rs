@@ -5,7 +5,7 @@
 use graphiti_bench::{table4, transpile_latency, HarnessOptions};
 
 fn main() {
-    let opts = HarnessOptions::from_args();
+    let opts = HarnessOptions::from_args("table4");
     let corpus = opts.corpus();
     println!(
         "Table 4: execution time of transpiled and manually-written SQL queries \

@@ -5,7 +5,7 @@
 use graphiti_bench::{table5, HarnessOptions};
 
 fn main() {
-    let opts = HarnessOptions::from_args();
+    let opts = HarnessOptions::from_args("table5");
     let corpus = opts.corpus();
     println!("Table 5: transpilation results of the best-effort baseline transpiler");
     println!("{}", table5(&corpus, opts.diff_instances, opts.workers));

@@ -1,13 +1,14 @@
-//! A minimal JSON reader for the bench harness.
+//! A minimal JSON reader and writer for the bench harness.
 //!
-//! The workspace is offline (no `serde_json`), and the only JSON the bench
-//! tooling consumes is the JSON the bench tooling *produces*
-//! (`BENCH_PR2.json` / `BENCH_PR3.json`), so a small recursive-descent
-//! parser over the full JSON grammar is all `check_bench` needs.  Numbers
-//! are parsed as `f64`, which is exact for every counter and ratio the
-//! harnesses emit.
+//! The workspace is offline (no `serde_json`), and the JSON the bench
+//! tooling handles is small: `bench_gate` reads its baseline
+//! (`BENCH.json`) and the server's Introspect replies, and writes its
+//! report.  A recursive-descent parser over the full JSON grammar and an
+//! indenting writer are all that takes.  Numbers are `f64`, which is
+//! exact for every counter and ratio the harness emits.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,6 +76,96 @@ impl Json {
             _ => None,
         }
     }
+
+    /// An object of `(key, value)` pairs.
+    pub fn obj<K: Into<String>>(pairs: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Obj(pairs.into_iter().map(|(key, value)| (key.into(), value)).collect())
+    }
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl From<f64> for Json {
+    fn from(n: f64) -> Json {
+        Json::Num(n)
+    }
+}
+
+macro_rules! json_from_int {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(n: $t) -> Json {
+                Json::Num(n as f64)
+            }
+        }
+    )*};
+}
+json_from_int!(i64, u64, usize);
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_string())
+    }
+}
+
+/// Writes indented JSON.  A number that is not finite has no JSON form
+/// and is written as `null`.
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write_value(f, self, 0)
+    }
+}
+
+fn write_value(f: &mut fmt::Formatter<'_>, value: &Json, indent: usize) -> fmt::Result {
+    match value {
+        Json::Null => f.write_str("null"),
+        Json::Bool(b) => write!(f, "{b}"),
+        Json::Num(n) if n.is_finite() => write!(f, "{n}"),
+        Json::Num(_) => f.write_str("null"),
+        Json::Str(s) => write_string(f, s),
+        Json::Arr(items) if items.is_empty() => f.write_str("[]"),
+        Json::Arr(items) => {
+            f.write_str("[")?;
+            for (i, item) in items.iter().enumerate() {
+                f.write_str(if i == 0 { "\n" } else { ",\n" })?;
+                write!(f, "{:width$}", "", width = indent + 2)?;
+                write_value(f, item, indent + 2)?;
+            }
+            write!(f, "\n{:indent$}]", "")
+        }
+        Json::Obj(map) if map.is_empty() => f.write_str("{}"),
+        Json::Obj(map) => {
+            f.write_str("{")?;
+            for (i, (key, item)) in map.iter().enumerate() {
+                f.write_str(if i == 0 { "\n" } else { ",\n" })?;
+                write!(f, "{:width$}", "", width = indent + 2)?;
+                write_string(f, key)?;
+                f.write_str(": ")?;
+                write_value(f, item, indent + 2)?;
+            }
+            write!(f, "\n{:indent$}}}", "")
+        }
+    }
+}
+
+fn write_string(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    f.write_str("\"")?;
+    for c in s.chars() {
+        match c {
+            '"' => f.write_str("\\\"")?,
+            '\\' => f.write_str("\\\\")?,
+            '\n' => f.write_str("\\n")?,
+            '\t' => f.write_str("\\t")?,
+            '\r' => f.write_str("\\r")?,
+            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+            c => write!(f, "{c}")?,
+        }
+    }
+    f.write_str("\"")
 }
 
 /// Parses a complete JSON document.
@@ -253,9 +344,9 @@ mod tests {
     #[test]
     fn parses_the_bench_json_shape() {
         let doc = r#"{
-            "harness": "bench_pr3",
+            "harness": "bench_gate",
             "mode": "full",
-            "gate": {"parallel_speedup_4w": 2.41, "sweep_all_agree": true},
+            "gate": {"engine_4w_vs_serial_pipeline": 2.41, "sweep_all_agree": true},
             "families": [
                 {"name": "a \"quoted\" name", "speedup": 6.4},
                 {"name": "b", "speedup": 2000.5}
@@ -266,9 +357,9 @@ mod tests {
             "nothing": null
         }"#;
         let v = parse(doc).unwrap();
-        assert_eq!(v.get("harness").and_then(Json::as_str), Some("bench_pr3"));
+        assert_eq!(v.get("harness").and_then(Json::as_str), Some("bench_gate"));
         let gate = v.get("gate").unwrap();
-        assert_eq!(gate.get("parallel_speedup_4w").and_then(Json::as_num), Some(2.41));
+        assert_eq!(gate.get("engine_4w_vs_serial_pipeline").and_then(Json::as_num), Some(2.41));
         assert_eq!(gate.get("sweep_all_agree").and_then(Json::as_bool), Some(true));
         let families = v.get("families").and_then(Json::as_arr).unwrap();
         assert_eq!(families.len(), 2);
@@ -288,10 +379,28 @@ mod tests {
     #[test]
     fn round_trips_the_checked_in_bench_file() {
         let text = std::fs::read_to_string(
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_PR2.json"),
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH.json"),
         )
-        .expect("BENCH_PR2.json is checked in");
+        .expect("BENCH.json is checked in");
         let v = parse(&text).expect("checked-in bench JSON parses");
-        assert!(v.get("families").and_then(Json::as_arr).is_some());
+        assert!(v.get("gate").and_then(Json::as_obj).is_some());
+        assert_eq!(parse(&v.to_string()), Ok(v));
+    }
+
+    #[test]
+    fn written_json_parses_back() {
+        let v = Json::obj([
+            ("text", "tab\t \"quoted\" back\\slash \u{1}".into()),
+            ("ratio", 0.125.into()),
+            ("count", 612usize.into()),
+            ("ok", true.into()),
+            (
+                "items",
+                Json::Arr(vec![Json::Null, Json::Obj(Default::default()), Json::Arr(vec![])]),
+            ),
+        ]);
+        assert_eq!(parse(&v.to_string()), Ok(v));
+        assert_eq!(Json::from(f64::INFINITY).to_string(), "null");
+        assert_eq!(Json::from(3usize).to_string(), "3");
     }
 }

@@ -767,6 +767,38 @@ impl fmt::Display for TranspileLatency {
     }
 }
 
+/// Splits `args` into `--name value` pairs.  A name missing from
+/// `known`, or a name with no value after it, is an error.
+pub fn parse_flags<'a>(
+    args: &'a [String],
+    known: &[&str],
+) -> Result<Vec<(&'a str, &'a str)>, String> {
+    let mut pairs = Vec::new();
+    let mut rest = args.iter();
+    while let Some(flag) = rest.next() {
+        if !known.contains(&flag.as_str()) {
+            return Err(format!("unknown argument `{flag}`"));
+        }
+        let value = rest.next().ok_or_else(|| format!("`{flag}` needs a value"))?;
+        pairs.push((flag.as_str(), value.as_str()));
+    }
+    Ok(pairs)
+}
+
+fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value.parse().map_err(|_| format!("`{flag}` needs a number, not `{value}`"))
+}
+
+/// Parses the process's arguments with `parse`; on an error, prints it
+/// and `usage` and exits with status 2.
+pub fn args_or_exit<T>(usage: &str, parse: impl FnOnce(&[String]) -> Result<T, String>) -> T {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    parse(&args).unwrap_or_else(|err| {
+        eprintln!("{err}\nusage: {usage}");
+        std::process::exit(2)
+    })
+}
+
 /// Command-line options shared by the table binaries.
 #[derive(Debug, Clone)]
 pub struct HarnessOptions {
@@ -796,25 +828,29 @@ impl Default for HarnessOptions {
 
 impl HarnessOptions {
     /// Parses `--scale N`, `--budget-ms N`, `--mock-nodes N`,
-    /// `--diff-instances N`, `--workers N` from command-line arguments.
-    pub fn from_args() -> Self {
+    /// `--diff-instances N` and `--workers N`.
+    pub fn parse(args: &[String]) -> Result<Self, String> {
         let mut opts = HarnessOptions::default();
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i + 1 < args.len() {
-            match args[i].as_str() {
-                "--scale" => opts.scale = args[i + 1].parse().unwrap_or(opts.scale),
-                "--budget-ms" => opts.budget_ms = args[i + 1].parse().unwrap_or(opts.budget_ms),
-                "--mock-nodes" => opts.mock_nodes = args[i + 1].parse().unwrap_or(opts.mock_nodes),
-                "--diff-instances" => {
-                    opts.diff_instances = args[i + 1].parse().unwrap_or(opts.diff_instances)
-                }
-                "--workers" => opts.workers = args[i + 1].parse().unwrap_or(opts.workers),
-                _ => {}
+        let flags = ["--scale", "--budget-ms", "--mock-nodes", "--diff-instances", "--workers"];
+        for (flag, value) in parse_flags(args, &flags)? {
+            match flag {
+                "--scale" => opts.scale = number(flag, value)?,
+                "--budget-ms" => opts.budget_ms = number(flag, value)?,
+                "--mock-nodes" => opts.mock_nodes = number(flag, value)?,
+                "--diff-instances" => opts.diff_instances = number(flag, value)?,
+                _ => opts.workers = number(flag, value)?, // `--workers`
             }
-            i += 2;
         }
-        opts
+        Ok(opts)
+    }
+
+    /// Parses the process's arguments for the binary `bin`, exiting with
+    /// status 2 and its usage line on a bad one.
+    pub fn from_args(bin: &str) -> Self {
+        let usage = format!(
+            "{bin} [--scale N] [--budget-ms N] [--mock-nodes N] [--diff-instances N] [--workers N]"
+        );
+        args_or_exit(&usage, Self::parse)
     }
 
     /// Builds the corpus selected by `--scale`.
@@ -924,5 +960,30 @@ mod tests {
         let opts = HarnessOptions::default();
         assert_eq!(opts.scale, 1);
         assert!(opts.budget().as_millis() > 0);
+    }
+
+    fn parse_line(line: &str) -> Result<HarnessOptions, String> {
+        let args: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+        HarnessOptions::parse(&args)
+    }
+
+    #[test]
+    fn harness_options_reject_bad_flags() {
+        assert!(parse_line("--sclae 50").unwrap_err().contains("unknown argument `--sclae`"));
+        assert!(parse_line("--scale fifty").unwrap_err().contains("`--scale` needs a number"));
+        assert!(parse_line("--scale 50 --scale").unwrap_err().contains("`--scale` needs a value"));
+        assert!(parse_line("--workers -1").is_err());
+    }
+
+    #[test]
+    fn harness_options_parse_a_valid_line() {
+        let opts =
+            parse_line("--scale 50 --budget-ms 100 --mock-nodes 7 --diff-instances 3 --workers 2")
+                .unwrap();
+        assert_eq!(
+            (opts.scale, opts.budget_ms, opts.mock_nodes, opts.diff_instances, opts.workers),
+            (50, 100, 7, 3, 2)
+        );
+        assert_eq!(parse_line("").unwrap().scale, 1);
     }
 }

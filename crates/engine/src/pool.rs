@@ -2,8 +2,8 @@
 //!
 //! PR 3's engine spawned `workers` *scoped* threads per `run_batch` call;
 //! on repeated small-batch traffic (the service shape) that per-batch spawn
-//! cost dominates, which is exactly the flat 1→4 worker scaling
-//! `BENCH_PR3.json` recorded.  This pool spawns its threads **once** (on
+//! cost dominates, which is exactly the flat 1→4 worker scaling the
+//! `batch` bench-gate scenario recorded.  This pool spawns its threads **once** (on
 //! the first parallel batch) and feeds them jobs over a channel: a batch
 //! dispatch is then an enqueue plus a completion wait, with no thread
 //! creation on the hot path.

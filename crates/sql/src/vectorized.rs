@@ -28,7 +28,8 @@
 //! column-at-a-time (predicates containing subqueries) falls back to the
 //! row engine's own operator implementation for exactly that operator.
 //! The differential proptests in `graphiti-testkit` and the corpus sweep
-//! in `bench_pr4` pin the equivalence down (Definition 4.4).
+//! of `bench_gate`'s `vectorized` scenario pin the equivalence down
+//! (Definition 4.4).
 
 use crate::ast::JoinKind;
 use crate::compile::{CExpr, CGroupExpr, CGroupPred, CPred};
