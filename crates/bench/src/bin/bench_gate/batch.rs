@@ -18,7 +18,7 @@
 //! has, not pool scaling.  `cache_warm_speedup` divides the 1-worker
 //! cold round by the mean warm round.
 
-use crate::fixtures::{fresh_engines, legacy_execute, sweep, Item, SweepBench, TARGET};
+use crate::fixtures::{execute, fresh_engines, legacy_execute, sweep, Item, SweepBench, TARGET};
 use graphiti_bench::json::Json;
 use graphiti_engine::{run_parallel, Engine, SqlTarget};
 use std::time::Instant;
@@ -51,10 +51,9 @@ fn legacy_pipeline(bench: &SweepBench) -> graphiti_common::Result<usize> {
 
 /// One timed engine round over the whole workload; returns elapsed
 /// seconds.
-fn engine_round(engines: &[Engine], items: &[Item], workers: usize) -> f64 {
+fn engine_round(engines: &[Engine], benches: &[SweepBench], items: &[Item], workers: usize) -> f64 {
     let start = Instant::now();
-    let outcomes =
-        run_parallel(items.len(), workers, |i| engines[items[i].bench].execute(&items[i].query));
+    let outcomes = run_parallel(items.len(), workers, |i| execute(engines, benches, &items[i]));
     let elapsed = start.elapsed().as_secs_f64();
     assert!(outcomes.iter().all(|o| o.result.is_ok()), "workload items were pre-validated");
     elapsed
@@ -73,12 +72,12 @@ fn measure_engine(benches: &[SweepBench], items: &[Item], workers: usize) -> Eng
     // remaining rounds run as one batch, which is the service shape — a
     // worker pool draining a queue of repeated queries — rather than
     // spawn-join per round.
-    let cold_round_seconds = engine_round(&engines, items, workers);
+    let cold_round_seconds = engine_round(&engines, benches, items, workers);
     let warm_len = items.len() * (ROUNDS - 1);
     let start = Instant::now();
     let outcomes = run_parallel(warm_len, workers, |i| {
         let it = &items[i % items.len()];
-        engines[it.bench].execute(&it.query)
+        execute(&engines, benches, it)
     });
     let warm_seconds = start.elapsed().as_secs_f64();
     assert!(outcomes.iter().all(|o| o.result.is_ok()), "workload items were pre-validated");
@@ -102,7 +101,7 @@ pub fn run() -> Json {
         Err(_) => false,
         Ok(want) => {
             checked += 1;
-            match engines[it.bench].execute(&it.query).result {
+            match execute(&engines, &benches, it).result {
                 Ok(got) if got.equivalent(&want) => true,
                 Ok(_) => {
                     eprintln!("engine disagrees with legacy on `{}`", it.query.text());

@@ -21,6 +21,7 @@ use graphiti_benchmarks::{build_databases, generate_graph, schemas};
 use graphiti_engine::{available_workers, run_parallel, BatchQuery, Engine, Snapshot, SqlTarget};
 use graphiti_graph::{GraphInstance, GraphSchema};
 use graphiti_relational::{RelInstance, Table};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Minimum measured wall-clock per engine and family.
@@ -101,16 +102,17 @@ fn agree(naive: graphiti_common::Result<Table>, engine: graphiti_common::Result<
 /// over a snapshot of the same databases.
 fn case_agrees(case: &CorpusCase) -> bool {
     let (b, dbs) = (&case.bench, &case.dbs);
-    let engine = Engine::new(Snapshot::from_parts(
+    let snapshot = Snapshot::from_parts(
         b.graph_schema.clone(),
         dbs.graph.clone(),
         case.reduction.ctx.clone(),
         dbs.induced.clone(),
         [(TARGET.to_string(), dbs.target.clone())],
-    ));
+    );
+    let engine = Engine::new(Arc::clone(&snapshot));
     let cypher = agree(
         graphiti_cypher::eval_query_unoptimized(&b.graph_schema, &dbs.graph, &case.cypher),
-        engine.execute(&BatchQuery::cypher(&b.cypher_text)).result,
+        engine.execute_on(&snapshot, &BatchQuery::cypher(&b.cypher_text)).result,
     );
     if !cypher {
         eprintln!("cypher engines disagree on corpus benchmark `{}`", b.id);
@@ -122,7 +124,7 @@ fn case_agrees(case: &CorpusCase) -> bool {
         (&dbs.target, &target, &case.sql),
     ] {
         let naive = graphiti_sql::eval_query_unoptimized(instance, q);
-        if !agree(naive, engine.execute_sql_ast(q, tgt).result) {
+        if !agree(naive, engine.execute_sql_ast(&snapshot, q, tgt).result) {
             eprintln!("sql engines disagree on corpus benchmark `{}`", b.id);
             return false;
         }

@@ -5,7 +5,7 @@ use graphiti_benchmarks::{build_databases, small_corpus, Benchmark, MockDatabase
 use graphiti_common::Value;
 use graphiti_core::{reduce, Reduction};
 use graphiti_cypher::Query as CypherQuery;
-use graphiti_engine::{BatchQuery, Engine, Snapshot};
+use graphiti_engine::{BatchQuery, Engine, QueryOutcome, Snapshot};
 use graphiti_graph::{EdgeType, GraphInstance, GraphSchema, NodeType};
 use graphiti_relational::Table;
 use graphiti_server::{Client, Server, WireSession};
@@ -243,6 +243,11 @@ pub fn sweep() -> (Vec<SweepBench>, Vec<Item>) {
 /// A fresh engine (empty plan cache) per sweep benchmark.
 pub fn fresh_engines(benches: &[SweepBench]) -> Vec<Engine> {
     benches.iter().map(|b| Engine::new(Arc::clone(&b.snapshot))).collect()
+}
+
+/// Runs one sweep item on its benchmark's engine and snapshot.
+pub fn execute(engines: &[Engine], benches: &[SweepBench], item: &Item) -> QueryOutcome {
+    engines[item.bench].execute_on(&benches[item.bench].snapshot, &item.query)
 }
 
 /// The one-shot evaluators, with no engine: parse and evaluate per

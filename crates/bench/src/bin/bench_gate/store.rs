@@ -26,7 +26,7 @@ use graphiti_common::{Ident, Value};
 use graphiti_engine::{BatchQuery, Engine, Snapshot, SqlTarget};
 use graphiti_graph::{EdgeType, GraphInstance, GraphSchema, NodeType};
 use graphiti_relational::RelInstance;
-use graphiti_store::{Delta, GraphStore, QuerySurface};
+use graphiti_store::{Delta, GraphStore};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -188,6 +188,12 @@ fn delta_size_sweep(schema: &GraphSchema, base: &GraphInstance) -> Vec<(usize, f
     sweep
 }
 
+/// One read round: `batch` on the latest published generation.
+fn read_round(store: &GraphStore, batch: &[BatchQuery]) {
+    let (_, snapshot) = store.published();
+    store.engine().run_batch_on(&snapshot, batch, 2);
+}
+
 /// (quiet q/s, busy q/s, writer commits/s).
 fn reads_under_writes(store: GraphStore) -> (f64, f64, f64) {
     let store = Arc::new(store);
@@ -198,10 +204,10 @@ fn reads_under_writes(store: GraphStore) -> (f64, f64, f64) {
         ),
         BatchQuery::cypher("MATCH (n:EMP) WHERE n.id > 9000 RETURN n.name AS who"),
     ];
-    store.run_batch(&batch, 2); // warm plans
+    read_round(&store, &batch); // warm plans
     let start = Instant::now();
     for _ in 0..READ_ROUNDS {
-        store.run_batch(&batch, 2);
+        read_round(&store, &batch);
     }
     let quiet_qps = (READ_ROUNDS * batch.len()) as f64 / start.elapsed().as_secs_f64();
 
@@ -222,7 +228,7 @@ fn reads_under_writes(store: GraphStore) -> (f64, f64, f64) {
     };
     let start = Instant::now();
     for _ in 0..READ_ROUNDS {
-        store.run_batch(&batch, 2);
+        read_round(&store, &batch);
     }
     let busy_secs = start.elapsed().as_secs_f64();
     stop.store(true, Ordering::Relaxed);
@@ -268,8 +274,9 @@ fn incremental_matches_cold(ctxs: &[WriteCtx]) -> (usize, bool) {
                 all_agree = false;
             }
         }
-        let live = store.engine().execute(&BatchQuery::cypher(&ctx.cypher_text));
-        let oracle = Engine::new(cold).execute(&BatchQuery::cypher(&ctx.cypher_text));
+        let query = BatchQuery::cypher(&ctx.cypher_text);
+        let live = store.engine().execute_on(&snap, &query);
+        let oracle = Engine::new(Arc::clone(&cold)).execute_on(&cold, &query);
         match (live.result, oracle.result) {
             (Ok(a), Ok(b)) if a.equivalent(&b) => {}
             (Err(_), Err(_)) => {}

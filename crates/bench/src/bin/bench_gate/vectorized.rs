@@ -10,13 +10,13 @@
 //!   warm rounds (plans precompiled, databases resident) through
 //!   `eval_compiled` and through `eval_vectorized`;
 //!   `vectorized_speedup` is the throughput ratio, floored at 2;
-//! * **pool ladder** — `Engine::run_batch` throughput at 1/2/4/8
+//! * **pool ladder** — `Engine::run_batch_on` throughput at 1/2/4/8
 //!   workers on one replicated batch; `pool_scaling_4w` divides 4
 //!   workers by 1 and has no floor, since a 1-core host cannot scale;
 //! * **plan-cache warm-up** — `cache_warm_speedup` divides a serial cold
 //!   round by the mean warm round.
 
-use crate::fixtures::{fresh_engines, legacy_execute, sweep};
+use crate::fixtures::{execute, fresh_engines, legacy_execute, sweep};
 use graphiti_bench::json::Json;
 use graphiti_engine::{BatchQuery, Engine};
 use graphiti_relational::{ColumnInstance, RelInstance};
@@ -55,7 +55,7 @@ pub fn run() -> Json {
         Err(_) => false,
         Ok(want) => {
             checked += 1;
-            let vectorized = match engines[it.bench].execute(&it.query).result {
+            let vectorized = match execute(&engines, &benches, it).result {
                 Ok(got) if got.equivalent(&want) => true,
                 _ => {
                     eprintln!("vectorized engine disagrees on `{}`", it.query.text());
@@ -121,12 +121,13 @@ pub fn run() -> Json {
         items.iter().filter(|it| it.bench == 0).map(|it| it.query.clone()).collect();
     let big_batch: Vec<BatchQuery> =
         (0..benches.len()).flat_map(|_| tile.iter().cloned()).collect();
-    ladder_engine.run_batch(&big_batch, 1); // warm the plan cache
+    let ladder_snapshot = &benches[0].snapshot;
+    ladder_engine.run_batch_on(ladder_snapshot, &big_batch, 1); // warm the plan cache
     let ladder: Vec<(usize, f64)> = [1usize, 2, 4, 8]
         .iter()
         .map(|&workers| {
             let secs = time_rounds(ROUNDS, || {
-                ladder_engine.run_batch(&big_batch, workers);
+                ladder_engine.run_batch_on(ladder_snapshot, &big_batch, workers);
             });
             (workers, (ROUNDS * big_batch.len()) as f64 / secs)
         })
@@ -138,12 +139,12 @@ pub fn run() -> Json {
     let engines = fresh_engines(&benches);
     let cold_secs = time_rounds(1, || {
         for it in &items {
-            engines[it.bench].execute(&it.query);
+            execute(&engines, &benches, it);
         }
     });
     let warm_secs = time_rounds(ROUNDS - 1, || {
         for it in &items {
-            engines[it.bench].execute(&it.query);
+            execute(&engines, &benches, it);
         }
     });
     let warm_round_secs = warm_secs / (ROUNDS - 1) as f64;

@@ -478,17 +478,24 @@ pub fn table4(corpus: &[Benchmark], nodes_per_label: usize, workers: usize) -> T
                 0xDA7A,
             )
             .ok()?;
-            let engine = graphiti_engine::Engine::new(graphiti_engine::Snapshot::from_parts(
+            let snapshot = graphiti_engine::Snapshot::from_parts(
                 b.graph_schema.clone(),
                 dbs.graph,
                 reduction.ctx.clone(),
                 dbs.induced,
                 [("target".to_string(), dbs.target)],
-            ));
-            let transpiled =
-                engine.execute_sql_ast(&reduction.transpiled, &graphiti_engine::SqlTarget::Induced);
-            let manual = engine
-                .execute_sql_ast(&sql, &graphiti_engine::SqlTarget::Named("target".to_string()));
+            );
+            let engine = graphiti_engine::Engine::new(std::sync::Arc::clone(&snapshot));
+            let transpiled = engine.execute_sql_ast(
+                &snapshot,
+                &reduction.transpiled,
+                &graphiti_engine::SqlTarget::Induced,
+            );
+            let manual = engine.execute_sql_ast(
+                &snapshot,
+                &sql,
+                &graphiti_engine::SqlTarget::Named("target".to_string()),
+            );
             if transpiled.result.is_err() || manual.result.is_err() {
                 return None;
             }

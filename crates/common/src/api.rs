@@ -1,6 +1,6 @@
 //! The unified public error surface of the serving API.
 //!
-//! The workspace grew two error families: [`Error`](crate::Error) for
+//! The workspace grew two error families: [`Error`] for
 //! query-language / schema / evaluation failures, and the store's typed
 //! `StoreError` taxonomy for durability failures.  A wire protocol must
 //! freeze **one** vocabulary, and the embedded API must report through

@@ -8,7 +8,7 @@
 //! * [`Truth`] — three-valued logic used by predicate evaluation in both
 //!   Featherweight Cypher and Featherweight SQL.
 //! * [`Error`] — the common error type shared across the workspace.
-//! * [`intern`](crate::intern) — the global string interner behind
+//! * [`intern`](mod@intern) — the global string interner behind
 //!   [`Value::Str`], making value clones cheap on evaluator hot paths.
 //! * Small helpers for identifier handling and deterministic hashing.
 

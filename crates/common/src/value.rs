@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 /// A database value.
 ///
-/// Strings are stored as interned [`Arc<str>`] (see [`crate::intern`]):
+/// Strings are stored as interned [`Arc<str>`] (see [`crate::intern()`]):
 /// cloning a `Value` is always cheap — at most a reference-count bump —
 /// which both evaluators rely on when materializing rows, bindings, and
 /// grouping keys.

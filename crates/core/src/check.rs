@@ -2,8 +2,8 @@
 //!
 //! [`check_equivalence`] wires together the three steps of the paper:
 //!
-//! 1. [`infer_sdt`](crate::infer_sdt::infer_sdt) — induced schema + SDT;
-//! 2. [`transpile_query`](crate::transpile::transpile_query) — a SQL query
+//! 1. [`infer_sdt`] — induced schema + SDT;
+//! 2. [`transpile_query`] — a SQL query
 //!    over the induced schema provably equivalent to the Cypher query modulo
 //!    the SDT;
 //! 3. [`residual_transformer`] + a pluggable [`SqlEquivChecker`] backend —

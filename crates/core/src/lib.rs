@@ -3,7 +3,7 @@
 //! This crate implements the three components of the Graphiti pipeline
 //! (Algorithm 1):
 //!
-//! * [`infer_sdt`] — the induced relational schema and the standard database
+//! * [`infer_sdt`](mod@infer_sdt) — the induced relational schema and the standard database
 //!   transformer (Section 5.1, Figure 13);
 //! * [`transpile`] — correct-by-construction, syntax-directed transpilation
 //!   of Featherweight Cypher into Featherweight SQL over the induced schema

@@ -1,15 +1,15 @@
 //! The batch execution service.
 //!
-//! An [`Engine`] binds a [`Snapshot`] handle to one [`PlanCache`] and
-//! evaluates batches of Cypher and SQL queries across a worker pool.  The
-//! snapshot handle is **swappable** ([`Engine::swap_snapshot`]): a
-//! writable graph store publishes successive MVCC generations through it,
-//! while every query and batch pins the generation current at its start
-//! and runs against that immutable state end to end — readers are never
-//! blocked by writers, and the plan cache survives generation changes
-//! (plans are keyed by query text + target, not data).  SQL
-//! runs **vectorized**: cached compiled plans execute column-at-a-time over
-//! the snapshot's columnar image
+//! An [`Engine`] owns one [`PlanCache`] and one worker pool, and
+//! evaluates Cypher and SQL queries on snapshots its callers pin: every
+//! entry point takes the [`Snapshot`] it runs on, so a query or a batch
+//! sees one immutable generation end to end, and whoever publishes
+//! generations (a writable store) alone decides which one is current.
+//! The plan cache survives generation changes: plans are keyed by query
+//! text + target, and the snapshot an engine is built from binds it to
+//! the layouts those plans compile against (see [`Engine::new`]).  SQL
+//! runs **vectorized**: cached compiled plans execute column-at-a-time
+//! over the snapshot's columnar image
 //! ([`eval_vectorized`](graphiti_sql::eval_vectorized)); the row-at-a-time
 //! [`eval_compiled`](graphiti_sql::eval_compiled) path stays available (and
 //! differentially tested) as the oracle.
@@ -23,7 +23,7 @@
 
 use crate::cache::{CacheStats, PlanCache, SqlPlan, DEFAULT_PLAN_CACHE_CAPACITY};
 use crate::pool::WorkerPool;
-use crate::snapshot::{Snapshot, SqlTarget};
+use crate::snapshot::{Layout, Snapshot, SqlTarget};
 use graphiti_common::{Error, Result};
 use graphiti_obs::metrics::Histogram;
 use graphiti_obs::profile::{QueryProfile, StageProfile};
@@ -31,7 +31,7 @@ use graphiti_obs::Obs;
 use graphiti_relational::Table;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::channel;
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// One query of a batch.
@@ -86,8 +86,8 @@ pub struct QueryOutcome {
     /// Whether the plan came from the cache.
     pub cache_hit: bool,
     /// The per-operator execution profile — populated only by the
-    /// opt-in profiled entry points ([`Engine::execute_profiled`],
-    /// [`Engine::execute_on_profiled`]); `None` on the plain path.
+    /// opt-in profiled entry point ([`Engine::execute_on_profiled`]);
+    /// `None` on the plain path.
     pub profile: Option<QueryProfile>,
 }
 
@@ -100,9 +100,10 @@ pub struct BatchReport {
     pub wall_micros: u64,
     /// Worker threads used.
     pub workers: usize,
-    /// Cache hits attributable to this batch.
+    /// The batch's outcomes whose plan came from the cache.
     pub cache_hits: u64,
-    /// Cache misses attributable to this batch.
+    /// The batch's other outcomes: plans built on a miss, and queries
+    /// that failed before reaching the cache.
     pub cache_misses: u64,
 }
 
@@ -140,21 +141,12 @@ impl BatchReport {
 }
 
 /// The shared, thread-safe core of an engine: everything workers touch.
-///
-/// The snapshot handle sits behind an `RwLock` so a writable store can
-/// **publish a new MVCC generation** ([`Engine::swap_snapshot`]) without
-/// blocking readers: every query (and every batch) pins one `Arc` up
-/// front and runs against it end to end, so in-flight work keeps its
-/// generation while new work sees the latest one.  The lock is held only
-/// for the `Arc` clone/swap — never across parsing, compilation, or
-/// evaluation.
 #[derive(Debug)]
 struct EngineInner {
-    snapshot: RwLock<Arc<Snapshot>>,
+    /// The layouts the cached SQL plans compile against: a snapshot
+    /// with a different layout is refused, never run on a stale plan.
+    layout: Layout,
     cache: PlanCache,
-    /// Observer invoked (outside the snapshot lock) after each
-    /// [`Engine::swap_snapshot`] publication.
-    publish_hook: RwLock<Option<PublishHook>>,
     /// The shared observability context (registry + tracer + slow-query
     /// log).  Standalone engines own a private one; a store-embedded
     /// engine shares its service's.
@@ -163,28 +155,7 @@ struct EngineInner {
     query_micros: Arc<Histogram>,
 }
 
-/// The shape of a publication observer callback.
-type PublishFn = Arc<dyn Fn(&Arc<Snapshot>) + Send + Sync>;
-
-/// A publication observer: called with each newly published generation.
-/// Newtyped so `EngineInner` can keep deriving `Debug` over a `dyn Fn`.
-struct PublishHook(PublishFn);
-
-impl std::fmt::Debug for PublishHook {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("PublishHook(..)")
-    }
-}
-
-impl EngineInner {
-    /// Pins the latest published generation.
-    fn current(&self) -> Arc<Snapshot> {
-        Arc::clone(&self.snapshot.read().unwrap_or_else(|p| p.into_inner()))
-    }
-}
-
-/// A parallel batch query service over a (swappable) frozen snapshot
-/// generation.
+/// A parallel batch query service over the snapshots its callers pin.
 #[derive(Debug)]
 pub struct Engine {
     inner: Arc<EngineInner>,
@@ -192,117 +163,43 @@ pub struct Engine {
     pool: OnceLock<WorkerPool>,
 }
 
-/// Builds the inner state: the plan cache counts into the observability
-/// context's registry, so cache traffic, query latency, and the
-/// slow-query log all live in one namespace.
-fn build_inner(snapshot: Arc<Snapshot>, capacity: Option<usize>, obs: Arc<Obs>) -> EngineInner {
-    let registry = obs.registry();
-    let cache = PlanCache::with_capacity_and_counters(
-        capacity.unwrap_or(DEFAULT_PLAN_CACHE_CAPACITY),
-        registry.counter("graphiti_plan_cache_hits_total"),
-        registry.counter("graphiti_plan_cache_misses_total"),
-        registry.counter("graphiti_plan_cache_evictions_total"),
-    );
-    let query_micros = registry.histogram("graphiti_query_micros");
-    EngineInner {
-        snapshot: RwLock::new(snapshot),
-        cache,
-        publish_hook: RwLock::new(None),
-        obs,
-        query_micros,
-    }
-}
-
 impl Engine {
-    /// Creates an engine (with an empty plan cache) over a snapshot.
+    /// Creates an engine with an empty plan cache, bound to the layout
+    /// of `snapshot`: its graph schema and its extra instances' table
+    /// columns, which are what cached SQL plans compile against.  The
+    /// engine runs on any snapshot with that layout — every generation
+    /// of one store shares it — and answers a typed error for any
+    /// other.
     pub fn new(snapshot: Arc<Snapshot>) -> Engine {
         Engine::with_observability(snapshot, None, Arc::new(Obs::new()))
     }
 
-    /// [`Engine::new`] with an explicit plan-cache capacity (see
-    /// [`PlanCache::with_capacity`]).
-    pub fn with_cache_capacity(snapshot: Arc<Snapshot>, capacity: usize) -> Engine {
-        Engine::with_observability(snapshot, Some(capacity), Arc::new(Obs::new()))
-    }
-
-    /// An engine wired into the caller's observability context: metric
-    /// names (plan cache, query latency) register in the shared
-    /// registry, and slow queries land in the shared log.  This is how
-    /// a graph store threads one namespace through store + engine +
-    /// server.
+    /// [`Engine::new`] wired into the caller's observability context,
+    /// with an optional plan-cache capacity (see
+    /// [`PlanCache::with_capacity`]): metric names (plan cache, query
+    /// latency) register in the shared registry, and slow queries land
+    /// in the shared log.  This is how a graph store threads one
+    /// namespace through store + engine + server.
     pub fn with_observability(
         snapshot: Arc<Snapshot>,
         cache_capacity: Option<usize>,
         obs: Arc<Obs>,
     ) -> Engine {
-        Engine {
-            inner: Arc::new(build_inner(snapshot, cache_capacity, obs)),
-            pool: OnceLock::new(),
-        }
+        let registry = obs.registry();
+        let cache = PlanCache::with_capacity_and_counters(
+            cache_capacity.unwrap_or(DEFAULT_PLAN_CACHE_CAPACITY),
+            registry.counter("graphiti_plan_cache_hits_total"),
+            registry.counter("graphiti_plan_cache_misses_total"),
+            registry.counter("graphiti_plan_cache_evictions_total"),
+        );
+        let query_micros = registry.histogram("graphiti_query_micros");
+        let inner = EngineInner { layout: Layout::of(&snapshot), cache, obs, query_micros };
+        Engine { inner: Arc::new(inner), pool: OnceLock::new() }
     }
 
     /// The engine's observability context.
     pub fn obs(&self) -> &Arc<Obs> {
         &self.inner.obs
-    }
-
-    /// Convenience: freeze `schema`/`graph` and build an engine over it.
-    pub fn for_graph(
-        schema: graphiti_graph::GraphSchema,
-        graph: graphiti_graph::GraphInstance,
-    ) -> Result<Engine> {
-        Ok(Engine::new(Snapshot::freeze(schema, graph)?))
-    }
-
-    /// The engine's latest published snapshot generation.  The returned
-    /// handle stays valid (and immutable) for as long as the caller holds
-    /// it, even across [`Engine::swap_snapshot`] calls.
-    pub fn snapshot(&self) -> Arc<Snapshot> {
-        self.inner.current()
-    }
-
-    /// Publishes a new snapshot generation, returning the previous one.
-    /// Readers are never blocked: queries and batches already in flight
-    /// finish against the generation they pinned at start, and every
-    /// subsequent query sees `next`.  Cached plans stay valid because they
-    /// are keyed by query text + target and compiled against schema-derived
-    /// layouts, which a data-only generation change cannot alter.
-    pub fn swap_snapshot(&self, next: Arc<Snapshot>) -> Arc<Snapshot> {
-        let prev = {
-            let mut slot = self.inner.snapshot.write().unwrap_or_else(|p| p.into_inner());
-            std::mem::replace(&mut *slot, Arc::clone(&next))
-        };
-        // The hook runs with the snapshot lock released: it may query the
-        // engine, but must not call back into the publishing store (the
-        // store's state lock is typically held across publication).
-        if let Some(hook) =
-            self.inner.publish_hook.read().unwrap_or_else(|p| p.into_inner()).as_ref()
-        {
-            (hook.0)(&next);
-        }
-        prev
-    }
-
-    /// Installs a publication observer, invoked with each generation
-    /// published through [`Engine::swap_snapshot`] (after the swap, with
-    /// no engine lock held).  Replaces any previous hook.  The hook must
-    /// not call back into the publishing store: the store holds its state
-    /// lock across publication.
-    ///
-    /// Ordering under failure: a durable store publishes only *after*
-    /// the commit's WAL record is on disk (and fsynced, when
-    /// `fsync_each_commit` is set), so by the time the hook observes a
-    /// generation its record is already durable.  A commit aborted by an
-    /// I/O failure — or one that fences the store — never reaches
-    /// `swap_snapshot`, so the hook never fires for it.
-    pub fn set_publish_hook(&self, hook: impl Fn(&Arc<Snapshot>) + Send + Sync + 'static) {
-        *self.inner.publish_hook.write().unwrap_or_else(|p| p.into_inner()) =
-            Some(PublishHook(Arc::new(hook)));
-    }
-
-    /// Removes the publication observer, if any.
-    pub fn clear_publish_hook(&self) {
-        *self.inner.publish_hook.write().unwrap_or_else(|p| p.into_inner()) = None;
     }
 
     /// Current plan-cache counters.
@@ -321,42 +218,44 @@ impl Engine {
         }
     }
 
-    /// Executes one query, consulting (and populating) the plan cache.
-    pub fn execute(&self, query: &BatchQuery) -> QueryOutcome {
-        self.inner.execute(query)
-    }
-
-    /// [`Engine::execute`] with the per-operator profile collected and
-    /// returned in the outcome (the opt-in profiling flag).  Results
-    /// are identical to the plain path.
-    pub fn execute_profiled(&self, query: &BatchQuery) -> QueryOutcome {
-        let snapshot = self.inner.current();
-        self.inner.execute_on_with(&snapshot, query, true)
+    /// Executes one query on a pinned snapshot, consulting (and
+    /// populating) the plan cache.
+    pub fn execute_on(&self, snapshot: &Snapshot, query: &BatchQuery) -> QueryOutcome {
+        self.inner.execute_on(snapshot, query, false)
     }
 
     /// [`Engine::execute_on`] with the per-operator profile collected
-    /// and returned in the outcome.
+    /// and returned in the outcome (the opt-in profiling flag).  Results
+    /// are identical to the plain path.
     pub fn execute_on_profiled(&self, snapshot: &Snapshot, query: &BatchQuery) -> QueryOutcome {
-        self.inner.execute_on_with(snapshot, query, true)
+        self.inner.execute_on(snapshot, query, true)
     }
 
-    /// Executes an already-parsed SQL query through the snapshot and plan
-    /// cache (keyed by the AST's rendered text), skipping the text parser.
+    /// Executes an already-parsed SQL query on a pinned snapshot through
+    /// the plan cache (keyed by the AST's rendered text), skipping the
+    /// text parser.
     ///
     /// This is the entry point for callers that hold a transpiler's output:
     /// the differential oracle evaluates transpiled ASTs exactly, with no
     /// pretty-print/re-parse round-trip in the trusted path.
     pub fn execute_sql_ast(
         &self,
+        snapshot: &Snapshot,
         ast: &graphiti_sql::SqlQuery,
         target: &SqlTarget,
     ) -> QueryOutcome {
-        self.inner.execute_sql_ast(ast, target)
+        let text = graphiti_sql::query_to_string(ast);
+        self.inner.funnel(snapshot, "sql", &text, false, || {
+            self.inner.execute_sql(snapshot, &text, target, || Ok(ast.clone()), false)
+        })
     }
 
-    /// Evaluates a batch across up to `workers` pool threads, returning
-    /// per-query outcomes in submission order plus aggregate timing and
-    /// cache counters.
+    /// Evaluates a batch on a pinned snapshot across up to `workers`
+    /// pool threads, returning per-query outcomes in submission order
+    /// plus aggregate timing and the batch's own cache counts.  A
+    /// serving session holds one `Arc<Snapshot>` and keeps reading that
+    /// generation — across any number of intervening publications —
+    /// until it opts into a refresh.
     ///
     /// `workers == 1` runs inline on the caller's thread (a true serial
     /// baseline with zero dispatch overhead); higher counts enqueue one
@@ -365,56 +264,29 @@ impl Engine {
     /// query sees the same immutable snapshot, and the only shared mutable
     /// state is the plan cache, which never changes results (a cached plan
     /// is exactly what the miss path would have built).
-    pub fn run_batch(&self, batch: &[BatchQuery], workers: usize) -> BatchReport {
-        self.run_batch_with(batch, workers, None)
-    }
-
-    /// [`Engine::run_batch`] against an **explicitly pinned** snapshot
-    /// generation instead of the latest published one.  This is the
-    /// session primitive: a serving session holds one `Arc<Snapshot>`
-    /// and keeps reading that generation — across any number of
-    /// intervening publications — until it opts into a refresh.
     pub fn run_batch_on(
         &self,
         snapshot: &Arc<Snapshot>,
         batch: &[BatchQuery],
         workers: usize,
     ) -> BatchReport {
-        self.run_batch_with(batch, workers, Some(Arc::clone(snapshot)))
-    }
-
-    /// Executes one query against an explicitly pinned snapshot
-    /// generation (the single-query form of [`Engine::run_batch_on`]).
-    pub fn execute_on(&self, snapshot: &Snapshot, query: &BatchQuery) -> QueryOutcome {
-        self.inner.execute_on(snapshot, query)
-    }
-
-    fn run_batch_with(
-        &self,
-        batch: &[BatchQuery],
-        workers: usize,
-        pin: Option<Arc<Snapshot>>,
-    ) -> BatchReport {
-        let before = self.inner.cache.stats();
         let start = Instant::now();
         let workers = workers.max(1).min(batch.len().max(1));
-        // Pin one generation for the whole batch: every query of the batch
-        // sees the same immutable snapshot even if a writer publishes new
-        // generations mid-flight.  A session passes its own pin instead.
-        let snapshot = pin.unwrap_or_else(|| self.inner.current());
-        let outcomes = if workers <= 1 {
-            batch.iter().map(|q| self.inner.execute_on(&snapshot, q)).collect()
+        let outcomes: Vec<QueryOutcome> = if workers <= 1 {
+            batch.iter().map(|q| self.inner.execute_on(snapshot, q, false)).collect()
         } else {
-            self.dispatch_pooled(batch, workers, snapshot)
+            self.dispatch_pooled(batch, workers, Arc::clone(snapshot))
         };
         let wall_micros = start.elapsed().as_micros() as u64;
-        let after = self.inner.cache.stats();
+        // Counted from the batch's own outcomes: the engine-wide counters
+        // also move with every other caller's traffic.
+        let cache_hits = outcomes.iter().filter(|o| o.cache_hit).count() as u64;
         BatchReport {
+            cache_misses: outcomes.len() as u64 - cache_hits,
             outcomes,
             wall_micros,
             workers,
-            cache_hits: after.hits - before.hits,
-            cache_misses: after.misses - before.misses,
+            cache_hits,
         }
     }
 
@@ -449,7 +321,8 @@ impl Engine {
                     if i >= state.queries.len() {
                         break;
                     }
-                    local.push((i, state.inner.execute_on(&state.snapshot, &state.queries[i])));
+                    let outcome = state.inner.execute_on(&state.snapshot, &state.queries[i], false);
+                    local.push((i, outcome));
                 }
                 state.merged.lock().unwrap_or_else(|p| p.into_inner()).extend(local);
                 let _ = done.send(());
@@ -515,43 +388,49 @@ struct BatchState {
     merged: Mutex<Vec<(usize, QueryOutcome)>>,
 }
 
+/// What evaluating one query yields: the result, whether its plan came
+/// from the cache, and the per-operator profile (empty unless profiled).
+type Evaluated = (Result<Table>, bool, Vec<StageProfile>);
+
 impl EngineInner {
-    /// Executes one query against the latest generation (pinned for the
-    /// duration of this query).
-    fn execute(&self, query: &BatchQuery) -> QueryOutcome {
-        let snapshot = self.current();
-        self.execute_on(&snapshot, query)
+    /// Executes one query on a pinned generation.
+    fn execute_on(&self, snapshot: &Snapshot, query: &BatchQuery, profiled: bool) -> QueryOutcome {
+        let language = match query {
+            BatchQuery::Cypher { .. } => "cypher",
+            BatchQuery::Sql { .. } => "sql",
+        };
+        self.funnel(snapshot, language, query.text(), profiled, || match query {
+            BatchQuery::Cypher { text } => self.execute_cypher(snapshot, text, profiled),
+            BatchQuery::Sql { text, target } => {
+                let parse = || graphiti_sql::parse_query(text);
+                self.execute_sql(snapshot, text, target, parse, profiled)
+            }
+        })
     }
 
-    /// Executes one query against an explicitly pinned generation.
-    fn execute_on(&self, snapshot: &Snapshot, query: &BatchQuery) -> QueryOutcome {
-        self.execute_on_with(snapshot, query, false)
-    }
-
-    /// The single execution funnel.  Every query — profiled or not —
-    /// records its end-to-end service time into the engine's histogram
-    /// and offers itself to the slow-query log (stage-less when
-    /// unprofiled: one relaxed load on the fast path once the log is
-    /// warm).
-    fn execute_on_with(
+    /// The single execution funnel.  Every query — profiled or not — is
+    /// checked against the engine's layout, records its end-to-end
+    /// service time into the engine's histogram, and offers itself to the
+    /// slow-query log (stage-less when unprofiled: one relaxed load on the
+    /// fast path once the log is warm).
+    fn funnel(
         &self,
         snapshot: &Snapshot,
-        query: &BatchQuery,
+        language: &str,
+        text: &str,
         profiled: bool,
+        evaluate: impl FnOnce() -> Evaluated,
     ) -> QueryOutcome {
         let start = Instant::now();
-        let (result, cache_hit, stages) = match query {
-            BatchQuery::Cypher { text } => self.execute_cypher(snapshot, text, profiled),
-            BatchQuery::Sql { text, target } => self.execute_sql(snapshot, text, target, profiled),
+        let (result, cache_hit, stages) = match self.layout.check(snapshot) {
+            Ok(()) => evaluate(),
+            Err(e) => (Err(e), false, Vec::new()),
         };
         let micros = start.elapsed().as_micros() as u64;
         self.query_micros.record(micros);
         let profile = QueryProfile {
-            language: match query {
-                BatchQuery::Cypher { .. } => "cypher".to_string(),
-                BatchQuery::Sql { .. } => "sql".to_string(),
-            },
-            text: query.text().to_string(),
+            language: language.to_string(),
+            text: text.to_string(),
             micros,
             cache_hit,
             rows: result.as_ref().map(|t| t.rows.len() as u64).unwrap_or(0),
@@ -562,12 +441,7 @@ impl EngineInner {
         QueryOutcome { result, micros, cache_hit, profile: returned }
     }
 
-    fn execute_cypher(
-        &self,
-        snapshot: &Snapshot,
-        text: &str,
-        profiled: bool,
-    ) -> (Result<Table>, bool, Vec<StageProfile>) {
+    fn execute_cypher(&self, snapshot: &Snapshot, text: &str, profiled: bool) -> Evaluated {
         let (ast, hit) = match self.cache.cypher(text, || graphiti_cypher::parse_query(text)) {
             Ok(pair) => pair,
             Err(e) => return (Err(e), false, Vec::new()),
@@ -583,23 +457,23 @@ impl EngineInner {
         }
     }
 
+    /// Runs the SQL query keyed by `text`; `parse` yields its AST on a
+    /// cache miss.
     fn execute_sql(
         &self,
         snapshot: &Snapshot,
         text: &str,
         target: &SqlTarget,
+        parse: impl FnOnce() -> Result<graphiti_sql::SqlQuery>,
         profiled: bool,
-    ) -> (Result<Table>, bool, Vec<StageProfile>) {
-        let instance = match snapshot.sql_instance(target) {
-            Ok(i) => i,
-            Err(e) => return (Err(e), false, Vec::new()),
-        };
-        let columnar = match snapshot.sql_columnar(target) {
-            Ok(c) => c,
-            Err(e) => return (Err(e), false, Vec::new()),
-        };
+    ) -> Evaluated {
+        let (instance, columnar) =
+            match (snapshot.sql_instance(target), snapshot.sql_columnar(target)) {
+                (Ok(instance), Ok(columnar)) => (instance, columnar),
+                (Err(e), _) | (_, Err(e)) => return (Err(e), false, Vec::new()),
+            };
         let (plan, hit) = match self.cache.sql(text, target, || {
-            let ast = graphiti_sql::parse_query(text)?;
+            let ast = parse()?;
             let plan = graphiti_sql::compile_query(instance, &ast)?;
             Ok(SqlPlan { ast, plan })
         }) {
@@ -614,29 +488,5 @@ impl EngineInner {
         } else {
             (graphiti_sql::eval_vectorized(instance, columnar, &plan.plan), hit, Vec::new())
         }
-    }
-
-    fn execute_sql_ast(&self, ast: &graphiti_sql::SqlQuery, target: &SqlTarget) -> QueryOutcome {
-        let snapshot = self.current();
-        let start = Instant::now();
-        let (result, cache_hit) =
-            match (snapshot.sql_instance(target), snapshot.sql_columnar(target)) {
-                (Ok(instance), Ok(columnar)) => {
-                    let text = graphiti_sql::query_to_string(ast);
-                    match self.cache.sql(&text, target, || {
-                        let plan = graphiti_sql::compile_query(instance, ast)?;
-                        Ok(SqlPlan { ast: ast.clone(), plan })
-                    }) {
-                        Ok((plan, hit)) => {
-                            (graphiti_sql::eval_vectorized(instance, columnar, &plan.plan), hit)
-                        }
-                        Err(e) => (Err(e), false),
-                    }
-                }
-                (Err(e), _) | (_, Err(e)) => (Err(e), false),
-            };
-        let micros = start.elapsed().as_micros() as u64;
-        self.query_micros.record(micros);
-        QueryOutcome { result, micros, cache_hit, profile: None }
     }
 }

@@ -41,8 +41,8 @@ pub struct SqlPlan {
     /// The parsed (unoptimized) AST, kept for introspection and transpiler
     /// round-trips.
     pub ast: graphiti_sql::SqlQuery,
-    /// The compiled plan executed by
-    /// [`eval_compiled`](graphiti_sql::eval_compiled).
+    /// The compiled plan, executed by
+    /// [`eval_vectorized`](graphiti_sql::eval_vectorized).
     pub plan: graphiti_sql::CompiledQuery,
 }
 
@@ -410,22 +410,27 @@ mod tests {
         let mut g = GraphInstance::new();
         g.add_node("EMP", [("id", Value::Int(1)), ("name", Value::str("A"))]);
         g.add_node("EMP", [("id", Value::Int(2)), ("name", Value::str("B"))]);
-        let engine = Engine::with_cache_capacity(crate::Snapshot::freeze(schema, g).unwrap(), 1);
+        let snapshot = crate::Snapshot::freeze(schema, g).unwrap();
+        let engine = Engine::with_observability(
+            Arc::clone(&snapshot),
+            Some(1),
+            Arc::new(graphiti_obs::Obs::new()),
+        );
 
         let query = BatchQuery::sql("SELECT e.name FROM EMP AS e WHERE e.id = 1");
-        let first = engine.execute(&query);
+        let first = engine.execute_on(&snapshot, &query);
         assert!(!first.cache_hit);
         // Evict the plan by filling the size-1 cache with another query.
-        let other = engine.execute(&BatchQuery::sql("SELECT e.id FROM EMP AS e"));
+        let other = engine.execute_on(&snapshot, &BatchQuery::sql("SELECT e.id FROM EMP AS e"));
         assert!(!other.cache_hit);
         assert_eq!(engine.cache_stats().entries, 1);
         assert!(engine.cache_stats().evictions >= 1);
         // The evicted plan recompiles (a miss) and yields identical rows.
-        let again = engine.execute(&query);
+        let again = engine.execute_on(&snapshot, &query);
         assert!(!again.cache_hit, "evicted plans must recompile");
         assert_eq!(first.result.unwrap(), again.result.unwrap());
         // And once re-resident, it hits.
-        let warm = engine.execute(&query);
+        let warm = engine.execute_on(&snapshot, &query);
         assert!(warm.cache_hit);
     }
 }

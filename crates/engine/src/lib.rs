@@ -13,17 +13,19 @@
 //!   that stores parsed Cypher ASTs and parsed **+ compiled** SQL plans
 //!   ([`graphiti_sql::CompiledQuery`]), so repeated queries skip parse,
 //!   optimize, and compile entirely;
-//! * [`Engine`] — the batch service: [`Engine::run_batch`] spreads a
-//!   `&[BatchQuery]` across a scoped worker pool (atomic-counter work
-//!   stealing, no runtime dependencies) and returns a [`BatchReport`]
-//!   with per-query results, timings, and cache hit/miss counters.
+//! * [`Engine`] — the batch service: it runs on the snapshot each caller
+//!   pins, and [`Engine::run_batch_on`] spreads a `&[BatchQuery]` across
+//!   the engine's persistent worker pool (atomic-counter work stealing,
+//!   no runtime dependencies) and returns a [`BatchReport`] with
+//!   per-query results, timings, and the batch's cache hit/miss counts.
 //!
 //! # Example
 //!
 //! ```
-//! use graphiti_engine::{BatchQuery, Engine};
+//! use graphiti_engine::{BatchQuery, Engine, Snapshot};
 //! use graphiti_graph::{GraphSchema, GraphInstance, NodeType, EdgeType};
 //! use graphiti_common::Value;
+//! use std::sync::Arc;
 //!
 //! let schema = GraphSchema::new()
 //!     .with_node(NodeType::new("EMP", ["id", "name"]))
@@ -34,15 +36,16 @@
 //! let cs = g.add_node("DEPT", [("dnum", Value::Int(1)), ("dname", Value::str("CS"))]);
 //! g.add_edge("WORK_AT", a, cs, [("wid", Value::Int(10))]);
 //!
-//! let engine = Engine::for_graph(schema, g).unwrap();
+//! let snapshot = Snapshot::freeze(schema, g).unwrap();
+//! let engine = Engine::new(Arc::clone(&snapshot));
 //! let batch = vec![
 //!     BatchQuery::cypher("MATCH (n:EMP) RETURN n.name AS who"),
 //!     BatchQuery::sql("SELECT d.dname FROM DEPT AS d"),
 //! ];
-//! let report = engine.run_batch(&batch, 4);
+//! let report = engine.run_batch_on(&snapshot, &batch, 4);
 //! assert_eq!(report.ok_count(), 2);
 //! // Warm run: both plans come from the cache.
-//! let warm = engine.run_batch(&batch, 4);
+//! let warm = engine.run_batch_on(&snapshot, &batch, 4);
 //! assert_eq!(warm.cache_hits, 2);
 //! ```
 
@@ -50,7 +53,6 @@ pub mod batch;
 pub mod cache;
 pub mod pool;
 pub mod snapshot;
-pub mod surface;
 
 pub use batch::{BatchQuery, BatchReport, Engine, EngineStats, QueryOutcome};
 pub use cache::{
@@ -58,7 +60,6 @@ pub use cache::{
 };
 pub use pool::WorkerPool;
 pub use snapshot::{SharedColumnarExtras, SharedExtras, Snapshot, SqlTarget};
-pub use surface::QuerySurface;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -155,6 +156,12 @@ mod tests {
         g
     }
 
+    /// A frozen EMP/DEPT snapshot and a fresh engine bound to it.
+    fn emp_engine() -> (Engine, Arc<Snapshot>) {
+        let snapshot = Snapshot::freeze(emp_schema(), emp_graph()).unwrap();
+        (Engine::new(Arc::clone(&snapshot)), snapshot)
+    }
+
     fn test_batch() -> Vec<BatchQuery> {
         vec![
             BatchQuery::cypher("MATCH (n:EMP) RETURN n.name AS who"),
@@ -240,55 +247,6 @@ mod tests {
     }
 
     #[test]
-    fn swap_snapshot_publishes_new_generations_without_disturbing_readers() {
-        let engine = Engine::for_graph(emp_schema(), emp_graph()).unwrap();
-        let gen0 = engine.snapshot();
-        let count = |e: &Engine| {
-            e.execute(&BatchQuery::cypher("MATCH (n:EMP) RETURN Count(*) AS c"))
-                .result
-                .unwrap()
-                .rows[0][0]
-                .clone()
-        };
-        assert_eq!(count(&engine), Value::Int(2));
-        // Publish a generation with one more employee.
-        let mut g2 = emp_graph();
-        g2.add_node("EMP", [("id", Value::Int(3)), ("name", Value::str("C"))]);
-        let gen1 = Snapshot::freeze(emp_schema(), g2).unwrap();
-        let old = engine.swap_snapshot(Arc::clone(&gen1));
-        assert!(Arc::ptr_eq(&old, &gen0), "swap must return the displaced generation");
-        assert_eq!(count(&engine), Value::Int(3));
-        // The displaced generation is still fully readable by holders.
-        assert_eq!(gen0.graph().node_count(), 4);
-        let warm = engine.execute(&BatchQuery::cypher("MATCH (n:EMP) RETURN Count(*) AS c"));
-        assert!(warm.cache_hit, "plan cache must survive generation swaps");
-    }
-
-    #[test]
-    fn publish_hooks_observe_every_swap_until_cleared() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let engine = Engine::for_graph(emp_schema(), emp_graph()).unwrap();
-        let seen = Arc::new(AtomicUsize::new(0));
-        let last_nodes = Arc::new(AtomicUsize::new(0));
-        {
-            let (seen, last_nodes) = (Arc::clone(&seen), Arc::clone(&last_nodes));
-            engine.set_publish_hook(move |snap: &Arc<Snapshot>| {
-                seen.fetch_add(1, Ordering::SeqCst);
-                last_nodes.store(snap.graph().node_count(), Ordering::SeqCst);
-            });
-        }
-        let mut g2 = emp_graph();
-        g2.add_node("EMP", [("id", Value::Int(3)), ("name", Value::str("C"))]);
-        engine.swap_snapshot(Snapshot::freeze(emp_schema(), g2).unwrap());
-        assert_eq!(seen.load(Ordering::SeqCst), 1, "hook fires on publication");
-        assert_eq!(last_nodes.load(Ordering::SeqCst), 5, "hook sees the *new* generation");
-        // The hook may query the engine itself (no lock is held around it).
-        engine.clear_publish_hook();
-        engine.swap_snapshot(Snapshot::freeze(emp_schema(), emp_graph()).unwrap());
-        assert_eq!(seen.load(Ordering::SeqCst), 1, "cleared hooks stay silent");
-    }
-
-    #[test]
     fn merge_pooled_outcomes_errors_lost_slots_instead_of_panicking() {
         let ok = |i: usize| {
             (
@@ -315,14 +273,14 @@ mod tests {
 
     #[test]
     fn stats_expose_pool_and_cache_without_running_a_batch() {
-        let engine = Engine::for_graph(emp_schema(), emp_graph()).unwrap();
+        let (engine, snapshot) = emp_engine();
         let s = engine.stats();
         assert_eq!(s.pool_threads, None, "pool spawns lazily");
         assert_eq!(s.cache.hits + s.cache.misses, 0);
         assert!(s.workers_available >= 1);
         let batch: Vec<BatchQuery> =
             test_batch().into_iter().filter(|q| !q.text().contains("bad")).collect();
-        engine.run_batch(&batch, 4);
+        engine.run_batch_on(&snapshot, &batch, 4);
         let s = engine.stats();
         assert!(s.pool_threads.unwrap_or(0) >= 4, "parallel batch spawns the pool");
         assert_eq!(s.cache.misses as usize, batch.len());
@@ -331,8 +289,8 @@ mod tests {
 
     #[test]
     fn batches_evaluate_and_report_errors_per_query() {
-        let engine = Engine::for_graph(emp_schema(), emp_graph()).unwrap();
-        let report = engine.run_batch(&test_batch(), 4);
+        let (engine, snapshot) = emp_engine();
+        let report = engine.run_batch_on(&snapshot, &test_batch(), 4);
         assert_eq!(report.outcomes.len(), 5);
         assert_eq!(report.ok_count(), 4);
         assert!(report.outcomes[4].result.is_err(), "bad syntax must fail in isolation");
@@ -341,11 +299,11 @@ mod tests {
 
     #[test]
     fn parallel_batches_match_serial_batches() {
-        let engine = Engine::for_graph(emp_schema(), emp_graph()).unwrap();
+        let (engine, snapshot) = emp_engine();
         let batch = test_batch();
-        let serial = engine.run_batch(&batch, 1);
+        let serial = engine.run_batch_on(&snapshot, &batch, 1);
         for workers in [2, 4, 8] {
-            let parallel = engine.run_batch(&batch, workers);
+            let parallel = engine.run_batch_on(&snapshot, &batch, workers);
             for (s, p) in serial.outcomes.iter().zip(parallel.outcomes.iter()) {
                 assert_eq!(s.result.is_ok(), p.result.is_ok());
                 if let (Ok(st), Ok(pt)) = (&s.result, &p.result) {
@@ -357,13 +315,13 @@ mod tests {
 
     #[test]
     fn warm_runs_hit_the_cache_and_agree_with_cold_runs() {
-        let engine = Engine::for_graph(emp_schema(), emp_graph()).unwrap();
+        let (engine, snapshot) = emp_engine();
         let batch: Vec<BatchQuery> =
             test_batch().into_iter().filter(|q| !q.text().contains("bad")).collect();
-        let cold = engine.run_batch(&batch, 2);
+        let cold = engine.run_batch_on(&snapshot, &batch, 2);
         assert_eq!(cold.cache_hits, 0);
         assert_eq!(cold.cache_misses as usize, batch.len());
-        let warm = engine.run_batch(&batch, 2);
+        let warm = engine.run_batch_on(&snapshot, &batch, 2);
         assert_eq!(warm.cache_hits as usize, batch.len());
         assert_eq!(warm.cache_misses, 0);
         for (c, w) in cold.outcomes.iter().zip(warm.outcomes.iter()) {
@@ -374,28 +332,86 @@ mod tests {
 
     #[test]
     fn sql_ast_entry_point_matches_text_entry_point() {
-        let engine = Engine::for_graph(emp_schema(), emp_graph()).unwrap();
+        let (engine, snapshot) = emp_engine();
         let text = "SELECT d.dname FROM DEPT AS d";
         let ast = graphiti_sql::parse_query(text).unwrap();
-        let via_ast = engine.execute_sql_ast(&ast, &SqlTarget::Induced);
-        let via_text = engine.execute(&BatchQuery::sql(text));
+        let via_ast = engine.execute_sql_ast(&snapshot, &ast, &SqlTarget::Induced);
+        let via_text = engine.execute_on(&snapshot, &BatchQuery::sql(text));
         assert_eq!(via_ast.result.unwrap(), via_text.result.unwrap());
+        // Both went through the one funnel: latency histogram and log.
+        assert_eq!(engine.obs().registry().histogram("graphiti_query_micros").count(), 2);
+        assert_eq!(engine.obs().slow_queries().len(), 2);
     }
 
     #[test]
     fn named_targets_resolve_and_unknown_targets_error() {
-        let mut extra = graphiti_relational::RelInstance::new();
-        extra.insert_table(
-            "t",
-            graphiti_relational::Table::with_rows(["x"], vec![vec![Value::Int(7)]]),
-        );
-        let snapshot =
-            Snapshot::freeze_with(emp_schema(), emp_graph(), [("side".to_string(), extra)])
-                .unwrap();
-        let engine = Engine::new(snapshot);
-        let ok = engine.execute(&BatchQuery::sql_on("side", "SELECT t.x FROM t"));
+        let extra = |column: &str| {
+            let mut extra = graphiti_relational::RelInstance::new();
+            extra.insert_table(
+                "t",
+                graphiti_relational::Table::with_rows([column], vec![vec![Value::Int(7)]]),
+            );
+            [("side".to_string(), extra)]
+        };
+        let snapshot = Snapshot::freeze_with(emp_schema(), emp_graph(), extra("x")).unwrap();
+        let engine = Engine::new(Arc::clone(&snapshot));
+        let query = BatchQuery::sql_on("side", "SELECT t.x FROM t");
+        let ok = engine.execute_on(&snapshot, &query);
         assert_eq!(ok.result.unwrap().rows, vec![vec![Value::Int(7)]]);
-        let missing = engine.execute(&BatchQuery::sql_on("nope", "SELECT t.x FROM t"));
-        assert!(missing.result.is_err());
+        let unknown = BatchQuery::sql_on("nope", "SELECT t.x FROM t");
+        assert!(engine.execute_on(&snapshot, &unknown).result.is_err());
+        // A query refused before it reaches the cache counts as a miss.
+        let report = engine.run_batch_on(&snapshot, &[query.clone(), unknown], 1);
+        assert_eq!((report.cache_hits, report.cache_misses), (1, 1));
+        // The extra instances' columns are part of the engine's layout.
+        let same = Snapshot::freeze_with(emp_schema(), emp_graph(), extra("x")).unwrap();
+        assert!(engine.execute_on(&same, &query).cache_hit);
+        let renamed = Snapshot::freeze_with(emp_schema(), emp_graph(), extra("y")).unwrap();
+        let refused = engine.execute_on(&renamed, &query).result;
+        assert!(matches!(refused, Err(graphiti_common::Error::Schema(_))), "got {refused:?}");
+    }
+
+    #[test]
+    fn a_snapshot_with_another_layout_is_refused_not_run_on_a_stale_plan() {
+        let freeze = |columns: &[&str], values: Vec<(&str, Value)>| {
+            let mut g = GraphInstance::new();
+            g.add_node("EMP", values);
+            Snapshot::freeze(
+                GraphSchema::new().with_node(NodeType::new("EMP", columns.to_vec())),
+                g,
+            )
+            .unwrap()
+        };
+        let row =
+            || vec![("id", Value::Int(1)), ("name", Value::str("C")), ("age", Value::Int(99))];
+        let bound = freeze(&["id", "name", "age"], row());
+        let engine = Engine::new(Arc::clone(&bound));
+        let query = BatchQuery::sql("SELECT e.age AS x FROM EMP AS e");
+        let age = vec![vec![Value::Int(99)]];
+        assert_eq!(engine.execute_on(&bound, &query).result.unwrap().rows, age);
+        // The cached plan reads `age` by position: on a narrower table it
+        // would index out of bounds, on a reordered one read `name`.
+        let narrow = freeze(&["id"], vec![("id", Value::Int(1))]);
+        let reordered = freeze(&["id", "age", "name"], row());
+        let fresh = Engine::new(Arc::clone(&reordered)).execute_on(&reordered, &query);
+        assert_eq!(fresh.result.unwrap().rows, age, "a fresh engine answers correctly");
+        for other in [&narrow, &reordered] {
+            let outcome = engine.execute_on(other, &query);
+            assert!(
+                matches!(outcome.result, Err(graphiti_common::Error::Schema(_))),
+                "got {:?}",
+                outcome.result
+            );
+            assert!(!outcome.cache_hit);
+            let report = engine.run_batch_on(other, std::slice::from_ref(&query), 1);
+            assert!(matches!(report.outcomes[0].result, Err(graphiti_common::Error::Schema(_))));
+        }
+        // A re-freeze of the same schema is another `Arc` with the same
+        // layout: accepted, and served from the cache.
+        let refrozen = freeze(&["id", "name", "age"], row());
+        assert!(!Arc::ptr_eq(&refrozen.schema_arc(), &bound.schema_arc()));
+        let warm = engine.execute_on(&refrozen, &query);
+        assert!(warm.cache_hit);
+        assert_eq!(warm.result.unwrap().rows, age);
     }
 }

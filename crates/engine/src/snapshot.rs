@@ -223,3 +223,47 @@ impl Snapshot {
         self.extra.keys().map(String::as_str)
     }
 }
+
+/// The layouts an engine's cached SQL plans compile against: the graph
+/// schema, which fixes every induced table's columns, and the extra
+/// instances' table columns.  Plans are keyed by query text and target,
+/// not data, so they stay valid on every snapshot with the same layout.
+#[derive(Debug)]
+pub(crate) struct Layout {
+    schema: Arc<GraphSchema>,
+    extra: SharedExtras,
+}
+
+impl Layout {
+    /// The layout of `snapshot`.
+    pub(crate) fn of(snapshot: &Snapshot) -> Layout {
+        Layout { schema: Arc::clone(&snapshot.schema), extra: Arc::clone(&snapshot.extra) }
+    }
+
+    /// `Ok` when plans compiled against this layout are valid on
+    /// `snapshot`.  Every generation a store publishes shares both
+    /// handles, so the check is two pointer comparisons; a snapshot
+    /// frozen separately is compared by value.
+    pub(crate) fn check(&self, snapshot: &Snapshot) -> Result<()> {
+        let same_schema =
+            Arc::ptr_eq(&self.schema, &snapshot.schema) || self.schema == snapshot.schema;
+        let same_extra = Arc::ptr_eq(&self.extra, &snapshot.extra)
+            || extra_columns(&self.extra).eq(extra_columns(&snapshot.extra));
+        if same_schema && same_extra {
+            Ok(())
+        } else {
+            Err(graphiti_common::Error::schema(
+                "the snapshot's layout differs from the one this engine's plans compile against",
+            ))
+        }
+    }
+}
+
+/// Every extra table's columns, keyed by instance and table name.
+fn extra_columns(
+    extra: &BTreeMap<String, RelInstance>,
+) -> impl Iterator<Item = (&String, &String, &Vec<String>)> {
+    extra.iter().flat_map(|(name, instance)| {
+        instance.tables().map(move |(t, table)| (name, t, &table.columns))
+    })
+}

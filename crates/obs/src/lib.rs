@@ -3,14 +3,14 @@
 //! Every serving component (store, engine, server) shares one [`Obs`]
 //! handle holding three always-on, hot-path-safe facilities:
 //!
-//! * a [`Registry`](metrics::Registry) of named metrics — atomic
+//! * a [`Registry`] of named metrics — atomic
 //!   [`Counter`](metrics::Counter)s, [`Gauge`](metrics::Gauge)s, and
 //!   fixed-bucket log-scale [`Histogram`](metrics::Histogram)s
 //!   (p50/p95/p99/max) — rendered as Prometheus-style text exposition;
-//! * a [`Tracer`](trace::Tracer): 64-bit trace ids with begin/end span
+//! * a [`Tracer`]: 64-bit trace ids with begin/end span
 //!   events pushed into a bounded, never-blocking ring buffer (a
 //!   contended or torn push is *counted as dropped*, never waited on);
-//! * a [`SlowQueryLog`](profile::SlowQueryLog): a bounded ring of the N
+//! * a [`SlowQueryLog`]: a bounded ring of the N
 //!   worst [`QueryProfile`](profile::QueryProfile)s, each carrying
 //!   per-operator stage timings, rows in/out, selection-vector density,
 //!   and cache hit/miss.

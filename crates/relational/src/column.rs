@@ -15,7 +15,7 @@
 //! vector, then copy only the surviving slots of each typed vector.
 //!
 //! [`NameIndex`] precomputes the four-step column-name resolution of
-//! [`column_index_in`] (exact, unambiguous suffix, then the case-insensitive
+//! [`column_index_in`](crate::column_index_in) (exact, unambiguous suffix, then the case-insensitive
 //! versions) into hash maps, so callers that resolve many names against one
 //! layout — or one name against many rows — do it O(1) per lookup instead
 //! of O(columns) per call.
@@ -571,7 +571,7 @@ enum SuffixEntry {
 }
 
 /// Precomputed column-name resolution over one layout, replaying the
-/// four-step rules of [`column_index_in`] with O(1) lookups: exact match,
+/// four-step rules of [`column_index_in`](crate::column_index_in) with O(1) lookups: exact match,
 /// unambiguous unqualified suffix, then the case-insensitive versions of
 /// both.  Build once per operator/table, resolve as many names (or rows) as
 /// needed.
@@ -608,7 +608,7 @@ impl NameIndex {
         idx
     }
 
-    /// Resolves `name` exactly as [`column_index_in`] would.
+    /// Resolves `name` exactly as [`column_index_in`](crate::column_index_in) would.
     pub fn get(&self, name: &str) -> Option<usize> {
         if let Some(&i) = self.exact.get(name) {
             return Some(i);

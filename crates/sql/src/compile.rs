@@ -1,7 +1,7 @@
 //! Compilation of SQL expressions and predicates into positional programs.
 //!
 //! The tree-walking interpreter resolves every column reference with
-//! [`resolve_column`](crate::eval::resolve_column) — a case-insensitive
+//! [`resolve_column`] — a case-insensitive
 //! string scan over the scope's column list that allocates per lookup — for
 //! **every row**.  This module lowers [`SqlExpr`]/[`SqlPred`] trees against
 //! a fixed column layout **once per operator**, producing programs whose

@@ -10,7 +10,7 @@
 //!   `UNION`/`WITH`, joins, subqueries).
 //! * [`pretty`] — renders the algebra back to SQL text (used for the Fig. 7
 //!   style transpilation output).
-//! * [`optimize`] — selection pushdown into join trees so textbook
+//! * [`optimize`](mod@optimize) — selection pushdown into join trees so textbook
 //!   `FROM a, b WHERE ...` queries do not materialize Cartesian products.
 //! * [`compile`] — lowers expressions/predicates into positional programs
 //!   (column references resolved to row indexes once per operator).

@@ -1,8 +1,8 @@
 //! Whole-query compilation: a standalone, cacheable execution plan.
 //!
 //! PR 2's [`compile`](crate::compile) pass lowers expressions to positional
-//! programs *per operator, per evaluation* — each [`eval_query`]
-//! (crate::eval_query) call re-derives every program.  This module performs
+//! programs *per operator, per evaluation* — each
+//! [`eval_query`](crate::eval_query) call re-derives every program.  This module performs
 //! that lowering **once**, ahead of time, producing an owned
 //! [`CompiledQuery`] that can be cached (keyed by query text), shared
 //! across threads (`CompiledQuery: Send + Sync`), and executed repeatedly

@@ -15,7 +15,7 @@ use std::sync::Arc;
 /// # Example
 ///
 /// ```
-/// use graphiti_store::{Delta, GraphStore, QuerySurface};
+/// use graphiti_store::{Delta, GraphStore};
 /// use graphiti_engine::BatchQuery;
 /// use graphiti_graph::{GraphSchema, NodeType};
 /// use graphiti_common::Value;
@@ -36,8 +36,10 @@ use std::sync::Arc;
 /// let mut delta = Delta::new();
 /// delta.add_node("EMP", [("id", Value::Int(1)), ("name", Value::str("Ada"))]);
 /// store.commit(delta).unwrap();
-/// let report = store.run_batch(&[BatchQuery::cypher("MATCH (n:EMP) RETURN n.name AS w")], 1);
-/// assert_eq!(report.ok_count(), 1);
+/// let (_, snapshot) = store.published();
+/// let query = BatchQuery::cypher("MATCH (n:EMP) RETURN n.name AS w");
+/// let rows = store.engine().execute_on(&snapshot, &query).result.unwrap();
+/// assert_eq!(rows.len(), 1);
 /// # drop(store);
 /// # std::fs::remove_dir_all(&dir).ok();
 /// ```
@@ -172,7 +174,6 @@ impl GraphStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::QuerySurface;
     use graphiti_common::Value;
     use graphiti_engine::BatchQuery;
     use graphiti_graph::NodeType;
@@ -197,7 +198,12 @@ mod tests {
         let mut d = crate::Delta::new();
         d.add_node("EMP", [("id", Value::Int(1)), ("name", Value::str("A"))]);
         store.commit(d).unwrap();
-        let r = store.run_batch(&[BatchQuery::cypher("MATCH (n:EMP) RETURN n.id AS i")], 1);
+        let (_, snapshot) = store.published();
+        let r = store.engine().run_batch_on(
+            &snapshot,
+            &[BatchQuery::cypher("MATCH (n:EMP) RETURN n.id AS i")],
+            1,
+        );
         assert_eq!(r.ok_count(), 1);
     }
 

@@ -16,24 +16,25 @@
 //!    types, no dangling edges), never the whole graph;
 //! 2. **applies the delta** to the master graph (stable
 //!    [`NodeKey`]/[`EdgeKey`] handles survive the arena's swap-remove
-//!    renumbering) and to the per-label
-//!    [append + tombstone + compaction logs](`crate::table`);
+//!    renumbering) and to the per-label append + tombstone +
+//!    compaction logs;
 //! 3. **publishes a new generation** by patching the *previous*
-//!    generation's row and columnar images with
-//!    [`TableDelta`](graphiti_relational::TableDelta)s — untouched tables
-//!    are shared, touched columns are patched column-at-a-time — and
-//!    swapping the result into the embedded [`Engine`] together with a
-//!    clone of the master graph.  The clone is copy-on-write (see
+//!    generation's row and columnar images with [`TableDelta`]s —
+//!    untouched tables are shared, touched columns are patched
+//!    column-at-a-time — and storing the result, together with a clone
+//!    of the master graph, in the store's one publication slot
+//!    ([`GraphStore::published`]).  The clone is copy-on-write (see
 //!    [`GraphInstance`]): it shares every arena chunk with the master,
 //!    and the next commit copies only the chunks it writes, however many
 //!    generations readers pin.
 //!
-//! Readers are never blocked: every query/batch pins the generation
-//! current at its start (`Arc<Snapshot>`), writers serialize on the
-//! store's internal lock, and the engine's plan cache survives commits
-//! (plans are keyed by query text + target, not data).  A rejected delta
-//! changes nothing — validation runs to completion before the first
-//! mutation is applied.
+//! Readers are never blocked: a reader pins a published generation
+//! (`Arc<Snapshot>`) and runs every query and batch on it through the
+//! embedded [`Engine`]; writers serialize on the store's internal lock,
+//! which reading the publication slot never takes; and the engine's
+//! plan cache survives commits (plans are keyed by query text + target,
+//! not data).  A rejected delta changes nothing — validation runs to
+//! completion before the first mutation is applied.
 //!
 //! Every write path — [`GraphStore::commit`], the [`GroupCommitter`],
 //! the [`Graphiti`] service and WAL replay — hands the store
@@ -71,7 +72,7 @@
 //! # Example
 //!
 //! ```
-//! use graphiti_store::{Delta, GraphStore, QuerySurface};
+//! use graphiti_store::{Delta, GraphStore};
 //! use graphiti_engine::BatchQuery;
 //! use graphiti_graph::{GraphSchema, GraphInstance, NodeType, EdgeType};
 //! use graphiti_common::Value;
@@ -89,7 +90,10 @@
 //! let info = store.commit(delta).unwrap();
 //! assert_eq!(info.generation, 1);
 //!
-//! let report = store.run_batch(
+//! let (generation, snapshot) = store.published();
+//! assert_eq!(generation, 1);
+//! let report = store.engine().run_batch_on(
+//!     &snapshot,
 //!     &[BatchQuery::cypher("MATCH (n:EMP)-[e:WORK_AT]->(m:DEPT) RETURN m.dname AS d")],
 //!     1,
 //! );
@@ -110,7 +114,6 @@ mod wal;
 pub use builder::StoreBuilder;
 pub use delta::{Delta, EdgeKey, EdgeRef, Mutation, NodeKey, NodeRef};
 pub use error::{StoreError, StoreResult};
-pub use graphiti_engine::QuerySurface;
 pub use group::{CommitTicket, GroupCommitter, GroupOptions, GroupStats};
 pub use session::{CommitAck, EmbeddedSession, Graphiti, GraphitiBuilder, ServiceStats, Session};
 pub use vfs::{std_vfs, FaultKind, FaultVfs, OpClass, StdVfs, Vfs, VfsFile};
@@ -124,7 +127,7 @@ use graphiti_obs::Obs;
 use graphiti_relational::{ColumnInstance, RelInstance, TableDelta};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 /// One commit as it crosses every layer: the service, the group
@@ -402,13 +405,6 @@ struct StoreState {
     edge_ids: HashMap<EdgeKey, EdgeId>,
     next_key: u64,
     tables: BTreeMap<String, StoreTable>,
-    /// The snapshot the store last published.  Commits derive the next
-    /// generation from **this** lineage, never from whatever the engine
-    /// currently serves — `Engine::swap_snapshot` is public, so a caller
-    /// could have swapped in a foreign snapshot, and patching that would
-    /// silently desynchronize the published images from the master state.
-    published_snapshot: Arc<Snapshot>,
-    generation: u64,
     /// Counters are registry-backed [`Counter`] handles: the store
     /// increments them exactly where the plain `u64`s used to live, and
     /// the shared observability registry renders the same cells —
@@ -458,6 +454,11 @@ impl StoreCounters {
 #[derive(Debug)]
 pub struct GraphStore {
     engine: Engine,
+    /// The latest published generation and its snapshot: the one place
+    /// the published generation lives.  Only a commit's publication
+    /// writes it, under `state`'s lock; readers take only this lock, so
+    /// they never wait on a commit's WAL append or fsync.
+    published: RwLock<(u64, Arc<Snapshot>)>,
     state: Mutex<StoreState>,
     /// The shared observability surface: one registry + tracer + slow
     /// query log for the store, its embedded engine, and any serving
@@ -529,24 +530,26 @@ impl GraphStore {
             tables.insert(name.to_string(), StoreTable::from_table(image));
         }
         let next_key = (graph.node_count() + graph.edge_count()) as u64;
-        let published_snapshot = Arc::clone(&snapshot);
         let obs = Arc::new(Obs::new());
         let c = StoreCounters::register(obs.registry());
         let commit_e2e_micros = obs.registry().histogram("graphiti_commit_e2e_micros");
         let group_commit_size = obs.registry().histogram("graphiti_group_commit_size");
         Ok(GraphStore {
-            engine: make_engine(snapshot, cache_capacity, Arc::clone(&obs)),
+            engine: Engine::with_observability(
+                Arc::clone(&snapshot),
+                cache_capacity,
+                Arc::clone(&obs),
+            ),
+            published: RwLock::new((0, snapshot)),
             state: Mutex::new(StoreState {
                 schema,
                 graph,
-                published_snapshot,
                 node_keys,
                 edge_keys,
                 node_ids,
                 edge_ids,
                 next_key,
                 tables,
-                generation: 0,
                 commits: c.commits,
                 rejected: c.rejected,
                 compactions: c.compactions,
@@ -836,7 +839,12 @@ impl GraphStore {
         let commit_e2e_micros = obs.registry().histogram("graphiti_commit_e2e_micros");
         let group_commit_size = obs.registry().histogram("graphiti_group_commit_size");
         Ok(GraphStore {
-            engine: make_engine(Arc::clone(&published), cache_capacity, Arc::clone(&obs)),
+            engine: Engine::with_observability(
+                Arc::clone(&published),
+                cache_capacity,
+                Arc::clone(&obs),
+            ),
+            published: RwLock::new((image.generation, published)),
             state: Mutex::new(StoreState {
                 schema,
                 graph,
@@ -846,8 +854,6 @@ impl GraphStore {
                 edge_ids,
                 next_key: image.next_key,
                 tables,
-                published_snapshot: published,
-                generation: image.generation,
                 commits: c.commits,
                 rejected: c.rejected,
                 compactions: c.compactions,
@@ -873,10 +879,11 @@ impl GraphStore {
         options: DurabilityOptions,
     ) -> StoreResult<()> {
         let mut st = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        let image = build_checkpoint_image(&st);
+        let generation = self.generation();
+        let image = build_checkpoint_image(&st, generation);
         checkpoint::write(&*fs, &dir, &image)?;
-        let wal = wal::WalWriter::create(&*fs, wal::segment_path(&dir, st.generation))?;
-        let d = DurableState::new(dir, fs, options, wal, st.generation, self.obs.registry());
+        let wal = wal::WalWriter::create(&*fs, wal::segment_path(&dir, generation))?;
+        let d = DurableState::new(dir, fs, options, wal, generation, self.obs.registry());
         d.checkpoints_written.inc();
         st.durable = Some(d);
         Ok(())
@@ -909,9 +916,10 @@ impl GraphStore {
                 });
             }
         }
-        write_checkpoint_locked(&mut st)?;
+        let generation = self.generation();
+        write_checkpoint_locked(&mut st, generation)?;
         st.fence = None;
-        Ok(st.generation)
+        Ok(generation)
     }
 
     /// Whether the store is fenced (read-only degraded mode).
@@ -925,37 +933,40 @@ impl GraphStore {
         st.fence.as_ref().map(|f| f.reason.clone())
     }
 
-    /// The embedded batch engine.  Its snapshot handle always points at
-    /// the latest published generation; its plan cache and worker pool
-    /// survive commits.
+    /// The embedded batch engine.  It runs on the snapshots its callers
+    /// pin (see [`GraphStore::published`]); its plan cache and worker
+    /// pool survive commits, because every generation shares the layout
+    /// the engine was built from.
     pub fn engine(&self) -> &Engine {
         &self.engine
     }
 
     /// The latest published generation.
     pub fn snapshot(&self) -> Arc<Snapshot> {
-        self.engine.snapshot()
+        self.published().1
     }
 
     /// The latest generation number.
     pub fn generation(&self) -> u64 {
-        self.state.lock().unwrap_or_else(|p| p.into_inner()).generation
+        self.published.read().unwrap_or_else(|p| p.into_inner()).0
     }
 
     /// The latest published generation number and its snapshot, read
-    /// atomically (one lock acquisition — `generation()` followed by
-    /// `snapshot()` could straddle a concurrent publication).  This is
-    /// what a session pins.
+    /// together (`generation()` followed by `snapshot()` could straddle
+    /// a concurrent publication).  This is what a session pins.  It never
+    /// waits on a commit in flight: a commit holds the store's state lock
+    /// across validation, WAL append and fsync, and takes the publication
+    /// slot only to store its new generation.
     pub fn published(&self) -> (u64, Arc<Snapshot>) {
-        let st = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        (st.generation, Arc::clone(&st.published_snapshot))
+        let slot = self.published.read().unwrap_or_else(|p| p.into_inner());
+        (slot.0, Arc::clone(&slot.1))
     }
 
     /// Point-in-time store counters.
     pub fn stats(&self) -> StoreStats {
         let st = self.state.lock().unwrap_or_else(|p| p.into_inner());
         StoreStats {
-            generation: st.generation,
+            generation: self.generation(),
             commits: st.commits.get(),
             rejected_commits: st.rejected.get(),
             compactions: st.compactions.get(),
@@ -1077,10 +1088,9 @@ impl GraphStore {
     /// generation, and all reader snapshots are untouched.
     ///
     /// On success, the commit patches the previous generation's row and
-    /// columnar induced images with per-label
-    /// [`TableDelta`](graphiti_relational::TableDelta)s (cold
-    /// re-materialization never runs), swaps the new generation into the
-    /// engine, and returns the assigned stable keys.
+    /// columnar induced images with per-label [`TableDelta`]s (cold
+    /// re-materialization never runs), publishes the new generation, and
+    /// returns the assigned stable keys.
     ///
     /// A request's **idempotency token** is recorded in its WAL record
     /// and in a bounded dedup table; a later request carrying the same
@@ -1155,13 +1165,15 @@ impl GraphStore {
         self.group_commit_size.record(batch.len() as u64);
         let batch_trace = batch.iter().map(|r| r.trace).find(|t| *t != 0).unwrap_or(0);
         let wal_start = st.durable.as_ref().map(|d| d.wal.len());
-        let prev = Arc::clone(&st.published_snapshot);
+        // Only a publication under the state lock writes the slot, so it
+        // stays put while this batch holds the lock.
+        let (current, prev) = self.published();
         let mut acks: Vec<Option<StoreResult<Ack>>> = batch.iter().map(|_| None).collect();
         let mut folded = Folded::default();
         // This batch's tokens with the generations they ack.
         let mut tokens: Vec<(u128, u64)> = Vec::new();
         let mut replays = 0u64;
-        let mut generation = st.generation;
+        let mut generation = current;
         let mut failure: Option<Fence> = None;
         for (idx, CommitRequest { delta, token, trace }) in batch.into_iter().enumerate() {
             let original = token.and_then(|t| {
@@ -1222,7 +1234,7 @@ impl GraphStore {
             }
             folded.pending = Some((idx, generation, delta));
         }
-        let accepted = generation - st.generation;
+        let accepted = generation - current;
         // The batch's single fsync.  Its failure can never be trusted
         // retroactively (the kernel may have dropped the dirty pages —
         // fsyncgate), so it fences.
@@ -1269,6 +1281,7 @@ impl GraphStore {
                     .collect();
             }
         };
+        st.commits.add(accepted);
         st.idempotent_replays.add(replays);
         // Recorded before the periodic checkpoint, so it carries them.
         for (token, generation) in tokens {
@@ -1285,15 +1298,15 @@ impl GraphStore {
             // falls back to a longer replay.
             let due = st.durable.as_ref().is_some_and(|d| {
                 d.options.checkpoint_interval > 0
-                    && st.generation - d.last_checkpoint >= d.options.checkpoint_interval
+                    && generation - d.last_checkpoint >= d.options.checkpoint_interval
             });
-            if due && write_checkpoint_locked(&mut st).is_err() {
+            if due && write_checkpoint_locked(&mut st, generation).is_err() {
                 if let Some(d) = st.durable.as_mut() {
                     d.checkpoint_failures.inc();
                 }
             }
         }
-        let published_generation = st.generation;
+        let published_generation = generation;
         acks.into_iter()
             .map(|ack| {
                 ack.expect("a published batch answers every request").map(|ack| CommitInfo {
@@ -1311,7 +1324,9 @@ impl GraphStore {
     /// Applies a batch's last accepted request, derives the new images
     /// from the previous generation's by one [`TableDelta`] per touched
     /// table, and publishes every accepted request as generation
-    /// `generation`.  An error leaves the master state part-mutated.
+    /// `generation`: the one write of the publication slot, made while
+    /// the caller holds the state lock.  An error leaves the master state
+    /// part-mutated.
     fn publish(
         &self,
         st: &mut StoreState,
@@ -1353,22 +1368,9 @@ impl GraphStore {
             extra,
             extra_columnar,
         );
-        st.published_snapshot = Arc::clone(&snapshot);
-        self.engine.swap_snapshot(Arc::clone(&snapshot));
-        st.commits.add(generation - st.generation);
-        st.generation = generation;
+        *self.published.write().unwrap_or_else(|p| p.into_inner()) =
+            (generation, Arc::clone(&snapshot));
         Ok(snapshot)
-    }
-}
-
-/// The store answers queries exactly like its embedded engine: the whole
-/// read API ([`run_batch`](QuerySurface::run_batch),
-/// [`execute`](QuerySurface::execute), pinned variants, ...) comes from
-/// the shared [`QuerySurface`] trait, so the testkit's differential
-/// oracle checks a store and a bare engine through one code path.
-impl QuerySurface for GraphStore {
-    fn query_engine(&self) -> &Engine {
-        &self.engine
     }
 }
 
@@ -1389,12 +1391,6 @@ pub fn checkpoint_files(dir: impl AsRef<Path>) -> StoreResult<Vec<PathBuf>> {
 }
 
 // ------------------------------------------------------------ durability
-
-/// Builds the embedded engine over the store's shared observability
-/// surface, honoring an optional plan-cache bound.
-fn make_engine(snapshot: Arc<Snapshot>, cache_capacity: Option<usize>, obs: Arc<Obs>) -> Engine {
-    Engine::with_observability(snapshot, cache_capacity, obs)
-}
 
 /// The fence a batch raises when its apply phase breaks an invariant:
 /// the master state is part-mutated, so only a reopen recovers.
@@ -1455,11 +1451,11 @@ fn wal_append_with_retry(
     }
 }
 
-/// Serializes the writer-side state into a checkpoint image: counters,
-/// the master graph in arena order with its stable keys, and every row
-/// log slot-exactly (tombstones included, so published log order
-/// survives recovery).
-fn build_checkpoint_image(st: &StoreState) -> checkpoint::CheckpointImage {
+/// Serializes the writer-side state at `generation` into a checkpoint
+/// image: counters, the master graph in arena order with its stable
+/// keys, and every row log slot-exactly (tombstones included, so
+/// published log order survives recovery).
+fn build_checkpoint_image(st: &StoreState, generation: u64) -> checkpoint::CheckpointImage {
     let nodes = st
         .graph
         .nodes()
@@ -1490,7 +1486,7 @@ fn build_checkpoint_image(st: &StoreState) -> checkpoint::CheckpointImage {
         })
         .collect();
     checkpoint::CheckpointImage {
-        generation: st.generation,
+        generation,
         commits: st.commits.get(),
         rejected: st.rejected.get(),
         compactions: st.compactions.get(),
@@ -1502,13 +1498,12 @@ fn build_checkpoint_image(st: &StoreState) -> checkpoint::CheckpointImage {
     }
 }
 
-/// Checkpoints the current generation, rotates the WAL to a fresh
-/// segment, and vacuums fully covered segments plus checkpoints beyond
-/// the retention count.  Caller must hold the state lock and have
+/// Checkpoints the current generation, `generation`, rotates the WAL to
+/// a fresh segment, and vacuums fully covered segments plus checkpoints
+/// beyond the retention count.  Caller must hold the state lock and have
 /// `st.durable` set.
-fn write_checkpoint_locked(st: &mut StoreState) -> StoreResult<()> {
-    let image = build_checkpoint_image(st);
-    let generation = image.generation;
+fn write_checkpoint_locked(st: &mut StoreState, generation: u64) -> StoreResult<()> {
+    let image = build_checkpoint_image(st, generation);
     let Some(d) = st.durable.as_mut() else {
         // Callers verify `st.durable` before calling; reaching here is a
         // logic bug, reported instead of panicking.
@@ -2309,7 +2304,7 @@ fn patch_row(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphiti_engine::{BatchQuery, SqlTarget};
+    use graphiti_engine::{BatchQuery, BatchReport, SqlTarget};
     use graphiti_graph::{EdgeType, NodeType};
 
     fn emp_schema() -> GraphSchema {
@@ -2328,6 +2323,12 @@ mod tests {
         g.add_edge("WORK_AT", a, cs, [("wid", Value::Int(10))]);
         g.add_edge("WORK_AT", b, cs, [("wid", Value::Int(11))]);
         g
+    }
+
+    /// Runs `batch` on the store's latest published generation.
+    fn run_published(store: &GraphStore, batch: &[BatchQuery], workers: usize) -> BatchReport {
+        let (_, snapshot) = store.published();
+        store.engine().run_batch_on(&snapshot, batch, workers)
     }
 
     /// The incremental images must match a cold re-freeze of the master
@@ -2371,7 +2372,8 @@ cold:\n{cold_table}"
         touched.sort();
         assert_eq!(touched, vec!["EMP".to_string(), "WORK_AT".to_string()]);
         assert_matches_cold_freeze(&store);
-        let report = store.run_batch(
+        let report = run_published(
+            &store,
             &[BatchQuery::cypher(
                 "MATCH (n:EMP)-[e:WORK_AT]->(m:DEPT) RETURN m.dname AS d, Count(n) AS c",
             )],
@@ -2392,14 +2394,18 @@ cold:\n{cold_table}"
         assert_eq!(store.snapshot().graph().node_count(), 5);
         // Plans survive the generation change.
         let q = BatchQuery::sql("SELECT Count(*) AS c FROM EMP AS e");
-        let first = store.engine().execute(&q);
+        let first = store.engine().execute_on(&store.snapshot(), &q);
         assert_eq!(first.result.unwrap().rows[0][0], Value::Int(3));
         let mut d = Delta::new();
         d.add_node("EMP", [("id", Value::Int(4)), ("name", Value::str("D"))]);
         store.commit(d).unwrap();
-        let warm = store.engine().execute(&q);
+        let warm = store.engine().execute_on(&store.snapshot(), &q);
         assert!(warm.cache_hit);
         assert_eq!(warm.result.unwrap().rows[0][0], Value::Int(4));
+        // The displaced generation stays readable through the same plan.
+        let pinned = store.engine().execute_on(&gen0, &q);
+        assert!(pinned.cache_hit);
+        assert_eq!(pinned.result.unwrap().rows[0][0], Value::Int(2));
     }
 
     #[test]
@@ -2490,7 +2496,8 @@ cold:\n{cold_table}"
         store.commit(d).unwrap();
         assert_matches_cold_freeze(&store);
         // The transpiled join through SRC still finds the renamed node.
-        let report = store.run_batch(
+        let report = run_published(
+            &store,
             &[BatchQuery::sql(
                 "SELECT e.name FROM EMP AS e, WORK_AT AS w WHERE e.id = w.SRC AND e.id = 100",
             )],
@@ -2539,7 +2546,8 @@ cold:\n{cold_table}"
         // Force-compact whatever is left and re-verify.
         store.compact_now();
         assert_matches_cold_freeze(&store);
-        let report = store.run_batch(&[BatchQuery::sql("SELECT Count(*) AS c FROM EMP AS e")], 1);
+        let report =
+            run_published(&store, &[BatchQuery::sql("SELECT Count(*) AS c FROM EMP AS e")], 1);
         assert_eq!(report.outcomes[0].result.as_ref().unwrap().rows[0][0], Value::Int(20));
     }
 
@@ -2561,7 +2569,7 @@ cold:\n{cold_table}"
             BatchQuery::cypher("MATCH (n:EMP) RETURN Count(*) AS c"),
         ];
         for _ in 0..100 {
-            let report = store.run_batch(&batch, 2);
+            let report = run_published(&store, &batch, 2);
             assert_eq!(report.ok_count(), 2, "reads must never fail mid-write");
             // Both queries of a batch run on one pinned generation: they
             // must agree with each other exactly.
@@ -2606,28 +2614,25 @@ cold:\n{cold_table}"
     }
 
     #[test]
-    fn commits_derive_from_the_store_lineage_not_the_engine_slot() {
-        // A caller can reach the raw engine and swap in a foreign
-        // snapshot; the store's next commit must still derive from its
-        // own published lineage and stay consistent with the master.
+    fn published_reads_do_not_wait_on_the_state_lock() {
         let store = GraphStore::open(emp_schema(), emp_graph()).unwrap();
-        let foreign_schema = GraphSchema::new().with_node(NodeType::new("EMP", ["id", "name"]));
-        let mut foreign_graph = GraphInstance::new();
-        foreign_graph.add_node("EMP", [("id", Value::Int(77)), ("name", Value::str("alien"))]);
-        let foreign = Snapshot::freeze(foreign_schema, foreign_graph).unwrap();
-        store.engine().swap_snapshot(foreign);
         let mut d = Delta::new();
-        d.add_node("EMP", [("id", Value::Int(5)), ("name", Value::str("E"))]);
-        store.commit(d).expect("foreign engine state must not break commits");
-        assert_matches_cold_freeze(&store);
-        let snap = store.snapshot();
-        assert_eq!(snap.graph().node_count(), 5, "the store's lineage won");
-        assert!(snap
-            .induced()
-            .table("EMP")
-            .unwrap()
-            .rows
-            .contains(&vec![Value::Int(5), Value::str("E")]));
+        d.add_node("EMP", [("id", Value::Int(3)), ("name", Value::str("C"))]);
+        let info = store.commit(d).unwrap();
+        // A commit holds this lock across validation, WAL append and
+        // fsync; a reader pinning a generation must not queue behind it.
+        let state = store.state.lock().unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let _ = tx.send(store.published());
+            });
+            let read = rx.recv_timeout(std::time::Duration::from_secs(10));
+            drop(state);
+            let (generation, snapshot) = read.expect("published() blocked on the state lock");
+            assert_eq!(generation, 1);
+            assert!(Arc::ptr_eq(&snapshot, &info.snapshot));
+        });
     }
 
     #[test]
@@ -2652,7 +2657,7 @@ cold:\n{cold_table}"
         d.add_node("EMP", [("id", Value::Int(9)), ("name", Value::str("N"))]);
         store.commit(d).unwrap();
         let q = BatchQuery::sql_on("aux", "SELECT side.x FROM side");
-        let out = store.engine().execute(&q);
+        let out = store.engine().execute_on(&store.snapshot(), &q);
         assert_eq!(out.result.unwrap().rows, vec![vec![Value::Int(7)]]);
         // The maps really are shared, not copied, across generations.
         let (extra0, _) = store.snapshot().extra_parts();
@@ -2753,8 +2758,8 @@ cold:\n{cold_table}"
             ),
             BatchQuery::cypher("MATCH (n:DEPT) RETURN Count(*) AS c"),
         ];
-        let ra = recovered.run_batch(&queries, 2);
-        let rb = oracle.run_batch(&queries, 2);
+        let ra = run_published(recovered, &queries, 2);
+        let rb = run_published(oracle, &queries, 2);
         for (qa, qb) in ra.outcomes.iter().zip(rb.outcomes.iter()) {
             let (ta, tb) = (qa.result.as_ref().unwrap(), qb.result.as_ref().unwrap());
             assert_eq!(ta.columns, tb.columns);
@@ -2990,40 +2995,6 @@ vs\n{tb}"
         assert_stores_equal(&recovered, &oracle_after(0));
     }
 
-    #[test]
-    fn wal_record_is_on_disk_before_the_generation_publishes() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let dir = scratch("ordering");
-        let store = durable(&dir, durable_opts(true, 0)).open().unwrap();
-        let wal_file = wal_segment_files(&dir).unwrap().pop().unwrap();
-        let observed = Arc::new(AtomicU64::new(u64::MAX));
-        {
-            let (observed, wal_file) = (Arc::clone(&observed), wal_file.clone());
-            store.engine().set_publish_hook(move |_snap| {
-                // Runs inside commit, between WAL flush and return: the
-                // record for the generation being published must already
-                // be durable.
-                observed.store(std::fs::metadata(&wal_file).unwrap().len(), Ordering::SeqCst);
-            });
-        }
-        let base = std::fs::metadata(&wal_file).unwrap().len();
-        let mut d = Delta::new();
-        d.add_node("EMP", [("id", Value::Int(50)), ("name", Value::str("hook"))]);
-        store.commit(d).unwrap();
-        let at_publish = observed.load(Ordering::SeqCst);
-        assert_ne!(at_publish, u64::MAX, "publication must fire the hook");
-        assert!(
-            at_publish > base,
-            "the WAL record must be appended before the generation publishes \
-             (saw {at_publish} bytes at publish time, {base} before the commit)"
-        );
-        assert_eq!(
-            at_publish,
-            std::fs::metadata(&wal_file).unwrap().len(),
-            "nothing is written after publication"
-        );
-    }
-
     // ------------------------------------------------ fault injection
 
     fn open_faulted(dir: &Path, vfs: &FaultVfs) -> GraphStore {
@@ -3036,16 +3007,16 @@ vs\n{tb}"
         let vfs = FaultVfs::default();
         let store = open_faulted(&dir, &vfs);
         store.commit(scripted_deltas().remove(0)).unwrap();
-        let gen_before = store.generation();
-        let snap_before = store.snapshot();
+        let (gen_before, snap_before) = store.published();
         vfs.fail_nth(vfs.ops() + 1); // the WAL append's write_at
         let mut d = Delta::new();
         d.add_node("EMP", [("id", Value::Int(77)), ("name", Value::str("no"))]);
         let err = store.commit(d.clone()).unwrap_err();
         assert!(err.is_io(), "a rolled-back write failure is a live Io error: {err}");
         assert!(!store.is_fenced());
-        assert_eq!(store.generation(), gen_before);
-        assert!(Arc::ptr_eq(&snap_before, &store.snapshot()), "no generation published");
+        let (generation, snapshot) = store.published();
+        assert_eq!(generation, gen_before);
+        assert!(Arc::ptr_eq(&snap_before, &snapshot), "no generation published");
         assert_eq!(store.stats().wal_append_failures, 1);
         // The store stays live: the very same delta commits cleanly now.
         store.commit(d).unwrap();
@@ -3081,20 +3052,28 @@ vs\n{tb}"
         let vfs = FaultVfs::default();
         let store = open_faulted(&dir, &vfs);
         store.commit(scripted_deltas().remove(0)).unwrap();
-        let snap = store.snapshot();
-        // The disk "loses" fsync but writes, reads, and truncation still
-        // work: exactly the fsyncgate shape.
+        let (_, snap) = store.published();
+        let wal_file = wal_segment_files(&dir).unwrap().pop().unwrap();
+        let wal_before = std::fs::metadata(&wal_file).unwrap().len();
+        // The disk "loses" fsync, and truncation with it, but writes and
+        // reads still work: the fsyncgate shape, with the rollback unable
+        // to erase the record.
         vfs.fail_from(vfs.ops() + 1);
-        vfs.exempt(&[OpClass::Read, OpClass::Write, OpClass::SetLen, OpClass::Meta]);
+        vfs.exempt(&[OpClass::Read, OpClass::Write, OpClass::Meta]);
         let mut d = Delta::new();
         d.add_node("EMP", [("id", Value::Int(88)), ("name", Value::str("doomed"))]);
         let err = store.commit(d).unwrap_err();
         assert!(err.is_fenced(), "an fsync failure must fence: {err}");
         assert!(store.is_fenced());
         assert!(store.fence_reason().unwrap().contains("injected fault"));
+        // The redo rule: the record was appended before the fsync that
+        // publication waits on, so the segment grew although nothing
+        // published.
+        assert!(std::fs::metadata(&wal_file).unwrap().len() > wal_before);
         // Readers keep serving the last published generation.
-        assert!(Arc::ptr_eq(&snap, &store.snapshot()));
-        assert_eq!(store.generation(), 1);
+        let (generation, snapshot) = store.published();
+        assert_eq!(generation, 1);
+        assert!(Arc::ptr_eq(&snap, &snapshot));
         // Further commits are refused (and counted), not attempted.
         let mut d2 = Delta::new();
         d2.add_node("EMP", [("id", Value::Int(89)), ("name", Value::str("later"))]);
@@ -3105,7 +3084,8 @@ vs\n{tb}"
         assert_eq!(stats.fenced_commits, 1);
         // The disk heals: checkpoint_now re-captures the full state on
         // fresh files, vacuums the segment holding the record of unknown
-        // durability, and lifts the fence.
+        // durability (recovery would otherwise replay it as generation
+        // 2), and lifts the fence.
         vfs.clear();
         assert_eq!(store.checkpoint_now().unwrap(), 1);
         assert!(!store.is_fenced());
@@ -3123,7 +3103,7 @@ vs\n{tb}"
         let vfs = FaultVfs::default();
         let store = open_faulted(&dir, &vfs);
         store.commit(scripted_deltas().remove(0)).unwrap();
-        let snap = store.snapshot();
+        let (_, snap) = store.published();
         vfs.fail_from(vfs.ops() + 1);
         vfs.exempt(&[OpClass::Read, OpClass::Write, OpClass::SetLen, OpClass::Meta]);
         let batch: Vec<CommitRequest> = (91..94)
@@ -3136,8 +3116,9 @@ vs\n{tb}"
         for result in store.commit_batch(batch) {
             assert!(result.unwrap_err().is_fenced(), "every member of the batch is fenced");
         }
-        assert_eq!(store.generation(), 1, "the generation moves only at publication");
-        assert!(Arc::ptr_eq(&snap, &store.snapshot()));
+        let (generation, snapshot) = store.published();
+        assert_eq!(generation, 1, "the generation moves only at publication");
+        assert!(Arc::ptr_eq(&snap, &snapshot));
         assert_eq!(store.stats().fenced_commits, 0, "a batch's own fence refuses nothing");
         // Two members were applied in memory before the fsync, so the
         // fence holds even on a healed disk: only a reopen recovers.
@@ -3147,28 +3128,6 @@ vs\n{tb}"
         let recovered = durable(&dir, DurabilityOptions::default()).open().unwrap();
         assert_eq!(recovered.generation(), 1, "the batch's records were truncated");
         assert_matches_cold_freeze(&recovered);
-    }
-
-    #[test]
-    fn the_publish_hook_does_not_fire_for_a_failed_commit() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let dir = scratch("hook-fail");
-        let vfs = FaultVfs::default();
-        let store = open_faulted(&dir, &vfs);
-        let fired = Arc::new(AtomicU64::new(0));
-        {
-            let fired = Arc::clone(&fired);
-            store.engine().set_publish_hook(move |_| {
-                fired.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        let mut d = Delta::new();
-        d.add_node("EMP", [("id", Value::Int(66)), ("name", Value::str("h"))]);
-        vfs.fail_nth(vfs.ops() + 1);
-        assert!(store.commit(d.clone()).is_err());
-        assert_eq!(fired.load(Ordering::SeqCst), 0, "no publication for a failed commit");
-        store.commit(d).unwrap();
-        assert_eq!(fired.load(Ordering::SeqCst), 1);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 use crate::group::{GroupCommitter, GroupOptions, GroupStats};
 use crate::{CommitInfo, CommitRequest, Delta, DurabilityOptions, GraphStore, StoreBuilder};
 use graphiti_common::{ApiError, ApiResult};
-use graphiti_engine::{BatchQuery, BatchReport, Engine, QuerySurface, Snapshot};
+use graphiti_engine::{BatchQuery, BatchReport, Snapshot};
 use graphiti_graph::{GraphInstance, GraphSchema};
 use graphiti_relational::{RelInstance, Table};
 use std::path::PathBuf;
@@ -255,10 +255,6 @@ impl Graphiti {
     pub fn obs(&self) -> &Arc<graphiti_obs::Obs> {
         self.store.obs()
     }
-
-    fn engine(&self) -> &Engine {
-        self.store.query_engine()
-    }
 }
 
 /// The acknowledgement a committed request's [`CommitInfo`] carries.
@@ -286,7 +282,7 @@ impl EmbeddedSession {
         query: &BatchQuery,
     ) -> ApiResult<(Table, graphiti_obs::profile::QueryProfile)> {
         self.open()?;
-        let outcome = self.service.engine().execute_on_profiled(&self.snapshot, query);
+        let outcome = self.service.store.engine().execute_on_profiled(&self.snapshot, query);
         let profile = outcome.profile.clone().expect("profiled execution returns a profile");
         let table = outcome.result.map_err(ApiError::from)?;
         Ok((table, profile))
@@ -320,13 +316,14 @@ impl Session for EmbeddedSession {
 
     fn query(&mut self, query: &BatchQuery) -> ApiResult<Table> {
         self.open()?;
-        let outcome = self.service.engine().execute_on(&self.snapshot, query);
+        let outcome = self.service.store.engine().execute_on(&self.snapshot, query);
         outcome.result.map_err(ApiError::from)
     }
 
     fn batch(&mut self, queries: &[BatchQuery]) -> ApiResult<BatchReport> {
         self.open()?;
-        Ok(self.service.engine().run_batch_on(&self.snapshot, queries, self.service.workers))
+        let engine = self.service.store.engine();
+        Ok(engine.run_batch_on(&self.snapshot, queries, self.service.workers))
     }
 
     fn commit(&mut self, delta: Delta) -> ApiResult<CommitAck> {
@@ -500,23 +497,13 @@ mod tests {
 
     #[test]
     fn a_deadline_expiring_in_the_queue_is_ambiguous_and_the_retry_replays() {
-        use std::sync::{mpsc, Mutex};
         let service = Graphiti::builder(schema()).group_commit_default().open().unwrap();
-        // Hold the first group inside its publication, so the next
-        // submission waits in the queue.
-        let (entered_tx, entered_rx) = mpsc::channel();
-        let (release_tx, release_rx) = mpsc::channel::<()>();
-        let gate = Mutex::new((entered_tx, release_rx));
-        service.store().engine().set_publish_hook(move |_| {
-            let gate = gate.lock().unwrap();
-            let _ = gate.0.send(());
-            let _ = gate.1.recv();
-        });
-        let first = {
-            let service = service.clone();
-            std::thread::spawn(move || service.commit(emp(1)))
-        };
-        entered_rx.recv().unwrap();
+        // Hold the store's state lock: the group committer blocks on the
+        // first commit, and the tokened one, submitted after it, cannot
+        // finish before its deadline.
+        let state = service.store().state.lock().unwrap();
+        let committer = service.committer.as_ref().expect("group commit is on");
+        let first = committer.submit(emp(1));
         let tokened = || CommitRequest { token: Some(77), ..emp(2).into() };
         let deadline = Instant::now() + std::time::Duration::from_millis(1);
         assert_eq!(
@@ -527,8 +514,8 @@ mod tests {
                     .into()
             )
         );
-        drop(release_tx);
-        assert_eq!(first.join().unwrap().unwrap().generation, 1);
+        drop(state);
+        assert_eq!(first.wait().unwrap().generation, 1);
         let retry = service.try_commit(tokened(), None).unwrap().unwrap();
         assert_eq!(retry.generation, 2, "the queued original landed; the retry replays it");
         let stats = service.service_stats();

@@ -10,8 +10,8 @@
 //! deterministic and replayable: "fail the 17th op" means the same
 //! syscall on every run of the same script.
 //!
-//! The trait surface is deliberately tiny — exactly what the WAL
-//! ([`crate::wal`]) and checkpoint ([`crate::checkpoint`]) layers need:
+//! The trait surface is deliberately tiny — exactly what the WAL and
+//! checkpoint layers need:
 //! whole-file read, create/open, positional write, flush/sync, rename,
 //! remove, directory listing and sync.  Positional `write_at` (instead
 //! of a seek+write pair) keeps writer state out of the trait and makes a

@@ -13,11 +13,11 @@
 //!   generating schema-valid [`GraphInstance`](graphiti_graph::GraphInstance)s
 //!   for *any* schema, and parseable Featherweight Cypher query texts
 //!   derived from a schema;
-//! * [`oracle`] — [`differential_oracle`](oracle::differential_oracle), the
+//! * [`oracle`] — [`differential_oracle`], the
 //!   executable form of the paper's Theorem 5.7: evaluating a Cypher query
 //!   on a graph must agree with evaluating its transpilation on the
 //!   SDT-image of that graph;
-//! * [`faultlink`] — [`FaultLink`](faultlink::FaultLink), a
+//! * [`faultlink`] — [`FaultLink`], a
 //!   deterministic fault-injecting TCP proxy (disconnect, stall, torn
 //!   write by operation index) for wire-level chaos sweeps.
 //!

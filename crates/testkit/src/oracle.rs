@@ -12,15 +12,19 @@
 //! the engine's cached-plan path, and the SQL side executes the transpiled
 //! AST through the compiled-plan path — so every oracle invocation across
 //! the workspace's property tests also differentially exercises the
-//! production batch engine against the paper's semantics.
+//! production batch engine against the paper's semantics.  Every check
+//! runs on **one** pinned snapshot: the Cypher run, the transpilation
+//! (from the snapshot's SDT context) and the SQL run all see the same
+//! generation, however many commits a live store publishes meanwhile.
 //! [`differential_oracle_batch`] amortizes one snapshot over many queries
 //! and fans the checks out across a worker pool.
 
 use graphiti_core::transpile_query;
 use graphiti_cypher::ast::Query;
-use graphiti_engine::{BatchQuery, Engine, QuerySurface, SqlTarget};
+use graphiti_engine::{BatchQuery, Engine, Snapshot, SqlTarget};
 use graphiti_graph::{GraphInstance, GraphSchema};
 use graphiti_relational::Table;
+use std::sync::Arc;
 
 /// Why the oracle could not confirm soundness.
 #[derive(Debug)]
@@ -105,40 +109,43 @@ fn differential_oracle_impl(
     cypher_text: &str,
     sql_text: Option<&str>,
 ) -> Result<(Table, Table), OracleError> {
-    let engine = Engine::for_graph(schema.clone(), graph.clone())?;
-    check_one(&engine, cypher_text, sql_text)
+    let snapshot = Snapshot::freeze(schema.clone(), graph.clone())?;
+    check_one(&Engine::new(Arc::clone(&snapshot)), &snapshot, cypher_text, sql_text)
 }
 
-/// Checks the soundness property against **any** query surface — a bare
-/// [`Engine`], a live `GraphStore`, or anything else implementing
-/// [`QuerySurface`].  The Cypher query and its transpilation both
-/// evaluate on the surface's *current* snapshot, so running this against
-/// a store after a mutation history differentially tests the
-/// incremental re-freeze path against the paper's semantics, with no
-/// store-vs-engine dispatch anywhere in the oracle.
+/// Checks the soundness property on one pinned `snapshot` through
+/// `engine` — a bare engine over a frozen graph, or a live store's
+/// embedded engine over a generation the caller pinned (e.g. from
+/// `GraphStore::published`).  The Cypher query, its transpilation and the
+/// transpiled SQL all use that one snapshot, so running this against a
+/// store after a mutation history differentially tests the incremental
+/// re-freeze path against the paper's semantics, even while writers
+/// keep committing.
 #[allow(clippy::result_large_err)]
-pub fn differential_oracle_on<S: QuerySurface + ?Sized>(
-    surface: &S,
+pub fn differential_oracle_on(
+    engine: &Engine,
+    snapshot: &Snapshot,
     cypher_text: &str,
 ) -> Result<(Table, Table), OracleError> {
-    check_one(surface, cypher_text, None)
+    check_one(engine, snapshot, cypher_text, None)
 }
 
-/// Runs one (cypher, optional handwritten sql) check through a prebuilt
-/// query surface.
+/// Runs one (cypher, optional handwritten sql) check on one pinned
+/// snapshot.
 #[allow(clippy::result_large_err)]
-fn check_one<S: QuerySurface + ?Sized>(
-    surface: &S,
+fn check_one(
+    engine: &Engine,
+    snapshot: &Snapshot,
     cypher_text: &str,
     sql_text: Option<&str>,
 ) -> Result<(Table, Table), OracleError> {
     let query = graphiti_cypher::parse_query(cypher_text)?;
-    let cypher_result = surface.execute(&BatchQuery::cypher(cypher_text)).result?;
+    let cypher_result = engine.execute_on(snapshot, &BatchQuery::cypher(cypher_text)).result?;
     let sql = match sql_text {
-        None => transpile_query(surface.snapshot().ctx(), &query)?,
+        None => transpile_query(snapshot.ctx(), &query)?,
         Some(text) => graphiti_sql::parse_query(text)?,
     };
-    let sql_result = surface.execute_sql_ast(&sql, &SqlTarget::Induced).result?;
+    let sql_result = engine.execute_sql_ast(snapshot, &sql, &SqlTarget::Induced).result?;
 
     let equivalent = if matches!(query, Query::OrderBy { .. }) {
         cypher_result.equivalent_ordered(&sql_result)
@@ -171,9 +178,10 @@ pub fn differential_oracle_batch(
     queries: &[&str],
     workers: usize,
 ) -> Result<Vec<(Table, Table)>, OracleError> {
-    let engine = Engine::for_graph(schema.clone(), graph.clone())?;
+    let snapshot = Snapshot::freeze(schema.clone(), graph.clone())?;
+    let engine = Engine::new(Arc::clone(&snapshot));
     let results = graphiti_engine::run_parallel(queries.len(), workers, |i| {
-        check_one(&engine, queries[i], None)
+        check_one(&engine, &snapshot, queries[i], None)
     });
     results.into_iter().collect()
 }
@@ -182,6 +190,7 @@ pub fn differential_oracle_batch(
 mod tests {
     use super::*;
     use crate::fixtures;
+    use graphiti_common::Value;
 
     #[test]
     fn oracle_passes_on_emp_fixtures() {
@@ -250,6 +259,67 @@ mod tests {
         let reversed = "SELECT n.id AS id FROM EMP AS n ORDER BY n.id DESC";
         let err = differential_oracle_against_sql(&schema, &graph, cypher, reversed);
         assert!(matches!(err, Err(OracleError::Mismatch { .. })), "got {err:?}");
+    }
+
+    /// A delta hiring one more employee.
+    fn hire(id: i64) -> graphiti_store::Delta {
+        let mut d = graphiti_store::Delta::new();
+        d.add_node("EMP", [("id", Value::Int(id)), ("ename", Value::str("New"))]);
+        d
+    }
+
+    fn emp_store() -> graphiti_store::GraphStore {
+        graphiti_store::GraphStore::open(fixtures::emp::schema(), fixtures::emp::graph()).unwrap()
+    }
+
+    #[test]
+    fn oracle_on_a_store_runs_on_the_pinned_generation() {
+        let store = emp_store();
+        let (_, pinned) = store.published();
+        store.commit(hire(4)).unwrap();
+        let query = "MATCH (n:EMP) RETURN Count(*) AS total";
+        let (cypher, sql) = differential_oracle_on(store.engine(), &pinned, query)
+            .unwrap_or_else(|e| panic!("oracle failed on a pinned generation: {e}"));
+        assert_eq!(cypher.rows, vec![vec![Value::Int(3)]], "the pinned generation's rows");
+        assert!(cypher.equivalent(&sql));
+        let (latest, _) = differential_oracle_on(store.engine(), &store.snapshot(), query).unwrap();
+        assert_eq!(latest.rows, vec![vec![Value::Int(4)]]);
+    }
+
+    #[test]
+    fn oracle_on_a_store_holds_while_a_writer_commits() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let store = emp_store();
+        let start = std::sync::Barrier::new(2);
+        let stop = AtomicBool::new(false);
+        let queries = [fixtures::emp::QUERIES[0], fixtures::emp::QUERIES[6]];
+        let failures: Vec<OracleError> = std::thread::scope(|scope| {
+            let writer = scope.spawn(|| {
+                start.wait();
+                let mut id = 100;
+                while !stop.load(Ordering::SeqCst) {
+                    store.commit(hire(id)).unwrap();
+                    id += 1;
+                }
+            });
+            start.wait();
+            let failures = (0..400)
+                .filter_map(|i| {
+                    let (_, snapshot) = store.published();
+                    differential_oracle_on(store.engine(), &snapshot, queries[i % 2]).err()
+                })
+                .collect();
+            stop.store(true, Ordering::SeqCst);
+            writer.join().unwrap();
+            failures
+        });
+        let mismatches =
+            failures.iter().filter(|e| matches!(e, OracleError::Mismatch { .. })).count();
+        assert_eq!(mismatches, 0, "checks compared two generations");
+        if let Some(e) = failures.first() {
+            panic!("oracle pipeline failed under a writer: {e}");
+        }
+        assert!(store.generation() > 0, "the writer committed during the checks");
     }
 
     #[test]

@@ -106,8 +106,8 @@ fn assert_store_equals_oracle(live: &GraphStore, oracle: &GraphStore, context: &
     assert_eq!(a.induced().tables().count(), b.induced().tables().count(), "table count");
     for q in fixtures::emp::QUERIES.iter().take(3) {
         let (lo, oo) = (
-            live.engine().execute(&BatchQuery::cypher(*q)),
-            oracle.engine().execute(&BatchQuery::cypher(*q)),
+            live.engine().execute_on(&a, &BatchQuery::cypher(*q)),
+            oracle.engine().execute_on(&b, &BatchQuery::cypher(*q)),
         );
         let (lo, oo) = (lo.result.expect(q), oo.result.expect(q));
         assert!(lo.equivalent(&oo), "query `{q}` diverges ({context}):\n{lo}\nvs\n{oo}");

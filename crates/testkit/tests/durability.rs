@@ -89,8 +89,8 @@ fn assert_recovered_equals_oracle(recovered: &GraphStore, oracle: &GraphStore, q
         assert_eq!(ca, *tb, "columnar image of `{name}`");
     }
     for q in queries {
-        let live = recovered.engine().execute(&BatchQuery::cypher(*q));
-        let oracle_out = oracle.engine().execute(&BatchQuery::cypher(*q));
+        let live = recovered.engine().execute_on(&a, &BatchQuery::cypher(*q));
+        let oracle_out = oracle.engine().execute_on(&b, &BatchQuery::cypher(*q));
         let (live, oracle_out) = (live.result.expect(q), oracle_out.result.expect(q));
         assert!(
             live.equivalent(&oracle_out),

@@ -28,7 +28,7 @@
 use graphiti_common::{Ident, Value};
 use graphiti_engine::SqlTarget;
 use graphiti_graph::GraphSchema;
-use graphiti_store::{Delta, GraphStore, GroupOptions, QuerySurface, StoreError};
+use graphiti_store::{Delta, GraphStore, GroupOptions, StoreError};
 use graphiti_testkit::{differential_oracle_on, fixtures};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -177,11 +177,11 @@ proptest! {
             }
         }
 
-        // The soundness oracle holds on both live surfaces.
+        // The soundness oracle holds on both stores' published generations.
         for q in fixtures::emp::QUERIES {
-            differential_oracle_on(&*store, q)
+            differential_oracle_on(store.engine(), &snap, q)
                 .unwrap_or_else(|e| panic!("group store oracle failed on `{q}`: {e}"));
-            differential_oracle_on(&serial, q)
+            differential_oracle_on(serial.engine(), &serial_snap, q)
                 .unwrap_or_else(|e| panic!("serial store oracle failed on `{q}`: {e}"));
         }
     }

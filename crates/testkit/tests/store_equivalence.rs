@@ -26,12 +26,13 @@
 use graphiti_common::{Ident, Value};
 use graphiti_engine::{BatchQuery, Engine, Snapshot, SqlTarget};
 use graphiti_graph::GraphSchema;
-use graphiti_store::{Delta, EdgeKey, GraphStore, NodeKey, NodeRef, QuerySurface};
+use graphiti_store::{Delta, EdgeKey, GraphStore, NodeKey, NodeRef};
 use graphiti_testkit::{arb_instance, differential_oracle_on, fixtures};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Asserts the full incremental-vs-cold contract for the store's current
 /// generation.
@@ -52,29 +53,29 @@ fn assert_commit_equals_cold_freeze(store: &GraphStore, queries: &[&str]) {
             columnar.table(name).unwrap_or_else(|| panic!("missing columnar `{name}`")).to_table();
         assert_eq!(col_image, *live, "columnar image of `{name}` diverges from row image");
     }
-    // Query equivalence through both surfaces — the store and a fresh
-    // engine over the cold freeze are both just `QuerySurface`s here.
-    let cold_engine = Engine::new(cold);
+    // Query equivalence: the store's engine on its published generation
+    // against a fresh engine over the cold freeze.
+    let (live_engine, cold_engine) = (store.engine(), Engine::new(Arc::clone(&cold)));
     for q in queries {
-        let live = store.execute(&BatchQuery::cypher(*q));
-        let oracle = cold_engine.execute(&BatchQuery::cypher(*q));
+        let live = live_engine.execute_on(&snap, &BatchQuery::cypher(*q));
+        let oracle = cold_engine.execute_on(&cold, &BatchQuery::cypher(*q));
         let (live, oracle) = (live.result.expect(q), oracle.result.expect(q));
         assert!(
             live.equivalent(&oracle),
             "query `{q}` disagrees:\nincremental:\n{live}\ncold:\n{oracle}"
         );
         // And the transpilation soundness oracle holds directly on the
-        // live store's surface: Cypher on the incremental snapshot must
-        // agree with transpiled SQL on its incremental induced image.
-        differential_oracle_on(store, q)
-            .unwrap_or_else(|e| panic!("surface oracle failed on `{q}`: {e}"));
+        // live store: Cypher on the incremental snapshot must agree with
+        // transpiled SQL on its incremental induced image.
+        differential_oracle_on(live_engine, &snap, q)
+            .unwrap_or_else(|e| panic!("store oracle failed on `{q}`: {e}"));
     }
     // Per-label SQL aggregation over the induced image (bag-count
     // sensitive by construction).
     for ty in &snap.schema().node_types {
         let q = format!("SELECT Count(*) AS c FROM {} AS t", ty.label);
-        let live = store.execute(&BatchQuery::sql(&q)).result.expect("count");
-        let oracle = cold_engine.execute(&BatchQuery::sql(&q)).result.expect("count");
+        let live = live_engine.execute_on(&snap, &BatchQuery::sql(&q)).result.expect("count");
+        let oracle = cold_engine.execute_on(&cold, &BatchQuery::sql(&q)).result.expect("count");
         assert!(live.equivalent(&oracle), "`{q}` disagrees");
     }
 }
