@@ -11,14 +11,16 @@
 //!   workers, compiled plans cached across rounds.
 //!
 //! Before any timing, every item is checked differentially: the engine's
-//! cached-plan result must be table-equivalent to the re-parse result
-//! (`sweep_all_agree`).  `engine_4w_vs_serial_pipeline` divides the
+//! cached-plan result must be table-equivalent to the naive reference
+//! evaluators' (`sweep_all_agree`).  `engine_4w_vs_serial_pipeline` divides the
 //! 4-worker engine's throughput by the serial pipeline's: it prices
 //! snapshot and plan-cache amortization plus whatever cores the host
 //! has, not pool scaling.  `cache_warm_speedup` divides the 1-worker
 //! cold round by the mean warm round.
 
-use crate::fixtures::{execute, fresh_engines, legacy_execute, sweep, Item, SweepBench, TARGET};
+use crate::fixtures::{
+    execute, fresh_engines, legacy_execute, reference_execute, sweep, Item, SweepBench, TARGET,
+};
 use graphiti_bench::json::Json;
 use graphiti_engine::{run_parallel, Engine, SqlTarget};
 use std::time::Instant;
@@ -92,24 +94,26 @@ fn measure_engine(benches: &[SweepBench], items: &[Item], workers: usize) -> Eng
 pub fn run() -> Json {
     let (benches, mut items) = sweep();
 
-    // Engine vs re-parse on every item; items the re-parse path cannot
-    // evaluate are dropped so every model processes identical traffic.
+    // Engine vs the naive reference on every item; items the reference
+    // cannot evaluate are dropped so every model processes identical
+    // traffic.
     let engines = fresh_engines(&benches);
     let mut checked = 0usize;
     let mut all_agree = true;
-    items.retain(|it| match legacy_execute(&benches[it.bench].snapshot, &it.query) {
+    items.retain(|it| match reference_execute(&benches[it.bench].snapshot, &it.query) {
         Err(_) => false,
         Ok(want) => {
             checked += 1;
             match execute(&engines, &benches, it).result {
                 Ok(got) if got.equivalent(&want) => true,
                 Ok(_) => {
-                    eprintln!("engine disagrees with legacy on `{}`", it.query.text());
+                    eprintln!("engine disagrees with the reference on `{}`", it.query.text());
                     all_agree = false;
                     false
                 }
                 Err(e) => {
-                    eprintln!("engine failed where legacy succeeded on `{}`: {e}", it.query.text());
+                    let text = it.query.text();
+                    eprintln!("engine failed where the reference succeeded on `{text}`: {e}");
                     all_agree = false;
                     false
                 }

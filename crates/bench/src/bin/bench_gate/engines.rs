@@ -1,12 +1,12 @@
-//! `engines`: the naive evaluators against the indexed and compiled
+//! `engines`: the naive evaluators against the indexed and vectorized
 //! ones, per benchmark family, plus a differential sweep of the corpus.
 //!
 //! * **Cypher** — `graphiti_cypher::eval_query` (adjacency-indexed
 //!   pattern matching) vs `eval_query_unoptimized` (per-binding
 //!   edge-arena rescans);
-//! * **SQL** — `graphiti_sql::eval_query` (selection pushdown, hash
-//!   joins, compiled positional programs) vs `eval_query_unoptimized`
-//!   (per-row string resolution, no pushdown).
+//! * **SQL** — `graphiti_sql::eval_query` (selection pushdown, compiled
+//!   plans, columnar execution) vs `eval_query_unoptimized` (per-row
+//!   string resolution, no pushdown).
 //!
 //! Every family first asserts that both engines return table-equivalent
 //! results (Definition 4.4), then reports queries/s and the speedup

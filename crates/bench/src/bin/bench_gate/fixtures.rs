@@ -251,7 +251,7 @@ pub fn execute(engines: &[Engine], benches: &[SweepBench], item: &Item) -> Query
 }
 
 /// The one-shot evaluators, with no engine: parse and evaluate per
-/// request (the SQL side optimizes and compiles per operator).
+/// request (the SQL side optimizes, compiles and executes per request).
 pub fn legacy_execute(snapshot: &Snapshot, query: &BatchQuery) -> graphiti_common::Result<Table> {
     match query {
         BatchQuery::Cypher { text } => {
@@ -261,6 +261,24 @@ pub fn legacy_execute(snapshot: &Snapshot, query: &BatchQuery) -> graphiti_commo
         BatchQuery::Sql { text, target } => {
             let q = graphiti_sql::parse_query(text)?;
             graphiti_sql::eval_query(snapshot.sql_instance(target)?, &q)
+        }
+    }
+}
+
+/// The naive reference evaluators every sweep differential compares
+/// against: per-binding Cypher matching and the SQL oracle.
+pub fn reference_execute(
+    snapshot: &Snapshot,
+    query: &BatchQuery,
+) -> graphiti_common::Result<Table> {
+    match query {
+        BatchQuery::Cypher { text } => {
+            let q = graphiti_cypher::parse_query(text)?;
+            graphiti_cypher::eval_query_unoptimized(snapshot.schema(), snapshot.graph(), &q)
+        }
+        BatchQuery::Sql { text, target } => {
+            let q = graphiti_sql::parse_query(text)?;
+            graphiti_sql::eval_query_unoptimized(snapshot.sql_instance(target)?, &q)
         }
     }
 }

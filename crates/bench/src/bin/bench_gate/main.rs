@@ -3,9 +3,9 @@
 //!
 //! | scenario | what it measures |
 //! |---|---|
-//! | `engines` | naive vs indexed/compiled evaluators; corpus differential |
+//! | `engines` | naive vs indexed/vectorized evaluators; corpus differential |
 //! | `batch` | serial single-query loops vs the batch engine and plan cache |
-//! | `vectorized` | columnar vs row execution; pool ladder; plan-cache warm-up |
+//! | `vectorized` | columnar executor vs naive oracle; pool ladder; plan-cache warm-up |
 //! | `store` | incremental commit vs cold re-freeze; reads under writes |
 //! | `durability` | WAL commit cost; recovery ≡ memory; torn tails |
 //! | `faults` | VFS indirection cost; the failure contract under injected faults |

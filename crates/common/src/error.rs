@@ -38,10 +38,26 @@ pub enum Error {
     Fenced(String),
 }
 
+/// How deeply one query text may nest, in both query languages: each
+/// parenthesis, `NOT`, unary minus, subquery, aggregate call, and each link
+/// of an `AND`/`OR`/arithmetic/`UNION`/join/clause chain counts one level.
+/// The parsers refuse deeper text with [`Error::too_deep`], so no text can
+/// overflow a 2 MiB thread stack — the server's and the worker pool's — in
+/// the parser or in the passes that walk the tree after it.  The costliest
+/// shape, nested subqueries, fits 60 levels in 2 MiB in a debug build; the
+/// deepest query of the benchmark corpus nests 7.
+pub const MAX_NESTING: usize = 32;
+
 impl Error {
     /// Builds a parse error for `language` with the given message.
     pub fn parse(language: &'static str, message: impl Into<String>) -> Self {
         Error::Parse { language, message: message.into() }
+    }
+
+    /// The parse error for a `language` text nesting deeper than
+    /// [`MAX_NESTING`].
+    pub fn too_deep(language: &'static str) -> Self {
+        Error::parse(language, format!("query nests deeper than {MAX_NESTING} levels"))
     }
 
     /// Builds a schema error.

@@ -20,7 +20,7 @@ pub mod truth;
 pub mod value;
 
 pub use api::{ApiError, ApiResult};
-pub use error::{Error, Result};
+pub use error::{Error, Result, MAX_NESTING};
 pub use ident::Ident;
 pub use intern::intern;
 pub use truth::Truth;

@@ -106,7 +106,9 @@ impl Value {
     }
 
     /// Total ordering used by `ORDER BY`, grouping, and deterministic output:
-    /// `Null` sorts first, then booleans, numbers, strings.
+    /// `Null` sorts first, then booleans, numbers, strings.  Numbers compare
+    /// through `f64`, with NaN above every number and equal to itself (as in
+    /// PostgreSQL).
     pub fn total_cmp(&self, other: &Value) -> Ordering {
         fn rank(v: &Value) -> u8 {
             match v {
@@ -127,7 +129,7 @@ impl Value {
             _ => {
                 let a = self.as_f64().unwrap_or(f64::NAN);
                 let b = other.as_f64().unwrap_or(f64::NAN);
-                a.partial_cmp(&b).unwrap_or(Ordering::Equal)
+                a.partial_cmp(&b).unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
             }
         }
     }

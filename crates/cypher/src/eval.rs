@@ -839,4 +839,33 @@ mod tests {
         let t = eval_query(&emp_schema(), &emp_graph(), &q.unwrap()).unwrap();
         assert_eq!(t.len(), 0);
     }
+
+    #[test]
+    fn order_by_and_min_max_place_nan_above_every_number() {
+        // 64 nodes, every fourth a NaN, in a scrambled order.
+        let schema = GraphSchema::new().with_node(NodeType::new("T", ["a"]));
+        let values: Vec<f64> = (0..64i64)
+            .map(|i| if i % 4 == 1 { f64::NAN } else { ((i * 37) % 64) as f64 - 20.5 })
+            .collect();
+        for order in [values.clone(), values.iter().rev().copied().collect()] {
+            let mut graph = GraphInstance::new();
+            for x in order {
+                graph.add_node("T", [("a", Value::Float(x))]);
+            }
+            let q = parse_query("MATCH (n:T) RETURN n.a AS a ORDER BY a").unwrap();
+            for sorted in [
+                eval_query(&schema, &graph, &q).unwrap(),
+                eval_query_unoptimized(&schema, &graph, &q).unwrap(),
+            ] {
+                let got: Vec<f64> = sorted.rows.iter().map(|r| r[0].as_f64().unwrap()).collect();
+                let (numbers, nans) = got.split_at(48);
+                assert!(numbers.windows(2).all(|w| w[0] <= w[1]), "{got:?}");
+                assert!(nans.iter().all(|x| x.is_nan()), "{got:?}");
+            }
+            let q = parse_query("MATCH (n:T) RETURN Min(n.a) AS lo, Max(n.a) AS hi").unwrap();
+            let t = eval_query(&schema, &graph, &q).unwrap();
+            assert_eq!(t.rows[0][0], Value::Float(-20.5));
+            assert!(matches!(t.rows[0][1], Value::Float(x) if x.is_nan()));
+        }
+    }
 }

@@ -17,7 +17,7 @@
 
 use crate::ast::*;
 use crate::lexer::{tokenize, Token};
-use graphiti_common::{AggKind, BinArith, CmpOp, Error, Ident, Result, Value};
+use graphiti_common::{AggKind, BinArith, CmpOp, Error, Ident, Result, Value, MAX_NESTING};
 use std::collections::HashMap;
 
 /// Parsed body of an edge pattern: variable, label, and property literals.
@@ -39,11 +39,40 @@ struct Parser {
     /// Labels seen for each variable, used to resolve label-less patterns
     /// such as `(C)` that re-use an earlier binding.
     var_labels: HashMap<String, String>,
+    /// Nesting levels entered so far (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl Parser {
     fn new(tokens: Vec<Token>) -> Self {
-        Parser { tokens, pos: 0, anon: 0, var_labels: HashMap::new() }
+        Parser { tokens, pos: 0, anon: 0, var_labels: HashMap::new(), depth: 0 }
+    }
+
+    /// Enters one more nesting level; the caller restores the depth, via
+    /// [`Parser::nested`] or [`Parser::chain`].
+    fn descend(&mut self) -> Result<()> {
+        if self.depth == MAX_NESTING {
+            return Err(Error::too_deep("cypher"));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Runs `f` one nesting level deeper.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        self.chain(|p| {
+            p.descend()?;
+            f(p)
+        })
+    }
+
+    /// Runs `f`, which descends once per link of a left-deep chain, and
+    /// restores the depth afterwards.
+    fn chain<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        let depth = self.depth;
+        let out = f(self);
+        self.depth = depth;
+        out
     }
 
     fn peek(&self) -> &Token {
@@ -125,10 +154,15 @@ impl Parser {
     // ---------------------------------------------------------------- query
 
     fn parse_query(&mut self) -> Result<Query> {
+        self.chain(Self::parse_union_chain)
+    }
+
+    fn parse_union_chain(&mut self) -> Result<Query> {
         let mut q = self.parse_single_query()?;
         loop {
             if self.at_kw("union") {
                 self.bump();
+                self.descend()?;
                 let all = self.eat_kw("all");
                 let rhs = self.parse_single_query()?;
                 q = if all {
@@ -200,13 +234,19 @@ impl Parser {
     // --------------------------------------------------------------- clause
 
     fn parse_clauses(&mut self) -> Result<Clause> {
+        self.chain(Self::parse_clause_chain)
+    }
+
+    fn parse_clause_chain(&mut self) -> Result<Clause> {
         let mut clause: Option<Clause> = None;
         loop {
             if self.at_kw("match") {
                 self.bump();
+                self.descend()?;
                 clause = Some(self.parse_match(clause, false)?);
             } else if self.at_kw("optional") {
                 self.bump();
+                self.descend()?;
                 self.expect_kw("match")?;
                 let prev = clause.ok_or_else(|| {
                     Error::parse("cypher", "OPTIONAL MATCH must follow another clause")
@@ -214,6 +254,7 @@ impl Parser {
                 clause = Some(self.parse_match(Some(prev), true)?);
             } else if self.at_kw("with") {
                 self.bump();
+                self.descend()?;
                 let prev = clause
                     .ok_or_else(|| Error::parse("cypher", "WITH must follow another clause"))?;
                 clause = Some(self.parse_with(prev)?);
@@ -227,6 +268,7 @@ impl Parser {
     fn parse_match(&mut self, mut prev: Option<Clause>, optional: bool) -> Result<Clause> {
         let mut patterns = vec![self.parse_path_pattern()?];
         while self.eat(&Token::Comma) {
+            self.descend()?;
             patterns.push(self.parse_path_pattern()?);
         }
         let pred = if self.eat_kw("where") { self.parse_pred()? } else { Pred::True };
@@ -285,12 +327,17 @@ impl Parser {
     // -------------------------------------------------------------- pattern
 
     fn parse_path_pattern(&mut self) -> Result<PathPattern> {
+        self.chain(Self::parse_path_chain)
+    }
+
+    fn parse_path_chain(&mut self) -> Result<PathPattern> {
         let start = self.parse_node_pattern()?;
         let mut steps = Vec::new();
         loop {
             let save = self.pos;
             match self.try_parse_edge_pattern()? {
                 Some(edge) => {
+                    self.descend()?;
                     let node = self.parse_node_pattern()?;
                     steps.push((edge, node));
                 }
@@ -445,26 +492,32 @@ impl Parser {
     }
 
     fn parse_or_pred(&mut self) -> Result<Pred> {
-        let mut p = self.parse_and_pred()?;
-        while self.eat_kw("or") {
-            let rhs = self.parse_and_pred()?;
-            p = Pred::or(p, rhs);
-        }
-        Ok(p)
+        self.chain(|p| {
+            let mut pred = p.parse_and_pred()?;
+            while p.eat_kw("or") {
+                p.descend()?;
+                let rhs = p.parse_and_pred()?;
+                pred = Pred::or(pred, rhs);
+            }
+            Ok(pred)
+        })
     }
 
     fn parse_and_pred(&mut self) -> Result<Pred> {
-        let mut p = self.parse_not_pred()?;
-        while self.eat_kw("and") {
-            let rhs = self.parse_not_pred()?;
-            p = Pred::and(p, rhs);
-        }
-        Ok(p)
+        self.chain(|p| {
+            let mut pred = p.parse_not_pred()?;
+            while p.eat_kw("and") {
+                p.descend()?;
+                let rhs = p.parse_not_pred()?;
+                pred = Pred::and(pred, rhs);
+            }
+            Ok(pred)
+        })
     }
 
     fn parse_not_pred(&mut self) -> Result<Pred> {
         if self.eat_kw("not") {
-            Ok(Pred::not(self.parse_not_pred()?))
+            Ok(Pred::not(self.nested(Self::parse_not_pred)?))
         } else {
             self.parse_primary_pred()
         }
@@ -487,7 +540,11 @@ impl Parser {
         if self.peek() == &Token::LParen {
             let save = self.pos;
             self.bump();
-            if let Ok(p) = self.parse_pred() {
+            let inner = self.nested(Self::parse_pred);
+            if matches!(&inner, Err(e) if *e == Error::too_deep("cypher")) {
+                return inner;
+            }
+            if let Ok(p) = inner {
                 if self.eat(&Token::RParen)
                     && !matches!(
                         self.peek(),
@@ -589,34 +646,40 @@ impl Parser {
     // ----------------------------------------------------------- expression
 
     fn parse_expr(&mut self) -> Result<Expr> {
-        let mut e = self.parse_term()?;
-        loop {
-            let op = match self.peek() {
-                Token::Plus => BinArith::Add,
-                Token::Minus => BinArith::Sub,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.parse_term()?;
-            e = Expr::Arith(Box::new(e), op, Box::new(rhs));
-        }
-        Ok(e)
+        self.chain(|p| {
+            let mut e = p.parse_term()?;
+            loop {
+                let op = match p.peek() {
+                    Token::Plus => BinArith::Add,
+                    Token::Minus => BinArith::Sub,
+                    _ => break,
+                };
+                p.bump();
+                p.descend()?;
+                let rhs = p.parse_term()?;
+                e = Expr::Arith(Box::new(e), op, Box::new(rhs));
+            }
+            Ok(e)
+        })
     }
 
     fn parse_term(&mut self) -> Result<Expr> {
-        let mut e = self.parse_factor()?;
-        loop {
-            let op = match self.peek() {
-                Token::Star => BinArith::Mul,
-                Token::Slash => BinArith::Div,
-                Token::Percent => BinArith::Mod,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.parse_factor()?;
-            e = Expr::Arith(Box::new(e), op, Box::new(rhs));
-        }
-        Ok(e)
+        self.chain(|p| {
+            let mut e = p.parse_factor()?;
+            loop {
+                let op = match p.peek() {
+                    Token::Star => BinArith::Mul,
+                    Token::Slash => BinArith::Div,
+                    Token::Percent => BinArith::Mod,
+                    _ => break,
+                };
+                p.bump();
+                p.descend()?;
+                let rhs = p.parse_factor()?;
+                e = Expr::Arith(Box::new(e), op, Box::new(rhs));
+            }
+            Ok(e)
+        })
     }
 
     fn parse_factor(&mut self) -> Result<Expr> {
@@ -635,7 +698,7 @@ impl Parser {
             }
             Token::Minus => {
                 self.bump();
-                let inner = self.parse_factor()?;
+                let inner = self.nested(Self::parse_factor)?;
                 Ok(Expr::Arith(
                     Box::new(Expr::Value(Value::Int(0))),
                     BinArith::Sub,
@@ -648,7 +711,7 @@ impl Parser {
             }
             Token::LParen => {
                 self.bump();
-                let e = self.parse_expr()?;
+                let e = self.nested(Self::parse_expr)?;
                 self.expect(&Token::RParen)?;
                 Ok(e)
             }
@@ -663,7 +726,7 @@ impl Parser {
                             self.bump();
                             Expr::Star
                         } else {
-                            self.parse_expr()?
+                            self.nested(Self::parse_expr)?
                         };
                         self.expect(&Token::RParen)?;
                         return Ok(Expr::Agg(kind, Box::new(inner), distinct));

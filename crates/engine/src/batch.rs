@@ -8,11 +8,11 @@
 //! The plan cache survives generation changes: plans are keyed by query
 //! text + target, and the snapshot an engine is built from binds it to
 //! the layouts those plans compile against (see [`Engine::new`]).  SQL
-//! runs **vectorized**: cached compiled plans execute column-at-a-time
-//! over the snapshot's columnar image
-//! ([`eval_vectorized`](graphiti_sql::eval_vectorized)); the row-at-a-time
-//! [`eval_compiled`](graphiti_sql::eval_compiled) path stays available (and
-//! differentially tested) as the oracle.
+//! runs **vectorized**: cached compiled plans, subqueries included,
+//! execute column-at-a-time over the snapshot's columnar image
+//! ([`eval_vectorized`](graphiti_sql::eval_vectorized)); the naive
+//! [`eval_query_unoptimized`](graphiti_sql::eval_query_unoptimized) is the
+//! oracle it is differentially tested against.
 //!
 //! Parallel batches are served by a **persistent** [`WorkerPool`]: threads
 //! spawn once per engine (lazily, on the first parallel batch) and are fed

@@ -584,4 +584,20 @@ mod tests {
             assert_eq!(col.apply_delta(&folded).to_table(), sequential, "columnar layout diverges");
         }
     }
+
+    #[test]
+    fn equivalence_sorts_columns_holding_nan() {
+        let rows: Vec<Row> = (0..64i64)
+            .map(|i| {
+                vec![if i % 4 == 1 {
+                    Value::Float(f64::NAN)
+                } else {
+                    Value::Float(((i * 37) % 64) as f64)
+                }]
+            })
+            .collect();
+        let a = Table::with_rows(["x"], rows.clone());
+        let b = Table::with_rows(["x"], rows.into_iter().rev().collect::<Vec<Row>>());
+        assert!(a.equivalent(&b));
+    }
 }

@@ -1,7 +1,7 @@
 //! End-to-end serving smoke tests over a unix-domain socket: a mixed
 //! 32-client workload with group-committed writes, the
-//! panic-to-typed-error-frame path, and admission control at the
-//! connection cap.
+//! panic-to-typed-error-frame path, refusal of deeply nested text, and
+//! admission control at the connection cap.
 
 use graphiti_common::{ApiError, Value};
 use graphiti_engine::BatchQuery;
@@ -108,6 +108,36 @@ fn tcp_round_trip_commit_query_and_clean_shutdown() {
     session.close().expect("clean close");
 
     assert_eq!(service.service_stats().commits, 1);
+    handle.shutdown();
+}
+
+#[test]
+fn deeply_nested_text_gets_an_error_frame_and_the_session_keeps_serving() {
+    let path = sock_path("deep");
+    let handle = Server::new(service()).serve_unix(&path).expect("server binds");
+    let mut session = Client::connect_unix(&path).expect("client connects");
+    // 10,000 levels would overflow a connection thread's 2 MiB stack in
+    // the parser and abort the whole process.
+    let nots = "NOT ".repeat(10_000);
+    let deep = [
+        BatchQuery::cypher(format!("MATCH (n:EMP) WHERE {nots}n.id = 1 RETURN n.id AS id")),
+        BatchQuery::sql(format!("SELECT n.id FROM EMP AS n WHERE {nots}n.id = 1")),
+        BatchQuery::sql(format!(
+            "SELECT n.id FROM EMP AS n WHERE {}n.id = 1{}",
+            "(".repeat(10_000),
+            ")".repeat(10_000)
+        )),
+    ];
+    for query in &deep {
+        let err = session.query(query).expect_err("deep text is refused");
+        let ApiError::Parse(m) = &err else { panic!("expected Parse, got {err}") };
+        assert!(m.contains("nests deeper than"), "message names the bound: {m}");
+        let rows = session
+            .query(&BatchQuery::cypher("MATCH (n:EMP) RETURN n.id AS id"))
+            .expect("the next request succeeds");
+        assert!(rows.rows.is_empty());
+    }
+    session.close().expect("clean close");
     handle.shutdown();
 }
 

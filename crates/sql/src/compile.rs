@@ -1,52 +1,46 @@
 //! Compilation of SQL expressions and predicates into positional programs.
 //!
-//! The tree-walking interpreter resolves every column reference with
-//! [`resolve_column`] — a case-insensitive
-//! string scan over the scope's column list that allocates per lookup — for
-//! **every row**.  This module lowers [`SqlExpr`]/[`SqlPred`] trees against
-//! a fixed column layout **once per operator**, producing programs whose
-//! column references are plain positional indexes:
+//! The naive interpreter ([`eval_query_unoptimized`](crate::eval_query_unoptimized))
+//! resolves every column reference with [`resolve_column`] — a
+//! case-insensitive string scan over the scope's column list — for **every
+//! row**.  This module lowers [`SqlExpr`]/[`SqlPred`] trees against a fixed
+//! column layout **once per operator**, producing programs whose column
+//! references are plain positional indexes:
 //!
-//! * [`CExpr`] / [`CPred`] — row-at-a-time programs used by selections,
-//!   projections, and join predicates;
-//! * [`CGroupExpr`] / [`CGroupPred`] — group-at-a-time programs used by
-//!   `GROUP BY` projections and `HAVING` predicates, with aggregates folded
-//!   over the group's member rows.
+//! * [`CExpr`] / [`CPred`] — row-level programs used by selections,
+//!   projections, join predicates, grouping keys and aggregate inputs;
+//! * [`CGroupExpr`] / [`CGroupPred`] — group-level programs used by
+//!   `GROUP BY` projections and `HAVING` predicates.
 //!
-//! The programs are **owned**: literals are cheap clones (string values are
-//! interned `Arc<str>`s), column references that stay symbolic are cloned,
-//! and subqueries are lifted into `Arc<SqlQuery>`.  Owning the program is
-//! what lets [`crate::plan::CompiledQuery`] cache a fully-compiled query
-//! independently of the AST it was compiled from and share it across
+//! The programs are **owned**, so a [`crate::plan::CompiledQuery`] can be
+//! cached independently of the AST it was compiled from and shared across
 //! threads (`CompiledQuery: Send + Sync`).
 //!
 //! Compilation never fails: references that do not resolve against the
-//! local layout are kept symbolic ([`CExpr::Outer`]) and fall back to the
-//! outer-scope chain at runtime, which is exactly how correlated subqueries
+//! local layout are kept symbolic ([`CExpr::Outer`]) and read the bound
+//! outer row at runtime, which is exactly how correlated subqueries
 //! resolve their free columns.  Constructs that are *errors* when evaluated
 //! (an aggregate in scalar position, a bare `*`) compile to explicit error
-//! instructions so the compiled engine reports the same errors, in the same
+//! instructions so the executor reports the same errors, in the same
 //! situations, as the interpreter — including not reporting them at all
 //! when no row is ever evaluated.
 //!
-//! Subqueries are not compiled into the program: [`CPred::InQuery`] and
-//! [`CPred::Exists`] carry the subquery AST behind an `Arc` and re-enter
-//! the evaluator, which caches uncorrelated results per operator exactly
-//! like the interpreted path (the cache is keyed by the `Arc`'s pointer
-//! identity, see [`CPred::collect_subqueries`]).
+//! Subqueries are compiled too: [`CPred::InQuery`] and [`CPred::Exists`]
+//! carry a [`SubPlan`], lowered against the same base tables and the CTE
+//! layouts in scope where the subquery appears.
 
-use crate::ast::{ColumnRef, SqlExpr, SqlPred, SqlQuery};
+use crate::ast::{ColumnRef, SqlExpr, SqlPred};
 use crate::eval::resolve_column;
+use crate::plan::{Layouts, SubPlan};
 use graphiti_common::{AggKind, BinArith, CmpOp, Value};
-use std::sync::Arc;
 
 /// A scalar expression lowered against a fixed column layout.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub enum CExpr {
     /// A column resolved to a positional index in the current row.
     Col(usize),
-    /// A column that did not resolve locally: looked up through the scope
-    /// chain at runtime (correlated / outer references).
+    /// A column that did not resolve locally: read from the bound outer row
+    /// of a correlated subquery (an error where no outer row binds it).
     Outer(ColumnRef),
     /// A literal.
     Value(Value),
@@ -61,7 +55,7 @@ pub enum CExpr {
 }
 
 /// A predicate lowered against a fixed column layout.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub enum CPred {
     /// Boolean constant.
     Bool(bool),
@@ -71,10 +65,10 @@ pub enum CPred {
     IsNull(CExpr),
     /// `E IN (v1, ..., vn)`.
     InList(CExpr, Vec<Value>),
-    /// Tuple membership in a subquery; the subquery re-enters the evaluator.
-    InQuery(Vec<CExpr>, Arc<SqlQuery>),
-    /// `EXISTS (SELECT ...)`; the subquery re-enters the evaluator.
-    Exists(Arc<SqlQuery>),
+    /// Tuple membership in a compiled subquery.
+    InQuery(Vec<CExpr>, Box<SubPlan>),
+    /// `EXISTS` over a compiled subquery.
+    Exists(Box<SubPlan>),
     /// Conjunction.
     And(Box<CPred>, Box<CPred>),
     /// Disjunction.
@@ -85,7 +79,7 @@ pub enum CPred {
 
 /// A group-level expression: aggregates fold over the group's rows, scalar
 /// parts evaluate on the group's first row.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub enum CGroupExpr {
     /// `Count(*)` — the group's cardinality.
     CountStar,
@@ -101,7 +95,7 @@ pub enum CGroupExpr {
 }
 
 /// A group-level predicate (`HAVING`).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub enum CGroupPred {
     /// Boolean constant.
     Bool(bool),
@@ -111,9 +105,9 @@ pub enum CGroupPred {
     IsNull(CGroupExpr),
     /// `E IN (v1, ..., vn)` at group level.
     InList(CGroupExpr, Vec<Value>),
-    /// A subquery predicate, delegated to the row-wise evaluator on the
+    /// A subquery predicate, evaluated as a row-level program on the
     /// group's first row (`Unknown` for an empty group).
-    Subquery(SqlPred),
+    FirstRow(CPred),
     /// Conjunction.
     And(Box<CGroupPred>, Box<CGroupPred>),
     /// Disjunction.
@@ -122,56 +116,49 @@ pub enum CGroupPred {
     Not(Box<CGroupPred>),
 }
 
-fn lift_subquery(sub: &SqlQuery) -> Arc<SqlQuery> {
-    Arc::new(sub.clone())
-}
-
 /// Lowers a scalar expression against `columns`.
-pub fn compile_expr(e: &SqlExpr, columns: &[String]) -> CExpr {
+pub fn compile_expr(e: &SqlExpr, columns: &[String], layouts: &Layouts<'_>) -> CExpr {
     match e {
         SqlExpr::Col(c) => match resolve_column(columns, c) {
             Some(idx) => CExpr::Col(idx),
             None => CExpr::Outer(c.clone()),
         },
         SqlExpr::Value(v) => CExpr::Value(v.clone()),
-        SqlExpr::Cast(p) => CExpr::Cast(Box::new(compile_pred(p, columns))),
+        SqlExpr::Cast(p) => CExpr::Cast(Box::new(compile_pred(p, columns, layouts))),
         SqlExpr::Agg(..) => CExpr::ScalarAgg,
         SqlExpr::Arith(a, op, b) => CExpr::Arith(
-            Box::new(compile_expr(a, columns)),
+            Box::new(compile_expr(a, columns, layouts)),
             *op,
-            Box::new(compile_expr(b, columns)),
+            Box::new(compile_expr(b, columns, layouts)),
         ),
         SqlExpr::Star => CExpr::Star,
     }
 }
 
 /// Lowers a predicate against `columns`.
-pub fn compile_pred(p: &SqlPred, columns: &[String]) -> CPred {
+pub fn compile_pred(p: &SqlPred, columns: &[String], layouts: &Layouts<'_>) -> CPred {
+    let pred = |p: &SqlPred| Box::new(compile_pred(p, columns, layouts));
     match p {
         SqlPred::Bool(b) => CPred::Bool(*b),
         SqlPred::Cmp(a, op, b) => {
-            CPred::Cmp(compile_expr(a, columns), *op, compile_expr(b, columns))
+            CPred::Cmp(compile_expr(a, columns, layouts), *op, compile_expr(b, columns, layouts))
         }
-        SqlPred::IsNull(e) => CPred::IsNull(compile_expr(e, columns)),
-        SqlPred::InList(e, vs) => CPred::InList(compile_expr(e, columns), vs.clone()),
+        SqlPred::IsNull(e) => CPred::IsNull(compile_expr(e, columns, layouts)),
+        SqlPred::InList(e, vs) => CPred::InList(compile_expr(e, columns, layouts), vs.clone()),
         SqlPred::InQuery(es, sub) => CPred::InQuery(
-            es.iter().map(|e| compile_expr(e, columns)).collect(),
-            lift_subquery(sub),
+            es.iter().map(|e| compile_expr(e, columns, layouts)).collect(),
+            Box::new(layouts.subplan(sub)),
         ),
-        SqlPred::Exists(sub) => CPred::Exists(lift_subquery(sub)),
-        SqlPred::And(a, b) => {
-            CPred::And(Box::new(compile_pred(a, columns)), Box::new(compile_pred(b, columns)))
-        }
-        SqlPred::Or(a, b) => {
-            CPred::Or(Box::new(compile_pred(a, columns)), Box::new(compile_pred(b, columns)))
-        }
-        SqlPred::Not(inner) => CPred::Not(Box::new(compile_pred(inner, columns))),
+        SqlPred::Exists(sub) => CPred::Exists(Box::new(layouts.subplan(sub))),
+        SqlPred::And(a, b) => CPred::And(pred(a), pred(b)),
+        SqlPred::Or(a, b) => CPred::Or(pred(a), pred(b)),
+        SqlPred::Not(inner) => CPred::Not(pred(inner)),
     }
 }
 
 /// Lowers a group-level expression (a `GROUP BY` projection item) against
 /// `columns`.
-pub fn compile_group_expr(e: &SqlExpr, columns: &[String]) -> CGroupExpr {
+pub fn compile_group_expr(e: &SqlExpr, columns: &[String], layouts: &Layouts<'_>) -> CGroupExpr {
     match e {
         SqlExpr::Agg(kind, inner, distinct) => {
             if matches!(inner.as_ref(), SqlExpr::Star) {
@@ -181,104 +168,61 @@ pub fn compile_group_expr(e: &SqlExpr, columns: &[String]) -> CGroupExpr {
                     CGroupExpr::StarAgg
                 }
             } else {
-                CGroupExpr::Agg(*kind, compile_expr(inner, columns), *distinct)
+                CGroupExpr::Agg(*kind, compile_expr(inner, columns, layouts), *distinct)
             }
         }
         SqlExpr::Arith(a, op, b) => CGroupExpr::Arith(
-            Box::new(compile_group_expr(a, columns)),
+            Box::new(compile_group_expr(a, columns, layouts)),
             *op,
-            Box::new(compile_group_expr(b, columns)),
+            Box::new(compile_group_expr(b, columns, layouts)),
         ),
-        other => CGroupExpr::Scalar(compile_expr(other, columns)),
+        other => CGroupExpr::Scalar(compile_expr(other, columns, layouts)),
     }
 }
 
 /// Lowers a `HAVING` predicate against `columns`.
-pub fn compile_group_pred(p: &SqlPred, columns: &[String]) -> CGroupPred {
+pub fn compile_group_pred(p: &SqlPred, columns: &[String], layouts: &Layouts<'_>) -> CGroupPred {
+    let expr = |e: &SqlExpr| compile_group_expr(e, columns, layouts);
+    let pred = |p: &SqlPred| Box::new(compile_group_pred(p, columns, layouts));
     match p {
         SqlPred::Bool(b) => CGroupPred::Bool(*b),
-        SqlPred::Cmp(a, op, b) => {
-            CGroupPred::Cmp(compile_group_expr(a, columns), *op, compile_group_expr(b, columns))
+        SqlPred::Cmp(a, op, b) => CGroupPred::Cmp(expr(a), *op, expr(b)),
+        SqlPred::IsNull(e) => CGroupPred::IsNull(expr(e)),
+        SqlPred::InList(e, vs) => CGroupPred::InList(expr(e), vs.clone()),
+        SqlPred::InQuery(..) | SqlPred::Exists(_) => {
+            CGroupPred::FirstRow(compile_pred(p, columns, layouts))
         }
-        SqlPred::IsNull(e) => CGroupPred::IsNull(compile_group_expr(e, columns)),
-        SqlPred::InList(e, vs) => CGroupPred::InList(compile_group_expr(e, columns), vs.clone()),
-        SqlPred::InQuery(..) | SqlPred::Exists(_) => CGroupPred::Subquery(p.clone()),
-        SqlPred::And(a, b) => CGroupPred::And(
-            Box::new(compile_group_pred(a, columns)),
-            Box::new(compile_group_pred(b, columns)),
-        ),
-        SqlPred::Or(a, b) => CGroupPred::Or(
-            Box::new(compile_group_pred(a, columns)),
-            Box::new(compile_group_pred(b, columns)),
-        ),
-        SqlPred::Not(inner) => CGroupPred::Not(Box::new(compile_group_pred(inner, columns))),
-    }
-}
-
-impl CPred {
-    /// Collects the subqueries that the evaluator pre-computes into its
-    /// per-operator cache.
-    ///
-    /// This mirrors the interpreter's `cache_subqueries` walk exactly: only
-    /// the predicate's connective structure (`AND`/`OR`/`NOT`) is
-    /// traversed — subqueries nested inside `Cast` expressions are *not*
-    /// collected, matching the interpreted path's (lack of) caching for
-    /// them.  The returned references carry the `Arc` pointer identity the
-    /// runtime cache is keyed by.
-    pub fn collect_subqueries<'a>(&'a self, out: &mut Vec<&'a SqlQuery>) {
-        match self {
-            CPred::InQuery(_, sub) => out.push(sub),
-            CPred::Exists(sub) => out.push(sub),
-            CPred::And(a, b) | CPred::Or(a, b) => {
-                a.collect_subqueries(out);
-                b.collect_subqueries(out);
-            }
-            CPred::Not(inner) => inner.collect_subqueries(out),
-            _ => {}
-        }
-    }
-}
-
-impl CGroupPred {
-    /// Collects cacheable subqueries, mirroring the interpreter's walk over
-    /// the original `HAVING` predicate: group-level connectives recurse,
-    /// and a [`CGroupPred::Subquery`] leaf contributes the subqueries of
-    /// its retained row-level predicate.
-    pub fn collect_subqueries<'a>(&'a self, out: &mut Vec<&'a SqlQuery>) {
-        match self {
-            CGroupPred::Subquery(p) => collect_ast_subqueries(p, out),
-            CGroupPred::And(a, b) | CGroupPred::Or(a, b) => {
-                a.collect_subqueries(out);
-                b.collect_subqueries(out);
-            }
-            CGroupPred::Not(inner) => inner.collect_subqueries(out),
-            _ => {}
-        }
-    }
-}
-
-/// The interpreter's `cache_subqueries` walk over an AST predicate,
-/// exposed so compiled `HAVING` programs (which retain subquery predicates
-/// as ASTs) cache the same subqueries the interpreter would.
-pub(crate) fn collect_ast_subqueries<'a>(p: &'a SqlPred, out: &mut Vec<&'a SqlQuery>) {
-    match p {
-        SqlPred::InQuery(_, sub) | SqlPred::Exists(sub) => out.push(sub),
-        SqlPred::And(a, b) | SqlPred::Or(a, b) => {
-            collect_ast_subqueries(a, out);
-            collect_ast_subqueries(b, out);
-        }
-        SqlPred::Not(inner) => collect_ast_subqueries(inner, out),
-        _ => {}
+        SqlPred::And(a, b) => CGroupPred::And(pred(a), pred(b)),
+        SqlPred::Or(a, b) => CGroupPred::Or(pred(a), pred(b)),
+        SqlPred::Not(inner) => CGroupPred::Not(pred(inner)),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::SelectItem;
+    use crate::ast::{SelectItem, SqlQuery};
+    use graphiti_relational::RelInstance;
+    use std::collections::HashMap;
 
     fn cols() -> Vec<String> {
         vec!["e.id".to_string(), "e.name".to_string()]
+    }
+
+    fn with_layouts<T>(f: impl FnOnce(&Layouts<'_>) -> T) -> T {
+        f(&Layouts::new(&RelInstance::new(), &HashMap::new()))
+    }
+
+    fn compile_expr(e: &SqlExpr, columns: &[String]) -> CExpr {
+        with_layouts(|l| super::compile_expr(e, columns, l))
+    }
+
+    fn compile_pred(p: &SqlPred, columns: &[String]) -> CPred {
+        with_layouts(|l| super::compile_pred(p, columns, l))
+    }
+
+    fn compile_group_expr(e: &SqlExpr, columns: &[String]) -> CGroupExpr {
+        with_layouts(|l| super::compile_group_expr(e, columns, l))
     }
 
     #[test]
@@ -334,15 +278,21 @@ mod tests {
     }
 
     #[test]
-    fn subquery_collection_matches_connective_structure() {
-        let sub = SqlQuery::Table("t".into());
+    fn subqueries_compile_to_sub_plans_with_deferred_errors() {
         let p = SqlPred::and(
-            SqlPred::Exists(Box::new(sub.clone())),
-            SqlPred::not(SqlPred::InQuery(vec![SqlExpr::value(1)], Box::new(sub))),
+            SqlPred::Exists(Box::new(SqlQuery::Table("missing".into()))),
+            SqlPred::not(SqlPred::InQuery(
+                vec![SqlExpr::value(1)],
+                Box::new(SqlQuery::Table("t".into())),
+            )),
         );
-        let program = compile_pred(&p, &cols());
-        let mut subs = Vec::new();
-        program.collect_subqueries(&mut subs);
-        assert_eq!(subs.len(), 2);
+        match compile_pred(&p, &cols()) {
+            CPred::And(a, b) => {
+                // Unknown tables inside a subquery fail only if it runs.
+                assert!(matches!(&*a, CPred::Exists(sub) if sub.root.is_err()));
+                assert!(matches!(&*b, CPred::Not(inner) if matches!(&**inner, CPred::InQuery(..))));
+            }
+            other => panic!("expected And, got {other:?}"),
+        }
     }
 }

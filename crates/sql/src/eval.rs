@@ -1,68 +1,34 @@
-//! Bag-semantics evaluator for Featherweight SQL.
+//! The naive SQL oracle: a bag-semantics interpreter for Featherweight SQL.
 //!
-//! The evaluator interprets a [`SqlQuery`] against a [`RelInstance`] and
-//! produces a [`Table`].  Semantics follow the paper's references (VeriEQL's
-//! formalization): bags of tuples, three-valued `NULL` logic, `GROUP BY`
-//! with `HAVING`, inner/outer joins, `IN`/`EXISTS` subqueries (with
-//! correlation), and common table expressions.
+//! [`eval_query_unoptimized`] interprets a [`SqlQuery`] against a
+//! [`RelInstance`] and produces a [`Table`].  Semantics follow the paper's
+//! references (VeriEQL's formalization): bags of tuples, three-valued
+//! `NULL` logic, `GROUP BY` with `HAVING`, inner/outer joins, `IN`/`EXISTS`
+//! subqueries (with correlation), and common table expressions.
 //!
-//! Uncorrelated subqueries inside a predicate are evaluated once and cached;
-//! equi-joins are executed with a hash join.  [`eval_query`] additionally
-//! runs the selection-pushdown optimizer first so that textbook
-//! `FROM a, b, c WHERE ...` queries do not materialize full Cartesian
-//! products, and executes expressions through the
-//! [`compile`](crate::compile) pass: per operator, column references are
-//! resolved to positional indexes **once**, and the per-row loop runs the
-//! resulting positional program.  [`eval_query_unoptimized`] skips both the
-//! pushdown pass and compilation, retaining the naive per-row
-//! string-resolution interpreter for the ablation benchmark and for
-//! differential testing of the compiled engine.
+//! It runs the query as written — no selection pushdown — and re-resolves
+//! every column reference by string matching for every row.  Uncorrelated
+//! subqueries in a predicate's connective structure are evaluated once per
+//! operator and cached, and equi-joins run as hash joins.  It is the one
+//! reference every SQL differential compares the executor
+//! ([`eval_query`](crate::eval_query) and
+//! [`eval_vectorized`](crate::eval_vectorized)) against, and the baseline
+//! of the ablation benchmark.
 
 use crate::ast::*;
-use crate::compile::{
-    compile_expr, compile_group_expr, compile_group_pred, compile_pred, CExpr, CGroupExpr,
-    CGroupPred, CPred,
-};
-use crate::optimize::optimize;
-use crate::plan::{CompiledQuery, PlanNode, PlanOp};
 use graphiti_common::{AggKind, Error, Result, Truth, Value};
 use graphiti_relational::{RelInstance, Table};
-use std::collections::{HashMap, HashSet};
-
-/// Evaluates a SQL query against a relational instance with the full
-/// optimization pipeline: selection pushdown, hash joins, and pre-compiled
-/// positional expression programs.
-pub fn eval_query(instance: &RelInstance, query: &SqlQuery) -> Result<Table> {
-    let optimized = optimize(query);
-    let ev = Evaluator { instance, compiled: true };
-    ev.eval(&optimized, &CteEnv::new(), None)
-}
-
-/// Executes a pre-compiled plan (see [`crate::plan::compile_query`])
-/// against a relational instance.
-///
-/// The plan must have been compiled against an instance with the same
-/// table names and column lists; the engine crate guarantees this by
-/// compiling against an immutable snapshot and caching plans per snapshot.
-/// Subqueries inside the plan re-enter the regular compiled evaluator, so
-/// semantics are identical to [`eval_query`] — only the per-call parse /
-/// optimize / compile work is gone.
-pub fn eval_compiled(instance: &RelInstance, plan: &CompiledQuery) -> Result<Table> {
-    let ev = Evaluator { instance, compiled: true };
-    ev.eval_plan(&plan.root, &CteEnv::new(), None)
-}
+use std::collections::HashMap;
 
 /// Evaluates a SQL query without the selection-pushdown pass and without
 /// expression compilation: every column reference is re-resolved by string
-/// matching for every row, as in the seed interpreter.  Kept as the
-/// ablation baseline and as the reference the compiled engine is
-/// differentially tested against.
+/// matching for every row, as in the seed interpreter.  The reference the
+/// executor is differentially tested against, and the ablation baseline.
 pub fn eval_query_unoptimized(instance: &RelInstance, query: &SqlQuery) -> Result<Table> {
-    let ev = Evaluator { instance, compiled: false };
-    ev.eval(query, &CteEnv::new(), None)
+    Evaluator { instance }.eval(query, &CteEnv::new(), None)
 }
 
-pub(crate) type CteEnv = HashMap<String, Table>;
+type CteEnv = HashMap<String, Table>;
 
 /// Row-scope used to resolve column references, chained for correlated
 /// subqueries.
@@ -76,7 +42,7 @@ impl<'a> Scope<'a> {
     /// Resolves a column reference to the value it names, walking the outer
     /// scope chain for correlated references.  Returns a borrow — callers
     /// clone only when they need ownership.
-    fn lookup(&self, cref: &ColumnRef) -> Option<&'a Value> {
+    pub(crate) fn lookup(&self, cref: &ColumnRef) -> Option<&'a Value> {
         match resolve_column(self.columns, cref) {
             Some(idx) => Some(&self.row[idx]),
             None => self.outer.and_then(|o| o.lookup(cref)),
@@ -126,23 +92,15 @@ fn requalify(table: &Table, alias: &str) -> Table {
     }
 }
 
-pub(crate) struct Evaluator<'a> {
-    pub(crate) instance: &'a RelInstance,
-    /// Run per-operator compiled positional programs (`true`) or re-resolve
-    /// columns by string matching per row (`false`, the retained naive
-    /// path).
-    pub(crate) compiled: bool,
+struct Evaluator<'a> {
+    instance: &'a RelInstance,
 }
 
-pub(crate) type SubqCache = HashMap<usize, Table>;
+/// Uncorrelated subquery results of one operator, keyed by AST identity.
+type SubqCache = HashMap<usize, Table>;
 
 impl<'a> Evaluator<'a> {
-    pub(crate) fn eval(
-        &self,
-        q: &SqlQuery,
-        ctes: &CteEnv,
-        outer: Option<&Scope<'_>>,
-    ) -> Result<Table> {
+    fn eval(&self, q: &SqlQuery, ctes: &CteEnv, outer: Option<&Scope<'_>>) -> Result<Table> {
         match q {
             SqlQuery::Table(name) => self.scan(name.as_str(), ctes),
             SqlQuery::Rename { input, alias } => {
@@ -152,25 +110,11 @@ impl<'a> Evaluator<'a> {
             SqlQuery::Select { input, pred } => {
                 let t = self.eval(input, ctes, outer)?;
                 let mut out = Table::new(t.columns.clone());
-                if self.compiled {
-                    let program = compile_pred(pred, &t.columns);
-                    // The cache is keyed by the *program's* subquery
-                    // identities (the compiler lifts subqueries into fresh
-                    // `Arc`s), so build it from the program, not the AST.
-                    let cache = self.cache_cpred_subqueries(&program, ctes);
-                    for row in &t.rows {
-                        let scope = Scope { columns: &t.columns, row, outer };
-                        if self.eval_cpred(&program, &scope, ctes, &cache)?.is_true() {
-                            out.rows.push(row.clone());
-                        }
-                    }
-                } else {
-                    let cache = self.cache_subqueries(pred, ctes);
-                    for row in &t.rows {
-                        let scope = Scope { columns: &t.columns, row, outer };
-                        if self.eval_pred(pred, &scope, ctes, &cache)?.is_true() {
-                            out.rows.push(row.clone());
-                        }
+                let cache = self.cache_subqueries(pred, ctes);
+                for row in &t.rows {
+                    let scope = Scope { columns: &t.columns, row, outer };
+                    if self.eval_pred(pred, &scope, ctes, &cache)?.is_true() {
+                        out.rows.push(row.clone());
                     }
                 }
                 Ok(out)
@@ -179,26 +123,13 @@ impl<'a> Evaluator<'a> {
                 let t = self.eval(input, ctes, outer)?;
                 let columns: Vec<String> = items.iter().map(|i| i.output_name()).collect();
                 let mut out = Table::new(columns);
-                if self.compiled {
-                    let programs: Vec<CExpr> =
-                        items.iter().map(|i| compile_expr(&i.expr, &t.columns)).collect();
-                    for row in &t.rows {
-                        let scope = Scope { columns: &t.columns, row, outer };
-                        let mut new_row = Vec::with_capacity(items.len());
-                        for program in &programs {
-                            new_row.push(self.eval_cexpr(program, &scope, ctes)?);
-                        }
-                        out.rows.push(new_row);
+                for row in &t.rows {
+                    let scope = Scope { columns: &t.columns, row, outer };
+                    let mut new_row = Vec::with_capacity(items.len());
+                    for item in items {
+                        new_row.push(self.eval_scalar(&item.expr, &scope, ctes)?);
                     }
-                } else {
-                    for row in &t.rows {
-                        let scope = Scope { columns: &t.columns, row, outer };
-                        let mut new_row = Vec::with_capacity(items.len());
-                        for item in items {
-                            new_row.push(self.eval_scalar(&item.expr, &scope, ctes)?);
-                        }
-                        out.rows.push(new_row);
-                    }
+                    out.rows.push(new_row);
                 }
                 Ok(if *distinct { out.dedup() } else { out })
             }
@@ -273,15 +204,8 @@ impl<'a> Evaluator<'a> {
             }
         }
 
-        // General nested-loop join.  The join predicate is compiled once
-        // against the combined layout; the naive path interprets it per
-        // pair.  The subquery cache is keyed off whichever form will be
-        // evaluated.
-        let program = if self.compiled { Some(compile_pred(pred, &columns)) } else { None };
-        let cache = match &program {
-            Some(p) => self.cache_cpred_subqueries(p, ctes),
-            None => self.cache_subqueries(pred, ctes),
-        };
+        // General nested-loop join, interpreting the predicate per pair.
+        let cache = self.cache_subqueries(pred, ctes);
         let null_right = vec![Value::Null; right.columns.len()];
         let null_left = vec![Value::Null; left.columns.len()];
         let mut right_matched = vec![false; right.rows.len()];
@@ -292,10 +216,7 @@ impl<'a> Evaluator<'a> {
                 let scope = Scope { columns: &columns, row: &combined, outer };
                 let ok = match kind {
                     JoinKind::Cross => true,
-                    _ => match &program {
-                        Some(p) => self.eval_cpred(p, &scope, ctes, &cache)?.is_true(),
-                        None => self.eval_pred(pred, &scope, ctes, &cache)?.is_true(),
-                    },
+                    _ => self.eval_pred(pred, &scope, ctes, &cache)?.is_true(),
                 };
                 if ok {
                     matched = true;
@@ -370,11 +291,6 @@ impl<'a> Evaluator<'a> {
         // residual never needs a subquery cache.
         let residual = SqlPred::conjunction(residual);
         let cache = SubqCache::new();
-        let residual_program = if self.compiled && !matches!(residual, SqlPred::Bool(true)) {
-            Some(compile_pred(&residual, columns))
-        } else {
-            None
-        };
         let mut index: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
         'rows: for (ri, rrow) in right.rows.iter().enumerate() {
             let mut key = Vec::with_capacity(pairs.len());
@@ -411,10 +327,7 @@ impl<'a> Evaluator<'a> {
                             true
                         } else {
                             let scope = Scope { columns, row: &combined, outer };
-                            match &residual_program {
-                                Some(p) => self.eval_cpred(p, &scope, ctes, &cache)?.is_true(),
-                                None => self.eval_pred(&residual, &scope, ctes, &cache)?.is_true(),
-                            }
+                            self.eval_pred(&residual, &scope, ctes, &cache)?.is_true()
                         };
                         if keep {
                             matched = true;
@@ -443,24 +356,13 @@ impl<'a> Evaluator<'a> {
     ) -> Result<Table> {
         let columns: Vec<String> = items.iter().map(|i| i.output_name()).collect();
         let mut out = Table::new(columns);
-        // Grouping-key programs: compiled once per operator on the fast
-        // path, re-resolved per row on the naive path.
-        let key_programs: Option<Vec<CExpr>> =
-            self.compiled.then(|| keys.iter().map(|k| compile_expr(k, &input.columns)).collect());
         // Group rows by key values (hash-located, insertion-ordered).
         let mut order: Vec<Vec<Value>> = Vec::new();
         let mut groups: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
         for (ri, row) in input.rows.iter().enumerate() {
             let scope = Scope { columns: &input.columns, row, outer };
-            let key: Vec<Value> = match &key_programs {
-                Some(programs) => programs
-                    .iter()
-                    .map(|p| self.eval_cexpr(p, &scope, ctes))
-                    .collect::<Result<_>>()?,
-                None => {
-                    keys.iter().map(|k| self.eval_scalar(k, &scope, ctes)).collect::<Result<_>>()?
-                }
-            };
+            let key: Vec<Value> =
+                keys.iter().map(|k| self.eval_scalar(k, &scope, ctes)).collect::<Result<_>>()?;
             if !groups.contains_key(&key) {
                 order.push(key.clone());
             }
@@ -472,60 +374,26 @@ impl<'a> Evaluator<'a> {
             order.push(Vec::new());
             groups.insert(Vec::new(), Vec::new());
         }
-        let having_program: Option<CGroupPred> = (self.compiled
-            && !matches!(having, SqlPred::Bool(true)))
-        .then(|| compile_group_pred(having, &input.columns));
-        // Key the subquery cache off the form that will be evaluated: the
-        // compiled program retains owned subquery-predicate clones, so the
-        // interpreter-side AST pointers would never match.
-        let cache = match &having_program {
-            Some(p) => self.cache_cgroup_subqueries(p, ctes),
-            None if self.compiled => SubqCache::new(),
-            None => self.cache_subqueries(having, ctes),
-        };
-        let item_programs: Option<Vec<CGroupExpr>> = self
-            .compiled
-            .then(|| items.iter().map(|i| compile_group_expr(&i.expr, &input.columns)).collect());
+        let cache = self.cache_subqueries(having, ctes);
         for key in order {
             let members = &groups[&key];
             let rows: Vec<&Vec<Value>> = members.iter().map(|&i| &input.rows[i]).collect();
             if !matches!(having, SqlPred::Bool(true)) {
-                let keep = match &having_program {
-                    Some(p) => self
-                        .eval_cgroup_pred(p, &rows, &input.columns, ctes, outer, &cache)?
-                        .is_true(),
-                    None => self
-                        .eval_group_pred(having, &rows, &input.columns, ctes, outer, &cache)?
-                        .is_true(),
-                };
-                if !keep {
+                let truth =
+                    self.eval_group_pred(having, &rows, &input.columns, ctes, outer, &cache)?;
+                if !truth.is_true() {
                     continue;
                 }
             }
             let mut new_row = Vec::with_capacity(items.len());
-            match &item_programs {
-                Some(programs) => {
-                    for p in programs {
-                        new_row.push(self.eval_cgroup_expr(
-                            p,
-                            &rows,
-                            &input.columns,
-                            ctes,
-                            outer,
-                        )?);
-                    }
-                }
-                None => {
-                    for item in items {
-                        new_row.push(self.eval_group_expr(
-                            &item.expr,
-                            &rows,
-                            &input.columns,
-                            ctes,
-                            outer,
-                        )?);
-                    }
-                }
+            for item in items {
+                new_row.push(self.eval_group_expr(
+                    &item.expr,
+                    &rows,
+                    &input.columns,
+                    ctes,
+                    outer,
+                )?);
             }
             out.rows.push(new_row);
         }
@@ -661,12 +529,7 @@ impl<'a> Evaluator<'a> {
 
     // ------------------------------------------------- scalars & predicates
 
-    pub(crate) fn eval_scalar(
-        &self,
-        e: &SqlExpr,
-        scope: &Scope<'_>,
-        ctes: &CteEnv,
-    ) -> Result<Value> {
+    fn eval_scalar(&self, e: &SqlExpr, scope: &Scope<'_>, ctes: &CteEnv) -> Result<Value> {
         match e {
             SqlExpr::Col(c) => scope
                 .lookup(c)
@@ -691,7 +554,7 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    pub(crate) fn eval_pred(
+    fn eval_pred(
         &self,
         p: &SqlPred,
         scope: &Scope<'_>,
@@ -739,183 +602,6 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    // ------------------------------------------ compiled-program execution
-    //
-    // The runtime for the positional programs produced by
-    // [`crate::compile`].  These mirror `eval_scalar` / `eval_pred` /
-    // `eval_group_expr` / `eval_group_pred` exactly, except that column
-    // references are already indexes into the current row.
-
-    pub(crate) fn eval_cexpr(&self, e: &CExpr, scope: &Scope<'_>, ctes: &CteEnv) -> Result<Value> {
-        match e {
-            CExpr::Col(idx) => Ok(scope.row[*idx].clone()),
-            // Compilation already proved the reference does not resolve in
-            // the local layout, so start the walk at the outer scope.
-            CExpr::Outer(cref) => scope
-                .outer
-                .and_then(|o| o.lookup(cref))
-                .cloned()
-                .ok_or_else(|| Error::eval(format!("unknown column `{}`", cref.render()))),
-            CExpr::Value(v) => Ok(v.clone()),
-            CExpr::Cast(p) => {
-                let t = self.eval_cpred(p, scope, ctes, &SubqCache::new())?;
-                Ok(match t {
-                    Truth::True => Value::Int(1),
-                    Truth::False => Value::Int(0),
-                    Truth::Unknown => Value::Null,
-                })
-            }
-            CExpr::Arith(a, op, b) => {
-                let va = self.eval_cexpr(a, scope, ctes)?;
-                let vb = self.eval_cexpr(b, scope, ctes)?;
-                va.arith(*op, &vb)
-            }
-            CExpr::ScalarAgg => Err(Error::eval("aggregate used outside of a GROUP BY context")),
-            CExpr::Star => Err(Error::eval("`*` may only appear inside Count(*)")),
-        }
-    }
-
-    pub(crate) fn eval_cpred(
-        &self,
-        p: &CPred,
-        scope: &Scope<'_>,
-        ctes: &CteEnv,
-        cache: &SubqCache,
-    ) -> Result<Truth> {
-        match p {
-            CPred::Bool(b) => Ok(Truth::from_bool(*b)),
-            CPred::Cmp(a, op, b) => {
-                let va = self.eval_cexpr(a, scope, ctes)?;
-                let vb = self.eval_cexpr(b, scope, ctes)?;
-                Ok(va.compare(*op, &vb))
-            }
-            CPred::IsNull(e) => {
-                let v = self.eval_cexpr(e, scope, ctes)?;
-                Ok(Truth::from_bool(v.is_null()))
-            }
-            CPred::InList(e, vs) => {
-                let v = self.eval_cexpr(e, scope, ctes)?;
-                let mut truth = Truth::False;
-                for candidate in vs {
-                    truth = truth.or(v.sql_eq(candidate));
-                }
-                Ok(truth)
-            }
-            CPred::InQuery(exprs, sub) => {
-                let lhs: Vec<Value> =
-                    exprs.iter().map(|e| self.eval_cexpr(e, scope, ctes)).collect::<Result<_>>()?;
-                let table = self.subquery_result(sub.as_ref(), scope, ctes, cache)?;
-                in_membership(&lhs, &table)
-            }
-            CPred::Exists(sub) => {
-                let table = self.subquery_result(sub.as_ref(), scope, ctes, cache)?;
-                Ok(Truth::from_bool(!table.is_empty()))
-            }
-            CPred::And(a, b) => Ok(self
-                .eval_cpred(a, scope, ctes, cache)?
-                .and(self.eval_cpred(b, scope, ctes, cache)?)),
-            CPred::Or(a, b) => Ok(self
-                .eval_cpred(a, scope, ctes, cache)?
-                .or(self.eval_cpred(b, scope, ctes, cache)?)),
-            CPred::Not(inner) => Ok(self.eval_cpred(inner, scope, ctes, cache)?.not()),
-        }
-    }
-
-    fn eval_cgroup_expr(
-        &self,
-        e: &CGroupExpr,
-        rows: &[&Vec<Value>],
-        columns: &[String],
-        ctes: &CteEnv,
-        outer: Option<&Scope<'_>>,
-    ) -> Result<Value> {
-        match e {
-            CGroupExpr::CountStar => Ok(Value::Int(rows.len() as i64)),
-            CGroupExpr::StarAgg => Err(Error::eval("`*` may only appear inside Count(*)")),
-            CGroupExpr::Agg(kind, inner, distinct) => {
-                let mut values = Vec::with_capacity(rows.len());
-                for row in rows {
-                    let scope = Scope { columns, row, outer };
-                    values.push(self.eval_cexpr(inner, &scope, ctes)?);
-                }
-                if *distinct {
-                    // Hash-based dedup preserving first-seen order (Value's
-                    // Hash is consistent with strict_eq).
-                    let mut seen: HashSet<Value> = HashSet::with_capacity(values.len());
-                    let mut uniq: Vec<Value> = Vec::new();
-                    for v in values {
-                        if seen.insert(v.clone()) {
-                            uniq.push(v);
-                        }
-                    }
-                    Ok(kind.fold(uniq.iter()))
-                } else {
-                    Ok(kind.fold(values.iter()))
-                }
-            }
-            CGroupExpr::Arith(a, op, b) => {
-                let va = self.eval_cgroup_expr(a, rows, columns, ctes, outer)?;
-                let vb = self.eval_cgroup_expr(b, rows, columns, ctes, outer)?;
-                va.arith(*op, &vb)
-            }
-            CGroupExpr::Scalar(inner) => match rows.first() {
-                Some(row) => {
-                    let scope = Scope { columns, row, outer };
-                    self.eval_cexpr(inner, &scope, ctes)
-                }
-                None => Ok(Value::Null),
-            },
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn eval_cgroup_pred(
-        &self,
-        pred: &CGroupPred,
-        rows: &[&Vec<Value>],
-        columns: &[String],
-        ctes: &CteEnv,
-        outer: Option<&Scope<'_>>,
-        cache: &SubqCache,
-    ) -> Result<Truth> {
-        match pred {
-            CGroupPred::Bool(b) => Ok(Truth::from_bool(*b)),
-            CGroupPred::Cmp(a, op, b) => {
-                let va = self.eval_cgroup_expr(a, rows, columns, ctes, outer)?;
-                let vb = self.eval_cgroup_expr(b, rows, columns, ctes, outer)?;
-                Ok(va.compare(*op, &vb))
-            }
-            CGroupPred::IsNull(e) => {
-                let v = self.eval_cgroup_expr(e, rows, columns, ctes, outer)?;
-                Ok(Truth::from_bool(v.is_null()))
-            }
-            CGroupPred::InList(e, vs) => {
-                let v = self.eval_cgroup_expr(e, rows, columns, ctes, outer)?;
-                let mut truth = Truth::False;
-                for candidate in vs {
-                    truth = truth.or(v.sql_eq(candidate));
-                }
-                Ok(truth)
-            }
-            CGroupPred::And(a, b) => Ok(self
-                .eval_cgroup_pred(a, rows, columns, ctes, outer, cache)?
-                .and(self.eval_cgroup_pred(b, rows, columns, ctes, outer, cache)?)),
-            CGroupPred::Or(a, b) => Ok(self
-                .eval_cgroup_pred(a, rows, columns, ctes, outer, cache)?
-                .or(self.eval_cgroup_pred(b, rows, columns, ctes, outer, cache)?)),
-            CGroupPred::Not(p) => {
-                Ok(self.eval_cgroup_pred(p, rows, columns, ctes, outer, cache)?.not())
-            }
-            CGroupPred::Subquery(p) => match rows.first() {
-                Some(row) => {
-                    let scope = Scope { columns, row, outer };
-                    self.eval_pred(p, &scope, ctes, cache)
-                }
-                None => Ok(Truth::Unknown),
-            },
-        }
-    }
-
     fn subquery_result(
         &self,
         sub: &SqlQuery,
@@ -952,347 +638,10 @@ impl<'a> Evaluator<'a> {
         }
         cache
     }
-
-    /// Pre-evaluates the subqueries a compiled predicate will consult,
-    /// keyed by the program's own subquery identities.
-    pub(crate) fn cache_cpred_subqueries(&self, program: &CPred, ctes: &CteEnv) -> SubqCache {
-        let mut subs = Vec::new();
-        program.collect_subqueries(&mut subs);
-        self.cache_collected(&subs, ctes)
-    }
-
-    /// Pre-evaluates the subqueries a compiled `HAVING` program will
-    /// consult.
-    pub(crate) fn cache_cgroup_subqueries(&self, program: &CGroupPred, ctes: &CteEnv) -> SubqCache {
-        let mut subs = Vec::new();
-        program.collect_subqueries(&mut subs);
-        self.cache_collected(&subs, ctes)
-    }
-
-    fn cache_collected(&self, subs: &[&SqlQuery], ctes: &CteEnv) -> SubqCache {
-        let mut cache = SubqCache::new();
-        for sub in subs {
-            if let Ok(t) = self.eval(sub, ctes, None) {
-                cache.insert(*sub as *const SqlQuery as usize, t);
-            }
-        }
-        cache
-    }
-
-    // ------------------------------------------------ compiled-plan runtime
-    //
-    // Executes the operator tree produced by [`crate::plan::compile_query`].
-    // Each arm mirrors the corresponding `eval` arm with the per-call
-    // `compile_*` invocations replaced by the plan's pre-built programs;
-    // subqueries re-enter `eval` exactly as the per-operator compiled path
-    // does.
-
-    fn eval_plan(
-        &self,
-        node: &PlanNode,
-        ctes: &CteEnv,
-        outer: Option<&Scope<'_>>,
-    ) -> Result<Table> {
-        match &node.op {
-            PlanOp::Scan { name } => self.scan(name.as_str(), ctes),
-            PlanOp::Rename { input, alias } => {
-                let t = self.eval_plan(input, ctes, outer)?;
-                Ok(requalify(&t, alias.as_str()))
-            }
-            PlanOp::Select { input, program } => {
-                let t = self.eval_plan(input, ctes, outer)?;
-                self.select_compiled(&t, program, ctes, outer)
-            }
-            PlanOp::Project { input, programs, distinct } => {
-                let t = self.eval_plan(input, ctes, outer)?;
-                self.project_compiled(&t, programs, *distinct, node.columns.as_slice(), ctes, outer)
-            }
-            PlanOp::Cross { left, right } => {
-                let lt = self.eval_plan(left, ctes, outer)?;
-                let rt = self.eval_plan(right, ctes, outer)?;
-                let mut out = Table::new(node.columns.iter().cloned());
-                for lrow in &lt.rows {
-                    for rrow in &rt.rows {
-                        out.rows.push(lrow.iter().chain(rrow.iter()).cloned().collect());
-                    }
-                }
-                Ok(out)
-            }
-            PlanOp::HashJoin { left, right, kind, pairs, residual } => {
-                let lt = self.eval_plan(left, ctes, outer)?;
-                let rt = self.eval_plan(right, ctes, outer)?;
-                self.hash_join_compiled(
-                    &lt,
-                    &rt,
-                    *kind,
-                    pairs,
-                    residual.as_ref(),
-                    node.columns.as_slice(),
-                    ctes,
-                    outer,
-                )
-            }
-            PlanOp::LoopJoin { left, right, kind, program } => {
-                let lt = self.eval_plan(left, ctes, outer)?;
-                let rt = self.eval_plan(right, ctes, outer)?;
-                self.loop_join_compiled(
-                    &lt,
-                    &rt,
-                    *kind,
-                    program,
-                    node.columns.as_slice(),
-                    ctes,
-                    outer,
-                )
-            }
-            PlanOp::Union { left, right, dedup } => {
-                let ta = self.eval_plan(left, ctes, outer)?;
-                let tb = self.eval_plan(right, ctes, outer)?;
-                concat_union(ta, tb, *dedup)
-            }
-            PlanOp::GroupBy { input, keys, items, having } => {
-                let t = self.eval_plan(input, ctes, outer)?;
-                self.group_by_compiled(
-                    &t,
-                    keys,
-                    items,
-                    having.as_ref(),
-                    node.columns.as_slice(),
-                    ctes,
-                    outer,
-                )
-            }
-            PlanOp::With { name, definition, body } => {
-                let def = self.eval_plan(definition, ctes, outer)?;
-                let mut extended = ctes.clone();
-                extended.insert(name.as_str().to_string(), def);
-                self.eval_plan(body, &extended, outer)
-            }
-            PlanOp::OrderBy { input, keys } => {
-                let mut table = self.eval_plan(input, ctes, outer)?;
-                table.rows.sort_by(|a, b| {
-                    for (idx, asc) in keys {
-                        let ord = a[*idx].total_cmp(&b[*idx]);
-                        let ord = if *asc { ord } else { ord.reverse() };
-                        if ord != std::cmp::Ordering::Equal {
-                            return ord;
-                        }
-                    }
-                    std::cmp::Ordering::Equal
-                });
-                Ok(table)
-            }
-        }
-    }
-
-    /// The compiled-plan `Select` runtime: filter `t` through `program`.
-    /// Shared with the vectorized executor's fallback path for predicates
-    /// that cannot run column-at-a-time (subqueries).
-    pub(crate) fn select_compiled(
-        &self,
-        t: &Table,
-        program: &CPred,
-        ctes: &CteEnv,
-        outer: Option<&Scope<'_>>,
-    ) -> Result<Table> {
-        let cache = self.cache_cpred_subqueries(program, ctes);
-        let mut out = Table::new(t.columns.clone());
-        for row in &t.rows {
-            let scope = Scope { columns: &t.columns, row, outer };
-            if self.eval_cpred(program, &scope, ctes, &cache)?.is_true() {
-                out.rows.push(row.clone());
-            }
-        }
-        Ok(out)
-    }
-
-    /// The compiled-plan `Project` runtime, shared with the vectorized
-    /// executor's fallback path.
-    pub(crate) fn project_compiled(
-        &self,
-        t: &Table,
-        programs: &[CExpr],
-        distinct: bool,
-        out_columns: &[String],
-        ctes: &CteEnv,
-        outer: Option<&Scope<'_>>,
-    ) -> Result<Table> {
-        let mut out = Table::new(out_columns.iter().cloned());
-        for row in &t.rows {
-            let scope = Scope { columns: &t.columns, row, outer };
-            let mut new_row = Vec::with_capacity(programs.len());
-            for program in programs {
-                new_row.push(self.eval_cexpr(program, &scope, ctes)?);
-            }
-            out.rows.push(new_row);
-        }
-        Ok(if distinct { out.dedup() } else { out })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn hash_join_compiled(
-        &self,
-        left: &Table,
-        right: &Table,
-        kind: JoinKind,
-        pairs: &[(usize, usize)],
-        residual: Option<&CPred>,
-        out_columns: &[String],
-        ctes: &CteEnv,
-        outer: Option<&Scope<'_>>,
-    ) -> Result<Table> {
-        // The planner only emits hash joins for subquery-free predicates,
-        // so no subquery cache is needed.
-        let cache = SubqCache::new();
-        let mut index: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-        'rows: for (ri, rrow) in right.rows.iter().enumerate() {
-            let mut key = Vec::with_capacity(pairs.len());
-            for (_, rcol) in pairs {
-                let v = rrow[*rcol].clone();
-                if v.is_null() {
-                    continue 'rows;
-                }
-                key.push(v);
-            }
-            index.entry(key).or_default().push(ri);
-        }
-        let mut out = Table::new(out_columns.iter().cloned());
-        let null_right = vec![Value::Null; right.columns.len()];
-        for lrow in &left.rows {
-            let mut matched = false;
-            let mut key = Vec::with_capacity(pairs.len());
-            let mut has_null = false;
-            for (lcol, _) in pairs {
-                let v = lrow[*lcol].clone();
-                if v.is_null() {
-                    has_null = true;
-                    break;
-                }
-                key.push(v);
-            }
-            if !has_null {
-                if let Some(ris) = index.get(&key) {
-                    for &ri in ris {
-                        let rrow = &right.rows[ri];
-                        let combined: Vec<Value> =
-                            lrow.iter().chain(rrow.iter()).cloned().collect();
-                        let keep = match residual {
-                            None => true,
-                            Some(p) => {
-                                let scope = Scope { columns: out_columns, row: &combined, outer };
-                                self.eval_cpred(p, &scope, ctes, &cache)?.is_true()
-                            }
-                        };
-                        if keep {
-                            matched = true;
-                            out.rows.push(combined);
-                        }
-                    }
-                }
-            }
-            if !matched && kind == JoinKind::Left {
-                out.rows.push(lrow.iter().chain(null_right.iter()).cloned().collect());
-            }
-        }
-        Ok(out)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn loop_join_compiled(
-        &self,
-        left: &Table,
-        right: &Table,
-        kind: JoinKind,
-        program: &CPred,
-        out_columns: &[String],
-        ctes: &CteEnv,
-        outer: Option<&Scope<'_>>,
-    ) -> Result<Table> {
-        let cache = self.cache_cpred_subqueries(program, ctes);
-        let mut out = Table::new(out_columns.iter().cloned());
-        let null_right = vec![Value::Null; right.columns.len()];
-        let null_left = vec![Value::Null; left.columns.len()];
-        let mut right_matched = vec![false; right.rows.len()];
-        for lrow in &left.rows {
-            let mut matched = false;
-            for (ri, rrow) in right.rows.iter().enumerate() {
-                let combined: Vec<Value> = lrow.iter().chain(rrow.iter()).cloned().collect();
-                let scope = Scope { columns: out_columns, row: &combined, outer };
-                if self.eval_cpred(program, &scope, ctes, &cache)?.is_true() {
-                    matched = true;
-                    right_matched[ri] = true;
-                    out.rows.push(combined);
-                }
-            }
-            if !matched && matches!(kind, JoinKind::Left | JoinKind::Full) {
-                out.rows.push(lrow.iter().chain(null_right.iter()).cloned().collect());
-            }
-        }
-        if matches!(kind, JoinKind::Right | JoinKind::Full) {
-            for (ri, rrow) in right.rows.iter().enumerate() {
-                if !right_matched[ri] {
-                    out.rows.push(null_left.iter().chain(rrow.iter()).cloned().collect());
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn group_by_compiled(
-        &self,
-        input: &Table,
-        keys: &[CExpr],
-        items: &[CGroupExpr],
-        having: Option<&CGroupPred>,
-        out_columns: &[String],
-        ctes: &CteEnv,
-        outer: Option<&Scope<'_>>,
-    ) -> Result<Table> {
-        let mut out = Table::new(out_columns.iter().cloned());
-        let mut order: Vec<Vec<Value>> = Vec::new();
-        let mut groups: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-        for (ri, row) in input.rows.iter().enumerate() {
-            let scope = Scope { columns: &input.columns, row, outer };
-            let key: Vec<Value> =
-                keys.iter().map(|p| self.eval_cexpr(p, &scope, ctes)).collect::<Result<_>>()?;
-            if !groups.contains_key(&key) {
-                order.push(key.clone());
-            }
-            groups.entry(key).or_default().push(ri);
-        }
-        // SQL returns a single row for aggregate queries without GROUP BY
-        // even when the input is empty.
-        if keys.is_empty() && input.rows.is_empty() {
-            order.push(Vec::new());
-            groups.insert(Vec::new(), Vec::new());
-        }
-        let cache = match having {
-            Some(p) => self.cache_cgroup_subqueries(p, ctes),
-            None => SubqCache::new(),
-        };
-        for key in order {
-            let members = &groups[&key];
-            let rows: Vec<&Vec<Value>> = members.iter().map(|&i| &input.rows[i]).collect();
-            if let Some(p) = having {
-                if !self.eval_cgroup_pred(p, &rows, &input.columns, ctes, outer, &cache)?.is_true()
-                {
-                    continue;
-                }
-            }
-            let mut new_row = Vec::with_capacity(items.len());
-            for p in items {
-                new_row.push(self.eval_cgroup_expr(p, &rows, &input.columns, ctes, outer)?);
-            }
-            out.rows.push(new_row);
-        }
-        Ok(out)
-    }
 }
 
 /// Three-valued tuple membership of `lhs` in the rows of `table` (the
-/// semantics of `(E1, ..., En) IN (SELECT ...)`), shared by the interpreted
-/// and compiled predicate runtimes.
+/// semantics of `(E1, ..., En) IN (SELECT ...)`).
 fn in_membership(lhs: &[Value], table: &Table) -> Result<Truth> {
     if table.arity() != lhs.len() {
         return Err(Error::eval(format!(
@@ -1327,6 +676,8 @@ fn concat_union(mut a: Table, b: Table, dedup: bool) -> Result<Table> {
 mod tests {
     use super::*;
     use crate::parser::parse_query;
+    use crate::{compile_query, eval_query, eval_vectorized};
+    use graphiti_relational::ColumnInstance;
     use graphiti_relational::{Constraint, RelSchema, Relation};
 
     fn v(i: i64) -> Value {
@@ -1580,10 +931,10 @@ mod tests {
     }
 
     #[test]
-    fn compiled_plans_agree_with_both_engines() {
+    fn compiled_plans_agree_with_the_oracle() {
         // Every feature the evaluator tests exercise, replayed through the
-        // standalone plan path: compile once, evaluate, and compare against
-        // both the per-operator compiled engine and the naive interpreter.
+        // standalone plan path: compile once, execute, and compare against
+        // the one-shot executor and the naive oracle.
         let queries = [
             "SELECT e.name FROM emp AS e WHERE e.id = 1",
             "SELECT e.name, d.dname FROM emp AS e \
@@ -1616,10 +967,10 @@ mod tests {
         let inst = emp_instance();
         for text in queries {
             let q = parse_query(text).unwrap();
-            let plan = crate::plan::compile_query(&inst, &q)
-                .unwrap_or_else(|e| panic!("`{text}` failed to plan: {e}"));
-            let planned = eval_compiled(&inst, &plan)
-                .unwrap_or_else(|e| panic!("`{text}` failed compiled eval: {e}"));
+            let plan =
+                compile_query(&inst, &q).unwrap_or_else(|e| panic!("`{text}` failed to plan: {e}"));
+            let planned = eval_vectorized(&inst, &ColumnInstance::from_rel(&inst), &plan)
+                .unwrap_or_else(|e| panic!("`{text}` failed planned eval: {e}"));
             let fast = eval_query(&inst, &q).unwrap();
             let slow = eval_query_unoptimized(&inst, &q).unwrap();
             // The plan path shares the optimizer with `eval_query`, so the
@@ -1635,17 +986,20 @@ mod tests {
                WHERE s1.PID = p1.PID AND p1.CSID = c1.CSID AND c1.CID = 1 ) \
              GROUP BY CID";
         let q = parse_query(text).unwrap();
-        let plan = crate::plan::compile_query(&semmed, &q).unwrap();
-        assert_eq!(eval_compiled(&semmed, &plan).unwrap(), eval_query(&semmed, &q).unwrap());
+        let plan = compile_query(&semmed, &q).unwrap();
+        let planned = eval_vectorized(&semmed, &ColumnInstance::from_rel(&semmed), &plan).unwrap();
+        assert_eq!(planned, eval_query(&semmed, &q).unwrap());
+        assert!(planned.equivalent(&eval_query_unoptimized(&semmed, &q).unwrap()));
     }
 
     #[test]
     fn compiled_plans_are_reusable_across_evaluations() {
         let inst = emp_instance();
         let q = parse_query("SELECT e.name FROM emp AS e WHERE e.id >= 1 ORDER BY e.name").unwrap();
-        let plan = crate::plan::compile_query(&inst, &q).unwrap();
-        let first = eval_compiled(&inst, &plan).unwrap();
-        let second = eval_compiled(&inst, &plan).unwrap();
+        let plan = compile_query(&inst, &q).unwrap();
+        let columnar = ColumnInstance::from_rel(&inst);
+        let first = eval_vectorized(&inst, &columnar, &plan).unwrap();
+        let second = eval_vectorized(&inst, &columnar, &plan).unwrap();
         assert_eq!(first, second);
         assert_eq!(first.len(), 2);
     }

@@ -14,14 +14,16 @@
 //!   `FROM a, b WHERE ...` queries do not materialize Cartesian products.
 //! * [`compile`] — lowers expressions/predicates into positional programs
 //!   (column references resolved to row indexes once per operator).
-//! * [`eval`] — a bag-semantics evaluator with three-valued `NULL` logic,
-//!   hash equi-joins, outer joins, grouping, and correlated subqueries;
-//!   [`eval_query`] runs compiled programs, [`eval_query_unoptimized`]
-//!   retains the naive per-row interpreter as the ablation baseline.
-//! * [`vectorized`] — columnar, batch-at-a-time execution of compiled
-//!   plans over [`ColumnTable`](graphiti_relational::ColumnTable)s
-//!   ([`eval_vectorized`]), differentially tested against [`eval_compiled`]
-//!   which remains the row-at-a-time oracle path.
+//! * [`plan`] — compiles a whole query, subqueries included, into a
+//!   cacheable [`CompiledQuery`] ([`compile_query`]).
+//! * [`vectorized`] — the executor: columnar, batch-at-a-time execution of
+//!   compiled plans over [`ColumnTable`](graphiti_relational::ColumnTable)s
+//!   ([`eval_vectorized`]), subqueries included; [`eval_query`] compiles
+//!   and runs a query in one call.
+//! * [`eval`] — the naive oracle, [`eval_query_unoptimized`]: a per-row
+//!   interpreter with bag semantics, three-valued `NULL` logic, hash
+//!   equi-joins, outer joins, grouping, and correlated subqueries.  Every
+//!   SQL differential compares the executor against it.
 //!
 //! # Example
 //!
@@ -51,9 +53,9 @@ pub mod pretty;
 pub mod vectorized;
 
 pub use ast::{ColumnRef, JoinKind, SelectItem, SqlExpr, SqlPred, SqlQuery};
-pub use eval::{eval_compiled, eval_query, eval_query_unoptimized, resolve_column};
+pub use eval::{eval_query_unoptimized, resolve_column};
 pub use optimize::optimize;
 pub use parser::parse_query;
 pub use plan::{compile_query, CompiledQuery};
 pub use pretty::query_to_string;
-pub use vectorized::{eval_vectorized, eval_vectorized_profiled};
+pub use vectorized::{eval_query, eval_vectorized, eval_vectorized_profiled};

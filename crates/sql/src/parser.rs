@@ -17,12 +17,12 @@
 
 use crate::ast::*;
 use crate::lexer::{tokenize, Token};
-use graphiti_common::{AggKind, BinArith, CmpOp, Error, Ident, Result, Value};
+use graphiti_common::{AggKind, BinArith, CmpOp, Error, Ident, Result, Value, MAX_NESTING};
 
 /// Parses a complete SQL query.
 pub fn parse_query(input: &str) -> Result<SqlQuery> {
     let tokens = tokenize(input)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser { tokens, pos: 0, depth: 0 };
     let q = p.parse_with_query()?;
     p.expect_eof()?;
     Ok(q)
@@ -31,9 +31,38 @@ pub fn parse_query(input: &str) -> Result<SqlQuery> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Nesting levels entered so far (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl Parser {
+    /// Enters one more nesting level; the caller restores the depth, via
+    /// [`Parser::nested`] or [`Parser::chain`].
+    fn descend(&mut self) -> Result<()> {
+        if self.depth == MAX_NESTING {
+            return Err(Error::too_deep("sql"));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Runs `f` one nesting level deeper.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        self.chain(|p| {
+            p.descend()?;
+            f(p)
+        })
+    }
+
+    /// Runs `f`, which descends once per link of a left-deep chain, and
+    /// restores the depth afterwards.
+    fn chain<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        let depth = self.depth;
+        let out = f(self);
+        self.depth = depth;
+        out
+    }
+
     fn peek(&self) -> &Token {
         &self.tokens[self.pos]
     }
@@ -117,9 +146,14 @@ impl Parser {
     // ----------------------------------------------------------------- WITH
 
     fn parse_with_query(&mut self) -> Result<SqlQuery> {
+        self.chain(Self::parse_with_chain)
+    }
+
+    fn parse_with_chain(&mut self) -> Result<SqlQuery> {
         if self.eat_kw("with") {
             let mut defs: Vec<(Ident, SqlQuery)> = Vec::new();
             loop {
+                self.descend()?;
                 let name = self.expect_ident()?;
                 self.expect_kw("as")?;
                 self.expect(&Token::LParen)?;
@@ -146,6 +180,7 @@ impl Parser {
         loop {
             if self.at_kw("union") {
                 self.bump();
+                self.descend()?;
                 let all = self.eat_kw("all");
                 let rhs = self.parse_select_query()?;
                 q = if all {
@@ -267,17 +302,24 @@ impl Parser {
     // ----------------------------------------------------------------- FROM
 
     fn parse_from(&mut self) -> Result<SqlQuery> {
+        self.chain(Self::parse_from_chain)
+    }
+
+    fn parse_from_chain(&mut self) -> Result<SqlQuery> {
         let mut q = self.parse_from_item()?;
         loop {
             if self.eat(&Token::Comma) {
+                self.descend()?;
                 let rhs = self.parse_from_item()?;
                 q = q.cross_join(rhs);
             } else if self.at_kw("cross") {
                 self.bump();
+                self.descend()?;
                 self.expect_kw("join")?;
                 let rhs = self.parse_from_item()?;
                 q = q.cross_join(rhs);
             } else if self.at_kw("join") || self.at_kw("inner") {
+                self.descend()?;
                 self.eat_kw("inner");
                 self.expect_kw("join")?;
                 let rhs = self.parse_from_item()?;
@@ -289,6 +331,7 @@ impl Parser {
                     pred,
                 };
             } else if self.at_kw("left") || self.at_kw("right") || self.at_kw("full") {
+                self.descend()?;
                 let kind = if self.eat_kw("left") {
                     JoinKind::Left
                 } else if self.eat_kw("right") {
@@ -312,7 +355,7 @@ impl Parser {
 
     fn parse_from_item(&mut self) -> Result<SqlQuery> {
         if self.eat(&Token::LParen) {
-            let sub = self.parse_with_query()?;
+            let sub = self.nested(Self::parse_with_query)?;
             self.expect(&Token::RParen)?;
             self.eat_kw("as");
             let alias = self.expect_ident()?;
@@ -335,26 +378,32 @@ impl Parser {
     // ------------------------------------------------------------ predicate
 
     fn parse_pred(&mut self) -> Result<SqlPred> {
-        let mut p = self.parse_and_pred()?;
-        while self.eat_kw("or") {
-            let rhs = self.parse_and_pred()?;
-            p = SqlPred::or(p, rhs);
-        }
-        Ok(p)
+        self.chain(|p| {
+            let mut pred = p.parse_and_pred()?;
+            while p.eat_kw("or") {
+                p.descend()?;
+                let rhs = p.parse_and_pred()?;
+                pred = SqlPred::or(pred, rhs);
+            }
+            Ok(pred)
+        })
     }
 
     fn parse_and_pred(&mut self) -> Result<SqlPred> {
-        let mut p = self.parse_not_pred()?;
-        while self.eat_kw("and") {
-            let rhs = self.parse_not_pred()?;
-            p = SqlPred::And(Box::new(p), Box::new(rhs));
-        }
-        Ok(p)
+        self.chain(|p| {
+            let mut pred = p.parse_not_pred()?;
+            while p.eat_kw("and") {
+                p.descend()?;
+                let rhs = p.parse_not_pred()?;
+                pred = SqlPred::And(Box::new(pred), Box::new(rhs));
+            }
+            Ok(pred)
+        })
     }
 
     fn parse_not_pred(&mut self) -> Result<SqlPred> {
         if self.eat_kw("not") {
-            Ok(SqlPred::not(self.parse_not_pred()?))
+            Ok(SqlPred::not(self.nested(Self::parse_not_pred)?))
         } else {
             self.parse_primary_pred()
         }
@@ -372,7 +421,7 @@ impl Parser {
         if self.at_kw("exists") {
             self.bump();
             self.expect(&Token::LParen)?;
-            let sub = self.parse_with_query()?;
+            let sub = self.nested(Self::parse_with_query)?;
             self.expect(&Token::RParen)?;
             return Ok(SqlPred::Exists(Box::new(sub)));
         }
@@ -380,7 +429,11 @@ impl Parser {
         if self.peek() == &Token::LParen {
             let save = self.pos;
             self.bump();
-            if let Ok(p) = self.parse_pred() {
+            let inner = self.nested(Self::parse_pred);
+            if matches!(&inner, Err(e) if *e == Error::too_deep("sql")) {
+                return inner;
+            }
+            if let Ok(p) = inner {
                 if self.eat(&Token::RParen)
                     && !matches!(
                         self.peek(),
@@ -402,6 +455,9 @@ impl Parser {
                 }
             }
             self.pos = save;
+            if let Some(p) = self.try_tuple_in()? {
+                return Ok(p);
+            }
         }
         let lhs = self.parse_expr()?;
         if self.at_kw("is") {
@@ -439,10 +495,42 @@ impl Parser {
         Ok(SqlPred::Cmp(Box::new(lhs), op, Box::new(rhs)))
     }
 
+    /// Parses `(E1, ..., En) [NOT] IN (SELECT ...)` with n ≥ 2; `None`,
+    /// with the position restored, when the text is not one.
+    fn try_tuple_in(&mut self) -> Result<Option<SqlPred>> {
+        let save = self.pos;
+        let tuple = self.nested(|p| {
+            p.expect(&Token::LParen)?;
+            let mut exprs = vec![p.parse_expr()?];
+            while p.eat(&Token::Comma) {
+                exprs.push(p.parse_expr()?);
+            }
+            p.expect(&Token::RParen)?;
+            Ok(exprs)
+        });
+        let negated = self.at_kw("not") && self.peek_at(1).is_kw("in");
+        match tuple {
+            Ok(exprs) if exprs.len() > 1 && (negated || self.at_kw("in")) => {
+                self.eat_kw("not");
+                self.expect_kw("in")?;
+                self.expect(&Token::LParen)?;
+                let sub = self.nested(Self::parse_with_query)?;
+                self.expect(&Token::RParen)?;
+                let p = SqlPred::InQuery(exprs, Box::new(sub));
+                Ok(Some(if negated { SqlPred::not(p) } else { p }))
+            }
+            Err(e) if e == Error::too_deep("sql") => Err(e),
+            _ => {
+                self.pos = save;
+                Ok(None)
+            }
+        }
+    }
+
     fn parse_in_rhs(&mut self, lhs: SqlExpr) -> Result<SqlPred> {
         self.expect(&Token::LParen)?;
         if self.at_kw("select") || self.at_kw("with") {
-            let sub = self.parse_with_query()?;
+            let sub = self.nested(Self::parse_with_query)?;
             self.expect(&Token::RParen)?;
             return Ok(SqlPred::InQuery(vec![lhs], Box::new(sub)));
         }
@@ -479,34 +567,40 @@ impl Parser {
     // ----------------------------------------------------------- expression
 
     fn parse_expr(&mut self) -> Result<SqlExpr> {
-        let mut e = self.parse_term()?;
-        loop {
-            let op = match self.peek() {
-                Token::Plus => BinArith::Add,
-                Token::Minus => BinArith::Sub,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.parse_term()?;
-            e = SqlExpr::Arith(Box::new(e), op, Box::new(rhs));
-        }
-        Ok(e)
+        self.chain(|p| {
+            let mut e = p.parse_term()?;
+            loop {
+                let op = match p.peek() {
+                    Token::Plus => BinArith::Add,
+                    Token::Minus => BinArith::Sub,
+                    _ => break,
+                };
+                p.bump();
+                p.descend()?;
+                let rhs = p.parse_term()?;
+                e = SqlExpr::Arith(Box::new(e), op, Box::new(rhs));
+            }
+            Ok(e)
+        })
     }
 
     fn parse_term(&mut self) -> Result<SqlExpr> {
-        let mut e = self.parse_factor()?;
-        loop {
-            let op = match self.peek() {
-                Token::Star => BinArith::Mul,
-                Token::Slash => BinArith::Div,
-                Token::Percent => BinArith::Mod,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.parse_factor()?;
-            e = SqlExpr::Arith(Box::new(e), op, Box::new(rhs));
-        }
-        Ok(e)
+        self.chain(|p| {
+            let mut e = p.parse_factor()?;
+            loop {
+                let op = match p.peek() {
+                    Token::Star => BinArith::Mul,
+                    Token::Slash => BinArith::Div,
+                    Token::Percent => BinArith::Mod,
+                    _ => break,
+                };
+                p.bump();
+                p.descend()?;
+                let rhs = p.parse_factor()?;
+                e = SqlExpr::Arith(Box::new(e), op, Box::new(rhs));
+            }
+            Ok(e)
+        })
     }
 
     fn parse_factor(&mut self) -> Result<SqlExpr> {
@@ -525,7 +619,7 @@ impl Parser {
             }
             Token::Minus => {
                 self.bump();
-                let inner = self.parse_factor()?;
+                let inner = self.nested(Self::parse_factor)?;
                 Ok(SqlExpr::Arith(
                     Box::new(SqlExpr::Value(Value::Int(0))),
                     BinArith::Sub,
@@ -534,7 +628,7 @@ impl Parser {
             }
             Token::LParen => {
                 self.bump();
-                let e = self.parse_expr()?;
+                let e = self.nested(Self::parse_expr)?;
                 self.expect(&Token::RParen)?;
                 Ok(e)
             }
@@ -551,7 +645,7 @@ impl Parser {
                             self.bump();
                             SqlExpr::Star
                         } else {
-                            self.parse_expr()?
+                            self.nested(Self::parse_expr)?
                         };
                         self.expect(&Token::RParen)?;
                         return Ok(SqlExpr::Agg(kind, Box::new(inner), distinct));
@@ -578,7 +672,7 @@ impl Parser {
     fn parse_case(&mut self) -> Result<SqlExpr> {
         self.expect_kw("case")?;
         self.expect_kw("when")?;
-        let pred = self.parse_pred()?;
+        let pred = self.nested(Self::parse_pred)?;
         self.expect_kw("then")?;
         let then_val = self.parse_literal()?;
         let else_val = if self.eat_kw("else") { Some(self.parse_literal()?) } else { None };
@@ -712,6 +806,29 @@ mod tests {
             SqlQuery::Project { items, .. } => assert!(matches!(items[0].expr, SqlExpr::Cast(_))),
             other => panic!("expected projection, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn parse_tuple_in_and_not_in() {
+        for (text, negated) in [
+            ("SELECT e.id FROM emp AS e WHERE (e.id, e.dept) IN (SELECT d.a, d.b FROM d AS d)", false),
+            ("SELECT e.id FROM emp AS e WHERE (e.id, e.dept) NOT IN (SELECT d.a, d.b FROM d AS d)", true),
+        ] {
+            let q = parse_query(text).unwrap();
+            let SqlQuery::Project { input, .. } = &q else { panic!("{q:?}") };
+            let SqlQuery::Select { pred, .. } = input.as_ref() else { panic!("{q:?}") };
+            let pred = match (pred, negated) {
+                (SqlPred::Not(inner), true) => inner.as_ref(),
+                (pred, false) => pred,
+                other => panic!("{other:?}"),
+            };
+            assert!(matches!(pred, SqlPred::InQuery(es, _) if es.len() == 2), "{pred:?}");
+            assert_eq!(parse_query(&crate::pretty::query_to_string(&q)).unwrap(), q);
+        }
+        // A parenthesized expression or predicate is still one.
+        assert!(parse_query("SELECT e.id FROM emp AS e WHERE (e.id) IN (1, 2)").is_ok());
+        assert!(parse_query("SELECT e.id FROM emp AS e WHERE (e.id + 1) * 2 = 4").is_ok());
+        assert!(parse_query("SELECT e.id FROM emp AS e WHERE (e.id, e.dept) = 4").is_err());
     }
 
     #[test]

@@ -1,16 +1,13 @@
 //! Whole-query compilation: a standalone, cacheable execution plan.
 //!
-//! PR 2's [`compile`](crate::compile) pass lowers expressions to positional
-//! programs *per operator, per evaluation* — each
-//! [`eval_query`](crate::eval_query) call re-derives every program.  This module performs
-//! that lowering **once**, ahead of time, producing an owned
+//! This module lowers a query **once**, ahead of time, into an owned
 //! [`CompiledQuery`] that can be cached (keyed by query text), shared
 //! across threads (`CompiledQuery: Send + Sync`), and executed repeatedly
-//! via [`eval_compiled`](crate::eval::eval_compiled) without touching the
+//! by [`eval_vectorized`](crate::eval_vectorized) without touching the
 //! parser, the optimizer, or the compiler again.  It is the SQL half of the
 //! engine crate's query-plan cache.
 //!
-//! Compilation statically replays the evaluator's column-layout
+//! Compilation statically replays the interpreter's column-layout
 //! bookkeeping: starting from the base-table layouts of a concrete
 //! [`RelInstance`], every operator's output columns are inferred exactly as
 //! the interpreter's `requalify`/projection/join logic would produce them,
@@ -20,6 +17,10 @@
 //! was compiled against (the engine compiles against an immutable
 //! snapshot, so this holds by construction).
 //!
+//! Every subquery becomes a [`SubPlan`], compiled against the same base
+//! tables and the CTE layouts in scope where it appears; the executor
+//! decides at runtime whether it is correlated.
+//!
 //! Join planning is also decided statically, mirroring the interpreter's
 //! runtime dispatch: cross joins become product nodes, inner/left
 //! equi-joins without subqueries become hash joins with a compiled residual
@@ -28,10 +29,12 @@
 //!
 //! Compile-time errors are exactly the evaluation errors that are
 //! *unconditional* at runtime — an unknown base table, or an `ORDER BY`
-//! key that is not an output column — with identical messages.  Everything
+//! key that is not an output column — with identical messages.  Inside a
+//! subquery they are not unconditional (the subquery may never run), so a
+//! [`SubPlan`] keeps them and raises them only when it runs.  Everything
 //! data-dependent (unknown columns on actual rows, `*` misuse, arity
-//! mismatches) stays a runtime error so the compiled engine fails in the
-//! same situations as the interpreter.
+//! mismatches) stays a runtime error so the executor fails in the same
+//! situations as the interpreter.
 
 use crate::ast::{JoinKind, SqlExpr, SqlPred, SqlQuery};
 use crate::compile::{
@@ -48,7 +51,7 @@ use std::sync::Arc;
 /// A fully-compiled, owned, thread-safe execution plan for one SQL query.
 ///
 /// Build with [`compile_query`]; execute with
-/// [`eval_compiled`](crate::eval::eval_compiled).
+/// [`eval_vectorized`](crate::eval_vectorized).
 #[derive(Debug)]
 pub struct CompiledQuery {
     pub(crate) root: PlanNode,
@@ -61,10 +64,39 @@ impl CompiledQuery {
     }
 }
 
+/// A compiled subquery: its plan, or the compile error it raises if it
+/// ever runs.
+#[derive(Debug)]
+pub struct SubPlan {
+    pub(crate) root: Result<PlanNode>,
+}
+
+/// What lowering needs besides the node itself: the base tables and the
+/// layouts of the CTEs in scope.  The CTE layouts are *unrequalified*
+/// (scans requalify on lookup, as the interpreter's environment does).
+pub struct Layouts<'a> {
+    instance: &'a RelInstance,
+    ctes: &'a HashMap<String, Vec<String>>,
+}
+
+impl<'a> Layouts<'a> {
+    pub(crate) fn new(
+        instance: &'a RelInstance,
+        ctes: &'a HashMap<String, Vec<String>>,
+    ) -> Layouts<'a> {
+        Layouts { instance, ctes }
+    }
+
+    /// Compiles a subquery in this scope, deferring its compile errors.
+    pub(crate) fn subplan(&self, query: &SqlQuery) -> SubPlan {
+        SubPlan { root: compile_node(query, self) }
+    }
+}
+
 /// One operator of a compiled plan, carrying its statically-inferred output
 /// layout.  Layouts are `Arc`-shared: operators that do not reshape their
 /// input (selection, ordering) share the child's name vector, and the
-/// vectorized executor reuses them verbatim as result-table names, so no
+/// executor reuses them verbatim as result-table names, so no
 /// per-execution requalification strings are ever rebuilt.
 #[derive(Debug)]
 pub(crate) struct PlanNode {
@@ -78,7 +110,7 @@ pub(crate) enum PlanOp {
     /// Base-table or CTE scan (requalified by the scan name).
     Scan { name: Ident },
     /// `ρ_T(Q)` — requalification by a new alias.
-    Rename { input: Box<PlanNode>, alias: Ident },
+    Rename { input: Box<PlanNode> },
     /// `σ_φ(Q)` with a compiled filter program.
     Select { input: Box<PlanNode>, program: CPred },
     /// `Π_L(Q)` with compiled item programs.
@@ -113,15 +145,14 @@ pub(crate) enum PlanOp {
 }
 
 /// Compiles `query` into an execution plan for instances shaped like
-/// `instance`, running the selection-pushdown optimizer first (the same
-/// pipeline as [`eval_query`](crate::eval_query)).
+/// `instance`, running the selection-pushdown optimizer first.
 pub fn compile_query(instance: &RelInstance, query: &SqlQuery) -> Result<CompiledQuery> {
     let optimized = optimize(query);
-    let root = compile_node(&optimized, instance, &HashMap::new())?;
+    let root = compile_node(&optimized, &Layouts::new(instance, &HashMap::new()))?;
     Ok(CompiledQuery { root })
 }
 
-/// Replays the evaluator's `requalify`: qualifies `columns` with `alias`.
+/// Replays the interpreter's `requalify`: qualifies `columns` with `alias`.
 fn requalify_columns(columns: &[String], alias: &str) -> Vec<String> {
     columns.iter().map(|c| format!("{alias}.{}", unqualified(c))).collect()
 }
@@ -133,52 +164,44 @@ fn unqualified(name: &str) -> &str {
     }
 }
 
-/// Statically resolves a scan, mirroring the evaluator's CTE-first,
+/// Statically resolves a scan, mirroring the interpreter's CTE-first,
 /// case-insensitive-fallback lookup order.
-fn scan_columns(
-    name: &str,
-    instance: &RelInstance,
-    ctes: &HashMap<String, Vec<String>>,
-) -> Result<Vec<String>> {
+fn scan_columns(name: &str, layouts: &Layouts<'_>) -> Result<Vec<String>> {
+    let ctes = layouts.ctes;
     let base = ctes
         .get(name)
         .or_else(|| ctes.iter().find(|(k, _)| k.eq_ignore_ascii_case(name)).map(|(_, v)| v))
         .cloned()
-        .or_else(|| instance.table(name).map(|t| t.columns.clone()));
+        .or_else(|| layouts.instance.table(name).map(|t| t.columns.clone()));
     match base {
         Some(cols) => Ok(requalify_columns(&cols, name)),
         None => Err(Error::eval(format!("unknown table `{name}`"))),
     }
 }
 
-fn compile_node(
-    q: &SqlQuery,
-    instance: &RelInstance,
-    ctes: &HashMap<String, Vec<String>>,
-) -> Result<PlanNode> {
+fn compile_node(q: &SqlQuery, layouts: &Layouts<'_>) -> Result<PlanNode> {
     match q {
         SqlQuery::Table(name) => {
-            let columns = Arc::new(scan_columns(name.as_str(), instance, ctes)?);
+            let columns = Arc::new(scan_columns(name.as_str(), layouts)?);
             Ok(PlanNode { op: PlanOp::Scan { name: name.clone() }, columns })
         }
         SqlQuery::Rename { input, alias } => {
-            let input = compile_node(input, instance, ctes)?;
+            let input = compile_node(input, layouts)?;
             let columns = Arc::new(requalify_columns(&input.columns, alias.as_str()));
-            Ok(PlanNode {
-                op: PlanOp::Rename { input: Box::new(input), alias: alias.clone() },
-                columns,
-            })
+            Ok(PlanNode { op: PlanOp::Rename { input: Box::new(input) }, columns })
         }
         SqlQuery::Select { input, pred } => {
-            let input = compile_node(input, instance, ctes)?;
-            let program = compile_pred(pred, input.columns.as_slice());
+            let input = compile_node(input, layouts)?;
+            let program = compile_pred(pred, input.columns.as_slice(), layouts);
             let columns = Arc::clone(&input.columns);
             Ok(PlanNode { op: PlanOp::Select { input: Box::new(input), program }, columns })
         }
         SqlQuery::Project { input, items, distinct } => {
-            let input = compile_node(input, instance, ctes)?;
-            let programs =
-                items.iter().map(|i| compile_expr(&i.expr, input.columns.as_slice())).collect();
+            let input = compile_node(input, layouts)?;
+            let programs = items
+                .iter()
+                .map(|i| compile_expr(&i.expr, input.columns.as_slice(), layouts))
+                .collect();
             let columns = Arc::new(items.iter().map(|i| i.output_name()).collect());
             Ok(PlanNode {
                 op: PlanOp::Project { input: Box::new(input), programs, distinct: *distinct },
@@ -186,14 +209,14 @@ fn compile_node(
             })
         }
         SqlQuery::Join { left, right, kind, pred } => {
-            let left = compile_node(left, instance, ctes)?;
-            let right = compile_node(right, instance, ctes)?;
-            compile_join(left, right, *kind, pred)
+            let left = compile_node(left, layouts)?;
+            let right = compile_node(right, layouts)?;
+            compile_join(left, right, *kind, pred, layouts)
         }
         SqlQuery::Union(a, b) | SqlQuery::UnionAll(a, b) => {
             let dedup = matches!(q, SqlQuery::Union(..));
-            let left = compile_node(a, instance, ctes)?;
-            let right = compile_node(b, instance, ctes)?;
+            let left = compile_node(a, layouts)?;
+            let right = compile_node(b, layouts)?;
             // The runtime keeps the left side's columns (arity mismatches
             // stay runtime errors, as in the interpreter).
             let columns = Arc::clone(&left.columns);
@@ -203,37 +226,29 @@ fn compile_node(
             })
         }
         SqlQuery::GroupBy { input, keys, items, having } => {
-            let input = compile_node(input, instance, ctes)?;
-            let key_programs =
-                keys.iter().map(|k| compile_expr(k, input.columns.as_slice())).collect();
-            let item_programs = items
-                .iter()
-                .map(|i| compile_group_expr(&i.expr, input.columns.as_slice()))
-                .collect();
-            let having_program = (!matches!(having, SqlPred::Bool(true)))
-                .then(|| compile_group_pred(having, input.columns.as_slice()));
             let columns = Arc::new(items.iter().map(|i| i.output_name()).collect());
+            let input = compile_node(input, layouts)?;
+            let layout = input.columns.as_slice();
+            let keys = keys.iter().map(|k| compile_expr(k, layout, layouts)).collect();
+            let items =
+                items.iter().map(|i| compile_group_expr(&i.expr, layout, layouts)).collect();
+            let having = (!matches!(having, SqlPred::Bool(true)))
+                .then(|| compile_group_pred(having, layout, layouts));
             Ok(PlanNode {
-                op: PlanOp::GroupBy {
-                    input: Box::new(input),
-                    keys: key_programs,
-                    items: item_programs,
-                    having: having_program,
-                },
+                op: PlanOp::GroupBy { input: Box::new(input), keys, items, having },
                 columns,
             })
         }
         SqlQuery::With { name, definition, body } => {
-            let definition = compile_node(definition, instance, ctes)?;
-            let mut extended = ctes.clone();
-            // The runtime CTE environment stores *unrequalified* layouts
-            // (scans requalify on lookup), so strip the definition's
-            // qualifiers the way `requalify` would re-add them.
+            let definition = compile_node(definition, layouts)?;
+            let mut extended = layouts.ctes.clone();
+            // Store the definition's layout unrequalified, the way the
+            // runtime environment stores the table.
             extended.insert(
                 name.as_str().to_string(),
                 definition.columns.iter().map(|c| unqualified(c).to_string()).collect(),
             );
-            let body = compile_node(body, instance, &extended)?;
+            let body = compile_node(body, &Layouts::new(layouts.instance, &extended))?;
             let columns = Arc::clone(&body.columns);
             Ok(PlanNode {
                 op: PlanOp::With {
@@ -245,7 +260,7 @@ fn compile_node(
             })
         }
         SqlQuery::OrderBy { input, keys } => {
-            let input = compile_node(input, instance, ctes)?;
+            let input = compile_node(input, layouts)?;
             let mut resolved: Vec<(usize, bool)> = Vec::new();
             for (expr, asc) in keys {
                 let idx = resolve_order_key(expr, input.columns.as_slice()).ok_or_else(|| {
@@ -262,7 +277,7 @@ fn compile_node(
     }
 }
 
-/// The evaluator's `ORDER BY` key resolution, replayed statically.
+/// The interpreter's `ORDER BY` key resolution, replayed statically.
 fn resolve_order_key(expr: &SqlExpr, columns: &[String]) -> Option<usize> {
     match expr {
         SqlExpr::Col(c) => resolve_column(columns, c)
@@ -281,6 +296,7 @@ fn compile_join(
     right: PlanNode,
     kind: JoinKind,
     pred: &SqlPred,
+    layouts: &Layouts<'_>,
 ) -> Result<PlanNode> {
     let columns: Arc<Vec<String>> =
         Arc::new(left.columns.iter().chain(right.columns.iter()).cloned().collect());
@@ -321,7 +337,7 @@ fn compile_join(
         if !pairs.is_empty() {
             let residual = SqlPred::conjunction(residual);
             let residual_program = (!matches!(residual, SqlPred::Bool(true)))
-                .then(|| compile_pred(&residual, columns.as_slice()));
+                .then(|| compile_pred(&residual, columns.as_slice(), layouts));
             return Ok(PlanNode {
                 op: PlanOp::HashJoin {
                     left: Box::new(left),
@@ -334,7 +350,7 @@ fn compile_join(
             });
         }
     }
-    let program = compile_pred(pred, columns.as_slice());
+    let program = compile_pred(pred, columns.as_slice(), layouts);
     Ok(PlanNode {
         op: PlanOp::LoopJoin { left: Box::new(left), right: Box::new(right), kind, program },
         columns,

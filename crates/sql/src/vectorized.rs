@@ -1,10 +1,8 @@
-//! Vectorized (columnar, batch-at-a-time) execution of compiled plans.
+//! Vectorized (columnar, batch-at-a-time) execution of compiled plans: the
+//! SQL executor.
 //!
-//! [`eval_compiled`](crate::eval::eval_compiled) interprets a
-//! [`CompiledQuery`] row at a time: every operator materializes
-//! `Vec<Vec<Value>>` rows, every predicate pays per-row program dispatch,
-//! and every join/group key is a cloned `Vec<Value>`.  This module executes
-//! the *same* plan over [`ColumnTable`]s instead:
+//! [`eval_query`] and [`eval_vectorized`] run a [`CompiledQuery`] over
+//! [`ColumnTable`]s:
 //!
 //! * **scans** hand out `Arc`-shared typed columns and reuse the plan's
 //!   statically-computed requalified layout — no row cloning, no per-scan
@@ -19,101 +17,133 @@
 //!   gather per column;
 //! * **GROUP BY** evaluates key programs vectorized, buckets rows by
 //!   column hash, and folds aggregates with typed kernels over member
-//!   indexes.
+//!   indexes;
+//! * **subqueries** are compiled sub-plans run by this same engine.  Once
+//!   per operator, a subquery is first run with no outer scope; if that
+//!   succeeds it is uncorrelated, so `EXISTS` is one constant and `IN`
+//!   probes the rows through a hash set.  Otherwise it is correlated, and
+//!   it re-enters the engine once per outer row with that row bound, so
+//!   [`CExpr::Outer`] reads a constant.
 //!
-//! Semantics are *identical* to the row engine by construction: each kernel
+//! Semantics are those of the naive oracle,
+//! [`eval_query_unoptimized`](crate::eval_query_unoptimized): each kernel
 //! replays the corresponding `Value` operation (including its
 //! quirks — numeric comparison through `f64`, wrapping integer arithmetic,
-//! `NULL`-skipping aggregate folds), and any program a kernel cannot run
-//! column-at-a-time (predicates containing subqueries) falls back to the
-//! row engine's own operator implementation for exactly that operator.
-//! The differential proptests in `graphiti-testkit` and the corpus sweep
-//! of `bench_gate`'s `vectorized` scenario pin the equivalence down
-//! (Definition 4.4).
+//! `NULL`-skipping aggregate folds), operators emit rows in the oracle's
+//! order, and the subquery rule above is the oracle's own.  The unit corpus
+//! below, the differential proptests in `graphiti-testkit` and the corpus
+//! sweeps of `bench_gate` compare the two (Definition 4.4).
 
-use crate::ast::JoinKind;
+use crate::ast::{JoinKind, SqlQuery};
 use crate::compile::{CExpr, CGroupExpr, CGroupPred, CPred};
-use crate::eval::{CteEnv, Evaluator, Scope, SubqCache};
-use crate::plan::{CompiledQuery, PlanNode, PlanOp};
+use crate::eval::Scope;
+use crate::plan::{compile_query, CompiledQuery, PlanNode, PlanOp, SubPlan};
 use graphiti_common::{AggKind, BinArith, CmpOp, Error, Result, Truth, Value};
 use graphiti_obs::profile::{StageProfile, StageSink};
 use graphiti_relational::{
     Bitmap, Column, ColumnData, ColumnInstance, ColumnTable, RelInstance, Table, NULL_IDX,
 };
+use std::cell::{OnceCell, RefCell};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
-use std::hash::Hasher;
+use std::hash::{Hash, Hasher};
+use std::rc::Rc;
 use std::sync::Arc;
+
+/// Evaluates a SQL query against a relational instance: selection
+/// pushdown, compilation ([`compile_query`]), then [`eval_vectorized`].
+/// Each table the query scans is converted to columns once per call.
+pub fn eval_query(instance: &RelInstance, query: &SqlQuery) -> Result<Table> {
+    let plan = compile_query(instance, query)?;
+    eval_vectorized(instance, &ColumnInstance::new(), &plan)
+}
 
 /// Executes a pre-compiled plan against the columnar image of an instance.
 ///
 /// `instance` is the row-oriented instance the plan was compiled against;
-/// it backs subquery re-entry (subqueries evaluate through the row engine,
-/// exactly as `eval_compiled` does) and any table missing from `columnar`.
-/// Results are identical to [`eval_compiled`](crate::eval::eval_compiled).
+/// a table missing from `columnar` is converted from it, once per call.
 pub fn eval_vectorized(
     instance: &RelInstance,
     columnar: &ColumnInstance,
     plan: &CompiledQuery,
 ) -> Result<Table> {
-    let ev = VecEvaluator { rowwise: Evaluator { instance, compiled: true }, columnar, prof: None };
-    let out = ev.eval(&plan.root, &Ctes::default())?;
+    let tables = Tables { instance, columnar, converted: RefCell::default() };
+    let out = VecEvaluator::new(&tables, None, None).eval(&plan.root, &Ctes::new())?;
     Ok(out.to_table())
 }
 
 /// [`eval_vectorized`] with per-operator profiling: every plan node
 /// reports its wall time (inclusive of children), rows in/out, and —
-/// for vectorized selections — the selection-vector density.  Stages
-/// come back in completion (post) order; results are identical to the
-/// unprofiled path.
+/// for selections — the selection-vector density.  Stages come back in
+/// completion (post) order, one per plan node: subquery runs count
+/// toward the operator that holds the subquery.  Results are identical to
+/// the unprofiled path.
 pub fn eval_vectorized_profiled(
     instance: &RelInstance,
     columnar: &ColumnInstance,
     plan: &CompiledQuery,
 ) -> Result<(Table, Vec<StageProfile>)> {
-    let ev = VecEvaluator {
-        rowwise: Evaluator { instance, compiled: true },
-        columnar,
-        prof: Some(std::cell::RefCell::new(StageSink::new())),
-    };
-    let out = ev.eval(&plan.root, &Ctes::default())?;
-    let stages = ev.prof.expect("sink installed above").into_inner().finish();
-    Ok((out.to_table(), stages))
+    let tables = Tables { instance, columnar, converted: RefCell::default() };
+    let sink = RefCell::new(StageSink::new());
+    let out = VecEvaluator::new(&tables, None, Some(&sink)).eval(&plan.root, &Ctes::new())?;
+    Ok((out.to_table(), sink.into_inner().finish()))
 }
 
-/// CTE environment: definitions live in columnar form; the row-oriented
-/// [`CteEnv`] that subquery fallbacks need (they re-enter the row
-/// evaluator) is materialized lazily, on the first fallback, so
-/// fully-vectorizable queries never pay a column-to-row conversion for
-/// their CTEs.
-#[derive(Default)]
-struct Ctes {
-    col: HashMap<String, ColumnTable>,
-    row: std::cell::OnceCell<CteEnv>,
-}
+/// CTE environment: definitions in columnar form.
+type Ctes = HashMap<String, ColumnTable>;
 
-impl Clone for Ctes {
-    fn clone(&self) -> Ctes {
-        // Column payloads are Arc-shared (cheap); the lazily-built row
-        // image is deliberately dropped — the extended environment would
-        // invalidate it anyway.
-        Ctes { col: self.col.clone(), row: std::cell::OnceCell::new() }
-    }
-}
-
-impl Ctes {
-    /// The row-oriented environment for fallbacks, built on first use.
-    fn row(&self) -> &CteEnv {
-        self.row.get_or_init(|| self.col.iter().map(|(k, v)| (k.clone(), v.to_table())).collect())
-    }
-}
-
-struct VecEvaluator<'a> {
-    rowwise: Evaluator<'a>,
+/// The tables one call scans: the columnar image, plus the tables it lacks,
+/// converted from the row instance on first scan and kept for the call.
+struct Tables<'a> {
+    instance: &'a RelInstance,
     columnar: &'a ColumnInstance,
+    converted: RefCell<HashMap<String, ColumnTable>>,
+}
+
+impl Tables<'_> {
+    /// Table `name` under the layout `columns`.
+    fn scan(&self, name: &str, columns: &Arc<Vec<String>>) -> Option<ColumnTable> {
+        if let Some(t) = self.columnar.table(name) {
+            return Some(t.with_column_names(Arc::clone(columns)));
+        }
+        let mut converted = self.converted.borrow_mut();
+        if !converted.contains_key(name) {
+            let t = ColumnTable::from_table(self.instance.table(name)?);
+            converted.insert(name.to_string(), t);
+        }
+        Some(converted[name].with_column_names(Arc::clone(columns)))
+    }
+}
+
+/// An uncorrelated subquery's rows, with the `IN` hash set built on first
+/// probe.
+struct Uncorrelated {
+    rows: ColumnTable,
+    members: OnceCell<InSet>,
+}
+
+impl Uncorrelated {
+    fn members(&self) -> &InSet {
+        self.members.get_or_init(|| InSet::new(&self.rows))
+    }
+}
+
+/// One pass over a plan at one outer binding: the top-level query, an
+/// uncorrelated subquery run, or a correlated subquery's run for one outer
+/// row.
+struct VecEvaluator<'a> {
+    tables: &'a Tables<'a>,
+    /// The bound outer row (`None` at the top level and for uncorrelated
+    /// runs).
+    outer: Option<&'a Scope<'a>>,
     /// Per-operator stage collection, installed by
-    /// [`eval_vectorized_profiled`] (`None` costs one branch per node).
-    prof: Option<std::cell::RefCell<StageSink>>,
+    /// [`eval_vectorized_profiled`] for the top-level pass only.
+    prof: Option<&'a RefCell<StageSink>>,
+    /// Each subquery's result in this pass, by sub-plan identity: its rows
+    /// if it is uncorrelated, `None` if it is correlated.  Within one pass
+    /// every plan node runs at most once, so one entry serves every batch of
+    /// the operator that holds the subquery.
+    subqueries: RefCell<HashMap<*const SubPlan, Option<Rc<Uncorrelated>>>>,
 }
 
 /// The profile label of a plan operator.
@@ -192,74 +222,22 @@ impl<'a> IntView<'a> {
     }
 }
 
-// ------------------------------------------------------- vectorizability
-
-/// Whether an expression program can run column-at-a-time.  Programs that
-/// *error* uniformly (aggregates in scalar position, bare `*`, unresolved
-/// outer references at the top level) are vectorizable — the kernel raises
-/// the identical error iff at least one row exists, matching the row
-/// engine.  Only subqueries force the row fallback.
-fn expr_vectorizable(e: &CExpr) -> bool {
-    match e {
-        CExpr::Col(_) | CExpr::Value(_) | CExpr::Outer(_) | CExpr::ScalarAgg | CExpr::Star => true,
-        CExpr::Arith(a, _, b) => expr_vectorizable(a) && expr_vectorizable(b),
-        CExpr::Cast(p) => pred_vectorizable(p),
-    }
-}
-
-/// Whether a predicate program can run column-at-a-time (no subqueries
-/// anywhere, including under `Cast`).
-fn pred_vectorizable(p: &CPred) -> bool {
-    match p {
-        CPred::Bool(_) => true,
-        CPred::Cmp(a, _, b) => expr_vectorizable(a) && expr_vectorizable(b),
-        CPred::IsNull(e) | CPred::InList(e, _) => expr_vectorizable(e),
-        CPred::InQuery(..) | CPred::Exists(_) => false,
-        CPred::And(a, b) | CPred::Or(a, b) => pred_vectorizable(a) && pred_vectorizable(b),
-        CPred::Not(inner) => pred_vectorizable(inner),
-    }
-}
-
-/// Whether a group-level expression can run through the group kernels:
-/// aggregate inner expressions must be kernel-compatible (scalar,
-/// first-row parts always evaluate row-wise on one row per group, so any
-/// expression is fine there).
-fn group_item_vectorizable(e: &CGroupExpr) -> bool {
-    match e {
-        CGroupExpr::CountStar | CGroupExpr::StarAgg | CGroupExpr::Scalar(_) => true,
-        CGroupExpr::Agg(_, inner, _) => expr_vectorizable(inner),
-        CGroupExpr::Arith(a, _, b) => group_item_vectorizable(a) && group_item_vectorizable(b),
-    }
-}
-
-/// Whether a `GROUP BY` operator can run vectorized: key and aggregate
-/// inner expressions must be kernel-compatible.  Scalar (first-row) parts
-/// and `HAVING` subqueries always evaluate row-wise on one row per group,
-/// so they never force the fallback.
-fn group_vectorizable(keys: &[CExpr], items: &[CGroupExpr]) -> bool {
-    keys.iter().all(expr_vectorizable) && items.iter().all(group_item_vectorizable)
-}
-
-fn having_agg_inners_vectorizable(p: &CGroupPred) -> bool {
-    match p {
-        CGroupPred::Bool(_) | CGroupPred::Subquery(_) => true,
-        CGroupPred::Cmp(a, _, b) => group_item_vectorizable(a) && group_item_vectorizable(b),
-        CGroupPred::IsNull(e) | CGroupPred::InList(e, _) => group_item_vectorizable(e),
-        CGroupPred::And(a, b) | CGroupPred::Or(a, b) => {
-            having_agg_inners_vectorizable(a) && having_agg_inners_vectorizable(b)
-        }
-        CGroupPred::Not(inner) => having_agg_inners_vectorizable(inner),
-    }
-}
-
 // ---------------------------------------------------------------- executor
 
 impl<'a> VecEvaluator<'a> {
+    fn new(
+        tables: &'a Tables<'a>,
+        outer: Option<&'a Scope<'a>>,
+        prof: Option<&'a RefCell<StageSink>>,
+    ) -> VecEvaluator<'a> {
+        VecEvaluator { tables, outer, prof, subqueries: RefCell::default() }
+    }
+
     /// Evaluates one plan node, recording a profile stage when a sink
     /// is installed.  The stage's `rows_in` is derived structurally by
     /// the sink (children report their output to the enclosing frame).
     fn eval(&self, node: &PlanNode, ctes: &Ctes) -> Result<ColumnTable> {
-        let Some(prof) = &self.prof else { return self.eval_node(node, ctes) };
+        let Some(prof) = self.prof else { return self.eval_node(node, ctes) };
         prof.borrow_mut().begin(op_name(&node.op));
         let out = self.eval_node(node, ctes);
         prof.borrow_mut().end(out.as_ref().map(|t| t.len() as u64).unwrap_or(0));
@@ -269,7 +247,7 @@ impl<'a> VecEvaluator<'a> {
     fn eval_node(&self, node: &PlanNode, ctes: &Ctes) -> Result<ColumnTable> {
         match &node.op {
             PlanOp::Scan { name } => self.scan(name.as_str(), &node.columns, ctes),
-            PlanOp::Rename { input, .. } => {
+            PlanOp::Rename { input } => {
                 let t = self.eval(input, ctes)?;
                 Ok(t.with_column_names(Arc::clone(&node.columns)))
             }
@@ -332,10 +310,8 @@ impl<'a> VecEvaluator<'a> {
             }
             PlanOp::With { name, definition, body } => {
                 let def = self.eval(definition, ctes)?;
-                // Only the columnar image is stored; the row-oriented env
-                // materializes lazily if a fallback ever needs it.
                 let mut extended = ctes.clone();
-                extended.col.insert(name.as_str().to_string(), def);
+                extended.insert(name.as_str().to_string(), def);
                 self.eval(body, &extended)
             }
             PlanOp::OrderBy { input, keys } => {
@@ -349,21 +325,15 @@ impl<'a> VecEvaluator<'a> {
     /// requalified names, so a scan is column `Arc` bumps plus one name
     /// vector share.
     fn scan(&self, name: &str, columns: &Arc<Vec<String>>, ctes: &Ctes) -> Result<ColumnTable> {
-        if let Some(t) = ctes
-            .col
+        let cte = ctes
             .get(name)
-            .or_else(|| ctes.col.iter().find(|(k, _)| k.eq_ignore_ascii_case(name)).map(|(_, v)| v))
-        {
-            return Ok(t.with_column_names(Arc::clone(columns)));
-        }
-        if let Some(t) = self.columnar.table(name) {
-            return Ok(t.with_column_names(Arc::clone(columns)));
-        }
-        // A table the columnar image does not carry (should not happen for
-        // engine-built snapshots): convert on the fly.
-        match self.rowwise.instance.table(name) {
-            Some(t) => Ok(ColumnTable::from_table(t).with_column_names(Arc::clone(columns))),
-            None => Err(Error::eval(format!("unknown table `{name}`"))),
+            .or_else(|| ctes.iter().find(|(k, _)| k.eq_ignore_ascii_case(name)).map(|(_, v)| v));
+        match cte {
+            Some(t) => Ok(t.with_column_names(Arc::clone(columns))),
+            None => self
+                .tables
+                .scan(name, columns)
+                .ok_or_else(|| Error::eval(format!("unknown table `{name}`"))),
         }
     }
 
@@ -371,19 +341,13 @@ impl<'a> VecEvaluator<'a> {
         if t.is_empty() {
             return Ok(t.clone());
         }
-        if pred_vectorizable(program) {
-            let mask = self.eval_pred_vec(program, t, ctes)?;
-            let keep: Vec<u32> =
-                (0..t.len()).filter(|&i| mask[i] == Truth::True).map(|i| i as u32).collect();
-            if let Some(prof) = &self.prof {
-                prof.borrow_mut().set_density(keep.len() as f64 / t.len() as f64);
-            }
-            return Ok(t.gather(&keep));
+        let mask = self.eval_pred_vec(program, t, ctes)?;
+        let keep: Vec<u32> =
+            (0..t.len()).filter(|&i| mask[i] == Truth::True).map(|i| i as u32).collect();
+        if let Some(prof) = self.prof {
+            prof.borrow_mut().set_density(keep.len() as f64 / t.len() as f64);
         }
-        // Subquery predicate: run the row engine's own select over this
-        // operator.
-        let rows = self.rowwise.select_compiled(&t.to_table(), program, ctes.row(), None)?;
-        Ok(ColumnTable::from_table(&rows).with_column_names(Arc::clone(t.columns())))
+        Ok(t.gather(&keep))
     }
 
     fn project(
@@ -394,17 +358,6 @@ impl<'a> VecEvaluator<'a> {
         out_columns: &Arc<Vec<String>>,
         ctes: &Ctes,
     ) -> Result<ColumnTable> {
-        if !programs.iter().all(expr_vectorizable) {
-            let rows = self.rowwise.project_compiled(
-                &t.to_table(),
-                programs,
-                distinct,
-                out_columns.as_slice(),
-                ctes.row(),
-                None,
-            )?;
-            return Ok(ColumnTable::from_table(&rows).with_column_names(Arc::clone(out_columns)));
-        }
         let mut cols = Vec::with_capacity(programs.len());
         for p in programs {
             let v = self.eval_expr_vec(p, t, ctes)?;
@@ -473,15 +426,15 @@ impl<'a> VecEvaluator<'a> {
             spans.push((start, cand_left.len() as u32));
         }
         // Residual filter over the candidate batch, evaluated once,
-        // column-at-a-time (or row-wise for the rare non-kernel residual).
+        // column-at-a-time.
         let mask: Option<Vec<Truth>> = match residual {
-            None => None,
-            Some(p) => {
+            Some(p) if !cand_left.is_empty() => {
                 let cand = combine_gather(left, &cand_left, right, &cand_right, out_columns);
-                Some(self.residual_mask(p, &cand, ctes)?)
+                Some(self.eval_pred_vec(p, &cand, ctes)?)
             }
+            _ => None,
         };
-        // Emit in the row engine's order: each left row's surviving
+        // Emit in the oracle's order: each left row's surviving
         // candidates, then its null-extension if LEFT JOIN and none
         // survived.
         let mut out_left: Vec<u32> = Vec::with_capacity(cand_left.len());
@@ -504,25 +457,6 @@ impl<'a> VecEvaluator<'a> {
         Ok(combine_gather(left, &out_left, right, &out_right, out_columns))
     }
 
-    fn residual_mask(&self, p: &CPred, cand: &ColumnTable, ctes: &Ctes) -> Result<Vec<Truth>> {
-        if cand.is_empty() {
-            return Ok(Vec::new());
-        }
-        if pred_vectorizable(p) {
-            return self.eval_pred_vec(p, cand, ctes);
-        }
-        // The planner only hash-joins subquery-free predicates, but `Cast`
-        // can smuggle one in; mirror the row engine (empty subquery cache).
-        let table = cand.to_table();
-        let cache = SubqCache::new();
-        let mut out = Vec::with_capacity(table.rows.len());
-        for row in &table.rows {
-            let scope = Scope { columns: &table.columns, row, outer: None };
-            out.push(self.rowwise.eval_cpred(p, &scope, ctes.row(), &cache)?);
-        }
-        Ok(out)
-    }
-
     fn loop_join(
         &self,
         left: &ColumnTable,
@@ -532,24 +466,11 @@ impl<'a> VecEvaluator<'a> {
         out_columns: &Arc<Vec<String>>,
         ctes: &Ctes,
     ) -> Result<ColumnTable> {
-        if !pred_vectorizable(program) {
-            let rows = self.rowwise.loop_join_compiled(
-                &left.to_table(),
-                &right.to_table(),
-                kind,
-                program,
-                out_columns.as_slice(),
-                ctes.row(),
-                None,
-            )?;
-            return Ok(ColumnTable::from_table(&rows).with_column_names(Arc::clone(out_columns)));
-        }
-        // Evaluate the predicate vectorized over the pair space (the row
-        // engine touches every pair too), but in bounded *chunks* of whole
+        // Evaluate the predicate vectorized over the pair space (the oracle
+        // touches every pair too), but in bounded *chunks* of whole
         // left rows: peak memory stays O(chunk) instead of O(|L|·|R|),
         // while output order is preserved — per left row its matches, with
-        // null-extended rows interleaved/appended exactly like the row
-        // engine.
+        // null-extended rows interleaved/appended exactly like the oracle.
         const PAIR_CHUNK: usize = 1 << 16;
         let (l, r) = (left.len(), right.len());
         let rows_per_chunk = (PAIR_CHUNK / r.max(1)).max(1);
@@ -612,20 +533,8 @@ impl<'a> VecEvaluator<'a> {
         out_columns: &Arc<Vec<String>>,
         ctes: &Ctes,
     ) -> Result<ColumnTable> {
-        if !group_vectorizable(keys, items) || !having.is_none_or(having_agg_inners_vectorizable) {
-            let rows = self.rowwise.group_by_compiled(
-                &input.to_table(),
-                keys,
-                items,
-                having,
-                out_columns.as_slice(),
-                ctes.row(),
-                None,
-            )?;
-            return Ok(ColumnTable::from_table(&rows).with_column_names(Arc::clone(out_columns)));
-        }
         // Vectorized key evaluation, then hash-bucketed grouping in
-        // first-seen order (matching the row engine's insertion order).
+        // first-seen order (matching the oracle's insertion order).
         let key_cols: Vec<Column> = keys
             .iter()
             .map(|k| Ok(self.eval_expr_vec(k, input, ctes)?.materialize(input.len())))
@@ -655,19 +564,18 @@ impl<'a> VecEvaluator<'a> {
         if keys.is_empty() && input.is_empty() {
             groups.push(Vec::new());
         }
-        // HAVING over all groups (the row engine also evaluates it per
-        // group before touching any item program).
+        // HAVING over all groups (the oracle also evaluates it per group
+        // before touching any item program).
         let survivors: Vec<usize> = match having {
             None => (0..groups.len()).collect(),
             Some(p) => {
-                let cache = self.rowwise.cache_cgroup_subqueries(p, ctes.row());
-                let truths = self.eval_group_pred_vec(p, input, &groups, ctes, &cache)?;
+                let truths = self.eval_group_pred_vec(p, input, &groups, ctes)?;
                 (0..groups.len()).filter(|&g| truths[g] == Truth::True).collect()
             }
         };
         // Gather the surviving members into one batch so item kernels never
-        // evaluate a row the row engine would have skipped (its item
-        // programs only ever see groups that passed HAVING).
+        // evaluate a row the oracle would have skipped (its item programs
+        // only ever see groups that passed HAVING).
         let mut member_idx: Vec<u32> = Vec::new();
         let mut surv_groups: Vec<Vec<u32>> = Vec::with_capacity(survivors.len());
         for &g in &survivors {
@@ -688,8 +596,8 @@ impl<'a> VecEvaluator<'a> {
 
     /// Evaluates a group-level expression for every group, returning one
     /// value per group.  Aggregate inner expressions run vectorized over
-    /// the whole batch; scalar (first-row) parts re-enter the row
-    /// evaluator on exactly the rows the row engine would evaluate.
+    /// the whole batch; scalar (first-row) parts run vectorized over the
+    /// batch of first rows.
     fn eval_group_expr_vec(
         &self,
         e: &CGroupExpr,
@@ -733,21 +641,10 @@ impl<'a> VecEvaluator<'a> {
                 let vb = self.eval_group_expr_vec(b, batch, groups, ctes)?;
                 va.iter().zip(vb.iter()).map(|(x, y)| x.arith(*op, y)).collect()
             }
-            CGroupExpr::Scalar(inner) => {
-                let columns = batch.columns().as_slice();
-                let mut out = Vec::with_capacity(groups.len());
-                for members in groups {
-                    match members.first() {
-                        Some(&first) => {
-                            let row = batch.row(first as usize);
-                            let scope = Scope { columns, row: &row, outer: None };
-                            out.push(self.rowwise.eval_cexpr(inner, &scope, ctes.row())?);
-                        }
-                        None => out.push(Value::Null),
-                    }
-                }
-                Ok(out)
-            }
+            CGroupExpr::Scalar(inner) => on_first_rows(batch, groups, Value::Null, |firsts| {
+                let v = self.eval_expr_vec(inner, firsts, ctes)?;
+                Ok((0..firsts.len()).map(|i| v.value(i)).collect())
+            }),
         }
     }
 
@@ -758,7 +655,6 @@ impl<'a> VecEvaluator<'a> {
         batch: &ColumnTable,
         groups: &[Vec<u32>],
         ctes: &Ctes,
-        cache: &SubqCache,
     ) -> Result<Vec<Truth>> {
         match p {
             CGroupPred::Bool(b) => Ok(vec![Truth::from_bool(*b); groups.len()]),
@@ -773,44 +669,24 @@ impl<'a> VecEvaluator<'a> {
             }
             CGroupPred::InList(e, vs) => {
                 let v = self.eval_group_expr_vec(e, batch, groups, ctes)?;
-                Ok(v.iter()
-                    .map(|x| {
-                        let mut truth = Truth::False;
-                        for candidate in vs {
-                            truth = truth.or(x.sql_eq(candidate));
-                        }
-                        truth
-                    })
-                    .collect())
+                Ok(v.iter().map(|x| in_list(x, vs)).collect())
             }
+            CGroupPred::FirstRow(p) => on_first_rows(batch, groups, Truth::Unknown, |firsts| {
+                self.eval_pred_vec(p, firsts, ctes)
+            }),
             CGroupPred::And(a, b) => {
-                let va = self.eval_group_pred_vec(a, batch, groups, ctes, cache)?;
-                let vb = self.eval_group_pred_vec(b, batch, groups, ctes, cache)?;
+                let va = self.eval_group_pred_vec(a, batch, groups, ctes)?;
+                let vb = self.eval_group_pred_vec(b, batch, groups, ctes)?;
                 Ok(va.into_iter().zip(vb).map(|(x, y)| x.and(y)).collect())
             }
             CGroupPred::Or(a, b) => {
-                let va = self.eval_group_pred_vec(a, batch, groups, ctes, cache)?;
-                let vb = self.eval_group_pred_vec(b, batch, groups, ctes, cache)?;
+                let va = self.eval_group_pred_vec(a, batch, groups, ctes)?;
+                let vb = self.eval_group_pred_vec(b, batch, groups, ctes)?;
                 Ok(va.into_iter().zip(vb).map(|(x, y)| x.or(y)).collect())
             }
             CGroupPred::Not(inner) => {
-                let v = self.eval_group_pred_vec(inner, batch, groups, ctes, cache)?;
+                let v = self.eval_group_pred_vec(inner, batch, groups, ctes)?;
                 Ok(v.into_iter().map(Truth::not).collect())
-            }
-            CGroupPred::Subquery(pred) => {
-                let columns = batch.columns().as_slice();
-                let mut out = Vec::with_capacity(groups.len());
-                for members in groups {
-                    match members.first() {
-                        Some(&first) => {
-                            let row = batch.row(first as usize);
-                            let scope = Scope { columns, row: &row, outer: None };
-                            out.push(self.rowwise.eval_pred(pred, &scope, ctes.row(), cache)?);
-                        }
-                        None => out.push(Truth::Unknown),
-                    }
-                }
-                Ok(out)
             }
         }
     }
@@ -818,21 +694,19 @@ impl<'a> VecEvaluator<'a> {
     // ------------------------------------------------- expression kernels
 
     /// Evaluates an expression program over a batch, column-at-a-time.
-    /// Callers guarantee `expr_vectorizable(e)`.
     fn eval_expr_vec(&self, e: &CExpr, input: &ColumnTable, ctes: &Ctes) -> Result<VCol> {
         if input.is_empty() {
             // No row is ever evaluated: deferred-error programs stay
-            // silent, exactly like the row engine.
+            // silent, exactly like the oracle.
             return Ok(VCol::Col(Column::from_values(Vec::new())));
         }
         match e {
             CExpr::Col(idx) => Ok(VCol::Col(input.col(*idx).clone())),
             CExpr::Value(v) => Ok(VCol::Const(v.clone())),
-            CExpr::Outer(cref) => {
-                // The vectorized executor only runs top-level plans (no
-                // outer scope), where an `Outer` reference never resolves.
-                Err(Error::eval(format!("unknown column `{}`", cref.render())))
-            }
+            CExpr::Outer(cref) => match self.outer.and_then(|o| o.lookup(cref)) {
+                Some(v) => Ok(VCol::Const(v.clone())),
+                None => Err(Error::eval(format!("unknown column `{}`", cref.render()))),
+            },
             CExpr::ScalarAgg => Err(Error::eval("aggregate used outside of a GROUP BY context")),
             CExpr::Star => Err(Error::eval("`*` may only appear inside Count(*)")),
             CExpr::Arith(a, op, b) => {
@@ -862,8 +736,7 @@ impl<'a> VecEvaluator<'a> {
         }
     }
 
-    /// Evaluates a predicate program over a batch.  Callers guarantee
-    /// `pred_vectorizable(p)` and a non-empty batch.
+    /// Evaluates a predicate program over a non-empty batch.
     fn eval_pred_vec(&self, p: &CPred, input: &ColumnTable, ctes: &Ctes) -> Result<Vec<Truth>> {
         let len = input.len();
         match p {
@@ -882,19 +755,31 @@ impl<'a> VecEvaluator<'a> {
             }
             CPred::InList(e, vs) => {
                 let v = self.eval_expr_vec(e, input, ctes)?;
-                Ok((0..len)
-                    .map(|i| {
-                        let x = v.value(i);
-                        let mut truth = Truth::False;
-                        for candidate in vs {
-                            truth = truth.or(x.sql_eq(candidate));
-                        }
-                        truth
-                    })
-                    .collect())
+                Ok((0..len).map(|i| in_list(&v.value(i), vs)).collect())
             }
+            CPred::InQuery(exprs, sub) => {
+                let lhs: Vec<VCol> = exprs
+                    .iter()
+                    .map(|e| self.eval_expr_vec(e, input, ctes))
+                    .collect::<Result<_>>()?;
+                let row = |i: usize| -> Vec<Value> { lhs.iter().map(|c| c.value(i)).collect() };
+                match self.uncorrelated(sub, ctes) {
+                    Some(u) => (0..len).map(|i| u.members().probe(&row(i))).collect(),
+                    None => (0..len)
+                        .map(|i| InSet::new(&self.correlated(sub, input, i, ctes)?).probe(&row(i)))
+                        .collect(),
+                }
+            }
+            CPred::Exists(sub) => match self.uncorrelated(sub, ctes) {
+                Some(u) => Ok(vec![Truth::from_bool(!u.rows.is_empty()); len]),
+                None => (0..len)
+                    .map(|i| {
+                        Ok(Truth::from_bool(!self.correlated(sub, input, i, ctes)?.is_empty()))
+                    })
+                    .collect(),
+            },
             CPred::And(a, b) => {
-                // Both sides evaluate unconditionally, like the row engine
+                // Both sides evaluate unconditionally, like the oracle
                 // (three-valued logic has no short circuit there either).
                 let va = self.eval_pred_vec(a, input, ctes)?;
                 let vb = self.eval_pred_vec(b, input, ctes)?;
@@ -909,10 +794,151 @@ impl<'a> VecEvaluator<'a> {
                 let v = self.eval_pred_vec(inner, input, ctes)?;
                 Ok(v.into_iter().map(Truth::not).collect())
             }
-            CPred::InQuery(..) | CPred::Exists(_) => {
-                Err(Error::eval("internal: subquery predicate reached a vector kernel"))
+        }
+    }
+
+    // ---------------------------------------------------------- subqueries
+
+    /// The subquery's rows if it is uncorrelated, i.e. if it evaluates with
+    /// no outer scope — the oracle's rule.  Decided and run once per pass.
+    fn uncorrelated(&self, sub: &SubPlan, ctes: &Ctes) -> Option<Rc<Uncorrelated>> {
+        let key = sub as *const SubPlan;
+        if let Some(known) = self.subqueries.borrow().get(&key) {
+            return known.clone();
+        }
+        let rows = VecEvaluator::new(self.tables, None, None).run(sub, ctes).ok();
+        let known = rows.map(|rows| Rc::new(Uncorrelated { rows, members: OnceCell::new() }));
+        self.subqueries.borrow_mut().insert(key, known.clone());
+        known
+    }
+
+    /// Runs a correlated subquery for row `i` of `input`, bound as the
+    /// innermost outer scope.
+    fn correlated(
+        &self,
+        sub: &SubPlan,
+        input: &ColumnTable,
+        i: usize,
+        ctes: &Ctes,
+    ) -> Result<ColumnTable> {
+        let row = input.row(i);
+        let scope = Scope { columns: input.columns(), row: &row, outer: self.outer };
+        VecEvaluator::new(self.tables, Some(&scope), None).run(sub, ctes)
+    }
+
+    fn run(&self, sub: &SubPlan, ctes: &Ctes) -> Result<ColumnTable> {
+        match &sub.root {
+            Ok(node) => self.eval(node, ctes),
+            Err(e) => Err(e.clone()),
+        }
+    }
+}
+
+/// Evaluates a row-level program on each group's first row, as one batch
+/// gathered from `batch`; an empty group gets `empty`.
+fn on_first_rows<T: Clone>(
+    batch: &ColumnTable,
+    groups: &[Vec<u32>],
+    empty: T,
+    eval: impl FnOnce(&ColumnTable) -> Result<Vec<T>>,
+) -> Result<Vec<T>> {
+    let firsts: Vec<u32> = groups.iter().filter_map(|g| g.first().copied()).collect();
+    let mut values =
+        if firsts.is_empty() { Vec::new() } else { eval(&batch.gather(&firsts))? }.into_iter();
+    Ok(groups
+        .iter()
+        .map(|g| match g.first() {
+            Some(_) => values.next().expect("one value per first row"),
+            None => empty.clone(),
+        })
+        .collect())
+}
+
+/// `x IN (v1, ..., vn)` over a literal list.
+fn in_list(x: &Value, vs: &[Value]) -> Truth {
+    vs.iter().fold(Truth::False, |truth, candidate| truth.or(x.sql_eq(candidate)))
+}
+
+/// The rows of an `IN` subquery, hashed for membership probes.
+///
+/// A probe answers exactly what the oracle's `in_membership` computes: the
+/// `OR` over rows of the `AND` over columns of `sql_eq`.  `sql_eq` calls
+/// `Int(0)`, `Float(0.0)` and `Float(-0.0)` equal, and every NaN equal to
+/// every NaN, so rows hash numerics by their `f64` value with `-0.0` and
+/// NaN canonicalized — unlike `Value`'s and `Column`'s hashes.
+struct InSet {
+    arity: usize,
+    rows: Vec<Vec<Value>>,
+    /// Rows without a `NULL`, by key hash.
+    buckets: HashMap<u64, Vec<u32>>,
+    /// Rows holding a `NULL`: they never match, but may leave `Unknown`.
+    with_null: Vec<u32>,
+}
+
+impl InSet {
+    fn new(t: &ColumnTable) -> InSet {
+        let mut set = InSet {
+            arity: t.arity(),
+            rows: (0..t.len()).map(|i| t.row(i)).collect(),
+            buckets: HashMap::new(),
+            with_null: Vec::new(),
+        };
+        for (i, row) in set.rows.iter().enumerate() {
+            if row.iter().any(Value::is_null) {
+                set.with_null.push(i as u32);
+            } else {
+                set.buckets.entry(key_hash(row)).or_default().push(i as u32);
             }
         }
+        set
+    }
+
+    fn probe(&self, lhs: &[Value]) -> Result<Truth> {
+        if lhs.len() != self.arity {
+            return Err(Error::eval(format!(
+                "IN subquery arity mismatch: {} vs {}",
+                self.arity,
+                lhs.len()
+            )));
+        }
+        // A row matches only if every pair is `sql_eq`-true; a row that no
+        // pair refutes leaves the answer `Unknown` at best.
+        let unrefuted =
+            |row: &Vec<Value>| lhs.iter().zip(row).all(|(l, r)| l.sql_eq(r) != Truth::False);
+        let unknown_if = |any: bool| if any { Truth::Unknown } else { Truth::False };
+        if lhs.iter().any(Value::is_null) {
+            return Ok(unknown_if(self.rows.iter().any(unrefuted)));
+        }
+        let bucket = self.buckets.get(&key_hash(lhs)).map_or(&[][..], Vec::as_slice);
+        if bucket.iter().any(|&r| unrefuted(&self.rows[r as usize])) {
+            return Ok(Truth::True);
+        }
+        Ok(unknown_if(self.with_null.iter().any(|&r| unrefuted(&self.rows[r as usize]))))
+    }
+}
+
+/// Hashes a `NULL`-free key so that `sql_eq`-equal keys collide.
+fn key_hash(key: &[Value]) -> u64 {
+    let mut h = DefaultHasher::new();
+    for v in key {
+        match v {
+            Value::Int(i) => canonical_bits(*i as f64).hash(&mut h),
+            Value::Float(f) => canonical_bits(*f).hash(&mut h),
+            other => other.hash(&mut h),
+        }
+    }
+    h.finish()
+}
+
+/// One bit pattern per `f64` equality class: `-0.0` as `0.0`, every NaN
+/// as one NaN.
+fn canonical_bits(f: f64) -> u64 {
+    if f.is_nan() {
+        f64::NAN.to_bits()
+    } else if f == 0.0 {
+        0
+    } else {
+        f.to_bits()
     }
 }
 
@@ -994,7 +1020,7 @@ fn arith_vec(a: &VCol, op: BinArith, b: &VCol, len: usize) -> Result<VCol> {
 /// Aggregate fold over one group's member slots, with typed fast paths for
 /// `Int` and `Float` columns that replay [`AggKind::fold`] bit-for-bit
 /// (`NULL` skipping, wrapping integer sums, f64 accumulation order,
-/// first-seen tie-breaks through the `f64` comparison).
+/// first-seen tie-breaks through [`Value::total_cmp`]).
 fn fold_members(kind: AggKind, col: &Column, members: &[u32]) -> Value {
     match col.data() {
         ColumnData::Int(xs) => {
@@ -1059,16 +1085,15 @@ fn fold_members(kind: AggKind, col: &Column, members: &[u32]) -> Value {
                 let x = xs[i];
                 count += 1;
                 fsum += x;
+                // `fold` replaces through `total_cmp`, which ranks NaN
+                // above every number.
                 min = Some(match min {
-                    None => x,
-                    // partial_cmp == Less, i.e. NaN never replaces.
-                    Some(m) if x < m => x,
-                    Some(m) => m,
+                    Some(m) if x.is_nan() || (!m.is_nan() && m <= x) => m,
+                    _ => x,
                 });
                 max = Some(match max {
-                    None => x,
-                    Some(m) if x > m => x,
-                    Some(m) => m,
+                    Some(m) if m.is_nan() || (!x.is_nan() && x <= m) => m,
+                    _ => x,
                 });
             }
             match kind {
@@ -1147,7 +1172,7 @@ fn distinct_indices(cols: &[Column], len: usize) -> Vec<u32> {
     keep
 }
 
-/// Stable index sort replaying the row engine's `ORDER BY` comparator
+/// Stable index sort replaying the oracle's `ORDER BY` comparator
 /// (positional keys, total value order, ascending flags).
 fn order_by(input: &ColumnTable, keys: &[(usize, bool)]) -> ColumnTable {
     let mut idx: Vec<u32> = (0..input.len() as u32).collect();
@@ -1168,9 +1193,9 @@ fn order_by(input: &ColumnTable, keys: &[(usize, bool)]) -> ColumnTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::{SelectItem, SqlExpr, SqlPred};
+    use crate::eval_query_unoptimized;
     use crate::parser::parse_query;
-    use crate::plan::compile_query;
-    use graphiti_relational::RelInstance;
 
     fn v(i: i64) -> Value {
         Value::Int(i)
@@ -1178,6 +1203,10 @@ mod tests {
 
     fn s(x: &str) -> Value {
         Value::str(x)
+    }
+
+    fn f(x: f64) -> Value {
+        Value::Float(x)
     }
 
     fn instance() -> RelInstance {
@@ -1201,23 +1230,52 @@ mod tests {
                 vec![vec![v(1), s("CS")], vec![v(2), s("EE")], vec![v(3), s("ME")]],
             ),
         );
+        inst.insert_table("none", Table::new(vec!["x".to_string()]));
+        // Keys that `sql_eq` calls equal but whose bits differ: `Int(0)`,
+        // `0.0`, `-0.0`, and two NaNs.
+        let nan_a = f64::from_bits(0x7ff8_0000_0000_0001);
+        let nan_b = f64::from_bits(0xfff8_0000_0000_0002);
+        let rows =
+            |vals: Vec<Value>| -> Vec<Vec<Value>> { vals.into_iter().map(|x| vec![x]).collect() };
+        inst.insert_table(
+            "fa",
+            Table::with_rows(["x"], rows(vec![v(0), f(-0.0), f(nan_a), f(1.5), Value::Null])),
+        );
+        inst.insert_table("fb", Table::with_rows(["y"], rows(vec![f(0.0), f(nan_b), Value::Null])));
+        inst.insert_table("fc", Table::with_rows(["y"], rows(vec![f(-0.0), f(nan_b)])));
         inst
     }
 
-    /// Asserts the vectorized result is *identical* (same column names,
-    /// same row order) to the row engine's, for a battery of queries.
-    fn check(sql: &str) {
+    /// Asserts that the executor and the naive oracle agree on `q`: the
+    /// same rows in the same order, or an error from both.  The executor
+    /// runs both one-shot and from a precompiled plan over a columnar
+    /// image.  Returns the rows when both succeed.
+    fn check_query(q: &SqlQuery, label: &str) -> Option<Table> {
         let inst = instance();
-        let columnar = ColumnInstance::from_rel(&inst);
-        let q = parse_query(sql).unwrap();
-        let plan = compile_query(&inst, &q).unwrap();
-        let row = crate::eval::eval_compiled(&inst, &plan);
-        let vec = eval_vectorized(&inst, &columnar, &plan);
-        match (row, vec) {
-            (Ok(r), Ok(c)) => assert_eq!(r, c, "vectorized differs on `{sql}`"),
-            (Err(_), Err(_)) => {}
-            (r, c) => panic!("paths disagree on `{sql}`: row={r:?} vec={c:?}"),
+        let oracle = eval_query_unoptimized(&inst, q);
+        let one_shot = eval_query(&inst, q);
+        let planned = compile_query(&inst, q)
+            .and_then(|plan| eval_vectorized(&inst, &ColumnInstance::from_rel(&inst), &plan));
+        match (oracle, one_shot, planned) {
+            (Ok(want), Ok(got), Ok(planned)) => {
+                assert_eq!(want, got, "executor differs from the oracle on `{label}`");
+                assert_eq!(want, planned, "planned run differs from the oracle on `{label}`");
+                Some(want)
+            }
+            (Err(_), Err(_), Err(_)) => None,
+            (want, got, planned) => {
+                panic!("`{label}`: oracle={want:?} one-shot={got:?} planned={planned:?}")
+            }
         }
+    }
+
+    fn check(sql: &str) -> Option<Table> {
+        check_query(&parse_query(sql).unwrap(), sql)
+    }
+
+    /// Row count of a query both paths must answer.
+    fn rows(sql: &str) -> usize {
+        check(sql).unwrap_or_else(|| panic!("`{sql}` failed")).len()
     }
 
     #[test]
@@ -1232,7 +1290,7 @@ mod tests {
     }
 
     #[test]
-    fn joins_match_row_engine() {
+    fn joins_match_the_oracle() {
         check("SELECT e.name, d.dname FROM emp AS e JOIN dept AS d ON e.dept = d.dnum");
         check("SELECT e.name, d.dname FROM emp AS e LEFT JOIN dept AS d ON e.dept = d.dnum");
         check(
@@ -1242,6 +1300,7 @@ mod tests {
         check("SELECT e.name, d.dname FROM emp AS e RIGHT JOIN dept AS d ON e.dept = d.dnum");
         check("SELECT e.name, d.dname FROM emp AS e FULL JOIN dept AS d ON e.dept = d.dnum");
         check("SELECT e.name, d.dname FROM emp AS e JOIN dept AS d ON e.id < d.dnum");
+        check("SELECT e.name, d.dname FROM emp AS e, dept AS d WHERE e.dept = d.dnum");
     }
 
     #[test]
@@ -1262,17 +1321,7 @@ mod tests {
         check("SELECT e.id FROM emp AS e UNION ALL SELECT d.dnum FROM dept AS d");
         check("SELECT e.id, e.name FROM emp AS e ORDER BY e.id DESC");
         check("SELECT e.dept, e.id FROM emp AS e ORDER BY e.dept, e.id DESC");
-    }
-
-    #[test]
-    fn ctes_and_subqueries_fall_back_consistently() {
         check("WITH big AS (SELECT e.id AS i FROM emp AS e WHERE e.id > 1) SELECT big.i FROM big");
-        check(
-            "SELECT e.name FROM emp AS e WHERE EXISTS (SELECT d.dnum FROM dept AS d WHERE d.dnum = e.dept)",
-        );
-        check(
-            "SELECT e.name FROM emp AS e WHERE e.dept IN (SELECT d.dnum FROM dept AS d WHERE d.dname = 'CS')",
-        );
     }
 
     #[test]
@@ -1290,5 +1339,296 @@ mod tests {
         // deferred-error programs must stay silent on zero rows.
         check("SELECT Count(*) AS c FROM emp AS e WHERE e.id > 1000");
         check("SELECT e.id FROM emp AS e WHERE e.id > 1000 ORDER BY e.id");
+    }
+
+    #[test]
+    fn in_and_not_in_follow_three_valued_logic() {
+        // Uncorrelated, NULL on the left (emp 4's dept) and on the right.
+        assert_eq!(
+            rows("SELECT e.id FROM emp AS e WHERE e.dept IN (SELECT d.dnum FROM dept AS d WHERE d.dname = 'CS')"),
+            2
+        );
+        assert_eq!(
+            rows("SELECT e.id FROM emp AS e WHERE e.dept NOT IN (SELECT d.dnum FROM dept AS d WHERE d.dnum > 1)"),
+            2
+        );
+        assert_eq!(
+            rows("SELECT e.id FROM emp AS e WHERE e.id IN (SELECT e2.dept FROM emp AS e2)"),
+            2
+        );
+        assert_eq!(
+            rows("SELECT e.id FROM emp AS e WHERE e.id NOT IN (SELECT e2.dept FROM emp AS e2)"),
+            0
+        );
+        check("SELECT e.id FROM emp AS e WHERE NOT (e.dept IN (SELECT e2.dept FROM emp AS e2 WHERE e2.id > 2))");
+        // Correlated IN.
+        check("SELECT e.id FROM emp AS e WHERE e.id IN (SELECT e2.id FROM emp AS e2 WHERE e2.dept = e.dept)");
+        // Arity mismatch: both fail.
+        assert!(check(
+            "SELECT e.id FROM emp AS e WHERE e.id IN (SELECT d.dnum, d.dname FROM dept AS d)"
+        )
+        .is_none());
+    }
+
+    #[test]
+    fn tuple_in_matches_the_oracle() {
+        let tuple_in = |sub: &str| {
+            SqlQuery::table("emp")
+                .rename("e")
+                .select(SqlPred::InQuery(
+                    vec![SqlExpr::col("e", "id"), SqlExpr::col("e", "dept")],
+                    Box::new(parse_query(sub).unwrap()),
+                ))
+                .project(vec![SelectItem::expr(SqlExpr::col("e", "id"))])
+        };
+        let cases = [
+            "SELECT e2.id, e2.dept FROM emp AS e2 WHERE e2.id < 3",
+            // NULLs on both sides: emp 4 is (4, NULL).
+            "SELECT e2.id, e2.dept FROM emp AS e2",
+            "SELECT e2.id, e2.dept FROM emp AS e2 WHERE e2.id > 3",
+            "SELECT d.dnum, d.dnum FROM dept AS d",
+            "SELECT n.x, n.x FROM none AS n",
+        ];
+        for sub in cases {
+            check_query(&tuple_in(sub), sub).unwrap_or_else(|| panic!("`{sub}` failed"));
+        }
+        let negated = |sub: &str| match tuple_in(sub) {
+            SqlQuery::Project { input, items, distinct } => match *input {
+                SqlQuery::Select { input, pred } => SqlQuery::Project {
+                    input: Box::new(input.select(SqlPred::not(pred))),
+                    items,
+                    distinct,
+                },
+                other => panic!("unexpected shape {other:?}"),
+            },
+            other => panic!("unexpected shape {other:?}"),
+        };
+        for sub in cases {
+            check_query(&negated(sub), sub).unwrap_or_else(|| panic!("`NOT {sub}` failed"));
+        }
+    }
+
+    #[test]
+    fn exists_correlated_one_and_two_levels_deep() {
+        assert_eq!(
+            rows("SELECT e.name FROM emp AS e WHERE EXISTS (SELECT d.dnum FROM dept AS d WHERE d.dnum = e.dept)"),
+            3
+        );
+        assert_eq!(
+            rows("SELECT e.name FROM emp AS e WHERE NOT EXISTS (SELECT d.dnum FROM dept AS d WHERE d.dnum = e.dept)"),
+            1
+        );
+        // Two levels: the innermost subquery reads both enclosing rows.
+        assert_eq!(
+            rows(
+                "SELECT d.dname FROM dept AS d WHERE EXISTS (SELECT e.id FROM emp AS e \
+                 WHERE e.dept = d.dnum AND EXISTS (SELECT c.y FROM fc AS c WHERE e.id > d.dnum))"
+            ),
+            2
+        );
+        // `e.id` resolves by suffix to the innermost `e2.id`, as in the
+        // oracle's column resolution.
+        check(
+            "SELECT d.dname FROM dept AS d WHERE EXISTS (SELECT e.id FROM emp AS e \
+             WHERE e.dept = d.dnum AND EXISTS (SELECT e2.id FROM emp AS e2 \
+             WHERE e2.id > e.id AND e2.dept = d.dnum))",
+        );
+        check(
+            "SELECT d.dname FROM dept AS d WHERE NOT EXISTS (SELECT e.id FROM emp AS e \
+             WHERE NOT EXISTS (SELECT x.dnum FROM dept AS x WHERE x.dnum = d.dnum AND e.dept = x.dnum))",
+        );
+        // An uncorrelated EXISTS, and one nested inside a correlated one.
+        check(
+            "SELECT d.dname FROM dept AS d WHERE EXISTS (SELECT e.id FROM emp AS e WHERE e.id > 3)",
+        );
+        check(
+            "SELECT d.dname FROM dept AS d WHERE EXISTS (SELECT e.id FROM emp AS e \
+             WHERE e.dept = d.dnum AND EXISTS (SELECT x.dnum FROM dept AS x WHERE x.dname = 'CS'))",
+        );
+        // Errors inside a subquery surface only when it runs.
+        assert!(check("SELECT d.dname FROM dept AS d WHERE EXISTS (SELECT e.id FROM emp AS e WHERE e.id = d.nope)").is_none());
+        assert!(check("SELECT d.dname FROM dept AS d WHERE EXISTS (SELECT m.a FROM missing AS m)")
+            .is_none());
+        assert_eq!(
+            rows("SELECT n.x FROM none AS n WHERE EXISTS (SELECT m.a FROM missing AS m)"),
+            0
+        );
+    }
+
+    #[test]
+    fn subqueries_in_every_position() {
+        // Under OR and NOT.
+        check("SELECT e.id FROM emp AS e WHERE e.id = 1 OR e.dept IN (SELECT d.dnum FROM dept AS d WHERE d.dname = 'EE')");
+        check("SELECT e.id FROM emp AS e WHERE NOT EXISTS (SELECT d.dnum FROM dept AS d WHERE d.dnum = e.dept) OR e.id > 3");
+        // In HAVING, uncorrelated and correlated with the group's first row.
+        check(
+            "SELECT e.dept, Count(*) AS c FROM emp AS e GROUP BY e.dept \
+             HAVING e.dept IN (SELECT d.dnum FROM dept AS d WHERE d.dnum < 2)",
+        );
+        check(
+            "SELECT e.dept, Count(*) AS c FROM emp AS e GROUP BY e.dept \
+             HAVING Count(*) > 0 AND EXISTS (SELECT d.dnum FROM dept AS d WHERE d.dnum = e.dept)",
+        );
+        // The one group of an aggregate over no rows has no first row.
+        let mut q = parse_query("SELECT Count(*) AS c FROM none AS n").unwrap();
+        let SqlQuery::GroupBy { having, .. } = &mut q else { panic!("expected GroupBy: {q:?}") };
+        *having =
+            parse_query("SELECT d.dnum FROM dept AS d WHERE EXISTS (SELECT x.dnum FROM dept AS x)")
+                .map(|sub| match sub {
+                    SqlQuery::Project { input, .. } => match *input {
+                        SqlQuery::Select { pred, .. } => pred,
+                        other => panic!("unexpected shape {other:?}"),
+                    },
+                    other => panic!("unexpected shape {other:?}"),
+                })
+                .unwrap();
+        check_query(&q, "HAVING EXISTS over no rows");
+        // In a JOIN … ON, inner and outer.
+        check(
+            "SELECT e.id, d.dname FROM emp AS e JOIN dept AS d ON e.dept = d.dnum \
+             AND EXISTS (SELECT e2.id FROM emp AS e2 WHERE e2.dept = d.dnum AND e2.id > e.id)",
+        );
+        check(
+            "SELECT e.id, d.dname FROM emp AS e LEFT JOIN dept AS d \
+             ON d.dnum IN (SELECT e2.dept FROM emp AS e2 WHERE e2.id = e.id)",
+        );
+        check(
+            "SELECT e.id, d.dname FROM emp AS e FULL JOIN dept AS d \
+             ON e.dept = d.dnum AND d.dnum IN (SELECT x.dnum FROM dept AS x WHERE x.dnum > 1)",
+        );
+        // Under Cast, in a projection and inside an aggregate.
+        check(
+            "SELECT e.id, CASE WHEN e.dept IN (SELECT d.dnum FROM dept AS d WHERE d.dname = 'CS') \
+             THEN 1 ELSE 0 END AS cs FROM emp AS e",
+        );
+        check(
+            "SELECT d.dnum, CASE WHEN EXISTS (SELECT e.id FROM emp AS e WHERE e.dept = d.dnum) \
+             THEN 1 ELSE 0 END AS staffed FROM dept AS d",
+        );
+        check(
+            "SELECT Sum(CASE WHEN e.dept IN (SELECT d.dnum FROM dept AS d) THEN 1 ELSE 0 END) AS n \
+             FROM emp AS e",
+        );
+        // Inside a CTE, reading a CTE, and in a hash join's residual.
+        check(
+            "WITH staffed AS (SELECT d.dnum AS k FROM dept AS d \
+             WHERE EXISTS (SELECT e.id FROM emp AS e WHERE e.dept = d.dnum)) SELECT staffed.k FROM staffed",
+        );
+        check(
+            "WITH cs AS (SELECT d.dnum AS k FROM dept AS d WHERE d.dname = 'CS') \
+             SELECT e.id FROM emp AS e WHERE e.dept IN (SELECT cs.k FROM cs)",
+        );
+        check(
+            "SELECT e.id FROM emp AS e JOIN dept AS d ON e.dept = d.dnum \
+             AND CASE WHEN d.dnum IN (SELECT x.dnum FROM dept AS x WHERE x.dnum = e.id) THEN 1 ELSE 0 END = 1",
+        );
+    }
+
+    #[test]
+    fn empty_outer_and_inner_inputs() {
+        assert_eq!(
+            rows("SELECT n.x FROM none AS n WHERE n.x IN (SELECT d.dnum FROM dept AS d)"),
+            0
+        );
+        assert_eq!(
+            rows("SELECT e.id FROM emp AS e WHERE e.dept IN (SELECT n.x FROM none AS n)"),
+            0
+        );
+        // An empty subquery refutes even a NULL left side.
+        assert_eq!(
+            rows("SELECT e.id FROM emp AS e WHERE e.dept NOT IN (SELECT n.x FROM none AS n)"),
+            4
+        );
+        assert_eq!(
+            rows("SELECT e.id FROM emp AS e WHERE NOT EXISTS (SELECT n.x FROM none AS n)"),
+            4
+        );
+        assert_eq!(
+            rows("SELECT e.id FROM emp AS e WHERE EXISTS (SELECT n.x FROM none AS n WHERE n.x = e.id)"),
+            0
+        );
+        check("SELECT Count(*) AS c FROM none AS n WHERE EXISTS (SELECT e.id FROM emp AS e WHERE e.id = n.x)");
+    }
+
+    #[test]
+    fn zero_and_nan_keys_probe_like_the_oracle() {
+        // fa = [0, -0.0, NaN, 1.5, NULL]; fc = [-0.0, NaN]: 0, -0.0 and the
+        // NaN whose bits differ are all members.
+        assert_eq!(rows("SELECT a.x FROM fa AS a WHERE a.x IN (SELECT c.y FROM fc AS c)"), 3);
+        assert_eq!(rows("SELECT a.x FROM fa AS a WHERE a.x NOT IN (SELECT c.y FROM fc AS c)"), 1);
+        // fb = [0.0, NaN, NULL]: a NULL member leaves non-members Unknown.
+        assert_eq!(rows("SELECT a.x FROM fa AS a WHERE a.x IN (SELECT b.y FROM fb AS b)"), 3);
+        assert_eq!(rows("SELECT a.x FROM fa AS a WHERE a.x NOT IN (SELECT b.y FROM fb AS b)"), 0);
+        assert_eq!(rows("SELECT b.y FROM fb AS b WHERE b.y IN (SELECT a.x FROM fa AS a)"), 2);
+        check("SELECT a.x FROM fa AS a WHERE EXISTS (SELECT c.y FROM fc AS c WHERE c.y = a.x)");
+        check("SELECT a.x FROM fa AS a WHERE a.x IN (SELECT c.y FROM fc AS c WHERE c.y = a.x)");
+    }
+
+    #[test]
+    fn correlated_subqueries_profile_one_stage_per_plan_node() {
+        let inst = instance();
+        let q = parse_query(
+            "SELECT e.name FROM emp AS e WHERE EXISTS (SELECT d.dnum FROM dept AS d WHERE d.dnum = e.dept)",
+        )
+        .unwrap();
+        let plan = compile_query(&inst, &q).unwrap();
+        let (table, stages) =
+            eval_vectorized_profiled(&inst, &ColumnInstance::from_rel(&inst), &plan).unwrap();
+        assert_eq!(table.len(), 3);
+        // scan, rename, select, project: the subquery's runs add none.
+        assert_eq!(stages.len(), 4, "{stages:?}");
+    }
+
+    #[test]
+    fn missing_tables_convert_once_per_call() {
+        let inst = instance();
+        let q = parse_query(
+            "SELECT e.id FROM emp AS e WHERE EXISTS (SELECT e2.id FROM emp AS e2 WHERE e2.id = e.id)",
+        )
+        .unwrap();
+        let plan = compile_query(&inst, &q).unwrap();
+        let tables = Tables {
+            instance: &inst,
+            columnar: &ColumnInstance::new(),
+            converted: RefCell::default(),
+        };
+        let out = VecEvaluator::new(&tables, None, None).eval(&plan.root, &Ctes::new()).unwrap();
+        assert_eq!(out.len(), 4);
+        // Every re-entry shares the one conversion of `emp`.
+        let converted = tables.converted.borrow();
+        assert_eq!(converted.len(), 1);
+        let emp = converted["emp"].col(0).clone();
+        drop(converted);
+        let again = tables.scan("emp", &Arc::new(vec!["x".into(); 3])).unwrap();
+        assert!(std::ptr::eq(emp.data(), again.col(0).data()));
+    }
+
+    #[test]
+    fn order_by_and_min_max_place_nan_above_every_number() {
+        // 64 values, every fourth a NaN, in a scrambled order.
+        let values: Vec<Value> = (0..64i64)
+            .map(|i| if i % 4 == 1 { f(f64::NAN) } else { f(((i * 37) % 64) as f64 - 20.5) })
+            .collect();
+        let mut inst = RelInstance::new();
+        let column =
+            |vals: Vec<Value>| -> Vec<Vec<Value>> { vals.into_iter().map(|x| vec![x]).collect() };
+        inst.insert_table("t", Table::with_rows(["a"], column(values.clone())));
+        let q = parse_query("SELECT t.a FROM t AS t ORDER BY t.a").unwrap();
+        let sorted = eval_query(&inst, &q).unwrap();
+        assert_eq!(sorted, eval_query_unoptimized(&inst, &q).unwrap());
+        let got: Vec<f64> = sorted.rows.iter().map(|r| r[0].as_f64().unwrap()).collect();
+        let (numbers, nans) = got.split_at(48);
+        assert!(numbers.windows(2).all(|w| w[0] <= w[1]), "{got:?}");
+        assert!(nans.iter().all(|x| x.is_nan()), "{got:?}");
+        // MIN skips NaN and MAX is NaN, whatever the row order.
+        let q = parse_query("SELECT Min(t.a) AS lo, Max(t.a) AS hi FROM t AS t").unwrap();
+        for rows in [values.clone(), values.iter().rev().cloned().collect()] {
+            let mut inst = RelInstance::new();
+            inst.insert_table("t", Table::with_rows(["a"], column(rows)));
+            let got = eval_query(&inst, &q).unwrap();
+            assert_eq!(got, eval_query_unoptimized(&inst, &q).unwrap());
+            assert_eq!(got.rows[0][0], f(-20.5));
+            assert!(matches!(got.rows[0][1], Value::Float(x) if x.is_nan()));
+        }
     }
 }

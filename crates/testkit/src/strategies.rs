@@ -119,7 +119,7 @@ impl Strategy for ArbCypher {
         let template = if self.schema.edge_types.is_empty() {
             rng.gen_range(0..3usize)
         } else {
-            rng.gen_range(0..8usize)
+            rng.gen_range(0..10usize)
         };
         match template {
             // Single-type templates.
@@ -153,6 +153,19 @@ impl Strategy for ArbCypher {
                         "MATCH (m:{t}) WHERE EXISTS ({pattern}) RETURN m.{tk} AS a",
                         t = tgt.label
                     ),
+                    // An anti-join: `NOT (k IN (SELECT …))` once transpiled.
+                    7 => format!(
+                        "MATCH (m:{t}) WHERE NOT EXISTS ({pattern}) RETURN m.{tk} AS a",
+                        t = tgt.label
+                    ),
+                    // Both endpoints bound: a tuple `(n.k, m.k) IN (SELECT …)`.
+                    8 => format!(
+                        "MATCH {pattern} WHERE EXISTS ((n:{s})-[f:{l}]->(m:{t})) \
+                         RETURN n.{sk} AS a, m.{tk} AS b",
+                        s = src.label,
+                        l = e.label,
+                        t = tgt.label
+                    ),
                     _ => {
                         let c = rng.gen_range(0..3i64);
                         format!(
@@ -174,8 +187,10 @@ fn pick_key(keys: &[graphiti_common::Ident], rng: &mut StdRng) -> String {
 ///
 /// Every generated query parses and stays inside the transpiler's fragment:
 /// templates cover plain matches, predicates, `Count(*)`, traversals,
-/// grouping aggregation, `OPTIONAL MATCH`, and `EXISTS`, instantiated with
-/// labels and property keys drawn from `schema`.
+/// grouping aggregation, `OPTIONAL MATCH`, `EXISTS`, its anti-join `NOT
+/// EXISTS`, and `EXISTS` with both endpoints bound (a tuple `IN` once
+/// transpiled), instantiated with labels and property keys drawn from
+/// `schema`.
 pub fn arb_cypher(schema: &GraphSchema) -> ArbCypher {
     assert!(
         !schema.node_types.is_empty(),

@@ -1,15 +1,14 @@
-//! Differential tests of the indexed/compiled engines against the retained
-//! naive engines.
+//! Differential tests of the serving engines against the retained naive
+//! engines.
 //!
-//! PR 2 replaced both reference evaluators' execution strategies: Cypher
-//! pattern matching walks persistent adjacency indexes instead of
-//! rescanning the edge arena per binding, and SQL evaluation runs
-//! pre-compiled positional programs instead of resolving columns by string
-//! per row.  The naive strategies are retained as
-//! `eval_query_unoptimized` on both sides, and these tests assert the
-//! paper-level correctness contract: on every (instance, query) pair the
-//! old and new engines produce **table-equivalent** results
-//! (Definition 4.4) — for both Cypher and SQL.
+//! Cypher pattern matching walks persistent adjacency indexes instead of
+//! rescanning the edge arena per binding, and SQL runs as compiled plans
+//! on the vectorized executor instead of resolving columns by string per
+//! row.  The naive strategies are retained as `eval_query_unoptimized` on
+//! both sides, and these tests assert the paper-level correctness
+//! contract: on every (instance, query) pair the serving and naive engines
+//! produce **table-equivalent** results (Definition 4.4) — for both Cypher
+//! and SQL.
 
 use graphiti_core::{infer_sdt, transpile_query};
 use graphiti_graph::{GraphInstance, GraphSchema};
@@ -32,8 +31,9 @@ fn cypher_engines_agree(schema: &GraphSchema, graph: &GraphInstance, query_text:
     );
 }
 
-/// Asserts that the compiled and naive SQL engines agree on the
-/// transpilation of `query_text` evaluated over the SDT-image of `graph`.
+/// Asserts that the SQL executor (`eval_query`) and the naive oracle agree
+/// on the transpilation of `query_text` evaluated over the SDT-image of
+/// `graph`.
 fn sql_engines_agree(schema: &GraphSchema, graph: &GraphInstance, query_text: &str) {
     let query = graphiti_cypher::parse_query(query_text)
         .unwrap_or_else(|e| panic!("`{query_text}` failed to parse: {e}"));
@@ -42,13 +42,13 @@ fn sql_engines_agree(schema: &GraphSchema, graph: &GraphInstance, query_text: &s
         .unwrap_or_else(|e| panic!("`{query_text}` failed to transpile: {e}"));
     let induced = apply_to_graph(&ctx.sdt, schema, graph, &ctx.induced_schema)
         .expect("SDT image construction");
-    let compiled = graphiti_sql::eval_query(&induced, &sql)
-        .unwrap_or_else(|e| panic!("compiled engine failed on `{query_text}`: {e}"));
+    let executed = graphiti_sql::eval_query(&induced, &sql)
+        .unwrap_or_else(|e| panic!("executor failed on `{query_text}`: {e}"));
     let naive = graphiti_sql::eval_query_unoptimized(&induced, &sql)
         .unwrap_or_else(|e| panic!("naive engine failed on `{query_text}`: {e}"));
     assert!(
-        compiled.equivalent(&naive),
-        "sql engines disagree on `{query_text}`:\ncompiled:\n{compiled}\nnaive:\n{naive}"
+        executed.equivalent(&naive),
+        "sql engines disagree on `{query_text}`:\nexecuted:\n{executed}\nnaive:\n{naive}"
     );
 }
 
@@ -74,7 +74,7 @@ proptest! {
         cypher_engines_agree(&fixtures::biomed::schema(), &graph, &q);
     }
 
-    /// Compiled vs naive SQL on the transpilations of random queries over
+    /// Executor vs naive SQL on the transpilations of random queries over
     /// the SDT-images of random EMP graphs.
     #[test]
     fn sql_engines_agree_on_random_emp_inputs(
@@ -84,7 +84,7 @@ proptest! {
         sql_engines_agree(&fixtures::emp::schema(), &graph, &q);
     }
 
-    /// Compiled vs naive SQL over the biomedical schema.
+    /// Executor vs naive SQL over the biomedical schema.
     #[test]
     fn sql_engines_agree_on_random_biomed_inputs(
         graph in arb_instance(&fixtures::biomed::schema(), 4, 8),
@@ -114,7 +114,7 @@ fn engines_agree_on_fixture_corpus() {
 
 /// The differential oracle (Theorem 5.7) still holds end-to-end with the
 /// new engines on both fixture scenarios: the indexed Cypher result is
-/// table-equivalent to the compiled SQL result on the SDT image.
+/// table-equivalent to the executed SQL result on the SDT image.
 #[test]
 fn oracle_holds_with_new_engines_on_fixtures() {
     let schema = fixtures::emp::schema();
