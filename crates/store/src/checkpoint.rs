@@ -16,13 +16,31 @@
 //! rename into place.  Recovery loads the newest checkpoint that passes
 //! its checksum and falls back to older ones (or to an empty store) if
 //! the newest is unreadable.
+//!
+//! Every checkpoint is one [`Job`] in two steps.  [`Job::pin`] takes
+//! what the image needs while the caller holds the state lock: the
+//! published snapshot of the generation (its graph is a copy-on-write
+//! clone of the master graph, and its tables hold every live row of the
+//! row logs), the key vectors, the tombstoned log slots, the token
+//! entries and the counters.  [`Job::write`] needs no lock: it builds and
+//! encodes the image, writes it atomically, and only then vacuums what
+//! the new file covers.  The store runs a periodic job's write step on a
+//! checkpointer thread.
 
+use crate::delta::{EdgeKey, NodeKey};
 use crate::error::{StoreError, StoreResult};
 use crate::vfs::Vfs;
-use crate::wal::{crc32, put_str, put_u32, put_u64, put_value, Cursor};
-use graphiti_common::{Error, Result, Value};
+use crate::wal::{self, crc32, put_str, put_u32, put_u64, put_value, Cursor};
+use crate::StoreState;
+use graphiti_common::{Error, Ident, Result, Value};
+use graphiti_engine::Snapshot;
+use graphiti_obs::metrics::{Counter, Histogram, Registry};
 use graphiti_relational::Row;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Instant;
 
 /// One node of the master graph, in arena order.
 #[derive(Debug)]
@@ -288,6 +306,213 @@ pub(crate) fn load(vfs: &dyn Vfs, path: &Path) -> StoreResult<CheckpointImage> {
         return Err(StoreError::corrupt(path, "fails its checksum"));
     }
     decode(payload).map_err(|e| StoreError::corrupt(path, e.to_string()))
+}
+
+/// The directory of a durable store, the VFS it is reached through, and
+/// the counters a checkpoint's outcome moves: what the store shares with
+/// the job on the checkpointer thread.
+#[derive(Debug)]
+pub(crate) struct Disk {
+    pub(crate) vfs: Arc<dyn Vfs>,
+    pub(crate) dir: PathBuf,
+    /// How many checkpoint files a completed job retains.
+    keep: usize,
+    /// Generation of the newest completed checkpoint.
+    last_checkpoint: AtomicU64,
+    /// Completed checkpoints, registry-backed like every store counter.
+    pub(crate) checkpoints_written: Counter,
+    /// Periodic checkpoints that failed.
+    pub(crate) checkpoint_failures: Counter,
+    /// WAL segments vacuumed after a checkpoint covered them.
+    pub(crate) segments_removed: Counter,
+    /// Duration of each write step.
+    write_micros: Arc<Histogram>,
+}
+
+impl Disk {
+    /// Registers the checkpoint counters in `registry` under the shared
+    /// `graphiti_checkpoint*` names.
+    pub(crate) fn new(
+        vfs: Arc<dyn Vfs>,
+        dir: PathBuf,
+        keep: usize,
+        last_checkpoint: u64,
+        registry: &Registry,
+    ) -> Disk {
+        Disk {
+            vfs,
+            dir,
+            keep: keep.max(1),
+            last_checkpoint: AtomicU64::new(last_checkpoint),
+            checkpoints_written: registry.counter("graphiti_checkpoints_written_total"),
+            checkpoint_failures: registry.counter("graphiti_checkpoint_failures_total"),
+            segments_removed: registry.counter("graphiti_wal_segments_removed_total"),
+            write_micros: registry.histogram("graphiti_checkpoint_write_micros"),
+        }
+    }
+
+    /// Generation of the newest completed checkpoint.
+    pub(crate) fn last_checkpoint(&self) -> u64 {
+        self.last_checkpoint.load(Ordering::SeqCst)
+    }
+}
+
+/// The row log of one table at the pin, less what the published image
+/// already holds: the tombstone flag of every slot and the values of the
+/// tombstoned rows, concatenated in log order.  The live rows are the
+/// image's, in the same order.
+#[derive(Debug)]
+struct PinnedLog {
+    name: String,
+    dead: Vec<bool>,
+    dead_values: Vec<Value>,
+}
+
+/// One checkpoint: the writer state at one generation, pinned under the
+/// state lock, and the disk it is written to.
+#[derive(Debug)]
+pub(crate) struct Job {
+    generation: u64,
+    commits: u64,
+    rejected: u64,
+    compactions: u64,
+    next_key: u64,
+    /// The published generation `generation`: its graph is a
+    /// copy-on-write clone of the master graph, and its induced tables
+    /// are the live rows of every log, in log order.
+    snapshot: Arc<Snapshot>,
+    node_keys: Vec<NodeKey>,
+    edge_keys: Vec<EdgeKey>,
+    logs: Vec<PinnedLog>,
+    tokens: Vec<(u128, u64)>,
+    disk: Arc<Disk>,
+}
+
+impl Job {
+    /// The pin step: takes what the image of `st` needs, given that
+    /// `published` is the generation `st` published last.  Its snapshot
+    /// already shares the graph's arena chunks and every live row, so the
+    /// pin copies only the key vectors, the tombstones, the token entries
+    /// and the counters.
+    pub(crate) fn pin(st: &StoreState, published: (u64, Arc<Snapshot>), disk: Arc<Disk>) -> Job {
+        let (generation, snapshot) = published;
+        let logs = st.tables.iter().map(|(name, t)| {
+            let (dead, dead_values) = t.tombstones();
+            PinnedLog { name: name.clone(), dead, dead_values }
+        });
+        Job {
+            generation,
+            commits: st.commits.get(),
+            rejected: st.rejected.get(),
+            compactions: st.compactions.get(),
+            next_key: st.next_key,
+            snapshot,
+            node_keys: st.node_keys.clone(),
+            edge_keys: st.edge_keys.clone(),
+            logs: logs.collect(),
+            tokens: st.idempotency.entries(),
+            disk,
+        }
+    }
+
+    /// The write step: builds and encodes the image, writes `ckpt-G.tmp`,
+    /// fsyncs it, renames it and syncs the directory.  Only then does it
+    /// vacuum the WAL segments below the checkpoint's generation and the
+    /// checkpoints past the retention count.  A failure before the rename
+    /// vacuums nothing, so recovery still has the previous checkpoint and
+    /// every segment after it.
+    pub(crate) fn write(self) -> StoreResult<()> {
+        let started = Instant::now();
+        let (generation, disk) = (self.generation, Arc::clone(&self.disk));
+        let written = self.into_image().and_then(|image| write(&*disk.vfs, &disk.dir, &image));
+        disk.write_micros.record(started.elapsed().as_micros() as u64);
+        written?;
+        // The file is a complete, fsynced image of everything it covers,
+        // so it supersedes the log: no separate WAL sync is needed before
+        // vacuuming covered segments.  (This also keeps the unretriable
+        // fsync problem out of the checkpoint path, which is what lets
+        // `checkpoint_now` recover a fenced store.)
+        disk.last_checkpoint.store(generation, Ordering::SeqCst);
+        disk.checkpoints_written.inc();
+        for (base, path) in wal::list_segments(&*disk.vfs, &disk.dir)? {
+            if base < generation && disk.vfs.remove_file(&path).is_ok() {
+                disk.segments_removed.inc();
+            }
+        }
+        let ckpts = list_checkpoints(&*disk.vfs, &disk.dir)?;
+        if ckpts.len() > disk.keep {
+            for (_, path) in &ckpts[..ckpts.len() - disk.keep] {
+                let _ = disk.vfs.remove_file(path);
+            }
+        }
+        Ok(())
+    }
+
+    /// The image: counters, the graph in arena order with its stable
+    /// keys, every log slot (each live row from the snapshot, each
+    /// tombstoned one from the pinned log) and the token entries.
+    fn into_image(self) -> StoreResult<CheckpointImage> {
+        let (graph, induced) = (self.snapshot.graph(), self.snapshot.induced());
+        let props = |props: &BTreeMap<Ident, Value>| {
+            props.iter().map(|(k, v)| (k.as_str().to_owned(), v.clone())).collect()
+        };
+        let nodes = graph
+            .nodes()
+            .map(|n| CkptNode {
+                key: self.node_keys[n.id.0].0,
+                label: n.label.as_str().to_owned(),
+                props: props(&n.props),
+            })
+            .collect();
+        let edges = graph
+            .edges()
+            .map(|e| CkptEdge {
+                key: self.edge_keys[e.id.0].0,
+                label: e.label.as_str().to_owned(),
+                src: e.src.0 as u64,
+                tgt: e.tgt.0 as u64,
+                props: props(&e.props),
+            })
+            .collect();
+        let mut tables = Vec::with_capacity(self.logs.len());
+        for PinnedLog { name, dead, dead_values } in self.logs {
+            let mismatch = || {
+                StoreError::Internal(format!(
+                    "checkpoint: the published image of `{name}` does not match its log"
+                ))
+            };
+            let image = induced.table(&name).ok_or_else(mismatch)?;
+            let arity = image.columns.len().max(1);
+            let mut live = image.rows.iter();
+            let mut dead_rows = dead_values.chunks(arity);
+            let slots: Option<Vec<(bool, Row)>> = dead
+                .into_iter()
+                .map(|d| {
+                    let row = if d {
+                        dead_rows.next().map(<[Value]>::to_vec)
+                    } else {
+                        live.next().cloned()
+                    };
+                    row.map(|row| (d, row))
+                })
+                .collect();
+            let (Some(slots), None, None) = (slots, live.next(), dead_rows.next()) else {
+                return Err(mismatch());
+            };
+            tables.push(CkptTable { name, columns: image.columns.clone(), slots });
+        }
+        Ok(CheckpointImage {
+            generation: self.generation,
+            commits: self.commits,
+            rejected: self.rejected,
+            compactions: self.compactions,
+            next_key: self.next_key,
+            nodes,
+            edges,
+            tables,
+            tokens: self.tokens,
+        })
+    }
 }
 
 #[cfg(test)]

@@ -47,7 +47,9 @@
 //! every committed delta is appended to a checksummed write-ahead log and
 //! flushed (optionally fsynced) **before** the generation is published;
 //! periodic checkpoints snapshot the per-label row logs so replay cost
-//! stays bounded; and recovery loads the newest valid checkpoint,
+//! stays bounded (the commit that makes one due only pins the state and
+//! rotates the WAL; a checkpointer thread writes the file); and recovery
+//! loads the newest valid checkpoint,
 //! replays the WAL suffix through the ordinary commit path, and
 //! truncates any torn tail record instead of failing.  A rejected delta
 //! writes no WAL record, so rejection is provably side-effect-free on
@@ -183,11 +185,19 @@ pub struct DurabilityOptions {
     /// published generation always survives power loss).  When `false`,
     /// records are still written and flushed to the OS per commit —
     /// surviving a process crash — but only forced to stable storage at
-    /// checkpoints (amortized group durability).
+    /// checkpoints (amortized group durability): the checkpoint image
+    /// covers them once its file is durable, and the pin step syncs the
+    /// outgoing segment before the WAL rotates.
     pub fsync_each_commit: bool,
-    /// Write a checkpoint (and rotate + vacuum WAL segments) every this
-    /// many commits.  `0` disables automatic checkpoints; use
-    /// [`GraphStore::checkpoint_now`] instead.
+    /// Checkpoint every this many commits.  The commit that makes one
+    /// due pins the state and rotates the WAL under the state lock; a
+    /// checkpointer thread writes the file and then vacuums the segments
+    /// and checkpoints it supersedes.  One job runs at a time: a
+    /// checkpoint that falls due while the previous one still runs waits
+    /// for it, so a clean shutdown replays at most this many commits, and
+    /// a crash during a job at most twice as many.  A failed checkpoint is
+    /// retried after another interval.  `0` disables automatic
+    /// checkpoints; use [`GraphStore::checkpoint_now`] instead.
     pub checkpoint_interval: u64,
     /// How many checkpoint files to retain (minimum 1; older ones are
     /// vacuumed together with the WAL segments they cover).
@@ -216,24 +226,31 @@ impl Default for DurabilityOptions {
 
 /// The durability attachment of a store: the open WAL segment plus
 /// checkpoint bookkeeping.  Present only for stores opened with
-/// [`StoreBuilder::durable`].
+/// [`StoreBuilder::durable`].  Dropping it waits for the checkpoint job
+/// in flight, so no checkpointer thread outlives its store.
 #[derive(Debug)]
 struct DurableState {
-    dir: PathBuf,
-    vfs: Arc<dyn vfs::Vfs>,
+    /// The directory and VFS, shared with checkpoint jobs together with
+    /// the checkpoint counters.
+    disk: Arc<checkpoint::Disk>,
     options: DurabilityOptions,
     wal: wal::WalWriter,
-    /// Generation covered by the newest checkpoint on disk.
-    last_checkpoint: u64,
+    /// Generation the newest checkpoint job was pinned at, successful or
+    /// not: the next periodic one falls due `checkpoint_interval`
+    /// generations later, so a lasting fault costs one attempt per
+    /// interval, not one per commit.
+    last_pinned: u64,
+    /// The periodic checkpoint job whose write step runs on the
+    /// checkpointer thread (at most one at a time).
+    in_flight: Option<std::thread::JoinHandle<()>>,
+    /// How long each pin step holds the state lock.
+    checkpoint_pin_micros: Arc<Histogram>,
     /// Records appended by this process (registry-backed: the same
     /// handles render through the shared observability registry, so
     /// [`StoreStats`] is a *view*, not a second vocabulary).
     wal_records: Counter,
     /// Bytes appended by this process.
     wal_bytes: Counter,
-    checkpoints_written: Counter,
-    checkpoint_failures: Counter,
-    segments_removed: Counter,
     /// Commits recovered by WAL replay when this store opened.
     replayed: Counter,
     /// WAL write retries that eventually succeeded or were exhausted.
@@ -249,33 +266,61 @@ struct DurableState {
 impl DurableState {
     /// Registers the durable layer's counters and latency histograms in
     /// `registry` under the shared `graphiti_wal_*` / `graphiti_checkpoint*`
-    /// names.
-    #[allow(clippy::too_many_arguments)]
+    /// names.  `disk` holds the newest checkpoint's generation, which is
+    /// where the periodic schedule starts.
     fn new(
-        dir: PathBuf,
-        fs: Arc<dyn vfs::Vfs>,
+        disk: Arc<checkpoint::Disk>,
         options: DurabilityOptions,
         wal: wal::WalWriter,
-        last_checkpoint: u64,
         registry: &Registry,
     ) -> DurableState {
         DurableState {
-            dir,
-            vfs: fs,
+            last_pinned: disk.last_checkpoint(),
+            disk,
             options,
             wal,
-            last_checkpoint,
+            in_flight: None,
+            checkpoint_pin_micros: registry.histogram("graphiti_checkpoint_pin_micros"),
             wal_records: registry.counter("graphiti_wal_records_total"),
             wal_bytes: registry.counter("graphiti_wal_bytes_total"),
-            checkpoints_written: registry.counter("graphiti_checkpoints_written_total"),
-            checkpoint_failures: registry.counter("graphiti_checkpoint_failures_total"),
-            segments_removed: registry.counter("graphiti_wal_segments_removed_total"),
             replayed: registry.counter("graphiti_wal_replayed_commits_total"),
             wal_retries: registry.counter("graphiti_wal_retries_total"),
             wal_append_failures: registry.counter("graphiti_wal_append_failures_total"),
             wal_append_micros: registry.histogram("graphiti_wal_append_micros"),
             wal_fsync_micros: registry.histogram("graphiti_wal_fsync_micros"),
         }
+    }
+
+    /// Runs a pinned job's write step on a checkpointer thread.  Its
+    /// failure is counted, keeps every segment, and reaches no commit.
+    fn spawn_checkpoint(&mut self, job: checkpoint::Job) {
+        debug_assert!(self.in_flight.is_none(), "the pin step waits for the job in flight");
+        let failures = self.disk.checkpoint_failures.clone();
+        let spawned =
+            std::thread::Builder::new().name("graphiti-checkpoint".into()).spawn(move || {
+                if job.write().is_err() {
+                    failures.inc();
+                }
+            });
+        match spawned {
+            Ok(handle) => self.in_flight = Some(handle),
+            Err(_) => self.disk.checkpoint_failures.inc(),
+        }
+    }
+
+    /// Waits for the checkpoint job in flight, if any.
+    fn wait_for_checkpoint(&mut self) {
+        if let Some(handle) = self.in_flight.take() {
+            if handle.join().is_err() {
+                self.disk.checkpoint_failures.inc();
+            }
+        }
+    }
+}
+
+impl Drop for DurableState {
+    fn drop(&mut self) {
+        self.wait_for_checkpoint();
     }
 }
 
@@ -316,12 +361,17 @@ pub struct StoreStats {
     pub wal_records: u64,
     /// WAL bytes appended by this process.
     pub wal_bytes: u64,
-    /// Checkpoints written by this process.
+    /// Checkpoints this process completed: a periodic one counts once
+    /// its file is renamed into place on the checkpointer thread, not
+    /// when its commit is acknowledged.
     pub checkpoints: u64,
-    /// Checkpoint writes that failed (the triggering commit still
-    /// succeeded; durability falls back to a longer WAL replay).
+    /// Periodic checkpoints that failed (the triggering commit still
+    /// succeeded, every WAL segment was kept, and durability falls back
+    /// to a longer WAL replay).
     pub checkpoint_failures: u64,
-    /// Generation covered by the newest checkpoint (0 when none).
+    /// Generation covered by the newest completed checkpoint (0 when
+    /// none).  It lags the generation a periodic checkpoint was pinned
+    /// at until the checkpointer thread finishes the file.
     pub last_checkpoint_generation: u64,
     /// Commits recovered by WAL replay when this store opened.
     pub replayed_commits: u64,
@@ -358,8 +408,9 @@ const IDEMPOTENCY_RETENTION: usize = 4096;
 #[derive(Debug, Default)]
 struct IdempotencyTable {
     by_token: HashMap<u128, u64>,
-    /// Insertion order, for FIFO eviction and checkpoint serialization.
-    fifo: VecDeque<u128>,
+    /// The same entries in insertion order, for FIFO eviction and for
+    /// checkpoints, which copy them under the state lock.
+    fifo: VecDeque<(u128, u64)>,
 }
 
 impl IdempotencyTable {
@@ -369,10 +420,10 @@ impl IdempotencyTable {
 
     fn record(&mut self, token: u128, generation: u64) {
         if self.by_token.insert(token, generation).is_none() {
-            self.fifo.push_back(token);
+            self.fifo.push_back((token, generation));
         }
         while self.fifo.len() > IDEMPOTENCY_RETENTION {
-            if let Some(evicted) = self.fifo.pop_front() {
+            if let Some((evicted, _)) = self.fifo.pop_front() {
                 self.by_token.remove(&evicted);
             }
         }
@@ -380,7 +431,7 @@ impl IdempotencyTable {
 
     /// Entries in insertion order (the shape checkpoints persist).
     fn entries(&self) -> Vec<(u128, u64)> {
-        self.fifo.iter().filter_map(|t| self.by_token.get(t).map(|g| (*t, *g))).collect()
+        self.fifo.iter().copied().collect()
     }
 
     fn from_entries(entries: Vec<(u128, u64)>) -> IdempotencyTable {
@@ -723,8 +774,10 @@ impl GraphStore {
             let mut st = store.state.lock().unwrap_or_else(|p| p.into_inner());
             let last_checkpoint =
                 checkpoint::list_checkpoints(&*fs, &dir)?.last().map(|(g, _)| *g).unwrap_or(0);
-            let d =
-                DurableState::new(dir, fs, options, writer, last_checkpoint, store.obs.registry());
+            let registry = store.obs.registry();
+            let disk =
+                checkpoint::Disk::new(fs, dir, options.keep_checkpoints, last_checkpoint, registry);
+            let d = DurableState::new(Arc::new(disk), options, writer, registry);
             d.replayed.set(replayed);
             st.durable = Some(d);
         }
@@ -871,7 +924,9 @@ impl GraphStore {
     }
 
     /// Bootstraps durability on a fresh directory: checkpoint the
-    /// current state, then open the first WAL segment.
+    /// current state inline, then open the first WAL segment.  The order
+    /// matters: a directory holding a WAL segment but no checkpoint
+    /// recovers onto an empty graph, not onto the bootstrap graph.
     fn attach_durability(
         &self,
         fs: Arc<dyn vfs::Vfs>,
@@ -879,13 +934,18 @@ impl GraphStore {
         options: DurabilityOptions,
     ) -> StoreResult<()> {
         let mut st = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        let generation = self.generation();
-        let image = build_checkpoint_image(&st, generation);
-        checkpoint::write(&*fs, &dir, &image)?;
-        let wal = wal::WalWriter::create(&*fs, wal::segment_path(&dir, generation))?;
-        let d = DurableState::new(dir, fs, options, wal, generation, self.obs.registry());
-        d.checkpoints_written.inc();
-        st.durable = Some(d);
+        let (generation, snapshot) = self.published();
+        let registry = self.obs.registry();
+        let disk = Arc::new(checkpoint::Disk::new(
+            fs,
+            dir,
+            options.keep_checkpoints,
+            generation,
+            registry,
+        ));
+        checkpoint::Job::pin(&st, (generation, snapshot), Arc::clone(&disk)).write()?;
+        let wal = wal::WalWriter::create(&*disk.vfs, wal::segment_path(&disk.dir, generation))?;
+        st.durable = Some(DurableState::new(disk, options, wal, registry));
         Ok(())
     }
 
@@ -893,6 +953,10 @@ impl GraphStore {
     /// WAL and vacuuming segments (and checkpoints beyond the retention
     /// count) the new checkpoint covers.  Returns the checkpointed
     /// generation.  Errors if the store is not durable.
+    ///
+    /// It first waits for the periodic checkpoint in flight, if any, then
+    /// runs the same job inline: when it returns, its file is the newest
+    /// checkpoint and no job is running.
     ///
     /// This is also the **fence recovery path**: a store fenced by a
     /// durability failure (failed fsync, failed rollback) has intact
@@ -916,8 +980,9 @@ impl GraphStore {
                 });
             }
         }
-        let generation = self.generation();
-        write_checkpoint_locked(&mut st, generation)?;
+        let published = self.published();
+        let generation = published.0;
+        pin_checkpoint(&mut st, published)?.write()?;
         st.fence = None;
         Ok(generation)
     }
@@ -976,11 +1041,14 @@ impl GraphStore {
             tombstoned_rows: st.tables.values().map(StoreTable::dead_count).sum(),
             wal_records: st.durable.as_ref().map_or(0, |d| d.wal_records.get()),
             wal_bytes: st.durable.as_ref().map_or(0, |d| d.wal_bytes.get()),
-            checkpoints: st.durable.as_ref().map_or(0, |d| d.checkpoints_written.get()),
-            checkpoint_failures: st.durable.as_ref().map_or(0, |d| d.checkpoint_failures.get()),
-            last_checkpoint_generation: st.durable.as_ref().map_or(0, |d| d.last_checkpoint),
+            checkpoints: st.durable.as_ref().map_or(0, |d| d.disk.checkpoints_written.get()),
+            checkpoint_failures: st
+                .durable
+                .as_ref()
+                .map_or(0, |d| d.disk.checkpoint_failures.get()),
+            last_checkpoint_generation: st.durable.as_ref().map_or(0, |d| d.disk.last_checkpoint()),
             replayed_commits: st.durable.as_ref().map_or(0, |d| d.replayed.get()),
-            wal_segments_removed: st.durable.as_ref().map_or(0, |d| d.segments_removed.get()),
+            wal_segments_removed: st.durable.as_ref().map_or(0, |d| d.disk.segments_removed.get()),
             fenced: st.fence.is_some(),
             fence_events: st.fence_events.get(),
             fenced_commits: st.fenced_commits.get(),
@@ -1253,6 +1321,12 @@ impl GraphStore {
                 }
             }
         }
+        // The segment these records went to must be findable after a
+        // crash before any of them is acknowledged: the first batch
+        // written to a segment syncs its directory.
+        if let Some(d) = st.durable.as_mut().filter(|_| failure.is_none() && accepted > 0) {
+            d.wal.sync_name(&*d.disk.vfs);
+        }
         let published = match failure {
             Some(fence) => Err(fence),
             None if accepted == 0 => Ok(prev),
@@ -1293,16 +1367,21 @@ impl GraphStore {
                 self.commit_e2e_micros.record(e2e);
             }
             // Periodic checkpoint: bounds replay cost and lets old WAL
-            // segments be vacuumed.  The batch already published; a
-            // checkpoint failure is recorded, not propagated — durability
-            // falls back to a longer replay.
+            // segments be vacuumed.  The batch already published; only
+            // the pin step runs under the lock, and the write step runs on
+            // the checkpointer thread.  A failure is counted, not
+            // propagated — durability falls back to a longer replay.
             let due = st.durable.as_ref().is_some_and(|d| {
                 d.options.checkpoint_interval > 0
-                    && generation - d.last_checkpoint >= d.options.checkpoint_interval
+                    && generation - d.last_pinned >= d.options.checkpoint_interval
             });
-            if due && write_checkpoint_locked(&mut st, generation).is_err() {
+            if due {
+                let pinned = pin_checkpoint(&mut st, (generation, Arc::clone(&snapshot)));
                 if let Some(d) = st.durable.as_mut() {
-                    d.checkpoint_failures.inc();
+                    match pinned {
+                        Ok(job) => d.spawn_checkpoint(job),
+                        Err(_) => d.disk.checkpoint_failures.inc(),
+                    }
                 }
             }
         }
@@ -1451,89 +1530,37 @@ fn wal_append_with_retry(
     }
 }
 
-/// Serializes the writer-side state at `generation` into a checkpoint
-/// image: counters, the master graph in arena order with its stable
-/// keys, and every row log slot-exactly (tombstones included, so
-/// published log order survives recovery).
-fn build_checkpoint_image(st: &StoreState, generation: u64) -> checkpoint::CheckpointImage {
-    let nodes = st
-        .graph
-        .nodes()
-        .map(|n| checkpoint::CkptNode {
-            key: st.node_keys[n.id.0].0,
-            label: n.label.as_str().to_owned(),
-            props: n.props.iter().map(|(k, v)| (k.as_str().to_owned(), v.clone())).collect(),
-        })
-        .collect();
-    let edges = st
-        .graph
-        .edges()
-        .map(|e| checkpoint::CkptEdge {
-            key: st.edge_keys[e.id.0].0,
-            label: e.label.as_str().to_owned(),
-            src: e.src.0 as u64,
-            tgt: e.tgt.0 as u64,
-            props: e.props.iter().map(|(k, v)| (k.as_str().to_owned(), v.clone())).collect(),
-        })
-        .collect();
-    let tables = st
-        .tables
-        .iter()
-        .map(|(name, t)| checkpoint::CkptTable {
-            name: name.clone(),
-            columns: t.columns().to_vec(),
-            slots: t.log_slots().map(|(dead, row)| (dead, row.clone())).collect(),
-        })
-        .collect();
-    checkpoint::CheckpointImage {
-        generation,
-        commits: st.commits.get(),
-        rejected: st.rejected.get(),
-        compactions: st.compactions.get(),
-        next_key: st.next_key,
-        nodes,
-        edges,
-        tables,
-        tokens: st.idempotency.entries(),
-    }
-}
-
-/// Checkpoints the current generation, `generation`, rotates the WAL to
-/// a fresh segment, and vacuums fully covered segments plus checkpoints
-/// beyond the retention count.  Caller must hold the state lock and have
-/// `st.durable` set.
-fn write_checkpoint_locked(st: &mut StoreState, generation: u64) -> StoreResult<()> {
-    let image = build_checkpoint_image(st, generation);
+/// The pin step of a periodic or [`GraphStore::checkpoint_now`]
+/// checkpoint of `published`, the generation the store published last,
+/// made while the caller holds the state lock: waits for the job in
+/// flight, rotates the WAL to a segment based at that generation, and
+/// pins the state the image is built from.  Without a per-commit fsync,
+/// the outgoing segment is synced first, so no record of the new segment
+/// can reach the disk ahead of a record it follows.
+fn pin_checkpoint(
+    st: &mut StoreState,
+    published: (u64, Arc<Snapshot>),
+) -> StoreResult<checkpoint::Job> {
+    let generation = published.0;
     let Some(d) = st.durable.as_mut() else {
         // Callers verify `st.durable` before calling; reaching here is a
         // logic bug, reported instead of panicking.
-        debug_assert!(false, "write_checkpoint_locked needs a durable store");
+        debug_assert!(false, "pin_checkpoint needs a durable store");
         return Err(StoreError::Internal(
-            "write_checkpoint_locked called without a durability layer".into(),
+            "pin_checkpoint called without a durability layer".into(),
         ));
     };
-    // The checkpoint file is a complete, fsynced image of everything it
-    // covers, so it supersedes the log: no separate WAL sync is needed
-    // before vacuuming covered segments.  (This also keeps the
-    // unretriable-fsync problem out of the checkpoint path, which is
-    // what lets `checkpoint_now` recover a fenced store.)
-    checkpoint::write(&*d.vfs, &d.dir, &image)?;
-    d.wal = wal::WalWriter::create(&*d.vfs, wal::segment_path(&d.dir, generation))?;
-    d.last_checkpoint = generation;
-    d.checkpoints_written.inc();
-    for (base, path) in wal::list_segments(&*d.vfs, &d.dir)? {
-        if base < generation && d.vfs.remove_file(&path).is_ok() {
-            d.segments_removed.inc();
-        }
+    d.wait_for_checkpoint();
+    let started = Instant::now();
+    d.last_pinned = generation;
+    if !d.options.fsync_each_commit {
+        d.wal.sync()?;
     }
-    let ckpts = checkpoint::list_checkpoints(&*d.vfs, &d.dir)?;
-    let keep = d.options.keep_checkpoints.max(1);
-    if ckpts.len() > keep {
-        for (_, path) in &ckpts[..ckpts.len() - keep] {
-            let _ = d.vfs.remove_file(path);
-        }
-    }
-    Ok(())
+    d.wal = wal::WalWriter::create(&*d.disk.vfs, wal::segment_path(&d.disk.dir, generation))?;
+    let (disk, pin_micros) = (Arc::clone(&d.disk), Arc::clone(&d.checkpoint_pin_micros));
+    let job = checkpoint::Job::pin(st, published, disk);
+    pin_micros.record(started.elapsed().as_micros() as u64);
+    Ok(job)
 }
 
 // ------------------------------------------------------------ validation
@@ -2813,22 +2840,31 @@ vs\n{tb}"
         assert_matches_cold_freeze(&recovered);
     }
 
+    /// Reads a store's registry counter by name.
+    fn counter(obs: &Obs, name: &str) -> u64 {
+        obs.registry().counter(name).get()
+    }
+
     #[test]
     fn checkpoints_bound_replay_and_vacuum_segments() {
         let dir = scratch("ckpt");
-        {
+        let obs = {
             let store = durable(&dir, durable_opts(false, 2)).open().unwrap();
             for d in scripted_deltas() {
                 store.commit(d).unwrap();
             }
-            let stats = store.stats();
-            assert!(stats.checkpoints >= 2, "interval 2 over 5 commits checkpoints twice");
-            assert_eq!(stats.checkpoint_failures, 0);
-            assert_eq!(stats.last_checkpoint_generation, 4);
-            assert!(stats.wal_segments_removed >= 1, "covered segments are vacuumed");
-        }
+            Arc::clone(store.obs())
+        };
+        // Dropping the store joined the job in flight: the checkpoint
+        // counters are final.
+        let checkpoints = counter(&obs, "graphiti_checkpoints_written_total");
+        assert!(checkpoints >= 2, "interval 2 over 5 commits checkpoints twice");
+        assert_eq!(counter(&obs, "graphiti_checkpoint_failures_total"), 0);
+        let removed = counter(&obs, "graphiti_wal_segments_removed_total");
+        assert!(removed >= 1, "covered segments are vacuumed");
         assert!(checkpoint_files(&dir).unwrap().len() <= 2, "retention keeps 2 checkpoints");
         let recovered = durable(&dir, durable_opts(false, 2)).open().unwrap();
+        assert_eq!(recovered.stats().last_checkpoint_generation, 4);
         assert_eq!(recovered.stats().replayed_commits, 1, "replay only past generation 4");
         assert_stores_equal(&recovered, &oracle_after(5));
     }
@@ -3244,6 +3280,333 @@ vs\n{tb}"
             }
             other => panic!("expected Corrupt, got: {other}"),
         }
+    }
+
+    // ------------------------------------------------ checkpointer thread
+
+    /// A VFS over the real filesystem that logs the operations the
+    /// checkpoint and WAL-rotation tests order against each other, and
+    /// can park a checkpoint at its rename until the test releases it.
+    #[derive(Debug, Clone, Default)]
+    struct LoggingVfs {
+        log: Arc<Mutex<Vec<String>>>,
+        gate: Arc<(Mutex<Gate>, std::sync::Condvar)>,
+    }
+
+    /// While armed, a checkpoint's rename waits, and says so by setting
+    /// `parked`.  A wait that outlasts [`PARK_LIMIT`] gives up and sets
+    /// `expired`, so a checkpoint that should not have parked fails its
+    /// test instead of hanging it.
+    #[derive(Debug, Default)]
+    struct Gate {
+        armed: bool,
+        parked: bool,
+        expired: bool,
+    }
+
+    const PARK_LIMIT: std::time::Duration = std::time::Duration::from_secs(10);
+
+    impl LoggingVfs {
+        fn note(&self, event: String) {
+            self.log.lock().unwrap().push(event);
+        }
+
+        fn events(&self) -> Vec<String> {
+            self.log.lock().unwrap().clone()
+        }
+
+        /// The index of the first logged event equal to `event`.
+        fn position(&self, event: &str) -> usize {
+            let events = self.events();
+            events
+                .iter()
+                .position(|e| e == event)
+                .unwrap_or_else(|| panic!("no `{event}` in {events:?}"))
+        }
+
+        fn park(&self) {
+            self.gate.0.lock().unwrap().armed = true;
+        }
+
+        /// Blocks until a checkpoint is parked at its rename.
+        fn wait_parked(&self) {
+            let (lock, cv) = &*self.gate;
+            let gate = lock.lock().unwrap();
+            let (gate, _) = cv.wait_timeout_while(gate, PARK_LIMIT, |g| !g.parked).unwrap();
+            assert!(gate.parked, "no checkpoint reached its rename");
+        }
+
+        fn release(&self) {
+            let (lock, cv) = &*self.gate;
+            let expired = std::mem::take(&mut *lock.lock().unwrap()).expired;
+            cv.notify_all();
+            assert!(!expired, "a parked checkpoint waited out the park limit");
+        }
+    }
+
+    fn file_name(path: &Path) -> String {
+        path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default()
+    }
+
+    impl Vfs for LoggingVfs {
+        fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
+            StdVfs.read(path)
+        }
+
+        fn create(&self, path: &Path) -> std::io::Result<Box<dyn VfsFile>> {
+            self.note(format!("create {}", file_name(path)));
+            StdVfs.create(path)
+        }
+
+        fn open_rw(&self, path: &Path) -> std::io::Result<Box<dyn VfsFile>> {
+            StdVfs.open_rw(path)
+        }
+
+        fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+            let (lock, cv) = &*self.gate;
+            let mut gate = lock.lock().unwrap();
+            if gate.armed {
+                gate.parked = true;
+                cv.notify_all();
+                let (mut gate, wait) =
+                    cv.wait_timeout_while(gate, PARK_LIMIT, |g| g.armed).unwrap();
+                if wait.timed_out() {
+                    *gate = Gate { expired: true, ..Gate::default() };
+                }
+            } else {
+                drop(gate);
+            }
+            let renamed = StdVfs.rename(from, to);
+            self.note(format!("rename {}", file_name(to)));
+            renamed
+        }
+
+        fn remove_file(&self, path: &Path) -> std::io::Result<()> {
+            StdVfs.remove_file(path)
+        }
+
+        fn create_dir_all(&self, path: &Path) -> std::io::Result<()> {
+            StdVfs.create_dir_all(path)
+        }
+
+        fn list_dir(&self, path: &Path) -> std::io::Result<Vec<String>> {
+            StdVfs.list_dir(path)
+        }
+
+        fn sync_dir(&self, path: &Path) -> std::io::Result<()> {
+            self.note("sync_dir".into());
+            StdVfs.sync_dir(path)
+        }
+    }
+
+    fn open_logged(dir: &Path, vfs: &LoggingVfs, options: DurabilityOptions) -> GraphStore {
+        durable(dir, options).vfs(Arc::new(vfs.clone())).open().unwrap()
+    }
+
+    /// Commits `delta` and logs its acknowledgement.
+    fn commit_logged(store: &GraphStore, vfs: &LoggingVfs, delta: Delta) {
+        let generation = store.commit(delta).unwrap().generation;
+        vfs.note(format!("ack {generation}"));
+    }
+
+    fn tmp_files(dir: &Path) -> Vec<String> {
+        let names = StdVfs.list_dir(dir).unwrap();
+        names.into_iter().filter(|n| n.ends_with(".tmp")).collect()
+    }
+
+    #[test]
+    fn a_new_wal_segment_is_durable_before_its_first_acknowledgement() {
+        let dir = scratch("segment-sync");
+        let vfs = LoggingVfs::default();
+        let store = open_logged(&dir, &vfs, durable_opts(true, 2));
+        let mut deltas = scripted_deltas().into_iter();
+        commit_logged(&store, &vfs, deltas.next().unwrap());
+        // Generation 2 rotates the WAL while its checkpoint parks before
+        // the rename, so the checkpoint's own directory sync comes later.
+        vfs.park();
+        commit_logged(&store, &vfs, deltas.next().unwrap());
+        vfs.wait_parked();
+        commit_logged(&store, &vfs, deltas.next().unwrap());
+        vfs.release();
+        store.checkpoint_now().unwrap();
+        commit_logged(&store, &vfs, deltas.next().unwrap());
+        drop(store);
+        // Segment `wal-B` holds the generations after B.
+        let events = vfs.events();
+        let parse = |event: &str, prefix: &str| -> Option<u64> {
+            event.strip_prefix(prefix)?.trim_end_matches(".wal").parse().ok()
+        };
+        let creates: Vec<(usize, u64)> = (0..events.len())
+            .filter_map(|i| parse(&events[i], "create wal-").map(|base| (i, base)))
+            .collect();
+        assert_eq!(creates.len(), 3, "bootstrap, periodic and manual segments: {events:?}");
+        for (i, base) in creates {
+            let first_ack = (i..events.len())
+                .find(|&j| parse(&events[j], "ack ").is_some_and(|g| g > base))
+                .unwrap_or_else(|| panic!("no acknowledgement from `{}`", events[i]));
+            assert!(
+                events[i..first_ack].iter().any(|e| e == "sync_dir"),
+                "`{}` is acknowledged from before its name is durable: {events:?}",
+                events[i]
+            );
+        }
+    }
+
+    #[test]
+    fn a_crash_during_a_background_checkpoint_replays_across_both_segments() {
+        let dir = scratch("parked");
+        let vfs = LoggingVfs::default();
+        let store = open_logged(&dir, &vfs, durable_opts(true, 2));
+        let deltas = scripted_deltas();
+        store.commit(deltas[0].clone()).unwrap();
+        vfs.park();
+        store.commit(deltas[1].clone()).unwrap(); // due: pins generation 2
+        vfs.wait_parked();
+        store.commit(deltas[2].clone()).unwrap();
+        // The crash image: the job has rotated the WAL but its file is
+        // still `ckpt-…2.tmp`.
+        let crash = scratch("parked-crash");
+        copy_dir(&dir, &crash);
+        assert_eq!(tmp_files(&crash).len(), 1, "the parked job's file is not renamed yet");
+        let recovered = durable(&crash, DurabilityOptions::default()).open().unwrap();
+        assert_eq!(recovered.stats().last_checkpoint_generation, 0);
+        assert_eq!(recovered.stats().replayed_commits, 3, "generations 1–2 from the old segment");
+        assert_stores_equal(&recovered, &oracle_after(3));
+        drop(recovered);
+        // The next due checkpoint waits for the parked one.
+        std::thread::scope(|s| {
+            let due = s.spawn(|| store.commit(deltas[3].clone()).unwrap());
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            assert!(!due.is_finished(), "a due checkpoint started while one was in flight");
+            vfs.release();
+            assert_eq!(due.join().unwrap().generation, 4);
+        });
+        let renamed =
+            vfs.position(&format!("rename {}", file_name(&checkpoint::checkpoint_path(&dir, 2))));
+        let rotated = vfs.position(&format!("create {}", file_name(&wal::segment_path(&dir, 4))));
+        assert!(renamed < rotated, "the second job pinned before the first one finished");
+        store.commit(deltas[4].clone()).unwrap();
+        drop(store);
+        let recovered = durable(&dir, DurabilityOptions::default()).open().unwrap();
+        assert_eq!(recovered.stats().replayed_commits, 1, "replay only past generation 4");
+        assert_stores_equal(&recovered, &oracle_after(5));
+        std::fs::remove_dir_all(&crash).ok();
+    }
+
+    #[test]
+    fn checkpoint_now_waits_for_the_job_in_flight() {
+        let dir = scratch("now-waits");
+        let vfs = LoggingVfs::default();
+        let store = open_logged(&dir, &vfs, durable_opts(true, 2));
+        let deltas = scripted_deltas();
+        store.commit(deltas[0].clone()).unwrap();
+        vfs.park();
+        store.commit(deltas[1].clone()).unwrap();
+        vfs.wait_parked();
+        store.commit(deltas[2].clone()).unwrap();
+        std::thread::scope(|s| {
+            let now = s.spawn(|| store.checkpoint_now().unwrap());
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            assert!(!now.is_finished(), "checkpoint_now ran beside the job in flight");
+            vfs.release();
+            assert_eq!(now.join().unwrap(), 3);
+        });
+        let files = checkpoint_files(&dir).unwrap();
+        assert_eq!(files.last(), Some(&checkpoint::checkpoint_path(&dir, 3)), "{files:?}");
+        assert!(tmp_files(&dir).is_empty());
+        assert_eq!(store.stats().last_checkpoint_generation, 3);
+        assert_eq!(store.stats().checkpoints, 3, "bootstrap, periodic and manual");
+    }
+
+    #[test]
+    fn dropping_a_store_joins_the_checkpoint_job() {
+        let dir = scratch("drop-joins");
+        let vfs = LoggingVfs::default();
+        let store = open_logged(&dir, &vfs, durable_opts(true, 4));
+        for d in scripted_deltas().into_iter().take(3) {
+            store.commit(d).unwrap();
+        }
+        vfs.park();
+        store.commit(scripted_deltas().remove(3)).unwrap(); // due: pins generation 4
+        vfs.wait_parked();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(std::time::Duration::from_millis(50));
+                vfs.release();
+            });
+            drop(store);
+        });
+        vfs.position(&format!("rename {}", file_name(&checkpoint::checkpoint_path(&dir, 4))));
+        assert!(tmp_files(&dir).is_empty(), "no checkpoint file outlives the store half-written");
+        let recovered = durable(&dir, durable_opts(true, 4)).open().unwrap();
+        assert!(recovered.stats().replayed_commits <= 4, "a clean shutdown replays one interval");
+        assert_eq!(recovered.stats().last_checkpoint_generation, 4);
+        assert_stores_equal(&recovered, &oracle_after(4));
+    }
+
+    #[test]
+    fn a_background_checkpoint_is_atomic_under_a_fault_at_every_step() {
+        // Probe run: count the I/O operations of a plain commit and of a
+        // commit that makes a checkpoint due, through the end of its job.
+        let probe = scratch("bg-fault-probe");
+        let vfs = FaultVfs::default();
+        let store =
+            durable(&probe, durable_opts(true, 2)).vfs(Arc::new(vfs.clone())).open().unwrap();
+        let before = vfs.ops();
+        store.commit(scripted_deltas().remove(0)).unwrap();
+        let plain = vfs.ops() - before;
+        let before = vfs.ops();
+        store.commit(scripted_deltas().remove(1)).unwrap();
+        drop(store); // joins the job
+        let span = vfs.ops() - before - plain;
+        std::fs::remove_dir_all(&probe).ok();
+        assert!(span >= 7, "rotation, tmp write, syncs, rename, listings: got {span}");
+        // Sweep: fail each of the pin's and the job's operations in turn.
+        for k in 1..=span {
+            let dir = scratch(&format!("bg-fault-{k}"));
+            let vfs = FaultVfs::default();
+            let store =
+                durable(&dir, durable_opts(true, 2)).vfs(Arc::new(vfs.clone())).open().unwrap();
+            let obs = Arc::clone(store.obs());
+            store.commit(scripted_deltas().remove(0)).unwrap();
+            vfs.fail_nth(vfs.ops() + plain + k);
+            // The fault lands in the checkpoint, never in the commit.
+            assert_eq!(store.commit(scripted_deltas().remove(1)).unwrap().generation, 2);
+            assert!(!store.is_fenced(), "a failed checkpoint must not fence");
+            drop(store);
+            assert_eq!(vfs.injected(), 1, "op {k} of {span} ran");
+            let failures = counter(&obs, "graphiti_checkpoint_failures_total");
+            assert!(failures <= 1, "one fault, one failed checkpoint at most");
+            // Whatever step failed, the previous checkpoint and the
+            // segments after it recover the committed state.
+            let recovered = durable(&dir, DurabilityOptions::default()).open().unwrap();
+            assert_stores_equal(&recovered, &oracle_after(2));
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn a_failing_periodic_checkpoint_is_retried_once_per_interval() {
+        let dir = scratch("retry-interval");
+        let vfs = FaultVfs::default();
+        let store = durable(&dir, durable_opts(true, 4)).vfs(Arc::new(vfs.clone())).open().unwrap();
+        // Metadata operations fail from now on; WAL appends and fsyncs
+        // still succeed.
+        vfs.fail_from(vfs.ops() + 1);
+        vfs.exempt(&[OpClass::Read, OpClass::Write, OpClass::Sync, OpClass::SetLen]);
+        let oracle = GraphStore::open(emp_schema(), emp_graph()).unwrap();
+        for i in 0..40 {
+            let mut d = Delta::new();
+            d.add_node("EMP", [("id", Value::Int(1000 + i)), ("name", Value::str("r"))]);
+            oracle.commit(d.clone()).unwrap();
+            assert_eq!(store.commit(d).unwrap().generation, i as u64 + 1);
+        }
+        let obs = Arc::clone(store.obs());
+        drop(store);
+        assert_eq!(counter(&obs, "graphiti_checkpoint_failures_total"), 10, "one per interval");
+        let recovered = durable(&dir, DurabilityOptions::default()).open().unwrap();
+        assert_eq!(recovered.stats().replayed_commits, 40);
+        assert_stores_equal(&recovered, &oracle);
     }
 
     // ------------------------------------------- copy-on-write publication

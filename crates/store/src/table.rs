@@ -90,14 +90,16 @@ impl StoreTable {
         Ok(StoreTable { columns, rows, dead, dead_count, pk })
     }
 
-    /// The column names, primary key first.
-    pub(crate) fn columns(&self) -> &[String] {
-        &self.columns
-    }
-
-    /// Every log slot as `(dead, row)`, in log order (for checkpointing).
-    pub(crate) fn log_slots(&self) -> impl Iterator<Item = (bool, &Row)> + '_ {
-        self.rows.iter().enumerate().map(|(i, r)| (self.dead[i], r))
+    /// The tombstone flag of every log slot, and the values of the
+    /// tombstoned rows, concatenated in log order: with the published
+    /// image (the live rows in log order) they make up every slot, which
+    /// is what a checkpoint stores.
+    pub(crate) fn tombstones(&self) -> (Vec<bool>, Vec<Value>) {
+        let mut values = Vec::with_capacity(self.dead_count * self.columns.len());
+        for (row, _) in self.rows.iter().zip(&self.dead).filter(|(_, d)| **d) {
+            values.extend_from_slice(row);
+        }
+        (self.dead.clone(), values)
     }
 
     /// Total log slots (live + tombstoned).

@@ -443,17 +443,24 @@ pub(crate) struct WalWriter {
     file: Box<dyn VfsFile>,
     path: PathBuf,
     len: u64,
+    /// Whether the directory was synced since this process opened the
+    /// segment, making its name durable.
+    name_synced: bool,
 }
 
 impl WalWriter {
-    /// Creates a fresh (empty) segment.
+    /// Creates a fresh (empty) segment.  Its name is durable only after
+    /// [`WalWriter::sync_name`], which must run before any commit is
+    /// acknowledged from it.
     pub(crate) fn create(vfs: &dyn Vfs, path: PathBuf) -> StoreResult<WalWriter> {
         let file = vfs.create(&path).map_err(|e| StoreError::io("wal: creating", &path, e))?;
-        Ok(WalWriter { file, path, len: 0 })
+        Ok(WalWriter { file, path, len: 0, name_synced: false })
     }
 
     /// Opens an existing segment for appending, first truncating it to
-    /// its valid prefix (dropping any torn tail).
+    /// its valid prefix (dropping any torn tail).  Its name, too, is
+    /// synced before the first commit acknowledged from it: the process
+    /// that created it may have crashed before doing so.
     pub(crate) fn open_append(
         vfs: &dyn Vfs,
         path: PathBuf,
@@ -461,7 +468,7 @@ impl WalWriter {
     ) -> StoreResult<WalWriter> {
         let mut file = vfs.open_rw(&path).map_err(|e| StoreError::io("wal: opening", &path, e))?;
         file.set_len(valid_len).map_err(|e| StoreError::io("wal: truncating", &path, e))?;
-        Ok(WalWriter { file, path, len: valid_len })
+        Ok(WalWriter { file, path, len: valid_len, name_synced: false })
     }
 
     /// Appends and flushes one record (no fsync — that is the caller's
@@ -516,6 +523,18 @@ impl WalWriter {
     /// Bytes of valid records in this segment.
     pub(crate) fn len(&self) -> u64 {
         self.len
+    }
+
+    /// Makes the segment's name durable, once per segment: syncs its
+    /// directory, best effort as for a checkpoint's rename (not all
+    /// platforms can sync a directory).
+    pub(crate) fn sync_name(&mut self, vfs: &dyn Vfs) {
+        if !self.name_synced {
+            if let Some(dir) = self.path.parent() {
+                let _ = vfs.sync_dir(dir);
+            }
+            self.name_synced = true;
+        }
     }
 }
 

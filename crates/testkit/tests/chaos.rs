@@ -341,6 +341,7 @@ proptest! {
                     prop_assert!(!e.is_rejected(), "bootstrap fault misclassified: {e}");
                 }
                 Ok(store) => {
+                    let obs = Arc::clone(store.obs());
                     let mut failure: Option<graphiti_store::StoreError> = None;
                     for d in &deltas {
                         match store.commit(d.clone()) {
@@ -348,6 +349,7 @@ proptest! {
                             Err(e) => { failure = Some(e); break; }
                         }
                     }
+                    let commit_failed = failure.is_some();
                     if let Some(e) = failure {
                         prop_assert!(
                             e.is_io() || e.is_fenced(),
@@ -371,6 +373,16 @@ proptest! {
                         }
                     }
                     drop(store);
+                    // The drop joined the checkpoint job in flight.  A
+                    // fault that reached no commit shows only as a failed
+                    // checkpoint, and one one-shot fault shows once at
+                    // most: in a commit's error or in the counter.
+                    let failures =
+                        obs.registry().counter("graphiti_checkpoint_failures_total").get();
+                    prop_assert!(
+                        failures + u64::from(commit_failed) <= vfs.injected(),
+                        "k={k}: {failures} failed checkpoints, commit failed: {commit_failed}"
+                    );
                 }
             }
             // Reopen on the real filesystem: recovery must land exactly

@@ -141,6 +141,8 @@ fn every_preexisting_counter_name_still_moves_through_the_registry() {
         "graphiti_commit_e2e_micros",
         "graphiti_wal_append_micros",
         "graphiti_wal_fsync_micros",
+        "graphiti_checkpoint_pin_micros",
+        "graphiti_checkpoint_write_micros",
         "graphiti_group_commit_size",
         "graphiti_group_queue_wait_micros",
         "graphiti_query_micros",
