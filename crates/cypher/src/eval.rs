@@ -10,11 +10,12 @@ use crate::ast::*;
 use graphiti_common::{AggKind, Error, Ident, Result, Truth, Value};
 use graphiti_graph::{Edge, EdgeId, GraphInstance, GraphSchema, NodeId};
 use graphiti_obs::profile::{StageProfile, StageSink};
-use graphiti_relational::Table;
-use std::collections::{BTreeMap, HashMap};
+use graphiti_relational::{counting_sort, first_seen, hash_eq_class_into, KeyHasher, Table};
+use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
 
 /// A reference to a bound graph element.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ElemRef {
     /// A bound node.
     Node(NodeId),
@@ -181,30 +182,37 @@ impl<'a> Evaluator<'a> {
         } else {
             // Implicit grouping: non-aggregate expressions form the grouping
             // key (the Groups construction in Fig. 19).  Groups are located
-            // by hash (strict equality, where `Null = Null`) but stored in
-            // first-seen order so output order matches the naive engine.
+            // through the hash kernel (strict equality, where `Null =
+            // Null`) and numbered in first-seen order, so output order
+            // matches the naive engine; the bindings then move into group
+            // order, and each group is folded as one slice of them.
             let group_exprs: Vec<&Expr> = r.items.iter().filter(|e| !e.has_agg()).collect();
-            let mut groups: Vec<(Vec<Value>, Vec<Binding>)> = Vec::new();
-            let mut group_index: HashMap<Vec<Value>, usize> = HashMap::new();
+            let width = group_exprs.len();
+            // Every binding's key, back to back.
+            let mut keys: Vec<Value> = Vec::with_capacity(bindings.len() * width);
             for b in &bindings {
-                let key: Vec<Value> = group_exprs
-                    .iter()
-                    .map(|e| self.eval_expr(e, std::slice::from_ref(b)))
-                    .collect::<Result<_>>()?;
-                match group_index.get(&key) {
-                    Some(&i) => groups[i].1.push(b.clone()),
-                    None => {
-                        group_index.insert(key.clone(), groups.len());
-                        groups.push((key, vec![b.clone()]));
-                    }
+                for e in &group_exprs {
+                    keys.push(self.eval_expr(e, std::slice::from_ref(b))?);
                 }
             }
+            let key = |i: usize| &keys[i * width..(i + 1) * width];
+            let hashes: Vec<u64> =
+                (0..bindings.len()).map(|i| key_hash(key(i), Value::hash)).collect();
+            let classes =
+                first_seen(&hashes, |i, j| key(i).iter().zip(key(j)).all(|(a, b)| a.strict_eq(b)));
+            let (order, mut offsets) = counting_sort(&classes.class_of, classes.firsts.len());
+            let mut slots: Vec<Option<Binding>> = bindings.into_iter().map(Some).collect();
+            let grouped: Vec<Binding> = order
+                .iter()
+                .map(|&i| slots[i as usize].take().expect("each binding moves once"))
+                .collect();
             // Like SQL, an aggregate-only RETURN over zero matches still
             // produces a single row (e.g. `RETURN Count(*)` yields 0).
-            if group_exprs.is_empty() && groups.is_empty() {
-                groups.push((Vec::new(), Vec::new()));
+            if group_exprs.is_empty() && grouped.is_empty() {
+                offsets.push(0);
             }
-            for (_, members) in &groups {
+            for run in offsets.windows(2) {
+                let members = &grouped[run[0] as usize..run[1] as usize];
                 let mut row = Vec::with_capacity(r.items.len());
                 for e in &r.items {
                     row.push(self.eval_expr(e, members)?);
@@ -488,13 +496,12 @@ impl<'a> Evaluator<'a> {
             }
             if distinct {
                 // COUNT(DISTINCT *) counts distinct bindings.
-                let mut seen: Vec<&Binding> = Vec::new();
-                for b in group {
-                    if !seen.contains(&b) {
-                        seen.push(b);
-                    }
-                }
-                return Ok(Value::Int(seen.len() as i64));
+                let hashes: Vec<u64> = group
+                    .iter()
+                    .map(|b| key_hash(std::slice::from_ref(b), Binding::hash))
+                    .collect();
+                let distinct = first_seen(&hashes, |i, j| group[i] == group[j]);
+                return Ok(Value::Int(distinct.firsts.len() as i64));
             }
             return Ok(Value::Int(group.len() as i64));
         }
@@ -503,13 +510,14 @@ impl<'a> Evaluator<'a> {
             values.push(self.eval_expr(inner, std::slice::from_ref(b))?);
         }
         if distinct {
-            let mut uniq: Vec<Value> = Vec::new();
-            for v in values {
-                if !uniq.iter().any(|u| u.strict_eq(&v)) {
-                    uniq.push(v);
-                }
-            }
-            Ok(kind.fold(uniq.iter()))
+            // `strict_eq` decides duplicates, so values hash by their
+            // equality class.
+            let hashes: Vec<u64> = values
+                .iter()
+                .map(|v| key_hash(std::slice::from_ref(v), hash_eq_class_into))
+                .collect();
+            let distinct = first_seen(&hashes, |i, j| values[i].strict_eq(&values[j]));
+            Ok(kind.fold(distinct.firsts.iter().map(|&i| &values[i as usize])))
         } else {
             Ok(kind.fold(values.iter()))
         }
@@ -586,6 +594,14 @@ impl<'a> Evaluator<'a> {
             Pred::Not(inner) => Ok(self.eval_pred(inner, group)?.not()),
         }
     }
+}
+
+/// The kernel hash of a key: each part's words, in order, through one
+/// [`KeyHasher`].
+fn key_hash<T>(parts: &[T], write: impl Fn(&T, &mut KeyHasher)) -> u64 {
+    let mut h = KeyHasher::new();
+    parts.iter().for_each(|p| write(p, &mut h));
+    h.finish()
 }
 
 /// Binds `var` to `elem`, failing (returning `false`) if the variable is
@@ -838,6 +854,153 @@ mod tests {
         // EMP->EMP is not even type-correct for WORK_AT, so zero matches.
         let t = eval_query(&emp_schema(), &emp_graph(), &q.unwrap()).unwrap();
         assert_eq!(t.len(), 0);
+    }
+
+    /// Fifteen `T` nodes whose `a` mixes `Int` and `Float`, `NULL`s, `0`,
+    /// `0.0` and `-0.0`, two NaNs with different bits, and 2^53, 2^53 + 1
+    /// and 2^53 as a float; `R` edges repeat sources, so a `WITH` over them
+    /// repeats bindings.
+    fn distinct_fixture() -> (GraphSchema, GraphInstance) {
+        let schema = GraphSchema::new()
+            .with_node(NodeType::new("T", ["id", "a"]))
+            .with_edge(EdgeType::new("R", "T", "T", ["rid"]));
+        let big = 1i64 << 53;
+        let values = [
+            Value::Int(1),
+            Value::Float(1.0),
+            Value::Int(2),
+            Value::Null,
+            Value::Float(-0.0),
+            Value::Int(0),
+            Value::Float(2.5),
+            Value::Int(2),
+            Value::Int(big),
+            Value::Int(big + 1),
+            Value::Float(big as f64),
+            Value::Null,
+            Value::Float(f64::from_bits(0x7ff8_0000_0000_0001)),
+            Value::Float(0.0),
+            Value::Float(f64::from_bits(0xfff8_0000_0000_0002)),
+        ];
+        let mut g = GraphInstance::new();
+        let ids: Vec<NodeId> = values
+            .iter()
+            .enumerate()
+            .map(|(i, v)| g.add_node("T", [("id", Value::Int(i as i64)), ("a", v.clone())]))
+            .collect();
+        let edges = [
+            (0, 2),
+            (0, 3),
+            (0, 2),
+            (1, 4),
+            (2, 0),
+            (2, 5),
+            (3, 6),
+            (3, 3),
+            (8, 9),
+            (9, 8),
+            (9, 10),
+            (11, 0),
+            (11, 12),
+            (10, 14),
+            (7, 13),
+        ];
+        for (k, (s, t)) in edges.into_iter().enumerate() {
+            g.add_edge("R", ids[s], ids[t], [("rid", Value::Int(k as i64))]);
+        }
+        (schema, g)
+    }
+
+    /// Asserts each row's exact rendering: `Int` against `Float`, `-0.0`
+    /// and NaN included (`Value`'s `==` would call `Int(2)` and
+    /// `Float(2.0)` equal).
+    fn assert_rows(q: &str, want: &[&str]) {
+        let (schema, g) = distinct_fixture();
+        for t in [
+            eval_query(&schema, &g, &parse_query(q).unwrap()).unwrap(),
+            eval_query_unoptimized(&schema, &g, &parse_query(q).unwrap()).unwrap(),
+        ] {
+            let got: Vec<String> = t.rows.iter().map(|r| format!("{r:?}")).collect();
+            assert_eq!(got, want, "{q}");
+        }
+    }
+
+    #[test]
+    fn distinct_aggregates_dedup_by_strict_equality_in_first_seen_order() {
+        // Distinct non-NULL values, first seen: 1, 2, -0.0, 2.5, 2^53,
+        // 2^53 + 1, NaN.  `1.0` repeats `1`, `0` and `0.0` repeat `-0.0`,
+        // the float 2^53 repeats the integer, the second NaN the first.
+        assert_rows(
+            "MATCH (n:T) RETURN Count(DISTINCT n.a) AS c, Count(n.a) AS all, \
+             Sum(DISTINCT n.a) AS s, Avg(DISTINCT n.a) AS m, Min(DISTINCT n.a) AS lo, \
+             Max(DISTINCT n.a) AS hi",
+            &["[Int(7), Int(13), Float(NaN), Float(NaN), Float(-0.0), Float(NaN)]"],
+        );
+        // Without the NaNs the float sum shows the fold order.
+        assert_rows(
+            "MATCH (n:T) WHERE n.id < 12 RETURN Count(DISTINCT n.a) AS c, Sum(DISTINCT n.a) AS s, \
+             Avg(DISTINCT n.a) AS m, Min(DISTINCT n.a) AS lo, Max(DISTINCT n.a) AS hi",
+            &["[Int(6), Float(1.801439850948199e16), Float(3002399751580332.0), Float(-0.0), \
+               Int(9007199254740992)]"],
+        );
+        // Over no match: zero counts and a NULL sum.
+        assert_rows(
+            "MATCH (n:T) WHERE n.id > 100 RETURN Count(DISTINCT *) AS d, \
+             Count(DISTINCT n.a) AS da, Sum(DISTINCT n.a) AS s",
+            &["[Int(0), Int(0), Null]"],
+        );
+    }
+
+    #[test]
+    fn distinct_aggregates_over_bindings_repeated_by_with() {
+        // 15 edges from 9 sources: `WITH n AS x` repeats bindings.
+        assert_rows(
+            "MATCH (n:T)-[e:R]->(m:T) WITH n AS x RETURN Count(DISTINCT *) AS d, Count(*) AS c, \
+             Count(DISTINCT x.a) AS da, Sum(DISTINCT x.a) AS sa",
+            &["[Int(9), Int(15), Int(4), Int(18014398509481988)]"],
+        );
+        // Keeping the target too leaves one repeat: the second (0, 2).
+        assert_rows(
+            "MATCH (n:T)-[e:R]->(m:T) WITH n AS x, m AS y RETURN Count(DISTINCT *) AS d, \
+             Count(*) AS c",
+            &["[Int(14), Int(15)]"],
+        );
+        assert_rows(
+            "MATCH (n:T)-[e:R]->(m:T) WITH n AS x RETURN x.id AS id, Count(DISTINCT *) AS d, \
+             Count(*) AS c",
+            &[
+                "[Int(0), Int(1), Int(3)]",
+                "[Int(1), Int(1), Int(1)]",
+                "[Int(2), Int(1), Int(2)]",
+                "[Int(3), Int(1), Int(2)]",
+                "[Int(7), Int(1), Int(1)]",
+                "[Int(8), Int(1), Int(1)]",
+                "[Int(9), Int(1), Int(2)]",
+                "[Int(10), Int(1), Int(1)]",
+                "[Int(11), Int(1), Int(2)]",
+            ],
+        );
+    }
+
+    #[test]
+    fn implicit_grouping_merges_equal_keys_in_first_seen_order() {
+        // `1` and `1.0` form one group under the first key; the NULLs one
+        // group; 2^53 and 2^53 + 1 two.  Each group folds its bindings in
+        // match order.
+        assert_rows(
+            "MATCH (n:T)-[e:R]->(m:T) WHERE n.id < 10 WITH n AS x, m AS y RETURN x.a AS a, \
+             Count(*) AS c, Count(DISTINCT *) AS d, Count(DISTINCT y.a) AS dy, \
+             Sum(DISTINCT y.a) AS sy, Max(DISTINCT y.a) AS my",
+            &[
+                "[Int(1), Int(4), Int(3), Int(2), Float(2.0), Int(2)]",
+                "[Int(2), Int(3), Int(3), Int(2), Int(1), Int(1)]",
+                "[Null, Int(2), Int(2), Int(1), Float(2.5), Float(2.5)]",
+                "[Int(9007199254740992), Int(1), Int(1), Int(1), Int(9007199254740993), \
+                  Int(9007199254740993)]",
+                "[Int(9007199254740993), Int(2), Int(2), Int(1), Int(9007199254740992), \
+                  Int(9007199254740992)]",
+            ],
+        );
     }
 
     #[test]

@@ -332,9 +332,9 @@ impl Column {
         }
     }
 
-    /// Hashes slot `i` exactly as [`Value`]'s `Hash` implementation would,
-    /// so hash-bucketed joins and group-bys agree with the row engine's
-    /// `HashMap<Vec<Value>, _>` keys.
+    /// Hashes slot `i` exactly as [`Value`]'s `Hash` implementation would:
+    /// the words the hash kernel ([`crate::hash`]) keys joins, groups and
+    /// `DISTINCT` by, as the oracle's `HashMap<Vec<Value>, _>` keys do.
     #[inline]
     pub fn hash_value_into(&self, i: usize, state: &mut impl Hasher) {
         use std::hash::Hash;

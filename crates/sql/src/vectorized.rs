@@ -11,19 +11,27 @@
 //!   selection vector, then gather the survivors of each typed column;
 //! * **projections** evaluate each item program as a column kernel
 //!   (constants stay constants until materialization);
-//! * **hash joins** build and probe on hashed key *columns* — a `u64`
-//!   bucket per build row, verified against the typed columns — instead of
-//!   hashing cloned `Vec<Value>` row keys, and emit their output as one
-//!   gather per column;
-//! * **GROUP BY** evaluates key programs vectorized, buckets rows by
-//!   column hash, and folds aggregates with typed kernels over member
-//!   indexes;
+//! * **hash operators** — joins, `GROUP BY`, `DISTINCT`/`UNION`,
+//!   `COUNT(DISTINCT)` and `IN` — all run on one kernel,
+//!   [`HashTable`] fed by [`KeyHasher`]: a flat chained table over row
+//!   numbers, hashed from the key *columns* and verified against them, so
+//!   no row key is cloned and nothing is allocated per bucket.  Chains are
+//!   in ascending row order, so no output order depends on a hash;
+//! * **hash joins** build on the smaller input.  Built on the right, the
+//!   left rows probe in order; built on the left, the right rows probe in
+//!   order and the verified pairs are counting-sorted by left row.  Either
+//!   way the output is left-major with right rows ascending, and is
+//!   emitted as one gather per column;
+//! * **GROUP BY** evaluates key programs vectorized, numbers groups in
+//!   first-seen order, counting-sorts the members into one index vector
+//!   (one range per group), and folds aggregates with typed kernels over
+//!   those ranges;
 //! * **subqueries** are compiled sub-plans run by this same engine.  Once
 //!   per operator, a subquery is first run with no outer scope; if that
 //!   succeeds it is uncorrelated, so `EXISTS` is one constant and `IN`
-//!   probes the rows through a hash set.  Otherwise it is correlated, and
-//!   it re-enters the engine once per outer row with that row bound, so
-//!   [`CExpr::Outer`] reads a constant.
+//!   probes the rows through one hash table over its columns.  Otherwise
+//!   it is correlated, and it re-enters the engine once per outer row with
+//!   that row bound, so [`CExpr::Outer`] reads a constant.
 //!
 //! Semantics are those of the naive oracle,
 //! [`eval_query_unoptimized`](crate::eval_query_unoptimized): each kernel
@@ -41,12 +49,12 @@ use crate::plan::{compile_query, CompiledQuery, PlanNode, PlanOp, SubPlan};
 use graphiti_common::{AggKind, BinArith, CmpOp, Error, Result, Truth, Value};
 use graphiti_obs::profile::{StageProfile, StageSink};
 use graphiti_relational::{
-    Bitmap, Column, ColumnData, ColumnInstance, ColumnTable, RelInstance, Table, NULL_IDX,
+    counting_sort, first_seen, hash_eq_class_into, hash_rows, Bitmap, Column, ColumnData,
+    ColumnInstance, ColumnTable, HashTable, KeyHasher, RelInstance, Table, NULL_IDX,
 };
 use std::cell::{OnceCell, RefCell};
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
+use std::collections::HashMap;
+use std::hash::Hasher;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -115,8 +123,8 @@ impl Tables<'_> {
     }
 }
 
-/// An uncorrelated subquery's rows, with the `IN` hash set built on first
-/// probe.
+/// An uncorrelated subquery's rows, with the `IN` hash table built on
+/// first probe.
 struct Uncorrelated {
     rows: ColumnTable,
     members: OnceCell<InSet>,
@@ -124,7 +132,7 @@ struct Uncorrelated {
 
 impl Uncorrelated {
     fn members(&self) -> &InSet {
-        self.members.get_or_init(|| InSet::new(&self.rows))
+        self.members.get_or_init(|| InSet::new(self.rows.clone()))
     }
 }
 
@@ -383,48 +391,9 @@ impl<'a> VecEvaluator<'a> {
         out_columns: &Arc<Vec<String>>,
         ctes: &Ctes,
     ) -> Result<ColumnTable> {
-        // Build: bucket right rows by the hash of their key columns,
-        // skipping rows with a NULL key (SQL equi-joins never match NULL).
-        let mut index: HashMap<u64, Vec<u32>> = HashMap::with_capacity(right.len());
-        'rows: for ri in 0..right.len() {
-            for &(_, rcol) in pairs {
-                if right.col(rcol).is_null(ri) {
-                    continue 'rows;
-                }
-            }
-            index
-                .entry(join_key_hash(right, pairs.iter().map(|p| p.1), ri))
-                .or_default()
-                .push(ri as u32);
-        }
-        // Probe: collect candidate (left, right) pairs in left-major order,
-        // verifying bucket hits against the typed key columns.
-        let mut cand_left: Vec<u32> = Vec::new();
-        let mut cand_right: Vec<u32> = Vec::new();
-        // Candidate span of each left row: `spans[l] = (start, end)`.
-        let mut spans: Vec<(u32, u32)> = Vec::with_capacity(left.len());
-        'probe: for li in 0..left.len() {
-            let start = cand_left.len() as u32;
-            for &(lcol, _) in pairs {
-                if left.col(lcol).is_null(li) {
-                    spans.push((start, start));
-                    continue 'probe;
-                }
-            }
-            let h = join_key_hash(left, pairs.iter().map(|p| p.0), li);
-            if let Some(bucket) = index.get(&h) {
-                for &ri in bucket {
-                    let eq = pairs.iter().all(|&(lcol, rcol)| {
-                        left.col(lcol).strict_eq_at(li, right.col(rcol), ri as usize)
-                    });
-                    if eq {
-                        cand_left.push(li as u32);
-                        cand_right.push(ri);
-                    }
-                }
-            }
-            spans.push((start, cand_left.len() as u32));
-        }
+        // Candidate pairs whose keys are equal, left-major with right rows
+        // ascending: left row `l`'s are `offsets[l]..offsets[l + 1]`.
+        let (cand_left, cand_right, offsets) = equi_candidates(left, right, pairs);
         // Residual filter over the candidate batch, evaluated once,
         // column-at-a-time.
         let mask: Option<Vec<Truth>> = match residual {
@@ -439,9 +408,9 @@ impl<'a> VecEvaluator<'a> {
         // survived.
         let mut out_left: Vec<u32> = Vec::with_capacity(cand_left.len());
         let mut out_right: Vec<u32> = Vec::with_capacity(cand_right.len());
-        for (li, &(start, end)) in spans.iter().enumerate() {
+        for (li, run) in offsets.windows(2).enumerate() {
             let mut matched = false;
-            for c in start..end {
+            for c in run[0]..run[1] {
                 let keep = mask.as_ref().is_none_or(|m| m[c as usize] == Truth::True);
                 if keep {
                     matched = true;
@@ -533,63 +502,35 @@ impl<'a> VecEvaluator<'a> {
         out_columns: &Arc<Vec<String>>,
         ctes: &Ctes,
     ) -> Result<ColumnTable> {
-        // Vectorized key evaluation, then hash-bucketed grouping in
-        // first-seen order (matching the oracle's insertion order).
+        // Vectorized key evaluation, then grouping in first-seen order
+        // (the oracle's insertion order).
         let key_cols: Vec<Column> = keys
             .iter()
             .map(|k| Ok(self.eval_expr_vec(k, input, ctes)?.materialize(input.len())))
             .collect::<Result<_>>()?;
-        let mut groups: Vec<Vec<u32>> = Vec::new();
-        let mut buckets: HashMap<u64, Vec<u32>> = HashMap::new();
-        for i in 0..input.len() {
-            let mut h = DefaultHasher::new();
-            for kc in &key_cols {
-                kc.hash_value_into(i, &mut h);
-            }
-            let bucket = buckets.entry(h.finish()).or_default();
-            let gid = bucket.iter().copied().find(|&g| {
-                let rep = groups[g as usize][0] as usize;
-                key_cols.iter().all(|kc| kc.strict_eq_at(i, kc, rep))
-            });
-            match gid {
-                Some(g) => groups[g as usize].push(i as u32),
-                None => {
-                    bucket.push(groups.len() as u32);
-                    groups.push(vec![i as u32]);
-                }
-            }
-        }
+        let mut groups = Groups::by_key(&key_cols, input.len());
         // SQL returns a single row for aggregate queries without GROUP BY
         // even when the input is empty.
         if keys.is_empty() && input.is_empty() {
-            groups.push(Vec::new());
+            groups.offsets.push(0);
         }
         // HAVING over all groups (the oracle also evaluates it per group
         // before touching any item program).
-        let survivors: Vec<usize> = match having {
-            None => (0..groups.len()).collect(),
-            Some(p) => {
-                let truths = self.eval_group_pred_vec(p, input, &groups, ctes)?;
-                (0..groups.len()).filter(|&g| truths[g] == Truth::True).collect()
-            }
-        };
+        if let Some(p) = having {
+            let truths = self.eval_group_pred_vec(p, input, &groups, ctes)?;
+            groups = groups.retain(|g| truths[g] == Truth::True);
+        }
         // Gather the surviving members into one batch so item kernels never
         // evaluate a row the oracle would have skipped (its item programs
         // only ever see groups that passed HAVING).
-        let mut member_idx: Vec<u32> = Vec::new();
-        let mut surv_groups: Vec<Vec<u32>> = Vec::with_capacity(survivors.len());
-        for &g in &survivors {
-            let start = member_idx.len() as u32;
-            member_idx.extend_from_slice(&groups[g]);
-            surv_groups.push((start..member_idx.len() as u32).collect());
-        }
-        let batch = input.gather(&member_idx);
+        let batch = input.gather(&groups.rows);
+        let groups = Groups { rows: (0..batch.len() as u32).collect(), offsets: groups.offsets };
         let mut out_cols = Vec::with_capacity(items.len());
         for item in items {
-            let per_group = self.eval_group_expr_vec(item, &batch, &surv_groups, ctes)?;
+            let per_group = self.eval_group_expr_vec(item, &batch, &groups, ctes)?;
             out_cols.push(Column::from_values(per_group));
         }
-        Ok(ColumnTable::from_columns(Arc::clone(out_columns), out_cols, survivors.len()))
+        Ok(ColumnTable::from_columns(Arc::clone(out_columns), out_cols, groups.len()))
     }
 
     // ------------------------------------------------------ group kernels
@@ -602,7 +543,7 @@ impl<'a> VecEvaluator<'a> {
         &self,
         e: &CGroupExpr,
         batch: &ColumnTable,
-        groups: &[Vec<u32>],
+        groups: &Groups,
         ctes: &Ctes,
     ) -> Result<Vec<Value>> {
         match e {
@@ -610,7 +551,7 @@ impl<'a> VecEvaluator<'a> {
                 Ok(groups.iter().map(|g| Value::Int(g.len() as i64)).collect())
             }
             CGroupExpr::StarAgg => {
-                if groups.is_empty() {
+                if groups.len() == 0 {
                     Ok(Vec::new())
                 } else {
                     Err(Error::eval("`*` may only appear inside Count(*)"))
@@ -618,23 +559,11 @@ impl<'a> VecEvaluator<'a> {
             }
             CGroupExpr::Agg(kind, inner, distinct) => {
                 let col = self.eval_expr_vec(inner, batch, ctes)?.materialize(batch.len());
-                let mut out = Vec::with_capacity(groups.len());
-                for members in groups {
-                    out.push(if *distinct {
-                        let mut seen: HashSet<Value> = HashSet::with_capacity(members.len());
-                        let mut uniq: Vec<Value> = Vec::new();
-                        for &m in members {
-                            let v = col.value(m as usize);
-                            if seen.insert(v.clone()) {
-                                uniq.push(v);
-                            }
-                        }
-                        kind.fold(uniq.iter())
-                    } else {
-                        fold_members(*kind, &col, members)
-                    });
-                }
-                Ok(out)
+                Ok(if *distinct {
+                    fold_distinct(*kind, &col, groups)
+                } else {
+                    groups.iter().map(|members| fold_members(*kind, &col, members)).collect()
+                })
             }
             CGroupExpr::Arith(a, op, b) => {
                 let va = self.eval_group_expr_vec(a, batch, groups, ctes)?;
@@ -653,7 +582,7 @@ impl<'a> VecEvaluator<'a> {
         &self,
         p: &CGroupPred,
         batch: &ColumnTable,
-        groups: &[Vec<u32>],
+        groups: &Groups,
         ctes: &Ctes,
     ) -> Result<Vec<Truth>> {
         match p {
@@ -762,11 +691,10 @@ impl<'a> VecEvaluator<'a> {
                     .iter()
                     .map(|e| self.eval_expr_vec(e, input, ctes))
                     .collect::<Result<_>>()?;
-                let row = |i: usize| -> Vec<Value> { lhs.iter().map(|c| c.value(i)).collect() };
                 match self.uncorrelated(sub, ctes) {
-                    Some(u) => (0..len).map(|i| u.members().probe(&row(i))).collect(),
+                    Some(u) => (0..len).map(|i| u.members().probe(&lhs, i)).collect(),
                     None => (0..len)
-                        .map(|i| InSet::new(&self.correlated(sub, input, i, ctes)?).probe(&row(i)))
+                        .map(|i| InSet::new(self.correlated(sub, input, i, ctes)?).probe(&lhs, i))
                         .collect(),
                 }
             }
@@ -838,7 +766,7 @@ impl<'a> VecEvaluator<'a> {
 /// gathered from `batch`; an empty group gets `empty`.
 fn on_first_rows<T: Clone>(
     batch: &ColumnTable,
-    groups: &[Vec<u32>],
+    groups: &Groups,
     empty: T,
     eval: impl FnOnce(&ColumnTable) -> Result<Vec<T>>,
 ) -> Result<Vec<T>> {
@@ -864,81 +792,104 @@ fn in_list(x: &Value, vs: &[Value]) -> Truth {
 /// A probe answers exactly what the oracle's `in_membership` computes: the
 /// `OR` over rows of the `AND` over columns of `sql_eq`.  `sql_eq` calls
 /// `Int(0)`, `Float(0.0)` and `Float(-0.0)` equal, and every NaN equal to
-/// every NaN, so rows hash numerics by their `f64` value with `-0.0` and
-/// NaN canonicalized — unlike `Value`'s and `Column`'s hashes.
+/// every NaN, so rows hash by [`hash_eq_class_into`] — unlike `Value`'s
+/// and `Column`'s hashes.  The rows stay in their columns: the table
+/// holds row numbers, and candidates are read back slot by slot.
 struct InSet {
-    arity: usize,
-    rows: Vec<Vec<Value>>,
-    /// Rows without a `NULL`, by key hash.
-    buckets: HashMap<u64, Vec<u32>>,
+    rows: ColumnTable,
+    /// The rows without a `NULL`, by key hash.
+    table: HashTable,
     /// Rows holding a `NULL`: they never match, but may leave `Unknown`.
     with_null: Vec<u32>,
 }
 
 impl InSet {
-    fn new(t: &ColumnTable) -> InSet {
-        let mut set = InSet {
-            arity: t.arity(),
-            rows: (0..t.len()).map(|i| t.row(i)).collect(),
-            buckets: HashMap::new(),
-            with_null: Vec::new(),
-        };
-        for (i, row) in set.rows.iter().enumerate() {
-            if row.iter().any(Value::is_null) {
-                set.with_null.push(i as u32);
-            } else {
-                set.buckets.entry(key_hash(row)).or_default().push(i as u32);
-            }
-        }
-        set
+    fn new(rows: ColumnTable) -> InSet {
+        let has_null = |r: usize| rows.cols().iter().any(|c| c.is_null(r));
+        let hashes = (0..rows.len())
+            .map(|r| eq_class_hash(rows.cols().iter().map(|c| c.value(r))))
+            .collect();
+        let table = HashTable::build(hashes, has_null);
+        let with_null = (0..rows.len()).filter(|&r| has_null(r)).map(|r| r as u32).collect();
+        InSet { rows, table, with_null }
     }
 
-    fn probe(&self, lhs: &[Value]) -> Result<Truth> {
-        if lhs.len() != self.arity {
+    /// Whether row `i` of `lhs` is a member.
+    fn probe(&self, lhs: &[VCol], i: usize) -> Result<Truth> {
+        if lhs.len() != self.rows.arity() {
             return Err(Error::eval(format!(
                 "IN subquery arity mismatch: {} vs {}",
-                self.arity,
+                self.rows.arity(),
                 lhs.len()
             )));
         }
         // A row matches only if every pair is `sql_eq`-true; a row that no
         // pair refutes leaves the answer `Unknown` at best.
-        let unrefuted =
-            |row: &Vec<Value>| lhs.iter().zip(row).all(|(l, r)| l.sql_eq(r) != Truth::False);
+        let unrefuted = |r: u32| {
+            lhs.iter()
+                .zip(self.rows.cols())
+                .all(|(l, c)| l.value(i).sql_eq(&c.value(r as usize)) != Truth::False)
+        };
         let unknown_if = |any: bool| if any { Truth::Unknown } else { Truth::False };
-        if lhs.iter().any(Value::is_null) {
-            return Ok(unknown_if(self.rows.iter().any(unrefuted)));
+        if lhs.iter().any(|l| l.value(i).is_null()) {
+            return Ok(unknown_if((0..self.rows.len() as u32).any(unrefuted)));
         }
-        let bucket = self.buckets.get(&key_hash(lhs)).map_or(&[][..], Vec::as_slice);
-        if bucket.iter().any(|&r| unrefuted(&self.rows[r as usize])) {
+        if self.table.matches(eq_class_hash(lhs.iter().map(|l| l.value(i)))).any(unrefuted) {
             return Ok(Truth::True);
         }
-        Ok(unknown_if(self.with_null.iter().any(|&r| unrefuted(&self.rows[r as usize]))))
+        Ok(unknown_if(self.with_null.iter().any(|&r| unrefuted(r))))
     }
 }
 
-/// Hashes a `NULL`-free key so that `sql_eq`-equal keys collide.
-fn key_hash(key: &[Value]) -> u64 {
-    let mut h = DefaultHasher::new();
+/// Hashes a key so that `sql_eq`-equal keys collide.
+fn eq_class_hash(key: impl Iterator<Item = Value>) -> u64 {
+    let mut h = KeyHasher::new();
     for v in key {
-        match v {
-            Value::Int(i) => canonical_bits(*i as f64).hash(&mut h),
-            Value::Float(f) => canonical_bits(*f).hash(&mut h),
-            other => other.hash(&mut h),
-        }
+        hash_eq_class_into(&v, &mut h);
     }
     h.finish()
 }
 
-/// One bit pattern per `f64` equality class: `-0.0` as `0.0`, every NaN
-/// as one NaN.
-fn canonical_bits(f: f64) -> u64 {
-    if f.is_nan() {
-        f64::NAN.to_bits()
-    } else if f == 0.0 {
-        0
-    } else {
-        f.to_bits()
+/// Rows partitioned into groups: group `g`'s members are
+/// `rows[offsets[g]..offsets[g + 1]]`, in ascending row order.
+struct Groups {
+    rows: Vec<u32>,
+    offsets: Vec<u32>,
+}
+
+impl Groups {
+    /// Groups rows `0..len` by key, numbered in first-seen order.  A row
+    /// joins the first group whose first row hashes alike and is strictly
+    /// equal on every key column (`NULL` equal to `NULL`).
+    fn by_key(keys: &[Column], len: usize) -> Groups {
+        let key_refs: Vec<&Column> = keys.iter().collect();
+        let classes = first_seen(&hash_rows(&key_refs, len), |i, j| {
+            keys.iter().all(|k| k.strict_eq_at(i, k, j))
+        });
+        let (rows, offsets) = counting_sort(&classes.class_of, classes.firsts.len());
+        Groups { rows, offsets }
+    }
+
+    fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    fn members(&self, g: usize) -> &[u32] {
+        &self.rows[self.offsets[g] as usize..self.offsets[g + 1] as usize]
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &[u32]> {
+        (0..self.len()).map(|g| self.members(g))
+    }
+
+    /// The groups `keep` accepts, in order.
+    fn retain(&self, keep: impl Fn(usize) -> bool) -> Groups {
+        let mut out = Groups { rows: Vec::new(), offsets: vec![0] };
+        for g in (0..self.len()).filter(|&g| keep(g)) {
+            out.rows.extend_from_slice(self.members(g));
+            out.offsets.push(out.rows.len() as u32);
+        }
+        out
     }
 }
 
@@ -1123,13 +1074,96 @@ fn fold_members(kind: AggKind, col: &Column, members: &[u32]) -> Value {
     }
 }
 
-/// Hashes one row's join key from its key columns (build/probe bucketing).
-fn join_key_hash(t: &ColumnTable, cols: impl Iterator<Item = usize>, row: usize) -> u64 {
-    let mut h = DefaultHasher::new();
-    for c in cols {
-        t.col(c).hash_value_into(row, &mut h);
+/// Folds `kind` over each group's distinct non-`NULL` values of `col`, in
+/// first-seen order — [`AggKind::fold`] over the oracle's `uniq` list,
+/// whose `NULL`s the fold skips anyway.  One table serves every group,
+/// keyed by group and value, and each distinct value stays in `col` as
+/// the member that first held it.  The oracle calls two values duplicates
+/// when they are `strict_eq`, so values hash by [`hash_eq_class_into`].
+fn fold_distinct(kind: AggKind, col: &Column, groups: &Groups) -> Vec<Value> {
+    // Every non-NULL member with its group, in group order.
+    let members: Vec<(u32, u32)> = groups
+        .iter()
+        .enumerate()
+        .flat_map(|(g, rows)| rows.iter().map(move |&m| (g as u32, m)))
+        .filter(|&(_, m)| !col.is_null(m as usize))
+        .collect();
+    let hashes: Vec<u64> = members
+        .iter()
+        .map(|&(g, m)| {
+            let mut h = KeyHasher::new();
+            h.write_u32(g);
+            hash_eq_class_into(&col.value(m as usize), &mut h);
+            h.finish()
+        })
+        .collect();
+    let distinct = first_seen(&hashes, |a, b| {
+        let ((ga, ma), (gb, mb)) = (members[a], members[b]);
+        ga == gb && col.strict_eq_at(ma as usize, col, mb as usize)
+    });
+    // The first members ascend, so each group's distinct values are one run.
+    let mut firsts = distinct.firsts.iter().map(|&i| members[i as usize]).peekable();
+    (0..groups.len() as u32)
+        .map(|g| {
+            let mut rows = Vec::new();
+            while let Some((_, m)) = firsts.next_if(|&(h, _)| h == g) {
+                rows.push(m);
+            }
+            fold_members(kind, col, &rows)
+        })
+        .collect()
+}
+
+/// The pairs of an equi-join whose keys are strictly equal (`NULL` keys
+/// never match), left-major with right rows ascending, and the runs of
+/// each left row: row `l`'s pairs are `offsets[l]..offsets[l + 1]`.
+///
+/// The table is built on the smaller input.  Built on the right, the left
+/// rows probe in order.  Built on the left, the right rows probe in order
+/// and the verified pairs are counting-sorted by left row, which keeps
+/// the right rows of each ascending.
+fn equi_candidates(
+    left: &ColumnTable,
+    right: &ColumnTable,
+    pairs: &[(usize, usize)],
+) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+    let lkeys: Vec<&Column> = pairs.iter().map(|&(l, _)| left.col(l)).collect();
+    let rkeys: Vec<&Column> = pairs.iter().map(|&(_, r)| right.col(r)).collect();
+    let has_null = |keys: &[&Column], i: usize| keys.iter().any(|k| k.is_null(i));
+    let equal =
+        |l: usize, r: usize| lkeys.iter().zip(&rkeys).all(|(lk, rk)| lk.strict_eq_at(l, rk, r));
+    if left.len() < right.len() {
+        let table = HashTable::build_on_keys(&lkeys, left.len());
+        let (mut by_right_l, mut by_right_r) = (Vec::new(), Vec::new());
+        for (r, h) in hash_rows(&rkeys, right.len()).into_iter().enumerate() {
+            if has_null(&rkeys, r) {
+                continue;
+            }
+            for l in table.matches(h).filter(|&l| equal(l as usize, r)) {
+                by_right_l.push(l);
+                by_right_r.push(r as u32);
+            }
+        }
+        let (order, offsets) = counting_sort(&by_right_l, left.len());
+        let cand_left = order.iter().map(|&c| by_right_l[c as usize]).collect();
+        let cand_right = order.iter().map(|&c| by_right_r[c as usize]).collect();
+        (cand_left, cand_right, offsets)
+    } else {
+        let table = HashTable::build_on_keys(&rkeys, right.len());
+        let (mut cand_left, mut cand_right) = (Vec::new(), Vec::new());
+        let mut offsets = Vec::with_capacity(left.len() + 1);
+        offsets.push(0);
+        for (l, h) in hash_rows(&lkeys, left.len()).into_iter().enumerate() {
+            if !has_null(&lkeys, l) {
+                for r in table.matches(h).filter(|&r| equal(l, r as usize)) {
+                    cand_left.push(l as u32);
+                    cand_right.push(r);
+                }
+            }
+            offsets.push(cand_left.len() as u32);
+        }
+        (cand_left, cand_right, offsets)
     }
-    h.finish()
 }
 
 /// Gathers `left` rows and `right` rows side by side into one table
@@ -1152,24 +1186,12 @@ fn combine_gather(
     ColumnTable::from_columns(Arc::clone(out_columns), cols, left_idx.len())
 }
 
-/// First-seen-order distinct row selection, hash-bucketed with strict
-/// equality verification — the columnar dual of [`Table::dedup`].
+/// First-seen-order distinct row selection through the hash kernel, with
+/// strict equality verification — the columnar dual of [`Table::dedup`].
 fn distinct_indices(cols: &[Column], len: usize) -> Vec<u32> {
-    let mut keep: Vec<u32> = Vec::new();
-    let mut buckets: HashMap<u64, Vec<u32>> = HashMap::new();
-    for i in 0..len {
-        let mut h = DefaultHasher::new();
-        for c in cols {
-            c.hash_value_into(i, &mut h);
-        }
-        let bucket = buckets.entry(h.finish()).or_default();
-        let dup = bucket.iter().any(|&j| cols.iter().all(|c| c.strict_eq_at(i, c, j as usize)));
-        if !dup {
-            bucket.push(i as u32);
-            keep.push(i as u32);
-        }
-    }
-    keep
+    let col_refs: Vec<&Column> = cols.iter().collect();
+    first_seen(&hash_rows(&col_refs, len), |i, j| cols.iter().all(|c| c.strict_eq_at(i, c, j)))
+        .firsts
 }
 
 /// Stable index sort replaying the oracle's `ORDER BY` comparator

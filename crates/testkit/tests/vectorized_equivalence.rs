@@ -13,7 +13,7 @@
 use graphiti_common::Value;
 use graphiti_core::{infer_sdt, transpile_query};
 use graphiti_graph::{GraphInstance, GraphSchema};
-use graphiti_relational::{ColumnInstance, ColumnTable, Table};
+use graphiti_relational::{ColumnInstance, ColumnTable, RelInstance, Table};
 use graphiti_testkit::{arb_cypher, arb_instance, fixtures};
 use graphiti_transformer::apply_to_graph;
 use proptest::prelude::*;
@@ -68,8 +68,129 @@ fn arb_table() -> impl Strategy<Value = Table> {
     })
 }
 
+/// A hash key: `NULL`, duplicates, both numeric representations of equal
+/// numbers (`0`/`0.0`, `1`/`1.0`), a NaN, and 2^53 and 2^53 + 1 (one
+/// `f64`, so they hash alike and compare unequal).
+///
+/// Every pair here that `strict_eq` calls equal writes equal hash words.
+/// `0.0` against `-0.0`, NaNs with different bits, and 2^53 as a float
+/// (equal to both integers) break that, and the oracle locates join,
+/// group and `DISTINCT` keys in a std `HashMap` under `Value`'s `Hash`:
+/// whether it merges such a pair depends on a 7-bit tag of a randomly
+/// keyed hash (0.0 met -0.0 in 161 of 20,000 runs), so its answer changes
+/// from run to run.  Those values go in [`arb_value_key`], which feeds
+/// only `IN` and `COUNT(DISTINCT)`, where the oracle compares without
+/// hashing.  ROADMAP's value-semantics item makes `Hash` agree with
+/// equality; after it, they belong here too.
+fn arb_hash_key() -> impl Strategy<Value = Value> {
+    let big = 1i64 << 53;
+    sample::select(vec![
+        Value::Null,
+        Value::Int(0),
+        Value::Float(0.0),
+        Value::Int(1),
+        Value::Float(1.0),
+        Value::Int(2),
+        Value::Float(2.5),
+        Value::Float(f64::NAN),
+        Value::Int(big),
+        Value::Int(big + 1),
+    ])
+}
+
+/// Every key of [`arb_hash_key`], plus `-0.0`, two NaNs with different
+/// bits, and 2^53 as a float.
+fn arb_value_key() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        arb_hash_key(),
+        sample::select(vec![
+            Value::Float(-0.0),
+            Value::Float(f64::from_bits(0x7ff8_0000_0000_0001)),
+            Value::Float(f64::from_bits(0xfff8_0000_0000_0002)),
+            Value::Float((1i64 << 53) as f64),
+        ]),
+    ]
+}
+
+/// A table `(k1, k2, x, v)` of up to `max_rows` rows: two hash keys, a
+/// value key and a small, sometimes `NULL`, payload.
+fn arb_keyed_table(max_rows: usize) -> impl Strategy<Value = Table> {
+    let payload = prop_oneof![Just(Value::Null), (0i64..6).prop_map(Value::Int)];
+    let row = (arb_hash_key(), arb_hash_key(), arb_value_key(), payload);
+    proptest::collection::vec(row, 0..max_rows + 1).prop_map(|rows| {
+        Table::with_rows(
+            ["k1", "k2", "x", "v"],
+            rows.into_iter().map(|(k1, k2, x, v)| vec![k1, k2, x, v]),
+        )
+    })
+}
+
+/// Every hash operator over tables `a` (0–12 rows) and `b` (0–40 rows),
+/// so each side of a join is sometimes the smaller, and sometimes empty.
+/// The joins are explicit `ON` joins, which the oracle runs as hash joins
+/// too (a comma join's `WHERE` compares through `f64` there).
+const KEYED_QUERIES: &[&str] = &[
+    "SELECT a.k1, a.v, b.v FROM a AS a JOIN b AS b ON a.k1 = b.k1",
+    "SELECT a.k1, a.v, b.v FROM a AS a LEFT JOIN b AS b ON a.k1 = b.k1",
+    "SELECT b.k1, b.v, a.v FROM b AS b JOIN a AS a ON b.k1 = a.k1",
+    "SELECT b.k1, b.v, a.v FROM b AS b LEFT JOIN a AS a ON b.k1 = a.k1",
+    "SELECT a.k1, a.k2, b.v FROM a AS a JOIN b AS b ON a.k1 = b.k1 AND a.k2 = b.k2",
+    "SELECT b.k1, b.k2, a.v FROM b AS b LEFT JOIN a AS a ON a.k2 = b.k2 AND b.k1 = a.k1",
+    "SELECT a.v, b.v FROM a AS a JOIN b AS b ON a.k1 = b.k1 AND a.x < b.x",
+    "SELECT b.v, a.v FROM b AS b JOIN a AS a ON b.k2 = a.k1 AND b.v >= a.v",
+    "SELECT a.v, b.v FROM a AS a LEFT JOIN b AS b ON a.k1 = b.k1 AND a.k2 = b.k2 AND a.v <= b.v",
+    "SELECT b.v, a.v, a.x FROM b AS b LEFT JOIN a AS a ON b.k2 = a.k1 AND b.x <> a.x",
+    "SELECT a.k1, Count(*) AS c, Sum(a.v) AS s FROM a AS a GROUP BY a.k1",
+    "SELECT b.k1, b.k2, Count(*) AS c, Min(b.x) AS lo FROM b AS b GROUP BY b.k1, b.k2",
+    "SELECT DISTINCT b.k1, b.k2 FROM b AS b",
+    "SELECT a.k1 FROM a AS a UNION SELECT b.k2 FROM b AS b",
+    "SELECT b.k1, Count(DISTINCT b.x) AS d, Sum(DISTINCT b.x) AS s FROM b AS b GROUP BY b.k1",
+    "SELECT Count(DISTINCT a.x) AS d, Max(DISTINCT a.x) AS m, Avg(DISTINCT a.x) AS m1 \
+     FROM a AS a",
+    "SELECT b.v FROM b AS b WHERE b.x IN (SELECT a.x FROM a AS a)",
+    "SELECT b.v FROM b AS b WHERE b.x NOT IN (SELECT a.x FROM a AS a)",
+    "SELECT a.v FROM a AS a WHERE a.x IN (SELECT b.x FROM b AS b WHERE b.v > 2)",
+    "SELECT a.v FROM a AS a WHERE a.x IN (SELECT b.x FROM b AS b WHERE b.k1 = a.k1)",
+];
+
+/// Asserts that the vectorized executor returns exactly the oracle's table
+/// for `sql` over `instance`: the same rows in the same order, each value
+/// in the same representation (`Value`'s `==` calls `Int(1)` and
+/// `Float(1.0)` equal), or an error from both.
+fn keyed_agrees(instance: &RelInstance, sql: &str) {
+    let query = graphiti_sql::parse_query(sql).unwrap_or_else(|e| panic!("`{sql}`: {e}"));
+    let oracle = graphiti_sql::eval_query_unoptimized(instance, &query);
+    let vec = graphiti_sql::compile_query(instance, &query).and_then(|plan| {
+        graphiti_sql::eval_vectorized(instance, &ColumnInstance::from_rel(instance), &plan)
+    });
+    match (oracle, vec) {
+        (Ok(want), Ok(got)) => {
+            assert_eq!(want, got, "`{sql}`:\noracle:\n{want}\nvectorized:\n{got}");
+            assert_eq!(format!("{:?}", want.rows), format!("{:?}", got.rows), "`{sql}`");
+        }
+        (Err(_), Err(_)) => {}
+        (want, got) => panic!("`{sql}`: oracle={want:?} vectorized={got:?}"),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Vectorized ≡ the naive oracle on every hash operator, over keys on
+    /// which the value semantics are most fragile, with the hash join
+    /// building on either input.
+    #[test]
+    fn hash_operators_agree_on_either_build_side(
+        a in arb_keyed_table(12),
+        b in arb_keyed_table(40),
+    ) {
+        let mut instance = RelInstance::new();
+        instance.insert_table("a", a);
+        instance.insert_table("b", b);
+        for sql in KEYED_QUERIES {
+            keyed_agrees(&instance, sql);
+        }
+    }
 
     /// Vectorized ≡ the naive oracle on the transpilations of random
     /// queries over the SDT-images of random EMP graphs.
