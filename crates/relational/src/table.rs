@@ -284,9 +284,10 @@ impl Table {
 /// `removed` rows are dropped (survivors keep their relative order), then
 /// the `appended` rows land at the end.
 ///
-/// Produced by the writable graph store's commit path (one delta per
-/// touched induced table per commit) and consumed by both storage layouts
-/// — [`Table::apply_delta`] for the row image and
+/// Produced by the writable graph store's commit path: one delta per
+/// touched induced table per commit batch, which every member of the
+/// batch writes against the batch's base image.  Consumed by both
+/// storage layouts — [`Table::apply_delta`] for the row image and
 /// [`ColumnTable::apply_delta`](crate::column::ColumnTable::apply_delta)
 /// for the columnar image — which are guaranteed to agree row-for-row.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -310,75 +311,6 @@ impl TableDelta {
     /// Whether the delta changes nothing.
     pub fn is_empty(&self) -> bool {
         self.patches.is_empty() && self.removed.is_empty() && self.appended.is_empty()
-    }
-
-    /// Folds a follow-up delta into this one: `next` is expressed against
-    /// the image `self` produces, and afterwards applying `self` alone
-    /// equals applying the old `self` and then `next` sequentially.
-    /// `base_rows` is the row count of the table **this** delta is
-    /// expressed against (it never changes as more deltas are absorbed).
-    ///
-    /// This is what makes group commit's image derivation O(group): the
-    /// store folds every member's per-table delta with this method (cheap
-    /// index arithmetic, no row copies) and materializes each touched
-    /// table image **once** per group instead of once per member.
-    pub fn absorb(&mut self, base_rows: usize, next: &TableDelta) {
-        // Post-image rows `0..survivors` are base survivors; rows past
-        // that are `self.appended`.  A survivor maps back to its base
-        // index by re-inserting the removed rows before it.
-        let survivors = base_rows - self.removed.len();
-        let orig = |j: usize| -> usize {
-            let mut o = j;
-            for &r in &self.removed {
-                if (r as usize) <= o {
-                    o += 1;
-                } else {
-                    break;
-                }
-            }
-            o
-        };
-        // Patches first (they act on next's pre-image, like apply_delta):
-        // survivor patches shift back to base coordinates and run after
-        // the existing patches (later wins); appended-row patches edit
-        // the pending rows directly.
-        for (row, col, value) in &next.patches {
-            if *row < survivors {
-                self.patches.push((orig(*row), *col, value.clone()));
-            } else {
-                self.appended[*row - survivors][*col] = value.clone();
-            }
-        }
-        // Removals: survivors join the (sorted, deduplicated) base
-        // removal set; appended rows are dropped in place.
-        let mut dead_appended = false;
-        let mut dead = Vec::new();
-        let mut removed_base = Vec::new();
-        for &r in &next.removed {
-            let r = r as usize;
-            if r < survivors {
-                removed_base.push(orig(r) as u32);
-            } else {
-                dead_appended = true;
-                dead.push(r - survivors);
-            }
-        }
-        self.removed.extend(removed_base);
-        self.removed.sort_unstable();
-        self.removed.dedup();
-        if dead_appended {
-            let mut is_dead = vec![false; self.appended.len()];
-            for d in dead {
-                is_dead[d] = true;
-            }
-            let mut i = 0;
-            self.appended.retain(|_| {
-                let keep = !is_dead[i];
-                i += 1;
-                keep
-            });
-        }
-        self.appended.extend(next.appended.iter().cloned());
     }
 }
 
@@ -538,51 +470,6 @@ mod tests {
         let t1 = Table::with_rows(["a"], vec![vec![Value::Null]]);
         let t2 = Table::with_rows(["b"], vec![vec![Value::Null]]);
         assert!(t1.equivalent(&t2));
-    }
-
-    #[test]
-    fn absorb_equals_sequential_application() {
-        // Folding deltas with `absorb` must equal applying them one at a
-        // time, in both storage layouts.  Exercised over an LCG-driven
-        // mix of patches, removals (of base and freshly-appended rows),
-        // and appends.
-        let mut rng: u64 = 0x9E37_79B9_7F4A_7C15;
-        let mut next = move || {
-            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (rng >> 33) as usize
-        };
-        for _ in 0..50 {
-            let base_rows = next() % 8;
-            let base = Table::with_rows(
-                ["a", "b"],
-                (0..base_rows).map(|i| vec![v(i as i64), v(100 + i as i64)]).collect::<Vec<_>>(),
-            );
-            let mut sequential = base.clone();
-            let mut folded = TableDelta::new();
-            for step in 0..(1 + next() % 4) {
-                let rows = sequential.len();
-                let mut d = TableDelta::new();
-                if rows > 0 && next() % 2 == 0 {
-                    d.patches.push((next() % rows, next() % 2, v(1000 + step as i64)));
-                }
-                if rows > 0 && next() % 3 == 0 {
-                    d.removed.push((next() % rows) as u32);
-                    if rows > 1 && next() % 2 == 0 {
-                        d.removed.push((next() % rows) as u32);
-                    }
-                    d.removed.sort_unstable();
-                    d.removed.dedup();
-                }
-                for _ in 0..next() % 3 {
-                    d.appended.push(vec![v(2000 + step as i64), v(3000 + step as i64)]);
-                }
-                sequential = sequential.apply_delta(&d);
-                folded.absorb(base_rows, &d);
-            }
-            assert_eq!(base.apply_delta(&folded), sequential, "row layouts diverge");
-            let col = crate::column::ColumnTable::from_table(&base);
-            assert_eq!(col.apply_delta(&folded).to_table(), sequential, "columnar layout diverges");
-        }
     }
 
     #[test]

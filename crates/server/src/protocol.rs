@@ -312,7 +312,7 @@ fn read_table(r: &mut Reader<'_>) -> ApiResult<Table> {
     let nrows = r.u32().map_err(wire_decode)? as usize;
     let mut table = Table::new(columns);
     for _ in 0..nrows {
-        let mut row = Vec::with_capacity(ncols);
+        let mut row = Vec::with_capacity(ncols.min(4096));
         for _ in 0..ncols {
             row.push(r.value().map_err(wire_decode)?);
         }

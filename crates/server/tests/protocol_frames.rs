@@ -6,8 +6,8 @@
 use graphiti_common::{ApiError, Value};
 use graphiti_engine::{BatchQuery, SqlTarget};
 use graphiti_server::protocol::{self, Request, Response, DEFAULT_MAX_FRAME, PROTOCOL_VERSION};
-use graphiti_server::Server;
-use graphiti_store::{Delta, Graphiti};
+use graphiti_server::{Client, Server};
+use graphiti_store::{Delta, Graphiti, Session};
 use graphiti_testkit::fixtures;
 use proptest::prelude::*;
 use std::io::Write;
@@ -66,7 +66,60 @@ fn arb_request() -> impl Strategy<Value = Request> {
     ]
 }
 
+/// A 45-byte Commit payload whose one `AddNode` claims `count`
+/// properties and carries none: request header (13 bytes), token (16),
+/// op count (4), op tag (1), the label `EMP` (7), then the count (4).
+fn add_node_claiming(count: u32) -> Vec<u8> {
+    let mut delta = Delta::new();
+    delta.add_node("EMP", Vec::<(String, Value)>::new());
+    let mut payload = protocol::encode_request(7, 0, &Request::Commit { delta, token: 0 });
+    assert_eq!(payload.len(), 45);
+    payload[41..].copy_from_slice(&count.to_le_bytes());
+    payload
+}
+
+/// A count field read off the bytes must never size an allocation: a
+/// property count of `u32::MAX` once made the decoder ask for 160 GiB,
+/// and the failed allocation aborted the process.
+#[test]
+fn a_hostile_property_count_is_a_protocol_error() {
+    for count in [16, u32::MAX] {
+        let (id, _, decoded) = protocol::decode_request(&add_node_claiming(count));
+        assert_eq!(id, 7);
+        assert!(matches!(decoded, Err(ApiError::Protocol(_))), "count {count}: {decoded:?}");
+    }
+}
+
+/// Request kinds whose bodies hold count fields, each behind the common
+/// 13-byte header.
+fn arb_counted_request() -> impl Strategy<Value = Request> {
+    prop_oneof![
+        collection::vec(arb_query(), 0..4).prop_map(Request::Batch),
+        (arb_delta(), any::<u64>())
+            .prop_map(|(delta, token)| Request::Commit { delta, token: token as u128 }),
+    ]
+}
+
 proptest! {
+    /// Overwriting any 4-byte window of a valid request body with a
+    /// huge count decodes to a typed result — never an abort.  A window
+    /// that lands on a count field makes the decoder run out of bytes.
+    #[test]
+    fn huge_counts_in_valid_requests_are_typed(
+        req in arb_counted_request(),
+        at in any::<usize>(),
+        count in (1u32 << 24)..=u32::MAX,
+    ) {
+        let mut payload = protocol::encode_request(1, 0, &req);
+        prop_assume!(payload.len() >= 17);
+        let at = 13 + at % (payload.len() - 16);
+        payload[at..at + 4].copy_from_slice(&count.to_le_bytes());
+        match protocol::decode_request(&payload).2 {
+            Ok(_) | Err(ApiError::Protocol(_)) => {}
+            Err(other) => prop_assert!(false, "unexpected error class: {other}"),
+        }
+    }
+
     /// Any request round-trips bit-exactly through encode/decode.
     #[test]
     fn requests_round_trip(id in any::<u64>(), deadline_ms in any::<u32>(), req in arb_request()) {
@@ -166,5 +219,32 @@ fn live_server_replies_typed_error_to_malformed_frames() {
     let Ok(Response::Error { code, message }) = resp else { panic!("expected an error frame") };
     assert!(matches!(ApiError::from_wire(code, message), ApiError::Protocol(_)));
 
+    handle.shutdown();
+}
+
+/// A hostile count in a connection's first frame — decoded before any
+/// handshake — is answered with a typed error, and the server lives on
+/// to serve the next connection.
+#[test]
+fn live_server_survives_a_hostile_count_in_the_first_frame() {
+    let path = std::env::temp_dir().join(format!("graphiti-count-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let service =
+        Graphiti::builder(fixtures::emp::schema()).open().expect("in-memory service opens");
+    let handle = Server::new(service).serve_unix(&path).expect("server binds");
+
+    let mut conn = UnixStream::connect(&path).expect("connects");
+    protocol::write_frame(&mut conn, &add_node_claiming(u32::MAX)).expect("send");
+    let payload = protocol::read_frame(&mut conn, DEFAULT_MAX_FRAME)
+        .expect("a typed reply, not a dropped connection")
+        .expect("a frame, not EOF");
+    let (_, resp) = protocol::decode_response(&payload);
+    let Ok(Response::Error { code, message }) = resp else { panic!("expected an error frame") };
+    assert!(matches!(ApiError::from_wire(code, message), ApiError::Protocol(_)));
+
+    let mut session = Client::connect_unix(&path).expect("the next connection is served");
+    let mut delta = Delta::new();
+    delta.add_node("EMP", [("id", Value::Int(1)), ("ename", Value::str("Ada"))]);
+    assert_eq!(session.commit(delta).expect("commits").generation, 1);
     handle.shutdown();
 }

@@ -14,8 +14,13 @@
 //!   the alias;
 //! * conjuncts with unqualified columns, subqueries, or anything else we
 //!   cannot prove safe stay in the top-level selection;
-//! * nothing is pushed into or across outer joins (that would change
-//!   semantics).
+//! * a conjunct reaches into an outer join only on its preserved side (a
+//!   `LEFT JOIN`'s left input, a `RIGHT JOIN`'s right input): filtering
+//!   the preserved rows before the join drops exactly the output rows
+//!   they would have produced.  A conjunct on the null-supplying side
+//!   stays above the join, and nothing enters a `FULL JOIN` or an outer
+//!   join's `ON`.  Row order is kept: filters keep their input's order,
+//!   and joins emit left-major output.
 //!
 //! The pass is purely a performance optimization; `eval_query_unoptimized`
 //! bypasses it and the `hash_join_agrees_with_nested_loop` test plus the
@@ -88,10 +93,6 @@ fn push_selection(input: SqlQuery, pred: SqlPred) -> SqlQuery {
     if !matches!(input, SqlQuery::Join { .. }) {
         return wrap_select(input, pred);
     }
-    if has_outer_join(&input) {
-        // Conservative: never rewrite around outer joins.
-        return wrap_select(input, pred);
-    }
     let conjuncts: Vec<SqlPred> = pred.conjuncts().into_iter().cloned().collect();
     let mut tree = input;
     let mut leftover: Vec<SqlPred> = Vec::new();
@@ -158,28 +159,15 @@ fn provided_aliases(q: &SqlQuery) -> HashSet<String> {
     out
 }
 
-fn has_outer_join(q: &SqlQuery) -> bool {
-    match q {
-        SqlQuery::Join { left, right, kind, .. } => {
-            matches!(kind, JoinKind::Left | JoinKind::Right | JoinKind::Full)
-                || has_outer_join(left)
-                || has_outer_join(right)
-        }
-        SqlQuery::Select { input, .. } | SqlQuery::Rename { input, .. } => has_outer_join(input),
-        _ => false,
-    }
-}
-
 /// Attempts to push one conjunct into a join tree. Returns the (possibly
 /// rewritten) tree and whether the conjunct was attached.
 fn push_conjunct(tree: SqlQuery, conjunct: &SqlPred, quals: &HashSet<String>) -> (SqlQuery, bool) {
     match tree {
-        SqlQuery::Join { left, right, kind, pred }
-            if matches!(kind, JoinKind::Cross | JoinKind::Inner) =>
-        {
+        SqlQuery::Join { left, right, kind, pred } if kind != JoinKind::Full => {
+            let inner = matches!(kind, JoinKind::Cross | JoinKind::Inner);
             let left_aliases = provided_aliases(&left);
             let right_aliases = provided_aliases(&right);
-            if quals.is_subset(&left_aliases) {
+            if (inner || kind == JoinKind::Left) && quals.is_subset(&left_aliases) {
                 let (new_left, pushed) = push_conjunct(*left, conjunct, quals);
                 let new_left = if pushed {
                     new_left
@@ -196,7 +184,7 @@ fn push_conjunct(tree: SqlQuery, conjunct: &SqlPred, quals: &HashSet<String>) ->
                 };
                 return (SqlQuery::Join { left: Box::new(new_left), right, kind, pred }, true);
             }
-            if quals.is_subset(&right_aliases) {
+            if (inner || kind == JoinKind::Right) && quals.is_subset(&right_aliases) {
                 let (new_right, pushed) = push_conjunct(*right, conjunct, quals);
                 let new_right = if pushed {
                     new_right
@@ -214,7 +202,7 @@ fn push_conjunct(tree: SqlQuery, conjunct: &SqlPred, quals: &HashSet<String>) ->
                 return (SqlQuery::Join { left, right: Box::new(new_right), kind, pred }, true);
             }
             let all: HashSet<String> = left_aliases.union(&right_aliases).cloned().collect();
-            if quals.is_subset(&all) {
+            if inner && quals.is_subset(&all) {
                 let new_pred = SqlPred::and(pred, conjunct.clone());
                 return (
                     SqlQuery::Join { left, right, kind: JoinKind::Inner, pred: new_pred },
@@ -265,21 +253,119 @@ mod tests {
         assert_eq!(count_kind(&opt, JoinKind::Inner), 2);
     }
 
+    /// A compact rendering of a from-tree: `σ[quals](…)` for a selection,
+    /// `Kind(left, right)` for a join, the alias for a scan.
+    fn shape(q: &SqlQuery) -> String {
+        match q {
+            SqlQuery::Project { input, .. } => shape(input),
+            SqlQuery::Select { input, pred } => {
+                let mut quals: Vec<String> = qualifiers_of(pred).unwrap().into_iter().collect();
+                quals.sort();
+                format!("σ[{}]({})", quals.join(","), shape(input))
+            }
+            SqlQuery::Join { left, right, kind, .. } => {
+                format!("{kind:?}({}, {})", shape(left), shape(right))
+            }
+            SqlQuery::Rename { alias, .. } => alias.as_str().to_string(),
+            other => format!("{other:?}"),
+        }
+    }
+
     #[test]
-    fn outer_joins_are_left_alone() {
-        let q = parse_query("SELECT a.x FROM t AS a LEFT JOIN s AS b ON a.id = b.id WHERE a.x = 1")
-            .unwrap();
-        let opt = optimize(&q);
-        assert_eq!(count_kind(&opt, JoinKind::Left), 1);
-        // The selection must still be present above the outer join.
-        fn has_select(q: &SqlQuery) -> bool {
-            match q {
-                SqlQuery::Select { .. } => true,
-                SqlQuery::Project { input, .. } => has_select(input),
-                _ => false,
+    fn outer_joins_take_conjuncts_only_on_their_preserved_side() {
+        let cases = [
+            (
+                "t AS a LEFT JOIN s AS b ON a.id = b.id",
+                "a.x = 1 AND b.y = 2",
+                "σ[b](Left(σ[a](a), b))",
+            ),
+            (
+                "t AS a RIGHT JOIN s AS b ON a.id = b.id",
+                "a.x = 1 AND b.y = 2",
+                "σ[a](Right(a, σ[b](b)))",
+            ),
+            ("t AS a FULL JOIN s AS b ON a.id = b.id", "a.x = 1 AND b.y = 2", "σ[a,b](Full(a, b))"),
+            ("t AS a LEFT JOIN s AS b ON a.id = b.id", "a.x = b.y", "σ[a,b](Left(a, b))"),
+            (
+                "t AS a LEFT JOIN s AS b ON a.id = b.id JOIN u AS c ON c.id = a.id",
+                "a.x = 1 AND b.y = 2 AND c.z = 3",
+                "Inner(σ[b](Left(σ[a](a), b)), σ[c](c))",
+            ),
+            (
+                "u AS c JOIN t AS a ON c.id = a.id RIGHT JOIN s AS b ON a.id = b.id",
+                "a.x = 1 AND b.y = 2 AND c.z = 3",
+                "σ[a,c](Right(Inner(c, a), σ[b](b)))",
+            ),
+        ];
+        for (from, conjuncts, want) in cases {
+            let q = parse_query(&format!("SELECT a.x FROM {from} WHERE {conjuncts}")).unwrap();
+            assert_eq!(shape(&optimize(&q)), want, "FROM {from} WHERE {conjuncts}");
+        }
+    }
+
+    /// Optimized plans of outer joins nested with inner joins, with
+    /// conjuncts on the preserved side, the null-supplying side and both,
+    /// give the unoptimized oracle's tables exactly, row order included.
+    #[test]
+    fn pushed_conjuncts_keep_outer_join_answers() {
+        use crate::eval::eval_query_unoptimized;
+        use crate::vectorized::eval_query;
+        use graphiti_common::Value;
+        use graphiti_relational::{RelInstance, Table};
+        let v = |x: Option<i64>| x.map_or(Value::Null, Value::Int);
+        let table = |cols: [&str; 2], rows: &[(i64, Option<i64>)]| {
+            Table::with_rows(
+                cols,
+                rows.iter().map(|(id, x)| vec![Value::Int(*id), v(*x)]).collect::<Vec<_>>(),
+            )
+        };
+        let mut inst = RelInstance::new();
+        inst.insert_table(
+            "t",
+            table(
+                ["id", "x"],
+                &[(1, Some(1)), (2, Some(1)), (3, Some(2)), (4, None), (5, Some(1))],
+            ),
+        );
+        inst.insert_table(
+            "s",
+            table(
+                ["id", "y"],
+                &[(1, Some(2)), (2, Some(3)), (6, Some(2)), (3, Some(2)), (3, None)],
+            ),
+        );
+        inst.insert_table(
+            "u",
+            table(
+                ["id", "z"],
+                &[(1, Some(3)), (2, Some(3)), (3, Some(4)), (6, Some(3)), (5, Some(3))],
+            ),
+        );
+        let shapes = [
+            "t AS a {K} JOIN s AS b ON a.id = b.id JOIN u AS c ON c.id = a.id",
+            "u AS c JOIN t AS a ON c.id = a.id {K} JOIN s AS b ON a.id = b.id",
+            "t AS a JOIN u AS c ON c.id = a.id {K} JOIN s AS b ON b.id = c.id",
+        ];
+        let conjuncts =
+            ["a.x = 1", "b.y = 2", "a.x = 1 AND b.y = 2", "a.x = b.y", "c.z = 3 AND b.y = 2"];
+        for kind in ["LEFT", "RIGHT", "FULL"] {
+            for from in shapes {
+                for pred in conjuncts {
+                    let text = format!(
+                        "SELECT a.x, b.y, c.z FROM {} WHERE {pred}",
+                        from.replace("{K}", kind)
+                    );
+                    let q = parse_query(&text).unwrap();
+                    let oracle = eval_query_unoptimized(&inst, &q).unwrap();
+                    assert_eq!(
+                        eval_query_unoptimized(&inst, &optimize(&q)).unwrap(),
+                        oracle,
+                        "{text}"
+                    );
+                    assert_eq!(eval_query(&inst, &q).unwrap(), oracle, "{text}");
+                }
             }
         }
-        assert!(has_select(&opt));
     }
 
     #[test]

@@ -4,33 +4,32 @@
 //! A checkpoint captures everything [`GraphStore`](crate::GraphStore)
 //! needs to resume at a generation without replaying the log from the
 //! beginning: the counters, the master graph **in arena order** with its
-//! stable keys, and every per-label row log *including tombstones and
-//! slot order* — the published image of a table is "live rows in log
-//! order", so storing the raw log (not just the live rows) lets recovery
-//! publish images that are bit-identical to what the crashed process
-//! served, and keeps the commit path's patched-image-equals-log
-//! invariant intact across a restart.
+//! stable keys, and every induced table's published rows *in published
+//! order*.  Recovery publishes those rows as they are and builds each
+//! table's default-key → position map from them, so a recovered store
+//! serves images identical to the crashed process's, and later commits
+//! patch them at the same positions.
 //!
 //! The file is one length-prefixed, CRC-checksummed blob (same framing
 //! as a WAL record) written atomically: serialize to `*.tmp`, fsync,
 //! rename into place.  Recovery loads the newest checkpoint that passes
 //! its checksum and falls back to older ones (or to an empty store) if
-//! the newest is unreadable.
+//! the newest is unreadable.  The payload opens with [`MAGIC`]; a file
+//! in any other layout fails to load.
 //!
 //! Every checkpoint is one [`Job`] in two steps.  [`Job::pin`] takes
 //! what the image needs while the caller holds the state lock: the
 //! published snapshot of the generation (its graph is a copy-on-write
-//! clone of the master graph, and its tables hold every live row of the
-//! row logs), the key vectors, the tombstoned log slots, the token
-//! entries and the counters.  [`Job::write`] needs no lock: it builds and
-//! encodes the image, writes it atomically, and only then vacuums what
-//! the new file covers.  The store runs a periodic job's write step on a
-//! checkpointer thread.
+//! clone of the master graph, and its tables are the published rows),
+//! the key vectors, the token entries and the counters.  [`Job::write`]
+//! needs no lock: it builds and encodes the image, writes it atomically,
+//! and only then vacuums what the new file covers.  The store runs a
+//! periodic job's write step on a checkpointer thread.
 
 use crate::delta::{EdgeKey, NodeKey};
 use crate::error::{StoreError, StoreResult};
 use crate::vfs::Vfs;
-use crate::wal::{self, crc32, put_str, put_u32, put_u64, put_value, Cursor};
+use crate::wal::{self, crc32, put_str, put_u32, put_u64, put_value, Cursor, PREALLOC_CAP};
 use crate::StoreState;
 use graphiti_common::{Error, Ident, Result, Value};
 use graphiti_engine::Snapshot;
@@ -41,6 +40,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// The first eight bytes of every checkpoint payload.
+const MAGIC: &[u8; 8] = b"GRCKPT02";
 
 /// One node of the master graph, in arena order.
 #[derive(Debug)]
@@ -61,13 +63,12 @@ pub(crate) struct CkptEdge {
     pub(crate) props: Vec<(String, Value)>,
 }
 
-/// One per-label row log: every slot (live and tombstoned), in log order.
+/// One induced table: its published rows, in published order.
 #[derive(Debug)]
 pub(crate) struct CkptTable {
     pub(crate) name: String,
     pub(crate) columns: Vec<String>,
-    /// `(dead, row)` per slot.
-    pub(crate) slots: Vec<(bool, Row)>,
+    pub(crate) rows: Vec<Row>,
 }
 
 /// A complete writer-side image at one generation.
@@ -76,16 +77,13 @@ pub(crate) struct CheckpointImage {
     pub(crate) generation: u64,
     pub(crate) commits: u64,
     pub(crate) rejected: u64,
-    pub(crate) compactions: u64,
     pub(crate) next_key: u64,
     pub(crate) nodes: Vec<CkptNode>,
     pub(crate) edges: Vec<CkptEdge>,
     pub(crate) tables: Vec<CkptTable>,
     /// The commit-idempotency dedup entries `(token, generation)` in
     /// insertion (eviction) order, so a retried commit stays
-    /// exactly-once across a crash+recovery.  Serialized as a trailing
-    /// section: checkpoints written before tokens existed simply end
-    /// early and decode to an empty table.
+    /// exactly-once across a crash+recovery.
     pub(crate) tokens: Vec<(u128, u64)>,
 }
 
@@ -99,10 +97,10 @@ fn put_string_props(buf: &mut Vec<u8>, props: &[(String, Value)]) {
 
 fn encode(image: &CheckpointImage) -> Vec<u8> {
     let mut buf = Vec::with_capacity(4096);
+    buf.extend_from_slice(MAGIC);
     put_u64(&mut buf, image.generation);
     put_u64(&mut buf, image.commits);
     put_u64(&mut buf, image.rejected);
-    put_u64(&mut buf, image.compactions);
     put_u64(&mut buf, image.next_key);
     put_u32(&mut buf, image.nodes.len() as u32);
     for n in &image.nodes {
@@ -125,9 +123,8 @@ fn encode(image: &CheckpointImage) -> Vec<u8> {
         for c in &t.columns {
             put_str(&mut buf, c);
         }
-        put_u32(&mut buf, t.slots.len() as u32);
-        for (dead, row) in &t.slots {
-            buf.push(*dead as u8);
+        put_u32(&mut buf, t.rows.len() as u32);
+        for row in &t.rows {
             debug_assert_eq!(row.len(), t.columns.len(), "checkpoint row arity");
             for v in row {
                 put_value(&mut buf, v);
@@ -143,9 +140,15 @@ fn encode(image: &CheckpointImage) -> Vec<u8> {
     buf
 }
 
-fn decode_string_props(c: &mut Cursor<'_>) -> Result<Vec<(String, Value)>> {
+/// Reads a count and an empty vector for that many elements, its
+/// pre-allocation capped at [`PREALLOC_CAP`].
+fn counted<T>(c: &mut Cursor<'_>) -> Result<(usize, Vec<T>)> {
     let n = c.u32()? as usize;
-    let mut out = Vec::with_capacity(n);
+    Ok((n, Vec::with_capacity(n.min(PREALLOC_CAP))))
+}
+
+fn decode_string_props(c: &mut Cursor<'_>) -> Result<Vec<(String, Value)>> {
+    let (n, mut out) = counted(c)?;
     for _ in 0..n {
         let k = c.str()?;
         let v = c.value()?;
@@ -155,21 +158,21 @@ fn decode_string_props(c: &mut Cursor<'_>) -> Result<Vec<(String, Value)>> {
 }
 
 fn decode(payload: &[u8]) -> Result<CheckpointImage> {
-    let mut c = Cursor::new(payload);
+    if !payload.starts_with(MAGIC) {
+        return Err(Error::instance("checkpoint: not a checkpoint of this store's layout"));
+    }
+    let mut c = Cursor::new(&payload[MAGIC.len()..]);
     let generation = c.u64()?;
     let commits = c.u64()?;
     let rejected = c.u64()?;
-    let compactions = c.u64()?;
     let next_key = c.u64()?;
-    let node_count = c.u32()? as usize;
-    let mut nodes = Vec::with_capacity(node_count);
+    let (node_count, mut nodes) = counted(&mut c)?;
     for _ in 0..node_count {
         let key = c.u64()?;
         let label = c.str()?;
         nodes.push(CkptNode { key, label, props: decode_string_props(&mut c)? });
     }
-    let edge_count = c.u32()? as usize;
-    let mut edges = Vec::with_capacity(edge_count);
+    let (edge_count, mut edges) = counted(&mut c)?;
     for _ in 0..edge_count {
         let key = c.u64()?;
         let label = c.str()?;
@@ -177,52 +180,34 @@ fn decode(payload: &[u8]) -> Result<CheckpointImage> {
         let tgt = c.u64()?;
         edges.push(CkptEdge { key, label, src, tgt, props: decode_string_props(&mut c)? });
     }
-    let table_count = c.u32()? as usize;
-    let mut tables = Vec::with_capacity(table_count);
+    let (table_count, mut tables) = counted(&mut c)?;
     for _ in 0..table_count {
         let name = c.str()?;
-        let col_count = c.u32()? as usize;
-        let mut columns = Vec::with_capacity(col_count);
+        let (col_count, mut columns) = counted(&mut c)?;
         for _ in 0..col_count {
             columns.push(c.str()?);
         }
-        let slot_count = c.u32()? as usize;
-        let mut slots = Vec::with_capacity(slot_count);
-        for _ in 0..slot_count {
-            let dead = c.u8()? != 0;
-            let mut row = Vec::with_capacity(col_count);
+        let (row_count, mut rows) = counted(&mut c)?;
+        for _ in 0..row_count {
+            let mut row = Vec::with_capacity(col_count.min(PREALLOC_CAP));
             for _ in 0..col_count {
                 row.push(c.value()?);
             }
-            slots.push((dead, row));
+            rows.push(row);
         }
-        tables.push(CkptTable { name, columns, slots });
+        tables.push(CkptTable { name, columns, rows });
     }
-    // Trailing idempotency-token section (absent in older checkpoints).
-    let mut tokens = Vec::new();
-    if !c.is_done() {
-        let token_count = c.u32()? as usize;
-        for _ in 0..token_count {
-            let hi = c.u64()?;
-            let lo = c.u64()?;
-            let generation = c.u64()?;
-            tokens.push((((hi as u128) << 64) | lo as u128, generation));
-        }
+    let (token_count, mut tokens) = counted(&mut c)?;
+    for _ in 0..token_count {
+        let hi = c.u64()?;
+        let lo = c.u64()?;
+        let generation = c.u64()?;
+        tokens.push((((hi as u128) << 64) | lo as u128, generation));
     }
     if !c.is_done() {
         return Err(Error::instance("checkpoint: trailing bytes after image"));
     }
-    Ok(CheckpointImage {
-        generation,
-        commits,
-        rejected,
-        compactions,
-        next_key,
-        nodes,
-        edges,
-        tables,
-        tokens,
-    })
+    Ok(CheckpointImage { generation, commits, rejected, next_key, nodes, edges, tables, tokens })
 }
 
 /// The path of the checkpoint taken at `generation`.
@@ -357,17 +342,6 @@ impl Disk {
     }
 }
 
-/// The row log of one table at the pin, less what the published image
-/// already holds: the tombstone flag of every slot and the values of the
-/// tombstoned rows, concatenated in log order.  The live rows are the
-/// image's, in the same order.
-#[derive(Debug)]
-struct PinnedLog {
-    name: String,
-    dead: Vec<bool>,
-    dead_values: Vec<Value>,
-}
-
 /// One checkpoint: the writer state at one generation, pinned under the
 /// state lock, and the disk it is written to.
 #[derive(Debug)]
@@ -375,15 +349,13 @@ pub(crate) struct Job {
     generation: u64,
     commits: u64,
     rejected: u64,
-    compactions: u64,
     next_key: u64,
     /// The published generation `generation`: its graph is a
     /// copy-on-write clone of the master graph, and its induced tables
-    /// are the live rows of every log, in log order.
+    /// are the published rows the image stores.
     snapshot: Arc<Snapshot>,
     node_keys: Vec<NodeKey>,
     edge_keys: Vec<EdgeKey>,
-    logs: Vec<PinnedLog>,
     tokens: Vec<(u128, u64)>,
     disk: Arc<Disk>,
 }
@@ -391,25 +363,19 @@ pub(crate) struct Job {
 impl Job {
     /// The pin step: takes what the image of `st` needs, given that
     /// `published` is the generation `st` published last.  Its snapshot
-    /// already shares the graph's arena chunks and every live row, so the
-    /// pin copies only the key vectors, the tombstones, the token entries
-    /// and the counters.
+    /// already shares the graph's arena chunks and every published row,
+    /// so the pin copies only the key vectors, the token entries and the
+    /// counters.
     pub(crate) fn pin(st: &StoreState, published: (u64, Arc<Snapshot>), disk: Arc<Disk>) -> Job {
         let (generation, snapshot) = published;
-        let logs = st.tables.iter().map(|(name, t)| {
-            let (dead, dead_values) = t.tombstones();
-            PinnedLog { name: name.clone(), dead, dead_values }
-        });
         Job {
             generation,
             commits: st.commits.get(),
             rejected: st.rejected.get(),
-            compactions: st.compactions.get(),
             next_key: st.next_key,
             snapshot,
             node_keys: st.node_keys.clone(),
             edge_keys: st.edge_keys.clone(),
-            logs: logs.collect(),
             tokens: st.idempotency.entries(),
             disk,
         }
@@ -424,7 +390,7 @@ impl Job {
     pub(crate) fn write(self) -> StoreResult<()> {
         let started = Instant::now();
         let (generation, disk) = (self.generation, Arc::clone(&self.disk));
-        let written = self.into_image().and_then(|image| write(&*disk.vfs, &disk.dir, &image));
+        let written = write(&*disk.vfs, &disk.dir, &self.into_image());
         disk.write_micros.record(started.elapsed().as_micros() as u64);
         written?;
         // The file is a complete, fsynced image of everything it covers,
@@ -449,9 +415,8 @@ impl Job {
     }
 
     /// The image: counters, the graph in arena order with its stable
-    /// keys, every log slot (each live row from the snapshot, each
-    /// tombstoned one from the pinned log) and the token entries.
-    fn into_image(self) -> StoreResult<CheckpointImage> {
+    /// keys, every induced table's published rows and the token entries.
+    fn into_image(self) -> CheckpointImage {
         let (graph, induced) = (self.snapshot.graph(), self.snapshot.induced());
         let props = |props: &BTreeMap<Ident, Value>| {
             props.iter().map(|(k, v)| (k.as_str().to_owned(), v.clone())).collect()
@@ -474,44 +439,24 @@ impl Job {
                 props: props(&e.props),
             })
             .collect();
-        let mut tables = Vec::with_capacity(self.logs.len());
-        for PinnedLog { name, dead, dead_values } in self.logs {
-            let mismatch = || {
-                StoreError::Internal(format!(
-                    "checkpoint: the published image of `{name}` does not match its log"
-                ))
-            };
-            let image = induced.table(&name).ok_or_else(mismatch)?;
-            let arity = image.columns.len().max(1);
-            let mut live = image.rows.iter();
-            let mut dead_rows = dead_values.chunks(arity);
-            let slots: Option<Vec<(bool, Row)>> = dead
-                .into_iter()
-                .map(|d| {
-                    let row = if d {
-                        dead_rows.next().map(<[Value]>::to_vec)
-                    } else {
-                        live.next().cloned()
-                    };
-                    row.map(|row| (d, row))
-                })
-                .collect();
-            let (Some(slots), None, None) = (slots, live.next(), dead_rows.next()) else {
-                return Err(mismatch());
-            };
-            tables.push(CkptTable { name, columns: image.columns.clone(), slots });
-        }
-        Ok(CheckpointImage {
+        let tables = induced
+            .tables()
+            .map(|(name, t)| CkptTable {
+                name: name.clone(),
+                columns: t.columns.clone(),
+                rows: t.rows.clone(),
+            })
+            .collect();
+        CheckpointImage {
             generation: self.generation,
             commits: self.commits,
             rejected: self.rejected,
-            compactions: self.compactions,
             next_key: self.next_key,
             nodes,
             edges,
             tables,
             tokens: self.tokens,
-        })
+        }
     }
 }
 
@@ -533,7 +478,6 @@ mod tests {
             generation,
             commits: 9,
             rejected: 2,
-            compactions: 1,
             next_key: 11,
             nodes: vec![CkptNode {
                 key: 3,
@@ -550,10 +494,7 @@ mod tests {
             tables: vec![CkptTable {
                 name: "EMP".into(),
                 columns: vec!["id".into(), "name".into()],
-                slots: vec![
-                    (false, vec![Value::Int(1), Value::str("A")]),
-                    (true, vec![Value::Int(2), Value::Null]),
-                ],
+                rows: vec![vec![Value::Int(1), Value::str("A")], vec![Value::Int(2), Value::Null]],
             }],
             tokens: vec![((5u128 << 64) | 6, generation)],
         }
@@ -571,8 +512,7 @@ mod tests {
         assert_eq!(image.nodes.len(), 1);
         assert_eq!(image.nodes[0].label, "EMP");
         assert_eq!(image.edges[0].props[0].1, Value::Float(2.5));
-        assert_eq!(image.tables[0].slots.len(), 2);
-        assert!(image.tables[0].slots[1].0, "tombstone survives the round trip");
+        assert_eq!(image.tables[0].rows[1], vec![Value::Int(2), Value::Null]);
         assert_eq!(image.tokens, vec![((5u128 << 64) | 6, 12)]);
         assert!(list_checkpoints(&vfs, &dir).unwrap().iter().any(|(g, _)| *g == 12));
         std::fs::remove_dir_all(&dir).ok();
@@ -590,6 +530,24 @@ mod tests {
         let err = load(&vfs, &path).unwrap_err();
         assert!(err.is_corrupt(), "typed corruption: {err}");
         assert!(err.to_string().contains("ckpt-"), "names the file: {err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_checkpoint_of_another_layout_is_refused() {
+        let dir = scratch_dir("layout");
+        let vfs = StdVfs;
+        let path = write(&vfs, &dir, &sample_image(6)).unwrap();
+        // The same image without its layout tag, framed with a valid
+        // checksum.
+        let bytes = std::fs::read(&path).unwrap();
+        let payload = &bytes[8 + MAGIC.len()..];
+        let mut frame = Vec::new();
+        put_u32(&mut frame, payload.len() as u32);
+        put_u32(&mut frame, crc32(payload));
+        frame.extend_from_slice(payload);
+        std::fs::write(&path, &frame).unwrap();
+        assert!(load(&vfs, &path).unwrap_err().is_corrupt());
         std::fs::remove_dir_all(&dir).ok();
     }
 

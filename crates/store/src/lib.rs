@@ -16,8 +16,10 @@
 //!    types, no dangling edges), never the whole graph;
 //! 2. **applies the delta** to the master graph (stable
 //!    [`NodeKey`]/[`EdgeKey`] handles survive the arena's swap-remove
-//!    renumbering) and to the per-label append + tombstone +
-//!    compaction logs;
+//!    renumbering) and records one [`TableDelta`] per touched table.
+//!    Each node or edge is exactly one row of its label's table, keyed
+//!    by its default key (`InferSDT`), so the writer's only table state
+//!    is one default-key → row-position map per table;
 //! 3. **publishes a new generation** by patching the *previous*
 //!    generation's row and columnar images with [`TableDelta`]s —
 //!    untouched tables are shared, touched columns are patched
@@ -46,7 +48,8 @@
 //! [`StoreBuilder::durable`] adds a crash-safe persistence layer:
 //! every committed delta is appended to a checksummed write-ahead log and
 //! flushed (optionally fsynced) **before** the generation is published;
-//! periodic checkpoints snapshot the per-label row logs so replay cost
+//! periodic checkpoints snapshot the master graph and the published
+//! tables so replay cost
 //! stays bounded (the commit that makes one due only pins the state and
 //! rotates the WAL; a checkpointer thread writes the file); and recovery
 //! loads the newest valid checkpoint,
@@ -109,7 +112,6 @@ pub mod delta;
 mod error;
 mod group;
 mod session;
-mod table;
 pub mod vfs;
 mod wal;
 
@@ -120,13 +122,12 @@ pub use group::{CommitTicket, GroupCommitter, GroupOptions, GroupStats};
 pub use session::{CommitAck, EmbeddedSession, Graphiti, GraphitiBuilder, ServiceStats, Session};
 pub use vfs::{std_vfs, FaultKind, FaultVfs, OpClass, StdVfs, Vfs, VfsFile};
 
-use crate::table::StoreTable;
 use graphiti_common::{Error, Ident, Result, Value};
 use graphiti_engine::{Engine, Snapshot};
 use graphiti_graph::{EdgeId, GraphInstance, GraphSchema, NodeId};
 use graphiti_obs::metrics::{Counter, Histogram, Registry};
 use graphiti_obs::Obs;
-use graphiti_relational::{ColumnInstance, RelInstance, TableDelta};
+use graphiti_relational::{ColumnInstance, RelInstance, Row, Table, TableDelta};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, RwLock};
@@ -174,7 +175,7 @@ pub struct CommitInfo {
     /// Stable keys for the delta's added edges, in [`Delta::add_edge`]
     /// order.
     pub edge_keys: Vec<EdgeKey>,
-    /// Names of the induced tables the commit patched.
+    /// Names of the induced tables the commit's operations wrote.
     pub touched_tables: Vec<String>,
 }
 
@@ -346,16 +347,10 @@ pub struct StoreStats {
     pub commits: u64,
     /// Deltas rejected by incremental validation.
     pub rejected_commits: u64,
-    /// Table-log compactions performed.
-    pub compactions: u64,
     /// Live nodes in the master graph.
     pub live_nodes: usize,
     /// Live edges in the master graph.
     pub live_edges: usize,
-    /// Total log slots across all induced tables (live + tombstoned).
-    pub logged_rows: usize,
-    /// Tombstoned log slots awaiting compaction.
-    pub tombstoned_rows: usize,
     /// WAL records appended by this process (always 0 for an in-memory
     /// store).
     pub wal_records: u64,
@@ -443,7 +438,30 @@ impl IdempotencyTable {
     }
 }
 
-/// The writer-side state: master graph, stable-key maps, per-table logs.
+/// Default-key value → position of its row in one induced table's
+/// image.  The default key is column 0 of every induced table
+/// (`InferSDT`).
+type KeyMap = HashMap<Value, u32>;
+
+/// Builds the key map of a table image.  A row without a key, or a key
+/// held twice, is an error.
+fn key_map(name: &str, table: &Table) -> Result<KeyMap> {
+    let mut keys = KeyMap::with_capacity(table.len());
+    for (pos, row) in table.rows.iter().enumerate() {
+        let key = row
+            .first()
+            .ok_or_else(|| Error::instance(format!("table `{name}` holds a row without a key")))?;
+        if keys.insert(key.clone(), pos as u32).is_some() {
+            return Err(Error::instance(format!(
+                "table `{name}` holds the default key {key} twice"
+            )));
+        }
+    }
+    Ok(keys)
+}
+
+/// The writer-side state: master graph, stable-key maps, per-table key
+/// maps.
 #[derive(Debug)]
 struct StoreState {
     schema: GraphSchema,
@@ -455,14 +473,16 @@ struct StoreState {
     node_ids: HashMap<NodeKey, NodeId>,
     edge_ids: HashMap<EdgeKey, EdgeId>,
     next_key: u64,
-    tables: BTreeMap<String, StoreTable>,
+    /// One key map per induced table, in the coordinates of the published
+    /// image — while a batch applies, of the batch's base image, where
+    /// the k-th row the batch appended sits at `base_len + k`.
+    keys: BTreeMap<String, KeyMap>,
     /// Counters are registry-backed [`Counter`] handles: the store
     /// increments them exactly where the plain `u64`s used to live, and
     /// the shared observability registry renders the same cells —
     /// [`StoreStats`] stays a point-in-time *view* over them.
     commits: Counter,
     rejected: Counter,
-    compactions: Counter,
     /// WAL + checkpoint attachment (durable stores only).
     durable: Option<DurableState>,
     /// Set when the store has fenced itself read-only.
@@ -480,7 +500,6 @@ struct StoreState {
 struct StoreCounters {
     commits: Counter,
     rejected: Counter,
-    compactions: Counter,
     fence_events: Counter,
     fenced_commits: Counter,
     idempotent_replays: Counter,
@@ -491,7 +510,6 @@ impl StoreCounters {
         StoreCounters {
             commits: registry.counter("graphiti_store_commits_total"),
             rejected: registry.counter("graphiti_store_rejected_commits_total"),
-            compactions: registry.counter("graphiti_store_compactions_total"),
             fence_events: registry.counter("graphiti_store_fence_events_total"),
             fenced_commits: registry.counter("graphiti_store_fenced_commits_total"),
             idempotent_replays: registry.counter("graphiti_store_idempotent_replays_total"),
@@ -566,7 +584,7 @@ impl GraphStore {
             (0..graph.edge_count()).map(|i| EdgeKey((graph.node_count() + i) as u64)).collect();
         let node_ids = node_keys.iter().enumerate().map(|(i, k)| (*k, NodeId(i))).collect();
         let edge_ids = edge_keys.iter().enumerate().map(|(i, k)| (*k, EdgeId(i))).collect();
-        let mut tables = BTreeMap::new();
+        let mut keys = BTreeMap::new();
         for rel in &ctx.induced_schema.relations {
             let name = rel.name.as_str();
             debug_assert_eq!(
@@ -578,7 +596,7 @@ impl GraphStore {
                 .induced()
                 .table(name)
                 .ok_or_else(|| Error::instance(format!("freeze produced no table `{name}`")))?;
-            tables.insert(name.to_string(), StoreTable::from_table(image));
+            keys.insert(name.to_string(), key_map(name, image)?);
         }
         let next_key = (graph.node_count() + graph.edge_count()) as u64;
         let obs = Arc::new(Obs::new());
@@ -600,10 +618,9 @@ impl GraphStore {
                 node_ids,
                 edge_ids,
                 next_key,
-                tables,
+                keys,
                 commits: c.commits,
                 rejected: c.rejected,
-                compactions: c.compactions,
                 durable: None,
                 fence: None,
                 fence_events: c.fence_events,
@@ -629,7 +646,7 @@ impl GraphStore {
     /// **recovered** instead — the newest checkpoint that passes its
     /// checksum is loaded (older ones are fallbacks), the recovered
     /// graph is re-validated by a cold freeze and cross-checked against
-    /// the checkpointed row logs, and the WAL suffix is replayed through
+    /// the checkpointed tables, and the WAL suffix is replayed through
     /// the ordinary commit path.  A torn tail record (crash mid-append)
     /// is truncated, recovering to the last fully durable commit, never
     /// a partial generation.
@@ -785,11 +802,11 @@ impl GraphStore {
     }
 
     /// Rebuilds writer-side state from a checkpoint image: the master
-    /// graph in arena order, stable keys, and the per-label row logs
-    /// (slot-exact, tombstones included).  The recovered graph is
-    /// re-validated by a cold freeze, and the checkpointed logs are
-    /// cross-checked against the freeze-derived tables — recovery is
-    /// *checkable*, not just plausible.
+    /// graph in arena order, stable keys, and the published tables in
+    /// their published row order, from which the key maps are built.  The
+    /// recovered graph is re-validated by a cold freeze, and the
+    /// checkpointed tables are cross-checked against the freeze-derived
+    /// ones — recovery is *checkable*, not just plausible.
     fn from_checkpoint(
         schema: GraphSchema,
         image: checkpoint::CheckpointImage,
@@ -844,12 +861,20 @@ impl GraphStore {
         if node_ids.len() != node_keys.len() || edge_ids.len() != edge_keys.len() {
             return Err(Error::instance("checkpoint holds duplicate stable keys"));
         }
-        let mut tables = BTreeMap::new();
+        let mut keys = BTreeMap::new();
         let mut induced = RelInstance::new();
         for t in image.tables {
-            let table = StoreTable::from_log_parts(t.columns, t.slots)?;
-            induced.insert_table(t.name.clone(), table.snapshot_table());
-            tables.insert(t.name, table);
+            if let Some(row) = t.rows.iter().find(|row| row.len() != t.columns.len()) {
+                return Err(Error::instance(format!(
+                    "checkpoint row arity {} does not match the {} columns of `{}`",
+                    row.len(),
+                    t.columns.len(),
+                    t.name
+                )));
+            }
+            let table = Table { columns: t.columns, rows: t.rows };
+            keys.insert(t.name.clone(), key_map(&t.name, &table)?);
+            induced.insert_table(t.name, table);
         }
         // Checkable recovery: every freeze-derived table must exist in
         // the checkpoint with the same columns and the same bag of rows.
@@ -865,12 +890,12 @@ impl GraphStore {
                 )));
             }
         }
-        if tables.len() != cold_tables {
+        if keys.len() != cold_tables {
             return Err(Error::instance("checkpoint holds tables the schema does not induce"));
         }
-        // Publish the checkpointed (log-ordered) images, not the cold
-        // arena-ordered ones: published row order must survive recovery
-        // so later incremental commits keep patching consistently.
+        // Publish the checkpointed images, not the cold arena-ordered
+        // ones: published row order must survive recovery, because the
+        // key maps and every later commit's patches address it.
         let columnar = ColumnInstance::from_rel(&induced);
         let (extra_maps, extra_columnar) = cold.extra_parts();
         let published = Snapshot::from_parts_with_columnar(
@@ -888,7 +913,6 @@ impl GraphStore {
         // cells so recovery is stats-transparent.
         c.commits.set(image.commits);
         c.rejected.set(image.rejected);
-        c.compactions.set(image.compactions);
         let commit_e2e_micros = obs.registry().histogram("graphiti_commit_e2e_micros");
         let group_commit_size = obs.registry().histogram("graphiti_group_commit_size");
         Ok(GraphStore {
@@ -906,10 +930,9 @@ impl GraphStore {
                 node_ids,
                 edge_ids,
                 next_key: image.next_key,
-                tables,
+                keys,
                 commits: c.commits,
                 rejected: c.rejected,
-                compactions: c.compactions,
                 durable: None,
                 fence: None,
                 fence_events: c.fence_events,
@@ -1034,11 +1057,8 @@ impl GraphStore {
             generation: self.generation(),
             commits: st.commits.get(),
             rejected_commits: st.rejected.get(),
-            compactions: st.compactions.get(),
             live_nodes: st.graph.node_count(),
             live_edges: st.graph.edge_count(),
-            logged_rows: st.tables.values().map(StoreTable::log_len).sum(),
-            tombstoned_rows: st.tables.values().map(StoreTable::dead_count).sum(),
             wal_records: st.durable.as_ref().map_or(0, |d| d.wal_records.get()),
             wal_bytes: st.durable.as_ref().map_or(0, |d| d.wal_bytes.get()),
             checkpoints: st.durable.as_ref().map_or(0, |d| d.disk.checkpoints_written.get()),
@@ -1129,21 +1149,6 @@ impl GraphStore {
             .collect()
     }
 
-    /// Force-compacts every table log with tombstones, returning how many
-    /// were rewritten.  Published images are unaffected (compaction only
-    /// renumbers internal log slots).
-    pub fn compact_now(&self) -> usize {
-        let mut st = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        let mut rewritten = 0;
-        for t in st.tables.values_mut() {
-            if t.compact(true) {
-                rewritten += 1;
-            }
-        }
-        st.compactions.add(rewritten as u64);
-        rewritten
-    }
-
     /// Validates and applies one request atomically, publishing a new
     /// snapshot generation on success.  This is a batch of one through
     /// the same pipeline the [`GroupCommitter`] feeds.
@@ -1205,10 +1210,10 @@ impl GraphStore {
     ///   empty delta answers the generation current at its position.
     ///
     /// What the requests share is the work: one fsync, one image
-    /// derivation per touched table (their [`TableDelta`]s are folded
-    /// with [`TableDelta::absorb`]), and one publication.  The store's
-    /// generation moves, and tokens are recorded, only at that
-    /// publication.
+    /// derivation per touched table (every request writes the same
+    /// [`TableDelta`] of the table, against the batch's base image), and
+    /// one publication.  The store's generation moves, and tokens are
+    /// recorded, only at that publication.
     ///
     /// An accepted request is applied in memory only when the next one
     /// must validate against it, so the last is applied after the fsync.
@@ -1402,10 +1407,10 @@ impl GraphStore {
 
     /// Applies a batch's last accepted request, derives the new images
     /// from the previous generation's by one [`TableDelta`] per touched
-    /// table, and publishes every accepted request as generation
-    /// `generation`: the one write of the publication slot, made while
-    /// the caller holds the state lock.  An error leaves the master state
-    /// part-mutated.
+    /// table, renumbers the key map of every table that lost rows, and
+    /// publishes every accepted request as generation `generation`: the
+    /// one write of the publication slot, made while the caller holds the
+    /// state lock.  An error leaves the master state part-mutated.
     fn publish(
         &self,
         st: &mut StoreState,
@@ -1419,21 +1424,30 @@ impl GraphStore {
         let _span = (trace != 0).then(|| self.obs.tracer().span(trace, 0, "store.publish"));
         let mut induced = prev.induced().clone();
         let mut columnar = prev.induced_columnar().clone();
-        for (name, (_, delta)) in &folded.tables {
-            let (Some(rows), Some(cols)) = (induced.table(name), columnar.table(name)) else {
+        for (name, Change { mut delta, .. }) in folded.tables {
+            if delta.is_empty() {
+                continue;
+            }
+            let (Some(rows), Some(cols), Some(keys)) =
+                (induced.table(&name), columnar.table(&name), st.keys.get_mut(&name))
+            else {
                 return Err(Error::instance(format!("generation lost table `{name}` mid-publish")));
             };
-            let (row_image, col_image) = (rows.apply_delta(delta), cols.apply_delta(delta));
-            // The patched image must equal what the table log would
-            // materialize from scratch (debug builds only; `folded.tables`
-            // only holds names `apply_delta` found in `st.tables`).
-            debug_assert_eq!(
-                row_image,
-                st.tables.get(name).expect("touched table exists").snapshot_table(),
-                "patched image of `{name}` diverges from its log"
-            );
+            // Each base row is removed at most once: its key leaves the
+            // map with it.
+            delta.removed.sort_unstable();
+            debug_assert!(delta.removed.windows(2).all(|w| w[0] < w[1]), "a row removed twice");
+            let (row_image, col_image) = (rows.apply_delta(&delta), cols.apply_delta(&delta));
+            if !delta.removed.is_empty() {
+                // Every surviving row moves up by the removed rows before it.
+                for pos in keys.values_mut() {
+                    let at = *pos;
+                    *pos = at - delta.removed.partition_point(|&r| r < at) as u32;
+                }
+            }
+            debug_assert_eq!(keys.len(), row_image.len(), "key map of `{name}` misses rows");
             induced.insert_table(name.clone(), row_image);
-            columnar.insert_table(name.clone(), col_image);
+            columnar.insert_table(name, col_image);
         }
         let (extra, extra_columnar) = prev.extra_parts();
         // The clone shares every arena chunk with the master; the next
@@ -1694,7 +1708,7 @@ impl<'a> Check<'a> {
     fn claim(&mut self, label: &Ident, value: &Value) -> Result<()> {
         let kv = (label.clone(), value.clone());
         let held_by_master =
-            self.st.tables.get(label.as_str()).is_some_and(|t| t.contains_pk(value))
+            self.st.keys.get(label.as_str()).is_some_and(|keys| keys.contains_key(value))
                 && !self.freed.contains(&kv);
         if held_by_master || self.claimed.contains(&kv) {
             return Err(Error::instance(format!(
@@ -1924,13 +1938,6 @@ fn validate_delta(st: &StoreState, delta: &Delta) -> Result<()> {
 
 // -------------------------------------------------------------- applying
 
-/// Everything phase 2 hands to the publication phase.
-struct Applied {
-    deltas: BTreeMap<String, TableDelta>,
-    node_keys: Vec<NodeKey>,
-    edge_keys: Vec<EdgeKey>,
-}
-
 /// What one request of a batch acks, before the batch publishes.
 #[derive(Default)]
 struct Ack {
@@ -1938,6 +1945,16 @@ struct Ack {
     node_keys: Vec<NodeKey>,
     edge_keys: Vec<EdgeKey>,
     touched_tables: Vec<String>,
+}
+
+/// One touched table's change over the batch's base image.
+struct Change {
+    /// The base image's row count: the k-th row the batch appended sits
+    /// at `base_len + k` in the table's key map.
+    base_len: usize,
+    /// Patches and removals of base rows, at their base positions, and
+    /// the rows the batch appended, as they stand now.
+    delta: TableDelta,
 }
 
 /// A batch's accepted requests on their way to its one publication.
@@ -1948,16 +1965,14 @@ struct Folded {
     pending: Option<(usize, u64, Delta)>,
     /// Whether any request has been applied to the master state.
     applied: bool,
-    /// Per touched table: the pre-batch row count (the fold's base) and
-    /// every applied request's delta absorbed in commit order.
-    tables: BTreeMap<String, (usize, TableDelta)>,
+    /// Per touched table: the change every applied request wrote.
+    tables: BTreeMap<String, Change>,
 }
 
 impl Folded {
     /// Applies the pending request, if any, to the master state and the
-    /// table logs, folds its table deltas in, and answers it in `acks`
-    /// with the keys it assigned.  An error leaves the master state
-    /// part-mutated.
+    /// batch's table changes, and answers it in `acks` with the keys it
+    /// assigned.  An error leaves the master state part-mutated.
     fn apply_pending(
         &mut self,
         st: &mut StoreState,
@@ -1967,69 +1982,121 @@ impl Folded {
         let Some((idx, generation, delta)) = self.pending.take() else {
             return Ok(());
         };
-        let applied = apply_delta(st, &delta)?;
         self.applied = true;
-        let mut touched_tables = Vec::with_capacity(applied.deltas.len());
-        for (name, table_delta) in applied.deltas {
-            // Compaction renumbers log slots, not published rows, so it
-            // can run once the change set is extracted.
-            if st.tables.get_mut(&name).is_some_and(|t| t.compact(false)) {
-                st.compactions.inc();
-            }
-            match self.tables.get_mut(&name) {
-                Some((base_rows, folded)) => folded.absorb(*base_rows, &table_delta),
-                None => {
-                    // First touch: the delta moves in unfolded.  A table
-                    // missing from `prev` fails the publication instead.
-                    let base_rows = prev.induced().table(&name).map_or(0, |t| t.len());
-                    self.tables.insert(name.clone(), (base_rows, table_delta));
-                }
-            }
-            touched_tables.push(name);
-        }
-        acks[idx] = Some(Ok(Ack {
-            generation,
-            node_keys: applied.node_keys,
-            edge_keys: applied.edge_keys,
-            touched_tables,
-        }));
+        let mut rows =
+            Rows { base: prev.induced(), changes: &mut self.tables, touched: Vec::new() };
+        let (node_keys, edge_keys) = apply_delta(st, &mut rows, &delta)?;
+        acks[idx] =
+            Some(Ok(Ack { generation, node_keys, edge_keys, touched_tables: rows.touched }));
         Ok(())
     }
 }
 
-/// Commit-local change set of one table log.
-struct Pending {
-    len_before: usize,
-    removed_slots: Vec<usize>,
-    patches: Vec<(usize, usize, Value)>,
-    appended_slots: Vec<usize>,
+/// The table side of applying one request: the batch's base image, its
+/// changes over that image, and the tables the request wrote.
+struct Rows<'a> {
+    base: &'a RelInstance,
+    changes: &'a mut BTreeMap<String, Change>,
+    touched: Vec<String>,
 }
 
-fn touch<'p>(
-    pending: &'p mut BTreeMap<String, Pending>,
-    tables: &BTreeMap<String, StoreTable>,
-    name: &str,
-) -> &'p mut Pending {
-    if !pending.contains_key(name) {
-        let len_before = tables.get(name).map(StoreTable::log_len).unwrap_or(0);
-        pending.insert(
-            name.to_string(),
-            Pending {
-                len_before,
-                removed_slots: Vec::new(),
-                patches: Vec::new(),
-                appended_slots: Vec::new(),
-            },
-        );
+impl Rows<'_> {
+    /// The key map and the batch's change of table `name`.  A table's
+    /// change opens on its first write.
+    fn table<'k>(
+        &'k mut self,
+        keys: &'k mut BTreeMap<String, KeyMap>,
+        name: &str,
+    ) -> Result<(&'k mut KeyMap, &'k mut Change)> {
+        let missing = || Error::instance(format!("no induced table `{name}`"));
+        if !self.changes.contains_key(name) {
+            let base_len = self.base.table(name).ok_or_else(missing)?.len();
+            self.changes.insert(name.to_string(), Change { base_len, delta: TableDelta::new() });
+        }
+        if !self.touched.iter().any(|t| t == name) {
+            self.touched.push(name.to_string());
+        }
+        let keys = keys.get_mut(name).ok_or_else(missing)?;
+        Ok((keys, self.changes.get_mut(name).ok_or_else(missing)?))
     }
-    // Infallible: the entry was inserted two lines above under this borrow.
-    pending.get_mut(name).expect("just inserted")
+
+    /// Appends `row` to table `name`, mapping its key to the position
+    /// after the batch's earlier appends.
+    fn append(&mut self, keys: &mut BTreeMap<String, KeyMap>, name: &str, row: Row) -> Result<()> {
+        let (keys, change) = self.table(keys, name)?;
+        let key = row.first().ok_or_else(|| Error::instance(format!("keyless row in `{name}`")))?;
+        let pos = change.base_len + change.delta.appended.len();
+        let prev = keys.insert(key.clone(), pos as u32);
+        debug_assert!(prev.is_none(), "append with a duplicate default key");
+        change.delta.appended.push(row);
+        Ok(())
+    }
+
+    /// Removes the row keyed `pk` from table `name`: a base row by its
+    /// position, a row the batch appended in place, which moves the rows
+    /// appended after it up by one.
+    fn remove(
+        &mut self,
+        keys: &mut BTreeMap<String, KeyMap>,
+        name: &str,
+        pk: &Value,
+    ) -> Result<()> {
+        let (keys, change) = self.table(keys, name)?;
+        let pos = keys.remove(pk).ok_or_else(|| no_row(name, pk))? as usize;
+        let appended = &mut change.delta.appended;
+        match pos.checked_sub(change.base_len) {
+            None => change.delta.removed.push(pos as u32),
+            Some(k) if k < appended.len() => {
+                appended.remove(k);
+                for row in &appended[k..] {
+                    *keys.get_mut(&row[0]).ok_or_else(|| no_row(name, &row[0]))? -= 1;
+                }
+            }
+            Some(_) => return Err(no_row(name, pk)),
+        }
+        Ok(())
+    }
+
+    /// Sets column `col` of the row keyed `pk` in table `name`: a base
+    /// row by a patch at its position, a row the batch appended in place.
+    /// A new default key takes over the row's position.
+    fn patch(
+        &mut self,
+        keys: &mut BTreeMap<String, KeyMap>,
+        name: &str,
+        pk: &Value,
+        col: usize,
+        value: Value,
+    ) -> Result<()> {
+        let (keys, change) = self.table(keys, name)?;
+        let pos = *keys.get(pk).ok_or_else(|| no_row(name, pk))?;
+        if col == 0 && *pk != value {
+            keys.remove(pk);
+            keys.insert(value.clone(), pos);
+        }
+        match (pos as usize).checked_sub(change.base_len) {
+            None => change.delta.patches.push((pos as usize, col, value)),
+            Some(k) => {
+                let cell = change.delta.appended.get_mut(k).and_then(|row| row.get_mut(col));
+                *cell.ok_or_else(|| no_row(name, pk))? = value;
+            }
+        }
+        Ok(())
+    }
 }
 
-/// Phase 2: applies a validated delta to the master graph and table logs,
-/// recording per-table change sets in pre-commit published coordinates.
-fn apply_delta(st: &mut StoreState, delta: &Delta) -> Result<Applied> {
-    let mut pending: BTreeMap<String, Pending> = BTreeMap::new();
+fn no_row(name: &str, pk: &Value) -> Error {
+    Error::instance(format!("no row with key {pk} in `{name}`"))
+}
+
+/// Phase 2: applies a validated delta to the master graph, and writes its
+/// rows into the batch's table changes, returning the stable keys it
+/// assigned.
+fn apply_delta(
+    st: &mut StoreState,
+    rows: &mut Rows<'_>,
+    delta: &Delta,
+) -> Result<(Vec<NodeKey>, Vec<EdgeKey>)> {
     let mut new_node_keys: Vec<NodeKey> = Vec::with_capacity(delta.nodes_added);
     let mut new_edge_keys: Vec<EdgeKey> = Vec::with_capacity(delta.edges_added);
     for op in delta.ops() {
@@ -2049,7 +2116,7 @@ fn apply_delta(st: &mut StoreState, delta: &Delta) -> Result<Applied> {
                     .ok_or_else(|| Error::instance(format!("label `{label}` is undeclared")))?;
                 let row: Vec<Value> =
                     ty.keys.iter().map(|k| st.graph.node(id).prop(k.as_str())).collect();
-                append_row(st, &mut pending, label.as_str(), row)?;
+                rows.append(&mut st.keys, label.as_str(), row)?;
             }
             Mutation::AddEdge { label, src, tgt, props } => {
                 let key = EdgeKey(st.next_key);
@@ -2083,7 +2150,7 @@ fn apply_delta(st: &mut StoreState, delta: &Delta) -> Result<Applied> {
                     ty.keys.iter().map(|k| st.graph.edge(id).prop(k.as_str())).collect();
                 row.push(st.graph.node(src_id).prop(src_dk.as_str()));
                 row.push(st.graph.node(tgt_id).prop(tgt_dk.as_str()));
-                append_row(st, &mut pending, label.as_str(), row)?;
+                rows.append(&mut st.keys, label.as_str(), row)?;
             }
             Mutation::RemoveEdge { edge } => {
                 let key = match edge {
@@ -2108,7 +2175,7 @@ fn apply_delta(st: &mut StoreState, delta: &Delta) -> Result<Applied> {
                 if id.0 < st.edge_keys.len() {
                     st.edge_ids.insert(st.edge_keys[id.0], id);
                 }
-                tombstone_row(st, &mut pending, label.as_str(), &pk)?;
+                rows.remove(&mut st.keys, label.as_str(), &pk)?;
             }
             Mutation::RemoveNode { node } => {
                 let key = match node {
@@ -2132,7 +2199,7 @@ fn apply_delta(st: &mut StoreState, delta: &Delta) -> Result<Applied> {
                 if id.0 < st.node_keys.len() {
                     st.node_ids.insert(st.node_keys[id.0], id);
                 }
-                tombstone_row(st, &mut pending, label.as_str(), &pk)?;
+                rows.remove(&mut st.keys, label.as_str(), &pk)?;
             }
             Mutation::SetNodeProp { node, key, value } => {
                 let nkey = match node {
@@ -2155,7 +2222,7 @@ fn apply_delta(st: &mut StoreState, delta: &Delta) -> Result<Applied> {
                     .ok_or_else(|| Error::instance(format!("undeclared key `{key}`")))?;
                 let pk_before = st.graph.try_node(id)?.prop(ty.default_key().as_str());
                 st.graph.set_node_prop(id, key.clone(), value.clone())?;
-                patch_row(st, &mut pending, label.as_str(), &pk_before, col, value.clone())?;
+                rows.patch(&mut st.keys, label.as_str(), &pk_before, col, value.clone())?;
                 if col == 0 && pk_before != *value {
                     // The node's default key is the join value every
                     // incident edge row carries in SRC/TGT: patch them too.
@@ -2181,7 +2248,7 @@ fn apply_delta(st: &mut StoreState, delta: &Delta) -> Result<Applied> {
                             Error::instance(format!("label `{elabel}` is undeclared"))
                         })?;
                         let ecol = if is_src { ety.keys.len() } else { ety.keys.len() + 1 };
-                        patch_row(st, &mut pending, elabel.as_str(), &epk, ecol, value.clone())?;
+                        rows.patch(&mut st.keys, elabel.as_str(), &epk, ecol, value.clone())?;
                     }
                 }
             }
@@ -2206,45 +2273,11 @@ fn apply_delta(st: &mut StoreState, delta: &Delta) -> Result<Applied> {
                     .ok_or_else(|| Error::instance(format!("undeclared key `{key}`")))?;
                 let pk_before = st.graph.try_edge(id)?.prop(ty.default_key().as_str());
                 st.graph.set_edge_prop(id, key.clone(), value.clone())?;
-                patch_row(st, &mut pending, label.as_str(), &pk_before, col, value.clone())?;
+                rows.patch(&mut st.keys, label.as_str(), &pk_before, col, value.clone())?;
             }
         }
     }
-    // Translate commit-local slot coordinates into pre-commit published
-    // positions and extract one TableDelta per touched table.
-    let mut deltas: BTreeMap<String, TableDelta> = BTreeMap::new();
-    for (name, p) in pending {
-        let Some(table) = st.tables.get(&name) else {
-            return Err(Error::instance(format!("no induced table `{name}`")));
-        };
-        let mut out = TableDelta::new();
-        if !(p.removed_slots.is_empty() && p.patches.is_empty()) {
-            let removed_set: HashSet<usize> = p.removed_slots.iter().copied().collect();
-            let mut pos = vec![u32::MAX; p.len_before];
-            let mut next = 0u32;
-            for (slot, entry) in pos.iter_mut().enumerate() {
-                if !table.is_dead(slot) || removed_set.contains(&slot) {
-                    *entry = next;
-                    next += 1;
-                }
-            }
-            out.removed = p.removed_slots.iter().map(|s| pos[*s]).collect();
-            out.removed.sort_unstable();
-            out.removed.dedup();
-            out.patches =
-                p.patches.iter().map(|(s, c, v)| (pos[*s] as usize, *c, v.clone())).collect();
-        }
-        out.appended = p
-            .appended_slots
-            .iter()
-            .filter(|s| !table.is_dead(**s))
-            .map(|s| table.row(*s).clone())
-            .collect();
-        if !out.is_empty() {
-            deltas.insert(name, out);
-        }
-    }
-    Ok(Applied { deltas, node_keys: new_node_keys, edge_keys: new_edge_keys })
+    Ok((new_node_keys, new_edge_keys))
 }
 
 fn resolve_applied_node(st: &StoreState, new_node_keys: &[NodeKey], r: &NodeRef) -> Result<NodeId> {
@@ -2258,74 +2291,6 @@ fn resolve_applied_node(st: &StoreState, new_node_keys: &[NodeKey], r: &NodeRef)
         .get(&key)
         .copied()
         .ok_or_else(|| Error::instance(format!("unknown or removed node {key}")))
-}
-
-/// Appends a row to a table log and records the append.  The pending
-/// entry is created (capturing `len_before`) **before** the log grows, so
-/// pre-commit coordinates stay correct.
-fn append_row(
-    st: &mut StoreState,
-    pending: &mut BTreeMap<String, Pending>,
-    name: &str,
-    row: Vec<Value>,
-) -> Result<()> {
-    touch(pending, &st.tables, name);
-    let slot = st
-        .tables
-        .get_mut(name)
-        .ok_or_else(|| Error::instance(format!("no induced table `{name}`")))?
-        .append(row);
-    // Infallible: `touch` above inserted the entry under this same borrow.
-    pending.get_mut(name).expect("touched above").appended_slots.push(slot);
-    Ok(())
-}
-
-/// Tombstones the row carrying `pk` and records the removal (or cancels
-/// the append when the row was added by this very commit).
-fn tombstone_row(
-    st: &mut StoreState,
-    pending: &mut BTreeMap<String, Pending>,
-    name: &str,
-    pk: &Value,
-) -> Result<()> {
-    let slot = st
-        .tables
-        .get_mut(name)
-        .and_then(|t| t.tombstone(pk))
-        .ok_or_else(|| Error::instance(format!("no row with key {pk} in `{name}`")))?;
-    let p = touch(pending, &st.tables, name);
-    if slot >= p.len_before {
-        p.appended_slots.retain(|s| *s != slot);
-    } else {
-        p.removed_slots.push(slot);
-    }
-    Ok(())
-}
-
-/// Patches one cell of the row carrying `pk_before` and records the patch
-/// when the row predates this commit (appended rows are read back from
-/// the log at extraction time, so their patches need no record).
-fn patch_row(
-    st: &mut StoreState,
-    pending: &mut BTreeMap<String, Pending>,
-    name: &str,
-    pk_before: &Value,
-    col: usize,
-    value: Value,
-) -> Result<()> {
-    let table = st
-        .tables
-        .get_mut(name)
-        .ok_or_else(|| Error::instance(format!("no induced table `{name}`")))?;
-    let slot = table
-        .slot_of(pk_before)
-        .ok_or_else(|| Error::instance(format!("no row with key {pk_before} in `{name}`")))?;
-    table.patch(slot, col, value.clone());
-    let p = touch(pending, &st.tables, name);
-    if slot < p.len_before {
-        p.patches.push((slot, col, value));
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -2553,8 +2518,18 @@ cold:\n{cold_table}"
         assert_eq!(snap.graph().edge_count(), 2);
     }
 
+    /// Each table's key map, checked against its published image: every
+    /// row's key maps to the row's position.
+    fn key_maps(store: &GraphStore) -> BTreeMap<String, KeyMap> {
+        let keys = store.state.lock().unwrap().keys.clone();
+        for (name, table) in store.snapshot().induced().tables() {
+            assert_eq!(keys[name], key_map(name, table).unwrap(), "key map of `{name}`");
+        }
+        keys
+    }
+
     #[test]
-    fn removals_tombstone_then_compact_without_changing_images() {
+    fn mass_removals_renumber_the_key_maps() {
         let store = GraphStore::open(emp_schema(), GraphInstance::new()).unwrap();
         let mut d = Delta::new();
         for i in 0..100 {
@@ -2562,20 +2537,20 @@ cold:\n{cold_table}"
         }
         let info = store.commit(d).unwrap();
         let mut d = Delta::new();
-        for key in info.node_keys.iter().take(80) {
-            d.remove_node(*key);
+        // Every fifth row, then a prefix: removals out of position order.
+        let doomed: Vec<usize> =
+            (0..100).step_by(5).chain((0..60).filter(|i| i % 5 != 0)).collect();
+        for i in doomed {
+            d.remove_node(info.node_keys[i]);
         }
         store.commit(d).unwrap();
         let stats = store.stats();
-        assert_eq!(stats.live_nodes, 20);
-        assert!(stats.compactions >= 1, "80% tombstones must have compacted");
+        assert_eq!(stats.live_nodes, 32);
         assert_matches_cold_freeze(&store);
-        // Force-compact whatever is left and re-verify.
-        store.compact_now();
-        assert_matches_cold_freeze(&store);
+        assert_eq!(key_maps(&store)["EMP"].len(), 32);
         let report =
             run_published(&store, &[BatchQuery::sql("SELECT Count(*) AS c FROM EMP AS e")], 1);
-        assert_eq!(report.outcomes[0].result.as_ref().unwrap().rows[0][0], Value::Int(20));
+        assert_eq!(report.outcomes[0].result.as_ref().unwrap().rows[0][0], Value::Int(32));
     }
 
     #[test]
@@ -2695,6 +2670,275 @@ cold:\n{cold_table}"
         assert!(Arc::ptr_eq(&extra0, &extra1));
     }
 
+    // ------------------------------------------------- batch ≡ serial
+
+    /// The biomedical fixture: Figure 3a's concepts, predication
+    /// assertions and sentences, two edge labels.
+    fn biomed_schema() -> GraphSchema {
+        GraphSchema::new()
+            .with_node(NodeType::new("CONCEPT", ["CID", "Name"]))
+            .with_node(NodeType::new("PA", ["PID", "PCSID"]))
+            .with_node(NodeType::new("SENTENCE", ["SID", "PMID"]))
+            .with_edge(EdgeType::new("CS", "CONCEPT", "PA", ["CSEID", "CSID"]))
+            .with_edge(EdgeType::new("SP", "PA", "SENTENCE", ["SPID", "SPSID"]))
+    }
+
+    fn biomed_graph() -> GraphInstance {
+        let mut g = GraphInstance::new();
+        let int = Value::Int;
+        let atropine = g.add_node("CONCEPT", [("CID", int(1)), ("Name", Value::str("Atropine"))]);
+        g.add_node("CONCEPT", [("CID", int(2)), ("Name", Value::str("Aspirin"))]);
+        let pa0 = g.add_node("PA", [("PID", int(0)), ("PCSID", int(0))]);
+        let pa1 = g.add_node("PA", [("PID", int(1)), ("PCSID", int(1))]);
+        let s0 = g.add_node("SENTENCE", [("SID", int(0)), ("PMID", int(0))]);
+        g.add_node("SENTENCE", [("SID", int(1)), ("PMID", int(0))]);
+        g.add_edge("CS", atropine, pa0, [("CSEID", int(0)), ("CSID", int(0))]);
+        g.add_edge("CS", atropine, pa1, [("CSEID", int(1)), ("CSID", int(1))]);
+        g.add_edge("SP", pa0, s0, [("SPID", int(0)), ("SPSID", int(0))]);
+        g.add_edge("SP", pa1, s0, [("SPID", int(1)), ("SPSID", int(0))]);
+        g
+    }
+
+    /// Every live `(label, default key)` of a store.
+    fn live_keys(store: &GraphStore) -> HashSet<(Ident, Value)> {
+        let nodes = store.node_directory().into_iter().map(|(_, l, v)| (l, v));
+        nodes.chain(store.edge_directory().into_iter().map(|(_, l, v, ..)| (l, v))).collect()
+    }
+
+    /// Draws one member of a batch against `oracle`, the store with every
+    /// earlier member committed: one to four operations on rows of the
+    /// base image and rows earlier members appended (the elements keyed
+    /// `>= first_new`, drawn half the time), and on elements staged
+    /// earlier in the same delta.  A default key is fresh, or one an
+    /// earlier member freed; a freed key already reclaimed makes the
+    /// member a duplicate, and so does a deliberate duplicate add.
+    fn random_member(
+        rng: &mut rand::rngs::StdRng,
+        oracle: &GraphStore,
+        fresh: &mut i64,
+        freed: &[(Ident, Value)],
+        first_new: u64,
+    ) -> Delta {
+        use rand::Rng;
+        let schema = oracle.state.lock().unwrap().schema.clone();
+        let mut key_for = |rng: &mut rand::rngs::StdRng, label: &Ident| {
+            let reusable: Vec<&Value> =
+                freed.iter().filter(|(l, _)| l == label).map(|(_, v)| v).collect();
+            if !reusable.is_empty() && rng.gen_bool(0.4) {
+                reusable[rng.gen_range(0..reusable.len())].clone()
+            } else {
+                *fresh += 1;
+                Value::Int(*fresh)
+            }
+        };
+        let payload = |rng: &mut rand::rngs::StdRng| match rng.gen_range(0..3u32) {
+            0 => Value::Int(rng.gen_range(0..4i64)),
+            1 => Value::str(["a", "b"][rng.gen_range(0..2usize)]),
+            _ => Value::Null,
+        };
+        // Existing elements, half the time only those earlier members added.
+        let recent = rng.gen_bool(0.5);
+        let mut nodes: Vec<(NodeKey, Ident)> = oracle
+            .node_directory()
+            .into_iter()
+            .filter(|(k, ..)| !recent || k.0 >= first_new)
+            .map(|(k, l, _)| (k, l))
+            .collect();
+        let mut edges: Vec<(EdgeKey, Ident, NodeKey, NodeKey)> = oracle
+            .edge_directory()
+            .into_iter()
+            .filter(|(k, ..)| !recent || k.0 >= first_new)
+            .map(|(k, l, _, s, t)| (k, l, s, t))
+            .collect();
+        let all_edges = oracle.edge_directory();
+        let mut removed_edges: HashSet<EdgeKey> = HashSet::new();
+        // Staged nodes (reference, label, alive) and edges (reference,
+        // label, endpoints, alive).
+        let mut staged_nodes: Vec<(NodeRef, Ident, bool)> = Vec::new();
+        let mut staged_edges: Vec<(EdgeRef, Ident, [NodeRef; 2], bool)> = Vec::new();
+        let mut d = Delta::new();
+        for _ in 0..rng.gen_range(1..=4usize) {
+            match rng.gen_range(0..100u32) {
+                0..=24 => {
+                    let ty = &schema.node_types[rng.gen_range(0..schema.node_types.len())];
+                    let mut props = vec![(ty.keys[0].clone(), key_for(rng, &ty.label))];
+                    props.push((ty.keys[1].clone(), payload(rng)));
+                    let r = d.add_node(ty.label.clone(), props);
+                    staged_nodes.push((r, ty.label.clone(), true));
+                }
+                25..=39 => {
+                    let ty = &schema.edge_types[rng.gen_range(0..schema.edge_types.len())];
+                    let ends = |label: &Ident| -> Vec<NodeRef> {
+                        let existing = oracle
+                            .node_directory()
+                            .into_iter()
+                            .filter(|(k, l, _)| l == label && nodes.iter().any(|(n, _)| n == k))
+                            .map(|(k, ..)| NodeRef::Key(k));
+                        let staged = staged_nodes.iter().filter(|n| n.2 && n.1 == *label);
+                        existing.chain(staged.map(|n| n.0)).collect()
+                    };
+                    let (src, tgt) = (ends(&ty.src), ends(&ty.tgt));
+                    if src.is_empty() || tgt.is_empty() {
+                        continue;
+                    }
+                    let ends = [src[rng.gen_range(0..src.len())], tgt[rng.gen_range(0..tgt.len())]];
+                    let mut props: Vec<(Ident, Value)> =
+                        ty.keys[1..].iter().map(|k| (k.clone(), payload(rng))).collect();
+                    props.insert(0, (ty.keys[0].clone(), key_for(rng, &ty.label)));
+                    let r = d.add_edge(ty.label.clone(), ends[0], ends[1], props);
+                    staged_edges.push((r, ty.label.clone(), ends, true));
+                    // An endpoint of a staged edge must outlive the delta.
+                    nodes.retain(|(k, _)| !ends.contains(&NodeRef::Key(*k)));
+                }
+                40..=54 if !edges.is_empty() => {
+                    let (k, ..) = edges.swap_remove(rng.gen_range(0..edges.len()));
+                    d.remove_edge(k);
+                    removed_edges.insert(k);
+                }
+                55..=64 => {
+                    // A node whose every remaining edge this delta removed.
+                    let bare: Vec<usize> = (0..nodes.len())
+                        .filter(|&i| {
+                            all_edges.iter().all(|(e, _, _, s, t)| {
+                                removed_edges.contains(e) || (*s != nodes[i].0 && *t != nodes[i].0)
+                            })
+                        })
+                        .collect();
+                    if bare.is_empty() {
+                        continue;
+                    }
+                    let (k, _) = nodes.swap_remove(bare[rng.gen_range(0..bare.len())]);
+                    d.remove_node(k);
+                }
+                65..=74 if !nodes.is_empty() => {
+                    let (k, label) = nodes[rng.gen_range(0..nodes.len())].clone();
+                    let ty = schema.node_type(label.as_str()).unwrap();
+                    match rng.gen_bool(0.5) {
+                        true => d.set_node_prop(k, ty.keys[0].clone(), key_for(rng, &label)),
+                        false => d.set_node_prop(k, ty.keys[1].clone(), payload(rng)),
+                    };
+                }
+                75..=84 if !edges.is_empty() => {
+                    let (k, label, ..) = edges[rng.gen_range(0..edges.len())].clone();
+                    let ty = schema.edge_type(label.as_str()).unwrap();
+                    match ty.keys.get(1).filter(|_| rng.gen_bool(0.5)) {
+                        Some(payload_key) => d.set_edge_prop(k, payload_key.clone(), payload(rng)),
+                        None => d.set_edge_prop(k, ty.keys[0].clone(), key_for(rng, &label)),
+                    };
+                }
+                _ => {
+                    // Remove, patch or re-key a staged element (a staged
+                    // node only after its staged edges).
+                    let live_edges: Vec<usize> =
+                        (0..staged_edges.len()).filter(|&i| staged_edges[i].3).collect();
+                    let bare_nodes: Vec<usize> = (0..staged_nodes.len())
+                        .filter(|&i| staged_nodes[i].2)
+                        .filter(|&i| {
+                            !staged_edges.iter().any(|e| e.3 && e.2.contains(&staged_nodes[i].0))
+                        })
+                        .collect();
+                    match rng.gen_range(0..4u32) {
+                        0 if !live_edges.is_empty() => {
+                            let i = live_edges[rng.gen_range(0..live_edges.len())];
+                            d.remove_edge(staged_edges[i].0);
+                            staged_edges[i].3 = false;
+                        }
+                        1 if !bare_nodes.is_empty() => {
+                            let i = bare_nodes[rng.gen_range(0..bare_nodes.len())];
+                            d.remove_node(staged_nodes[i].0);
+                            staged_nodes[i].2 = false;
+                        }
+                        2 if !live_edges.is_empty() => {
+                            let (r, label, ..) = staged_edges[live_edges[0]].clone();
+                            let ty = schema.edge_type(label.as_str()).unwrap();
+                            d.set_edge_prop(r, ty.keys[0].clone(), key_for(rng, &label));
+                        }
+                        _ => {
+                            let live: Vec<usize> =
+                                (0..staged_nodes.len()).filter(|&i| staged_nodes[i].2).collect();
+                            if live.is_empty() {
+                                continue;
+                            }
+                            let (r, label, _) =
+                                staged_nodes[live[rng.gen_range(0..live.len())]].clone();
+                            let ty = schema.node_type(label.as_str()).unwrap();
+                            match rng.gen_bool(0.5) {
+                                true => {
+                                    d.set_node_prop(r, ty.keys[0].clone(), key_for(rng, &label))
+                                }
+                                false => d.set_node_prop(r, ty.keys[1].clone(), payload(rng)),
+                            };
+                        }
+                    }
+                }
+            }
+        }
+        if rng.gen_bool(0.15) {
+            // A duplicate of a live default key: the member is rejected.
+            if let Some((_, label, key)) = oracle.node_directory().first().cloned() {
+                let ty = schema.node_type(label.as_str()).unwrap();
+                d.add_node(label, [(ty.keys[0].clone(), key)]);
+            }
+        }
+        d
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// A batch is its members committed serially: each member's
+        /// generation or rejection, the stable keys it is assigned, both
+        /// published layouts row for row, and the key maps.  The members
+        /// remove, patch and re-key base rows, rows earlier members
+        /// appended and rows staged in the same member, free default keys
+        /// that later members claim, and are sometimes rejected.
+        #[test]
+        fn a_batch_equals_its_members_committed_serially(
+            seed in proptest::prelude::any::<u64>(),
+            biomed in proptest::prelude::any::<bool>(),
+        ) {
+            use rand::{Rng, SeedableRng};
+            let (schema, graph) =
+                if biomed { (biomed_schema(), biomed_graph()) } else { (emp_schema(), emp_graph()) };
+            let first_new = (graph.node_count() + graph.edge_count()) as u64;
+            let oracle = GraphStore::open(schema.clone(), graph.clone()).unwrap();
+            let batched = GraphStore::open(schema, graph).unwrap();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let (mut fresh, mut freed) = (1_000i64, Vec::new());
+            let mut members = Vec::new();
+            let mut serial = Vec::new();
+            for _ in 0..rng.gen_range(2..=8usize) {
+                let before = live_keys(&oracle);
+                let delta = random_member(&mut rng, &oracle, &mut fresh, &freed, first_new);
+                let outcome = match oracle.commit(delta.clone()) {
+                    Ok(info) => Some((info.generation, info.node_keys, info.edge_keys)),
+                    Err(StoreError::Rejected(_)) => None,
+                    Err(e) => panic!("an in-memory commit fails only by rejection: {e}"),
+                };
+                freed.extend(before.difference(&live_keys(&oracle)).cloned());
+                members.push(CommitRequest::from(delta));
+                serial.push(outcome);
+            }
+            let results = batched.commit_batch(members);
+            for (i, (got, want)) in results.into_iter().zip(serial).enumerate() {
+                match (got, want) {
+                    (Ok(info), Some(want)) => {
+                        assert_eq!((info.generation, info.node_keys, info.edge_keys), want, "member {i}")
+                    }
+                    (Err(StoreError::Rejected(_)), None) => {}
+                    (got, want) => panic!("member {i}: batch {:?}, serial {want:?}", got.map(|c| c.generation)),
+                }
+            }
+            let (a, b) = (batched.snapshot(), oracle.snapshot());
+            let columnar = a.sql_columnar(&SqlTarget::Induced).unwrap();
+            for (name, table) in b.induced().tables() {
+                assert_eq!(a.induced().table(name), Some(table), "row image of `{name}`");
+                assert_eq!(columnar.table(name).unwrap().to_table(), *table, "columnar `{name}`");
+            }
+            assert_eq!(key_maps(&batched), key_maps(&oracle), "key maps");
+        }
+    }
+
     // ------------------------------------------------------- durability
 
     /// A unique scratch directory under the workspace `target/` dir
@@ -2761,7 +3005,7 @@ cold:\n{cold_table}"
 
     /// Recovered state must be *exactly* the oracle's: same generation,
     /// identical published images in both layouts (row order included —
-    /// log order survives recovery), and query-equivalent through the
+    /// published order survives recovery), and query-equivalent through the
     /// engine.
     fn assert_stores_equal(recovered: &GraphStore, oracle: &GraphStore) {
         assert_eq!(recovered.generation(), oracle.generation(), "generation");
@@ -2773,7 +3017,7 @@ cold:\n{cold_table}"
         assert_eq!(names_a, names_b, "induced table sets");
         for (name, ta) in a.induced().tables() {
             let tb = b.induced().table(name).unwrap();
-            assert_eq!(ta, tb, "row image of `{name}` (log order must survive recovery)");
+            assert_eq!(ta, tb, "row image of `{name}` (published order must survive recovery)");
             let ca = a.sql_columnar(&SqlTarget::Induced).unwrap().table(name).unwrap().to_table();
             assert_eq!(ca, *tb, "columnar image of `{name}`");
         }

@@ -198,6 +198,12 @@ fn encode_record(generation: u64, token: Option<u128>, delta: &Delta) -> Vec<u8>
 
 // ---------------------------------------------------------------- decoding
 
+/// The most elements a decoder pre-allocates for a count it read off
+/// the bytes.  Counts come off the wire or the disk, so a hostile one
+/// must not allocate gigabytes (an allocation failure aborts the process)
+/// before the bounds checks reject the payload.
+pub(crate) const PREALLOC_CAP: usize = 1024;
+
 /// A bounds-checked reader over a byte slice.
 pub(crate) struct Cursor<'a> {
     buf: &'a [u8],
@@ -254,7 +260,7 @@ impl<'a> Cursor<'a> {
 
     fn props(&mut self) -> Result<Vec<(Ident, Value)>> {
         let n = self.u32()? as usize;
-        let mut out = Vec::with_capacity(n);
+        let mut out = Vec::with_capacity(n.min(PREALLOC_CAP));
         for _ in 0..n {
             let k = Ident::new(self.str()?);
             let v = self.value()?;
@@ -307,10 +313,7 @@ impl<'a> Cursor<'a> {
     /// Decodes a [`put_delta`]-shaped delta: op count, then operations.
     pub(crate) fn delta(&mut self) -> Result<Delta> {
         let n = self.u32()? as usize;
-        // Cap the pre-allocation: `n` comes off the wire/disk, so a
-        // hostile count must not allocate gigabytes before the bounds
-        // checks reject the payload.
-        let mut ops = Vec::with_capacity(n.min(1024));
+        let mut ops = Vec::with_capacity(n.min(PREALLOC_CAP));
         for _ in 0..n {
             ops.push(self.mutation()?);
         }
@@ -571,6 +574,30 @@ mod tests {
         d.remove_edge(EdgeKey(9));
         d.remove_node(NodeKey(2));
         d
+    }
+
+    /// A record that passes its checksum but claims `u32::MAX`
+    /// properties for its one `AddNode` is refused by the decoder (an
+    /// uncapped pre-allocation for that count aborted the process), and
+    /// the segment scan stops before it.
+    #[test]
+    fn a_crc_valid_record_with_a_hostile_count_is_refused() {
+        let mut payload = Vec::new();
+        put_u64(&mut payload, 1);
+        payload.push(0); // flags: no token
+        put_u32(&mut payload, 1); // one operation
+        payload.push(0); // AddNode
+        put_str(&mut payload, "EMP");
+        put_u32(&mut payload, u32::MAX);
+        assert!(decode_record(&payload).is_err());
+        let path = scratch_dir("hostile-count").join(segment_path(Path::new(""), 0));
+        let mut bytes = Vec::new();
+        put_u32(&mut bytes, payload.len() as u32);
+        put_u32(&mut bytes, crc32(&payload));
+        bytes.extend_from_slice(&payload);
+        std::fs::write(&path, &bytes).unwrap();
+        let scan = read_segment(&StdVfs, &path).unwrap();
+        assert!(scan.records.is_empty() && scan.torn && scan.valid_len == 0);
     }
 
     #[test]

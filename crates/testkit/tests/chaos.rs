@@ -26,17 +26,16 @@
 //! CI `chaos` job runs a modest case count; the nightly leg raises it
 //! via `PROPTEST_CASES` (honored below).
 
-use graphiti_common::{Ident, Value};
+mod common;
+
+use common::random_delta;
 use graphiti_engine::{BatchQuery, SqlTarget};
 use graphiti_graph::{GraphInstance, GraphSchema};
-use graphiti_store::{
-    Delta, DurabilityOptions, EdgeKey, FaultKind, FaultVfs, GraphStore, NodeKey, NodeRef, OpClass,
-};
+use graphiti_store::{Delta, DurabilityOptions, FaultKind, FaultVfs, GraphStore, OpClass};
 use graphiti_testkit::{arb_instance, fixtures};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -112,139 +111,6 @@ fn assert_store_equals_oracle(live: &GraphStore, oracle: &GraphStore, context: &
         let (lo, oo) = (lo.result.expect(q), oo.result.expect(q));
         assert!(lo.equivalent(&oo), "query `{q}` diverges ({context}):\n{lo}\nvs\n{oo}");
     }
-}
-
-// ------------------------------------------------------ script generator
-// Same shape as `durability.rs`'s (which documents why each test binary
-// carries its own copy): random, valid-by-construction deltas.
-
-fn random_prop_value(rng: &mut StdRng) -> Value {
-    match rng.gen_range(0..4usize) {
-        0 => Value::Int(rng.gen_range(0..4i64)),
-        1 => Value::str(["a", "b", "c"][rng.gen_range(0..3usize)]),
-        2 => Value::Bool(rng.gen_bool(0.5)),
-        _ => Value::Null,
-    }
-}
-
-fn props_for(keys: &[Ident], fresh_pk: i64, rng: &mut StdRng) -> Vec<(String, Value)> {
-    keys.iter()
-        .enumerate()
-        .map(|(i, k)| {
-            let v = if i == 0 { Value::Int(fresh_pk) } else { random_prop_value(rng) };
-            (k.to_string(), v)
-        })
-        .collect()
-}
-
-fn random_delta(
-    rng: &mut StdRng,
-    store: &GraphStore,
-    schema: &GraphSchema,
-    next_pk: &mut i64,
-) -> Delta {
-    let mut delta = Delta::new();
-    let nodes = store.node_directory();
-    let edges = store.edge_directory();
-    let mut removed_nodes: HashSet<NodeKey> = HashSet::new();
-    let mut removed_edges: HashSet<EdgeKey> = HashSet::new();
-    let mut staged: Vec<(NodeRef, Ident)> = Vec::new();
-    let mut staged_endpoints: HashSet<NodeKey> = HashSet::new();
-    let ops = rng.gen_range(1..=5usize);
-    for _ in 0..ops {
-        match rng.gen_range(0..100u32) {
-            0..=39 => {
-                let ty = &schema.node_types[rng.gen_range(0..schema.node_types.len())];
-                *next_pk += 1;
-                let r = delta.add_node(ty.label.clone(), props_for(&ty.keys, *next_pk, rng));
-                staged.push((r, ty.label.clone()));
-            }
-            40..=64 if !schema.edge_types.is_empty() => {
-                let ty = &schema.edge_types[rng.gen_range(0..schema.edge_types.len())];
-                let pick = |label: &Ident,
-                            rng: &mut StdRng,
-                            staged: &[(NodeRef, Ident)]|
-                 -> Option<NodeRef> {
-                    let mut candidates: Vec<NodeRef> = nodes
-                        .iter()
-                        .filter(|(k, l, _)| l == label && !removed_nodes.contains(k))
-                        .map(|(k, _, _)| NodeRef::Key(*k))
-                        .collect();
-                    candidates.extend(staged.iter().filter(|(_, l)| l == label).map(|(r, _)| *r));
-                    if candidates.is_empty() {
-                        None
-                    } else {
-                        Some(candidates[rng.gen_range(0..candidates.len())])
-                    }
-                };
-                let (Some(src), Some(tgt)) =
-                    (pick(&ty.src, rng, &staged), pick(&ty.tgt, rng, &staged))
-                else {
-                    continue;
-                };
-                *next_pk += 1;
-                delta.add_edge(ty.label.clone(), src, tgt, props_for(&ty.keys, *next_pk, rng));
-                for endpoint in [src, tgt] {
-                    if let NodeRef::Key(k) = endpoint {
-                        staged_endpoints.insert(k);
-                    }
-                }
-            }
-            65..=79 => {
-                let candidates: Vec<EdgeKey> = edges
-                    .iter()
-                    .filter(|(k, ..)| !removed_edges.contains(k))
-                    .map(|(k, ..)| *k)
-                    .collect();
-                if candidates.is_empty() {
-                    continue;
-                }
-                let victim = candidates[rng.gen_range(0..candidates.len())];
-                delta.remove_edge(victim);
-                removed_edges.insert(victim);
-            }
-            80..=87 => {
-                let candidates: Vec<NodeKey> = nodes
-                    .iter()
-                    .filter(|(k, _, _)| {
-                        !removed_nodes.contains(k)
-                            && !staged_endpoints.contains(k)
-                            && edges
-                                .iter()
-                                .filter(|(ek, ..)| !removed_edges.contains(ek))
-                                .all(|(_, _, _, s, t)| s != k && t != k)
-                    })
-                    .map(|(k, _, _)| *k)
-                    .collect();
-                if candidates.is_empty() {
-                    continue;
-                }
-                let victim = candidates[rng.gen_range(0..candidates.len())];
-                delta.remove_node(victim);
-                removed_nodes.insert(victim);
-            }
-            _ => {
-                let candidates: Vec<(NodeKey, Ident)> = nodes
-                    .iter()
-                    .filter(|(k, _, _)| !removed_nodes.contains(k))
-                    .map(|(k, l, _)| (*k, l.clone()))
-                    .collect();
-                if candidates.is_empty() {
-                    continue;
-                }
-                let (key, label) = candidates[rng.gen_range(0..candidates.len())].clone();
-                let ty = schema.node_type(label.as_str()).expect("declared");
-                if ty.keys.len() > 1 && rng.gen_bool(0.7) {
-                    let prop = &ty.keys[rng.gen_range(1..ty.keys.len())];
-                    delta.set_node_prop(key, prop.clone(), random_prop_value(rng));
-                } else {
-                    *next_pk += 1;
-                    delta.set_node_prop(key, ty.keys[0].clone(), Value::Int(*next_pk));
-                }
-            }
-        }
-    }
-    delta
 }
 
 /// Generates a fixed script by evolving an in-memory oracle, so every

@@ -10,29 +10,27 @@
 //! * every induced table matches an in-memory oracle that replayed
 //!   exactly that prefix — identical columns and rows in **both**
 //!   layouts (the row image and the columnar image), since recovery must
-//!   preserve log order, not just bag-equality;
+//!   preserve published row order, not just bag-equality;
 //! * every fixture query evaluates equivalently through the recovered
 //!   store's engine and the oracle's;
 //! * the recovered store keeps accepting (and re-logging) commits.
 //!
-//! Scripts are seeded like `store_equivalence`'s (the generator is
-//! duplicated here: it lives in that test binary, and the testkit lib
-//! cannot depend on `graphiti-store`).  Checkpoint cadence is drawn per
+//! Scripts come from the generator the store suites share (`common`).
+//! Checkpoint cadence is drawn per
 //! case so cuts land in fresh segments, checkpoint-covered territory, and
 //! bootstrap-only directories alike.  The nightly durability CI job
 //! raises the case count via `PROPTEST_CASES`.
 
-use graphiti_common::{Ident, Value};
+mod common;
+
+use common::random_delta;
 use graphiti_engine::{BatchQuery, SqlTarget};
 use graphiti_graph::{GraphInstance, GraphSchema};
-use graphiti_store::{
-    wal_segment_files, Delta, DurabilityOptions, EdgeKey, GraphStore, NodeKey, NodeRef,
-};
+use graphiti_store::{wal_segment_files, Delta, DurabilityOptions, GraphStore};
 use graphiti_testkit::{arb_instance, fixtures};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
 /// Opens a durable store through [`GraphStore::builder`] — the one
@@ -71,7 +69,7 @@ fn copy_dir(src: &Path, dst: &Path) {
 }
 
 /// Recovery must reproduce the oracle *exactly*: same generation, same
-/// row and columnar images (row order included — log order survives
+/// row and columnar images (row order included — published order survives
 /// recovery), and query-equivalent through both engines.
 fn assert_recovered_equals_oracle(recovered: &GraphStore, oracle: &GraphStore, queries: &[&str]) {
     assert_eq!(recovered.generation(), oracle.generation(), "generation");
@@ -84,7 +82,7 @@ fn assert_recovered_equals_oracle(recovered: &GraphStore, oracle: &GraphStore, q
     let col_a = a.sql_columnar(&SqlTarget::Induced).unwrap();
     for (name, ta) in a.induced().tables() {
         let tb = b.induced().table(name).unwrap();
-        assert_eq!(ta, tb, "row image of `{name}` (log order must survive recovery)");
+        assert_eq!(ta, tb, "row image of `{name}` (published order must survive recovery)");
         let ca = col_a.table(name).unwrap().to_table();
         assert_eq!(ca, *tb, "columnar image of `{name}`");
     }
@@ -97,157 +95,6 @@ fn assert_recovered_equals_oracle(recovered: &GraphStore, oracle: &GraphStore, q
             "query `{q}` disagrees after recovery:\nrecovered:\n{live}\noracle:\n{oracle_out}"
         );
     }
-}
-
-/// Draws a random value for a non-default property.
-fn random_prop_value(rng: &mut StdRng) -> Value {
-    match rng.gen_range(0..4usize) {
-        0 => Value::Int(rng.gen_range(0..4i64)),
-        1 => Value::str(["a", "b", "c"][rng.gen_range(0..3usize)]),
-        2 => Value::Bool(rng.gen_bool(0.5)),
-        _ => Value::Null,
-    }
-}
-
-fn props_for(keys: &[Ident], fresh_pk: i64, rng: &mut StdRng) -> Vec<(String, Value)> {
-    keys.iter()
-        .enumerate()
-        .map(|(i, k)| {
-            let v = if i == 0 { Value::Int(fresh_pk) } else { random_prop_value(rng) };
-            (k.to_string(), v)
-        })
-        .collect()
-}
-
-/// Builds one random, *valid-by-construction* delta against the store's
-/// current state (same shape as `store_equivalence`'s generator).
-fn random_delta(
-    rng: &mut StdRng,
-    store: &GraphStore,
-    schema: &GraphSchema,
-    next_pk: &mut i64,
-) -> Delta {
-    let mut delta = Delta::new();
-    let nodes = store.node_directory();
-    let edges = store.edge_directory();
-    let mut removed_nodes: HashSet<NodeKey> = HashSet::new();
-    let mut removed_edges: HashSet<EdgeKey> = HashSet::new();
-    let mut staged: Vec<(NodeRef, Ident)> = Vec::new();
-    let mut staged_endpoints: HashSet<NodeKey> = HashSet::new();
-    let ops = rng.gen_range(1..=6usize);
-    for _ in 0..ops {
-        match rng.gen_range(0..100u32) {
-            0..=34 => {
-                let ty = &schema.node_types[rng.gen_range(0..schema.node_types.len())];
-                *next_pk += 1;
-                let r = delta.add_node(ty.label.clone(), props_for(&ty.keys, *next_pk, rng));
-                staged.push((r, ty.label.clone()));
-            }
-            35..=59 if !schema.edge_types.is_empty() => {
-                let ty = &schema.edge_types[rng.gen_range(0..schema.edge_types.len())];
-                let pick = |label: &Ident,
-                            rng: &mut StdRng,
-                            staged: &[(NodeRef, Ident)]|
-                 -> Option<NodeRef> {
-                    let mut candidates: Vec<NodeRef> = nodes
-                        .iter()
-                        .filter(|(k, l, _)| l == label && !removed_nodes.contains(k))
-                        .map(|(k, _, _)| NodeRef::Key(*k))
-                        .collect();
-                    candidates.extend(staged.iter().filter(|(_, l)| l == label).map(|(r, _)| *r));
-                    if candidates.is_empty() {
-                        None
-                    } else {
-                        Some(candidates[rng.gen_range(0..candidates.len())])
-                    }
-                };
-                let (Some(src), Some(tgt)) =
-                    (pick(&ty.src, rng, &staged), pick(&ty.tgt, rng, &staged))
-                else {
-                    continue;
-                };
-                *next_pk += 1;
-                delta.add_edge(ty.label.clone(), src, tgt, props_for(&ty.keys, *next_pk, rng));
-                for endpoint in [src, tgt] {
-                    if let NodeRef::Key(k) = endpoint {
-                        staged_endpoints.insert(k);
-                    }
-                }
-            }
-            60..=74 => {
-                let candidates: Vec<EdgeKey> = edges
-                    .iter()
-                    .filter(|(k, ..)| !removed_edges.contains(k))
-                    .map(|(k, ..)| *k)
-                    .collect();
-                if candidates.is_empty() {
-                    continue;
-                }
-                let victim = candidates[rng.gen_range(0..candidates.len())];
-                delta.remove_edge(victim);
-                removed_edges.insert(victim);
-            }
-            75..=84 => {
-                let candidates: Vec<NodeKey> = nodes
-                    .iter()
-                    .filter(|(k, _, _)| {
-                        !removed_nodes.contains(k)
-                            && !staged_endpoints.contains(k)
-                            && edges
-                                .iter()
-                                .filter(|(ek, ..)| !removed_edges.contains(ek))
-                                .all(|(_, _, _, s, t)| s != k && t != k)
-                    })
-                    .map(|(k, _, _)| *k)
-                    .collect();
-                if candidates.is_empty() {
-                    continue;
-                }
-                let victim = candidates[rng.gen_range(0..candidates.len())];
-                delta.remove_node(victim);
-                removed_nodes.insert(victim);
-            }
-            85..=89 => {
-                let candidates: Vec<(EdgeKey, Ident)> = edges
-                    .iter()
-                    .filter(|(k, ..)| !removed_edges.contains(k))
-                    .map(|(k, l, ..)| (*k, l.clone()))
-                    .collect();
-                if candidates.is_empty() {
-                    continue;
-                }
-                let (key, label) = candidates[rng.gen_range(0..candidates.len())].clone();
-                let ty = schema.edge_type(label.as_str()).expect("declared");
-                if ty.keys.len() > 1 && rng.gen_bool(0.7) {
-                    let prop = &ty.keys[rng.gen_range(1..ty.keys.len())];
-                    delta.set_edge_prop(key, prop.clone(), random_prop_value(rng));
-                } else {
-                    *next_pk += 1;
-                    delta.set_edge_prop(key, ty.keys[0].clone(), Value::Int(*next_pk));
-                }
-            }
-            _ => {
-                let candidates: Vec<(NodeKey, Ident)> = nodes
-                    .iter()
-                    .filter(|(k, _, _)| !removed_nodes.contains(k))
-                    .map(|(k, l, _)| (*k, l.clone()))
-                    .collect();
-                if candidates.is_empty() {
-                    continue;
-                }
-                let (key, label) = candidates[rng.gen_range(0..candidates.len())].clone();
-                let ty = schema.node_type(label.as_str()).expect("declared");
-                if ty.keys.len() > 1 && rng.gen_bool(0.7) {
-                    let prop = &ty.keys[rng.gen_range(1..ty.keys.len())];
-                    delta.set_node_prop(key, prop.clone(), random_prop_value(rng));
-                } else {
-                    *next_pk += 1;
-                    delta.set_node_prop(key, ty.keys[0].clone(), Value::Int(*next_pk));
-                }
-            }
-        }
-    }
-    delta
 }
 
 proptest! {

@@ -87,7 +87,6 @@ fn every_preexisting_counter_name_still_moves_through_the_registry() {
     let pins: &[(&str, u64, bool)] = &[
         ("graphiti_store_commits_total", stats.commits, true),
         ("graphiti_store_rejected_commits_total", stats.rejected_commits, true),
-        ("graphiti_store_compactions_total", stats.compactions, false),
         ("graphiti_store_fence_events_total", stats.fence_events, false),
         ("graphiti_store_fenced_commits_total", stats.fenced_commits, false),
         ("graphiti_store_idempotent_replays_total", stats.idempotent_replays, true),
