@@ -47,11 +47,10 @@ impl std::fmt::Display for SqlTarget {
 /// A frozen, validated, query-ready database state.
 ///
 /// Every relational instance is materialized **twice** at freeze time: the
-/// row-oriented [`RelInstance`] (plan compilation, subquery re-entry, the
-/// row-at-a-time oracle path) and its columnar image
-/// ([`ColumnInstance`]) that the vectorized executor scans — so every
-/// batch query starts from cache-friendly typed columns without any
-/// per-query conversion.
+/// row-oriented [`RelInstance`] (plan compilation and the naive oracle)
+/// and its columnar image ([`ColumnInstance`]) that the vectorized
+/// executor scans, subqueries included — so every batch query starts
+/// from cache-friendly typed columns without any per-query conversion.
 #[derive(Debug)]
 pub struct Snapshot {
     // The schema, graph, and SDT context sit behind `Arc`s so successive

@@ -19,7 +19,8 @@ use std::time::Instant;
 /// One operator's slice of a query profile.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageProfile {
-    /// Operator name (`scan`, `select`, `hash_join`, `match`, ...).
+    /// Operator name (`scan`, `key_scan`, `select`, `hash_join`, `match`,
+    /// ...).
     pub op: String,
     /// Wall-clock microseconds, inclusive of child operators.
     pub micros: u64,
@@ -119,6 +120,14 @@ impl StageSink {
     /// Opens a stage frame for `op`.
     pub fn begin(&mut self, op: &'static str) {
         self.frames.push(Frame { op, started: Instant::now(), child_rows: 0, density: None });
+    }
+
+    /// Renames the innermost open frame: an operator that learns how it
+    /// ran only once it runs (a scan answered from a key index).
+    pub fn relabel(&mut self, op: &'static str) {
+        if let Some(f) = self.frames.last_mut() {
+            f.op = op;
+        }
     }
 
     /// Annotates the innermost open frame with a selection density.

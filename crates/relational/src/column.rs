@@ -12,7 +12,10 @@
 //!
 //! Column payloads sit behind `Arc`s, so cloning a column (a scan, a rename)
 //! is a reference-count bump, and a filter is a *gather*: build a selection
-//! vector, then copy only the surviving slots of each typed vector.
+//! vector, then copy only the surviving slots of each typed vector.  A
+//! payload also holds the column's [`KeyIndex`], built the first time a
+//! key lookup asks for it, so every clone of a published column shares one
+//! index until a commit replaces the payload.
 //!
 //! [`NameIndex`] precomputes the four-step column-name resolution of
 //! [`column_index_in`](crate::column_index_in) (exact, unambiguous suffix, then the case-insensitive
@@ -20,6 +23,7 @@
 //! layout — or one name against many rows — do it O(1) per lookup instead
 //! of O(columns) per call.
 
+use crate::hash::KeyIndex;
 use crate::instance::RelInstance;
 use crate::table::{unqualified, Table};
 use graphiti_common::Value;
@@ -110,12 +114,23 @@ pub enum ColumnData {
     Mixed(Vec<Value>),
 }
 
-/// One column: an `Arc`-shared typed payload plus an optional validity
-/// bitmap (`None` = every slot valid).  Cloning is a reference-count bump.
+/// One column: an `Arc`-shared payload — the typed values and the
+/// column's [`KeyIndex`], built on first use — plus an optional validity
+/// bitmap (`None` = every slot valid).  Cloning is a reference-count bump,
+/// so every clone of a payload (a scan, a rename, an untouched column of a
+/// patched table) shares one index; any new payload starts without one.
+/// Every payload is created together with its bitmap and never paired
+/// with another, so the index always describes the column's `NULL`s too.
 #[derive(Debug, Clone)]
 pub struct Column {
-    data: Arc<ColumnData>,
+    data: Arc<Payload>,
     validity: Option<Arc<Bitmap>>,
+}
+
+#[derive(Debug)]
+struct Payload {
+    values: ColumnData,
+    index: OnceLock<Box<KeyIndex>>,
 }
 
 fn empty_str() -> Arc<str> {
@@ -162,9 +177,7 @@ impl Column {
         let len = values.len();
         let mut validity = if nulls { Some(Bitmap::all_invalid(len)) } else { None };
         let data = match kind {
-            Kind::Mixed => {
-                return Column { data: Arc::new(ColumnData::Mixed(values)), validity: None };
-            }
+            Kind::Mixed => return Column::from_parts(ColumnData::Mixed(values), None),
             Kind::Unknown | Kind::Int => {
                 let mut out = Vec::with_capacity(len);
                 for (i, v) in values.iter().enumerate() {
@@ -226,40 +239,34 @@ impl Column {
                 ColumnData::Str(out)
             }
         };
-        Column { data: Arc::new(data), validity: validity.map(Arc::new) }
+        Column::from_parts(data, validity)
     }
 
     /// A column of `len` copies of one value (constant broadcast).
     pub fn splat(value: &Value, len: usize) -> Column {
         match value {
-            Value::Null => Column {
-                data: Arc::new(ColumnData::Int(vec![0; len])),
-                validity: Some(Arc::new(Bitmap::all_invalid(len))),
-            },
-            Value::Int(x) => {
-                Column { data: Arc::new(ColumnData::Int(vec![*x; len])), validity: None }
+            Value::Null => {
+                Column::from_parts(ColumnData::Int(vec![0; len]), Some(Bitmap::all_invalid(len)))
             }
-            Value::Float(x) => {
-                Column { data: Arc::new(ColumnData::Float(vec![*x; len])), validity: None }
-            }
-            Value::Bool(x) => {
-                Column { data: Arc::new(ColumnData::Bool(vec![*x; len])), validity: None }
-            }
-            Value::Str(s) => {
-                Column { data: Arc::new(ColumnData::Str(vec![Arc::clone(s); len])), validity: None }
-            }
+            Value::Int(x) => Column::from_parts(ColumnData::Int(vec![*x; len]), None),
+            Value::Float(x) => Column::from_parts(ColumnData::Float(vec![*x; len]), None),
+            Value::Bool(x) => Column::from_parts(ColumnData::Bool(vec![*x; len]), None),
+            Value::Str(s) => Column::from_parts(ColumnData::Str(vec![Arc::clone(s); len]), None),
         }
     }
 
     /// Wraps typed parts directly (kernels that already produced a typed
     /// vector).  `validity: None` means every slot is valid.
     pub fn from_parts(data: ColumnData, validity: Option<Bitmap>) -> Column {
-        Column { data: Arc::new(data), validity: validity.map(Arc::new) }
+        Column {
+            data: Arc::new(Payload { values: data, index: OnceLock::new() }),
+            validity: validity.map(Arc::new),
+        }
     }
 
     /// Number of slots.
     pub fn len(&self) -> usize {
-        match self.data.as_ref() {
+        match self.data() {
             ColumnData::Int(v) => v.len(),
             ColumnData::Float(v) => v.len(),
             ColumnData::Bool(v) => v.len(),
@@ -275,7 +282,7 @@ impl Column {
 
     /// The typed payload.
     pub fn data(&self) -> &ColumnData {
-        &self.data
+        &self.data.values
     }
 
     /// The validity bitmap (`None` = all valid).  Meaningless for
@@ -284,24 +291,42 @@ impl Column {
         self.validity.as_deref()
     }
 
+    /// The column's key index, built on the first call for this payload
+    /// and shared by every clone of it.
+    pub fn key_index(&self) -> &KeyIndex {
+        self.data.index.get_or_init(|| Box::new(KeyIndex::build(self)))
+    }
+
+    /// The rows whose key equals slot `j` of `probe`, as the hash join
+    /// calls keys equal, read from the key index: one slice per group of
+    /// equal keys, each in ascending row order.  A `NULL` probe matches
+    /// nothing.
+    pub fn rows_matching<'a>(
+        &'a self,
+        probe: &'a Column,
+        j: usize,
+    ) -> impl Iterator<Item = &'a [u32]> + 'a {
+        self.key_index().matching(self, probe, j)
+    }
+
     /// Whether slot `i` is `NULL`.
     #[inline]
     pub fn is_null(&self, i: usize) -> bool {
-        match self.data.as_ref() {
+        match self.data() {
             ColumnData::Mixed(v) => v[i].is_null(),
-            _ => self.validity.as_ref().is_some_and(|b| !b.get(i)),
+            _ => self.validity().is_some_and(|b| !b.get(i)),
         }
     }
 
     /// Materializes slot `i` as a [`Value`] (cheap: at most an `Arc` bump).
     #[inline]
     pub fn value(&self, i: usize) -> Value {
-        if let Some(b) = &self.validity {
+        if let Some(b) = self.validity() {
             if !b.get(i) {
                 return Value::Null;
             }
         }
-        match self.data.as_ref() {
+        match self.data() {
             ColumnData::Int(v) => Value::Int(v[i]),
             ColumnData::Float(v) => Value::Float(v[i]),
             ColumnData::Bool(v) => Value::Bool(v[i]),
@@ -319,7 +344,7 @@ impl Column {
             (false, false) => {}
             _ => return false,
         }
-        match (self.data.as_ref(), other.data.as_ref()) {
+        match (self.data(), other.data()) {
             (ColumnData::Int(a), ColumnData::Int(b)) => a[i] == b[j],
             (ColumnData::Float(a), ColumnData::Float(b)) => {
                 a[i] == b[j] || (a[i].is_nan() && b[j].is_nan())
@@ -342,7 +367,7 @@ impl Column {
             0u8.hash(state);
             return;
         }
-        match self.data.as_ref() {
+        match self.data() {
             ColumnData::Int(v) => {
                 2u8.hash(state);
                 (v[i] as f64).to_bits().hash(state);
@@ -367,7 +392,7 @@ impl Column {
     /// must be in bounds; use [`Column::gather_opt`] when some output slots
     /// should be `NULL`.
     pub fn gather(&self, indices: &[u32]) -> Column {
-        let data = match self.data.as_ref() {
+        let data = match self.data() {
             ColumnData::Int(v) => ColumnData::Int(indices.iter().map(|&i| v[i as usize]).collect()),
             ColumnData::Float(v) => {
                 ColumnData::Float(indices.iter().map(|&i| v[i as usize]).collect())
@@ -382,16 +407,16 @@ impl Column {
                 ColumnData::Mixed(indices.iter().map(|&i| v[i as usize].clone()).collect())
             }
         };
-        let validity = self.validity.as_ref().map(|b| {
+        let validity = self.validity().map(|b| {
             let mut out = Bitmap::all_invalid(indices.len());
             for (o, &i) in indices.iter().enumerate() {
                 if b.get(i as usize) {
                     out.set(o);
                 }
             }
-            Arc::new(out)
+            out
         });
-        Column { data: Arc::new(data), validity }
+        Column::from_parts(data, validity)
     }
 
     /// Like [`Column::gather`], but an index of [`NULL_IDX`] produces a
@@ -406,7 +431,7 @@ impl Column {
                 bitmap.set(o);
             }
         }
-        let data = match self.data.as_ref() {
+        let data = match self.data() {
             ColumnData::Int(v) => ColumnData::Int(
                 indices.iter().map(|&i| if i == NULL_IDX { 0 } else { v[i as usize] }).collect(),
             ),
@@ -432,7 +457,7 @@ impl Column {
                     .collect(),
             ),
         };
-        Column { data: Arc::new(data), validity: Some(Arc::new(bitmap)) }
+        Column::from_parts(data, Some(bitmap))
     }
 
     /// Returns a copy with the given slots replaced (`patches` are
@@ -446,16 +471,16 @@ impl Column {
             return self.clone();
         }
         let len = self.len();
-        if let ColumnData::Mixed(values) = self.data.as_ref() {
+        if let ColumnData::Mixed(values) = self.data() {
             let mut v = values.clone();
             for (i, val) in patches {
                 v[*i] = val.clone();
             }
-            return Column { data: Arc::new(ColumnData::Mixed(v)), validity: None };
+            return Column::from_parts(ColumnData::Mixed(v), None);
         }
         let compatible = patches.iter().all(|(_, v)| {
             matches!(
-                (self.data.as_ref(), v),
+                (self.data(), v),
                 (_, Value::Null)
                     | (ColumnData::Int(_), Value::Int(_))
                     | (ColumnData::Float(_), Value::Float(_))
@@ -470,10 +495,10 @@ impl Column {
             }
             return Column::from_values(values);
         }
-        let needs_bitmap = self.validity.is_some() || patches.iter().any(|(_, v)| v.is_null());
+        let needs_bitmap = self.validity().is_some() || patches.iter().any(|(_, v)| v.is_null());
         let mut validity = needs_bitmap
-            .then(|| self.validity.as_deref().cloned().unwrap_or_else(|| Bitmap::all_valid(len)));
-        let mut data = self.data.as_ref().clone();
+            .then(|| self.validity().cloned().unwrap_or_else(|| Bitmap::all_valid(len)));
+        let mut data = self.data().clone();
         for (i, val) in patches {
             if val.is_null() {
                 if let Some(b) = &mut validity {
@@ -492,7 +517,7 @@ impl Column {
                 b.set(*i);
             }
         }
-        Column { data: Arc::new(data), validity: validity.map(Arc::new) }
+        Column::from_parts(data, validity)
     }
 
     /// Appends owned values to the column (copy-on-write).  A tail whose
@@ -514,8 +539,8 @@ impl Column {
     /// anything else degrades to [`ColumnData::Mixed`] (still lossless).
     pub fn concat(&self, other: &Column) -> Column {
         let (n, m) = (self.len(), other.len());
-        let concat_validity = || -> Option<Arc<Bitmap>> {
-            if self.validity.is_none() && other.validity.is_none() {
+        let concat_validity = || -> Option<Bitmap> {
+            if self.validity().is_none() && other.validity().is_none() {
                 return None;
             }
             let mut out = Bitmap::all_invalid(n + m);
@@ -529,25 +554,25 @@ impl Column {
                     out.set(n + j);
                 }
             }
-            Some(Arc::new(out))
+            Some(out)
         };
-        match (self.data.as_ref(), other.data.as_ref()) {
-            (ColumnData::Int(a), ColumnData::Int(b)) => Column {
-                data: Arc::new(ColumnData::Int(a.iter().chain(b.iter()).copied().collect())),
-                validity: concat_validity(),
-            },
-            (ColumnData::Float(a), ColumnData::Float(b)) => Column {
-                data: Arc::new(ColumnData::Float(a.iter().chain(b.iter()).copied().collect())),
-                validity: concat_validity(),
-            },
-            (ColumnData::Bool(a), ColumnData::Bool(b)) => Column {
-                data: Arc::new(ColumnData::Bool(a.iter().chain(b.iter()).copied().collect())),
-                validity: concat_validity(),
-            },
-            (ColumnData::Str(a), ColumnData::Str(b)) => Column {
-                data: Arc::new(ColumnData::Str(a.iter().chain(b.iter()).cloned().collect())),
-                validity: concat_validity(),
-            },
+        match (self.data(), other.data()) {
+            (ColumnData::Int(a), ColumnData::Int(b)) => Column::from_parts(
+                ColumnData::Int(a.iter().chain(b.iter()).copied().collect()),
+                concat_validity(),
+            ),
+            (ColumnData::Float(a), ColumnData::Float(b)) => Column::from_parts(
+                ColumnData::Float(a.iter().chain(b.iter()).copied().collect()),
+                concat_validity(),
+            ),
+            (ColumnData::Bool(a), ColumnData::Bool(b)) => Column::from_parts(
+                ColumnData::Bool(a.iter().chain(b.iter()).copied().collect()),
+                concat_validity(),
+            ),
+            (ColumnData::Str(a), ColumnData::Str(b)) => Column::from_parts(
+                ColumnData::Str(a.iter().chain(b.iter()).cloned().collect()),
+                concat_validity(),
+            ),
             _ => {
                 let mut values = Vec::with_capacity(n + m);
                 for i in 0..n {
@@ -556,7 +581,7 @@ impl Column {
                 for j in 0..m {
                     values.push(other.value(j));
                 }
-                Column { data: Arc::new(ColumnData::Mixed(values)), validity: None }
+                Column::from_parts(ColumnData::Mixed(values), None)
             }
         }
     }
@@ -1064,6 +1089,33 @@ mod tests {
         assert!(!std::ptr::eq(ct.col(0).data(), out.col(0).data()));
         assert!(std::ptr::eq(ct.col(1).data(), out.col(1).data()));
         assert!(std::ptr::eq(ct.col(2).data(), out.col(2).data()));
+    }
+
+    #[test]
+    fn an_index_survives_renames_and_other_columns_patches_but_not_appends() {
+        use crate::table::TableDelta;
+        let ct = ColumnTable::from_table(&sample_table());
+        let index: *const KeyIndex = ct.col(0).key_index();
+        let renamed =
+            ct.with_column_names(Arc::new(vec!["x.a".into(), "x.b".into(), "x.c".into()]));
+        assert!(std::ptr::eq(renamed.col(0).key_index(), index));
+        let patched = ct.apply_delta(&TableDelta {
+            patches: vec![(0, 1, Value::str("Z"))],
+            removed: vec![],
+            appended: vec![],
+        });
+        assert!(std::ptr::eq(patched.col(0).key_index(), index));
+        let appended = ct.apply_delta(&TableDelta {
+            patches: vec![],
+            removed: vec![],
+            appended: vec![vec![v(1), Value::str("D"), Value::Null]],
+        });
+        let fresh = appended.col(0).key_index();
+        assert!(!std::ptr::eq(fresh, index));
+        assert_eq!(fresh.distinct_keys(), 2);
+        let probe = Column::from_values(vec![v(1)]);
+        let rows: Vec<&[u32]> = appended.col(0).rows_matching(&probe, 0).collect();
+        assert_eq!(rows, vec![&[0, 3][..]]);
     }
 
     #[test]

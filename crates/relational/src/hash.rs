@@ -19,8 +19,12 @@
 //! order; callers verify each candidate against their own equality, so a
 //! hash collision costs a comparison and never a wrong answer.  Since
 //! chains are ordered, no output order depends on a hash value.
+//!
+//! [`KeyIndex`] is the same kernel kept with a column: its non-`NULL` rows
+//! grouped by key, so the rows that hold a given key come back without
+//! hashing the column again.
 
-use crate::column::Column;
+use crate::column::{Column, ColumnData};
 use graphiti_common::Value;
 use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::OnceLock;
@@ -318,9 +322,92 @@ pub fn counting_sort(keys: &[u32], buckets: usize) -> (Vec<u32>, Vec<u32>) {
     (order, offsets)
 }
 
+/// A column's key index: its non-`NULL` rows grouped by key, each group in
+/// ascending row order, plus its `NULL` rows.
+///
+/// Keys are equal as a hash join calls them equal: the same
+/// [`Column::hash_value_into`] words, verified by [`Column::strict_eq_at`].
+/// In a [`ColumnData::Mixed`] column a group also holds one representation
+/// only, so every group holds one exact value and a probe equals either
+/// all of a group's rows or none: [`Column::rows_matching`] returns exactly
+/// the rows a hash join would pair with the probe.  `NULL` is never a key.
+///
+/// Built on first use by [`Column::key_index`] and kept with the column's
+/// payload.
+#[derive(Debug)]
+pub struct KeyIndex {
+    /// One entry per group, under its key's hash.
+    groups: HashTable,
+    /// Group `g`'s rows are `rows[offsets[g]..offsets[g + 1]]`.
+    rows: Vec<u32>,
+    offsets: Vec<u32>,
+    /// The rows holding `NULL`, ascending.
+    nulls: Vec<u32>,
+}
+
+impl KeyIndex {
+    /// Indexes every row of `col`.
+    pub(crate) fn build(col: &Column) -> KeyIndex {
+        let len = col.len();
+        let (live, nulls): (Vec<u32>, Vec<u32>) =
+            (0..len as u32).partition(|&r| !col.is_null(r as usize));
+        let hashes = hash_rows(&[col], len);
+        let live_hashes: Vec<u64> = live.iter().map(|&r| hashes[r as usize]).collect();
+        let mixed = match col.data() {
+            ColumnData::Mixed(values) => Some(values),
+            _ => None,
+        };
+        let classes = first_seen(&live_hashes, |a, b| {
+            let (a, b) = (live[a] as usize, live[b] as usize);
+            col.strict_eq_at(a, col, b)
+                && mixed
+                    .is_none_or(|v| std::mem::discriminant(&v[a]) == std::mem::discriminant(&v[b]))
+        });
+        let (order, offsets) = counting_sort(&classes.class_of, classes.firsts.len());
+        let group_hashes = classes.firsts.iter().map(|&i| live_hashes[i as usize]).collect();
+        KeyIndex {
+            groups: HashTable::build(group_hashes, |_| false),
+            rows: order.iter().map(|&i| live[i as usize]).collect(),
+            offsets,
+            nulls,
+        }
+    }
+
+    /// The number of distinct keys.
+    pub fn distinct_keys(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// The rows holding `NULL`, ascending.
+    pub fn nulls(&self) -> &[u32] {
+        &self.nulls
+    }
+
+    /// The groups of `col`, the column this index was built over, whose
+    /// key equals slot `j` of `probe`; see [`Column::rows_matching`].
+    pub(crate) fn matching<'a>(
+        &'a self,
+        col: &'a Column,
+        probe: &'a Column,
+        j: usize,
+    ) -> impl Iterator<Item = &'a [u32]> + 'a {
+        let candidates = (!probe.is_null(j)).then(|| {
+            let mut h = KeyHasher::new();
+            probe.hash_value_into(j, &mut h);
+            self.groups.matches(h.finish())
+        });
+        candidates.into_iter().flatten().filter_map(move |g| {
+            let rows = &self.rows
+                [self.offsets[g as usize] as usize..self.offsets[g as usize + 1] as usize];
+            col.strict_eq_at(rows[0] as usize, probe, j).then_some(rows)
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn column(values: Vec<Value>) -> Column {
         Column::from_values(values)
@@ -425,6 +512,186 @@ mod tests {
         assert_eq!(got.class_of, vec![0, 0, 1, 1, 0, 2]);
         assert_eq!(got.firsts, vec![0, 2, 5]);
         assert_eq!(first_seen(&[], |_, _| true), FirstSeen { class_of: vec![], firsts: vec![] });
+    }
+
+    /// The rows a hash join pairs with slot `j` of `probe`: the join
+    /// kernel itself, built over `col`.
+    fn join_matches(col: &Column, probe: &Column, j: usize) -> Vec<u32> {
+        if probe.is_null(j) {
+            return Vec::new();
+        }
+        let table = HashTable::build_on_keys(&[col], col.len());
+        let h = hash_rows(&[probe], probe.len())[j];
+        table.matches(h).filter(|&r| col.strict_eq_at(r as usize, probe, j)).collect()
+    }
+
+    /// The index's rows for slot `j` of `probe`, group by group.
+    fn index_matches(col: &Column, probe: &Column, j: usize) -> Vec<Vec<u32>> {
+        col.rows_matching(probe, j).map(<[u32]>::to_vec).collect()
+    }
+
+    #[test]
+    fn index_groups_come_back_in_ascending_row_order() {
+        let col = column([3, 1, 3, 2, 1, 3, 2, 3].into_iter().map(Value::Int).collect());
+        let index = col.key_index();
+        assert_eq!(index.distinct_keys(), 3);
+        let probe = column(vec![Value::Int(3), Value::Int(1), Value::Int(2), Value::Int(4)]);
+        assert_eq!(index_matches(&col, &probe, 0), vec![vec![0, 2, 5, 7]]);
+        assert_eq!(index_matches(&col, &probe, 1), vec![vec![1, 4]]);
+        assert_eq!(index_matches(&col, &probe, 2), vec![vec![3, 6]]);
+        assert!(index_matches(&col, &probe, 3).is_empty());
+        // Strings and booleans group by value too.
+        let words = column(vec![Value::str("b"), Value::str("a"), Value::str_owned("b")]);
+        let probe = column(vec![Value::str("b")]);
+        assert_eq!(index_matches(&words, &probe, 0), vec![vec![0, 2]]);
+        let flags = column(vec![Value::Bool(true), Value::Bool(false), Value::Bool(true)]);
+        assert_eq!(index_matches(&flags, &column(vec![Value::Bool(true)]), 0), vec![vec![0, 2]]);
+    }
+
+    #[test]
+    fn null_is_never_a_key() {
+        let col = column(vec![Value::Null, Value::Int(1), Value::Null, Value::Int(1)]);
+        let index = col.key_index();
+        assert_eq!(index.distinct_keys(), 1);
+        assert_eq!(index.nulls(), &[0, 2]);
+        let probe = column(vec![Value::Null, Value::Int(1)]);
+        assert!(index_matches(&col, &probe, 0).is_empty());
+        assert_eq!(index_matches(&col, &probe, 1), vec![vec![1, 3]]);
+        // An all-NULL column has no key at all; in a mixed column NULL is
+        // no key either.
+        let nulls = column(vec![Value::Null; 3]);
+        assert_eq!(nulls.key_index().distinct_keys(), 0);
+        assert_eq!(nulls.key_index().nulls(), &[0, 1, 2]);
+        let mixed = column(vec![Value::Null, Value::str("x"), Value::Int(1)]);
+        assert_eq!(mixed.key_index().distinct_keys(), 2);
+        assert_eq!(mixed.key_index().nulls(), &[0]);
+    }
+
+    #[test]
+    fn zero_and_nan_keys_follow_the_join_equality() {
+        let (nan_a, nan_b) =
+            (f64::from_bits(0x7ff8_0000_0000_0001), f64::from_bits(0xfff8_0000_0000_0002));
+        let big = 1i64 << 53;
+        let columns = [
+            vec![Value::Float(0.0), Value::Float(-0.0), Value::Float(nan_a), Value::Float(nan_b)],
+            vec![Value::Int(0), Value::Float(-0.0), Value::Float(0.0), Value::Float(nan_a)],
+            vec![Value::Int(big), Value::Int(big + 1), Value::Float(big as f64), Value::Int(big)],
+            vec![Value::Int(big), Value::Int(big + 1), Value::Null, Value::Int(big + 1)],
+        ];
+        let probes = column(vec![
+            Value::Int(0),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Float(nan_a),
+            Value::Float(nan_b),
+            Value::Float(f64::NAN),
+            Value::Int(big),
+            Value::Int(big + 1),
+            Value::Float(big as f64),
+        ]);
+        for values in columns {
+            let col = column(values.clone());
+            for j in 0..probes.len() {
+                let mut got: Vec<u32> = index_matches(&col, &probes, j).concat();
+                got.sort_unstable();
+                assert_eq!(got, join_matches(&col, &probes, j), "{values:?} probed by slot {j}");
+            }
+        }
+        // Spelled out: `0.0` and `-0.0` hash apart, so they are two keys,
+        // as they are two join keys; so are NaNs with different bits.
+        let zeros = column(vec![Value::Float(0.0), Value::Float(-0.0), Value::Float(0.0)]);
+        assert_eq!(zeros.key_index().distinct_keys(), 2);
+        assert_eq!(index_matches(&zeros, &probes, 0), vec![vec![0, 2]]);
+        assert_eq!(index_matches(&zeros, &probes, 2), vec![vec![1]]);
+        let nans = column(vec![Value::Float(nan_a), Value::Float(nan_b), Value::Float(nan_a)]);
+        assert_eq!(nans.key_index().distinct_keys(), 2);
+        assert_eq!(index_matches(&nans, &probes, 3), vec![vec![0, 2]]);
+        // 2^53 as a float equals both integers it rounds from: one probe,
+        // two groups.
+        let ints = column(vec![Value::Int(big), Value::Int(big + 1), Value::Int(big)]);
+        assert_eq!(ints.key_index().distinct_keys(), 2);
+        assert_eq!(index_matches(&ints, &probes, 8), vec![vec![0, 2], vec![1]]);
+        assert_eq!(index_matches(&ints, &probes, 7), vec![vec![1]]);
+    }
+
+    /// A column of one representation (or a mixed one), `NULL`s included,
+    /// over the values on which equality is most fragile.
+    fn arb_column() -> impl Strategy<Value = Vec<Value>> {
+        let big = 1i64 << 53;
+        let ints = sample::select(vec![0i64, 1, 2, -1, big, big + 1]).prop_map(Value::Int).boxed();
+        let floats = sample::select(vec![
+            0.0,
+            -0.0,
+            1.0,
+            2.5,
+            big as f64,
+            f64::NAN,
+            f64::from_bits(0x7ff8_0000_0000_0001),
+        ])
+        .prop_map(Value::Float)
+        .boxed();
+        let strs = sample::select(vec!["", "a", "b"]).prop_map(Value::str).boxed();
+        let bools = any::<bool>().prop_map(Value::Bool).boxed();
+        let with_nulls = |s: BoxedStrategy<Value>| {
+            collection::vec(prop_oneof![Just(Value::Null), s.clone(), s], 0..40)
+        };
+        // Integers and floats whose hash words collide (2^53, 2^53 + 1 and
+        // 2^53 as a float), or whose equality differs from their words
+        // (0 and -0.0), mixed in one column.
+        let numbers = prop_oneof![ints.clone(), floats.clone()].boxed();
+        let mixed = prop_oneof![ints.clone(), floats.clone(), strs.clone(), bools.clone()].boxed();
+        prop_oneof![
+            with_nulls(ints),
+            with_nulls(floats),
+            with_nulls(strs),
+            with_nulls(bools),
+            with_nulls(numbers),
+            with_nulls(mixed),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// For every probe, the index returns exactly the rows the hash join
+        /// pairs with it; every non-`NULL` row sits in exactly one group,
+        /// and the groups number the distinct keys.
+        #[test]
+        fn index_lookups_equal_the_join_kernel(values in arb_column(), probes in arb_column()) {
+            let (col, probe) = (column(values), column(probes));
+            let index = col.key_index();
+            for j in 0..probe.len() {
+                let groups = index_matches(&col, &probe, j);
+                prop_assert!(groups.iter().all(|g| g.windows(2).all(|w| w[0] < w[1])));
+                let mut got = groups.concat();
+                got.sort_unstable();
+                prop_assert_eq!(got, join_matches(&col, &probe, j));
+            }
+            let mut seen = vec![0u32; col.len()];
+            let mut groups = 0;
+            for r in 0..col.len() {
+                let found = col.rows_matching(&col, r).collect::<Vec<_>>();
+                if col.is_null(r) {
+                    prop_assert!(found.is_empty());
+                    continue;
+                }
+                // A row finds its own group, whose first row numbers it.
+                let own: Vec<_> = found.into_iter().filter(|g| g.contains(&(r as u32))).collect();
+                prop_assert_eq!(own.len(), 1);
+                if own[0][0] == r as u32 {
+                    groups += 1;
+                    for &m in own[0] {
+                        seen[m as usize] += 1;
+                    }
+                }
+            }
+            prop_assert_eq!(groups, index.distinct_keys());
+            for (r, n) in seen.iter().enumerate() {
+                prop_assert_eq!(*n, u32::from(!col.is_null(r)), "row {}", r);
+            }
+            let nulls: Vec<u32> = (0..col.len() as u32).filter(|&r| col.is_null(r as usize)).collect();
+            prop_assert_eq!(index.nulls(), nulls.as_slice());
+        }
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!   relation of Definition 4.4 (column-bijection + multiset equality) and
 //!   its ordered variant for `ORDER BY` results.
 //! * [`HashTable`] / [`KeyHasher`] — the hash kernel of every hash
-//!   operator (joins, grouping, `DISTINCT`, `IN`) over [`Column`] keys.
+//!   operator (joins, grouping, `DISTINCT`, `IN`) over [`Column`] keys,
+//!   and [`KeyIndex`], each published column's rows grouped by key.
 
 pub mod column;
 pub mod hash;
@@ -21,6 +22,7 @@ pub mod table;
 pub use column::{Bitmap, Column, ColumnData, ColumnInstance, ColumnTable, NameIndex, NULL_IDX};
 pub use hash::{
     counting_sort, first_seen, hash_eq_class_into, hash_rows, FirstSeen, HashTable, KeyHasher,
+    KeyIndex,
 };
 pub use instance::RelInstance;
 pub use schema::{Constraint, RelSchema, Relation};

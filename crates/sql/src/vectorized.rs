@@ -31,7 +31,38 @@
 //!   succeeds it is uncorrelated, so `EXISTS` is one constant and `IN`
 //!   probes the rows through one hash table over its columns.  Otherwise
 //!   it is correlated, and it re-enters the engine once per outer row with
-//!   that row bound, so [`CExpr::Outer`] reads a constant.
+//!   that row bound, so [`CExpr::Outer`] reads a constant;
+//! * **restrictions** hand an anchor's keys down to the base scans below
+//!   it (sideways information passing).  Every column of the columnar
+//!   image has a key index ([`KeyIndex`](graphiti_relational::KeyIndex)):
+//!   its non-`NULL` rows grouped by key, in ascending row order, built on
+//!   first use and kept with the column's payload.  A restriction is a
+//!   superset pre-filter on one column: keep the rows whose value equals
+//!   one of its keys, plus the rows where it is `NULL`.  Three operators
+//!   make one, and each still applies its own full test to the rows that
+//!   come back, so answers, row order and errors stay the oracle's:
+//!   - a hash join with one key pair, for its right input, from the keys
+//!     of its evaluated left input.  Its equality is the index's own
+//!     (hash words verified by `strict_eq_at`), on any column;
+//!   - an uncorrelated `IN`, for its subquery, from its probes.  `sql_eq`
+//!     agrees with the index only on `Int`, `Str` and `Bool` values, so a
+//!     probe column restricts only if it holds no `NULL` and only those
+//!     types, and only a landing column of those types answers;
+//!   - a selection, for its own input, from a `col = c` conjunct.
+//!     `Value::compare` goes through `f64`, so only an `Int` column
+//!     answers, and only for an `Int` literal or bound outer value below
+//!     2^53 in magnitude, which no other integer rounds to.
+//!
+//!   A restriction descends only through renames, projections of plain
+//!   columns (not `DISTINCT`), selections and join residuals that cannot
+//!   raise (no arithmetic, no subquery, no unbound outer reference), both
+//!   inputs of an inner hash join and the preserved side of a `LEFT` one.
+//!   So every operator that sees fewer rows is one that raises on no row.
+//!   It lands on a base scan of the columnar image (never a CTE or a
+//!   converted table), which answers it only when it has fewer keys than
+//!   the column has distinct keys; otherwise nothing is restricted.  A
+//!   scan that answers reports itself as `key_scan`, with the share of the
+//!   table it kept as its density.
 //!
 //! Semantics are those of the naive oracle,
 //! [`eval_query_unoptimized`](crate::eval_query_unoptimized): each kernel
@@ -76,7 +107,7 @@ pub fn eval_vectorized(
     plan: &CompiledQuery,
 ) -> Result<Table> {
     let tables = Tables { instance, columnar, converted: RefCell::default() };
-    let out = VecEvaluator::new(&tables, None, None).eval(&plan.root, &Ctes::new())?;
+    let out = VecEvaluator::new(&tables, None, None).eval(&plan.root, &Ctes::new(), &[])?;
     Ok(out.to_table())
 }
 
@@ -93,7 +124,7 @@ pub fn eval_vectorized_profiled(
 ) -> Result<(Table, Vec<StageProfile>)> {
     let tables = Tables { instance, columnar, converted: RefCell::default() };
     let sink = RefCell::new(StageSink::new());
-    let out = VecEvaluator::new(&tables, None, Some(&sink)).eval(&plan.root, &Ctes::new())?;
+    let out = VecEvaluator::new(&tables, None, Some(&sink)).eval(&plan.root, &Ctes::new(), &[])?;
     Ok((out.to_table(), sink.into_inner().finish()))
 }
 
@@ -244,32 +275,60 @@ impl<'a> VecEvaluator<'a> {
     /// Evaluates one plan node, recording a profile stage when a sink
     /// is installed.  The stage's `rows_in` is derived structurally by
     /// the sink (children report their output to the enclosing frame).
-    fn eval(&self, node: &PlanNode, ctes: &Ctes) -> Result<ColumnTable> {
-        let Some(prof) = self.prof else { return self.eval_node(node, ctes) };
+    ///
+    /// `restrictions` restrict the node's output columns (see
+    /// [`Restriction`]): the result may keep rows they rule out, never drop
+    /// one they keep.
+    fn eval(
+        &self,
+        node: &PlanNode,
+        ctes: &Ctes,
+        restrictions: &[Restriction],
+    ) -> Result<ColumnTable> {
+        let Some(prof) = self.prof else { return self.eval_node(node, ctes, restrictions) };
         prof.borrow_mut().begin(op_name(&node.op));
-        let out = self.eval_node(node, ctes);
+        let out = self.eval_node(node, ctes, restrictions);
         prof.borrow_mut().end(out.as_ref().map(|t| t.len() as u64).unwrap_or(0));
         out
     }
 
-    fn eval_node(&self, node: &PlanNode, ctes: &Ctes) -> Result<ColumnTable> {
+    fn eval_node(
+        &self,
+        node: &PlanNode,
+        ctes: &Ctes,
+        restrictions: &[Restriction],
+    ) -> Result<ColumnTable> {
         match &node.op {
-            PlanOp::Scan { name } => self.scan(name.as_str(), &node.columns, ctes),
+            PlanOp::Scan { name } => self.scan(name.as_str(), &node.columns, ctes, restrictions),
             PlanOp::Rename { input } => {
-                let t = self.eval(input, ctes)?;
+                let t = self.eval(input, ctes, restrictions)?;
                 Ok(t.with_column_names(Arc::clone(&node.columns)))
             }
             PlanOp::Select { input, program } => {
-                let t = self.eval(input, ctes)?;
+                let mut down = Vec::new();
+                if self.cannot_raise(program) {
+                    down.extend_from_slice(restrictions);
+                    self.equality_restrictions(program, &mut down);
+                }
+                let t = self.eval(input, ctes, &down)?;
                 self.select(&t, program, ctes)
             }
             PlanOp::Project { input, programs, distinct } => {
-                let t = self.eval(input, ctes)?;
+                let through = !*distinct && programs.iter().all(|p| self.cannot_raise_expr(p));
+                let down: Vec<Restriction> = restrictions
+                    .iter()
+                    .filter(|_| through)
+                    .filter_map(|r| match programs.get(r.col) {
+                        Some(CExpr::Col(c)) => Some(r.on(*c)),
+                        _ => None,
+                    })
+                    .collect();
+                let t = self.eval(input, ctes, &down)?;
                 self.project(&t, programs, *distinct, &node.columns, ctes)
             }
             PlanOp::Cross { left, right } => {
-                let lt = self.eval(left, ctes)?;
-                let rt = self.eval(right, ctes)?;
+                let lt = self.eval(left, ctes, &[])?;
+                let rt = self.eval(right, ctes, &[])?;
                 let (mut li, mut ri) = (Vec::new(), Vec::new());
                 li.reserve(lt.len() * rt.len());
                 ri.reserve(lt.len() * rt.len());
@@ -282,18 +341,38 @@ impl<'a> VecEvaluator<'a> {
                 Ok(combine_gather(&lt, &li, &rt, &ri, &node.columns))
             }
             PlanOp::HashJoin { left, right, kind, pairs, residual } => {
-                let lt = self.eval(left, ctes)?;
-                let rt = self.eval(right, ctes)?;
+                // Restrictions from above pass into the left input, and
+                // into the right one of an inner join; the join's one key
+                // pair restricts its right input to the left rows' keys.
+                let through = residual.as_ref().is_none_or(|p| self.cannot_raise(p));
+                let split = left.columns.len();
+                let (mut down_left, mut down_right) = (Vec::new(), Vec::new());
+                for r in restrictions.iter().filter(|_| through) {
+                    if r.col < split {
+                        down_left.push(r.clone());
+                    } else if *kind == JoinKind::Inner {
+                        down_right.push(r.on(r.col - split));
+                    }
+                }
+                let lt = self.eval(left, ctes, &down_left)?;
+                if let [(l, r)] = pairs[..] {
+                    down_right.push(Restriction {
+                        col: r,
+                        keys: lt.col(l).clone(),
+                        eq: KeyEq::Join,
+                    });
+                }
+                let rt = self.eval(right, ctes, &down_right)?;
                 self.hash_join(&lt, &rt, *kind, pairs, residual.as_ref(), &node.columns, ctes)
             }
             PlanOp::LoopJoin { left, right, kind, program } => {
-                let lt = self.eval(left, ctes)?;
-                let rt = self.eval(right, ctes)?;
+                let lt = self.eval(left, ctes, &[])?;
+                let rt = self.eval(right, ctes, &[])?;
                 self.loop_join(&lt, &rt, *kind, program, &node.columns, ctes)
             }
             PlanOp::Union { left, right, dedup } => {
-                let lt = self.eval(left, ctes)?;
-                let rt = self.eval(right, ctes)?;
+                let lt = self.eval(left, ctes, &[])?;
+                let rt = self.eval(right, ctes, &[])?;
                 if lt.arity() != rt.arity() {
                     return Err(Error::eval(format!(
                         "UNION arity mismatch: {} vs {}",
@@ -313,17 +392,17 @@ impl<'a> VecEvaluator<'a> {
                 })
             }
             PlanOp::GroupBy { input, keys, items, having } => {
-                let t = self.eval(input, ctes)?;
+                let t = self.eval(input, ctes, &[])?;
                 self.group_by(&t, keys, items, having.as_ref(), &node.columns, ctes)
             }
             PlanOp::With { name, definition, body } => {
-                let def = self.eval(definition, ctes)?;
+                let def = self.eval(definition, ctes, &[])?;
                 let mut extended = ctes.clone();
                 extended.insert(name.as_str().to_string(), def);
-                self.eval(body, &extended)
+                self.eval(body, &extended, &[])
             }
             PlanOp::OrderBy { input, keys } => {
-                let t = self.eval(input, ctes)?;
+                let t = self.eval(input, ctes, &[])?;
                 Ok(order_by(&t, keys))
             }
         }
@@ -331,18 +410,36 @@ impl<'a> VecEvaluator<'a> {
 
     /// Base-table / CTE scan.  The plan's layout already carries the
     /// requalified names, so a scan is column `Arc` bumps plus one name
-    /// vector share.
-    fn scan(&self, name: &str, columns: &Arc<Vec<String>>, ctes: &Ctes) -> Result<ColumnTable> {
+    /// vector share.  A scan of the columnar image that `restrictions`
+    /// restrict gathers only the rows the key indexes return ([`key_rows`]) and
+    /// reports itself as `key_scan`, with the share of the table it kept as
+    /// its density.
+    fn scan(
+        &self,
+        name: &str,
+        columns: &Arc<Vec<String>>,
+        ctes: &Ctes,
+        restrictions: &[Restriction],
+    ) -> Result<ColumnTable> {
         let cte = ctes
             .get(name)
             .or_else(|| ctes.iter().find(|(k, _)| k.eq_ignore_ascii_case(name)).map(|(_, v)| v));
-        match cte {
-            Some(t) => Ok(t.with_column_names(Arc::clone(columns))),
-            None => self
-                .tables
-                .scan(name, columns)
-                .ok_or_else(|| Error::eval(format!("unknown table `{name}`"))),
+        if let Some(t) = cte {
+            return Ok(t.with_column_names(Arc::clone(columns)));
         }
+        if let Some(base) = self.tables.columnar.table(name) {
+            if let Some(rows) = key_rows(base, restrictions) {
+                if let Some(prof) = self.prof {
+                    let mut prof = prof.borrow_mut();
+                    prof.relabel("key_scan");
+                    prof.set_density(rows.len() as f64 / base.len() as f64);
+                }
+                return Ok(base.gather(&rows).with_column_names(Arc::clone(columns)));
+            }
+        }
+        self.tables
+            .scan(name, columns)
+            .ok_or_else(|| Error::eval(format!("unknown table `{name}`")))
     }
 
     fn select(&self, t: &ColumnTable, program: &CPred, ctes: &Ctes) -> Result<ColumnTable> {
@@ -691,14 +788,14 @@ impl<'a> VecEvaluator<'a> {
                     .iter()
                     .map(|e| self.eval_expr_vec(e, input, ctes))
                     .collect::<Result<_>>()?;
-                match self.uncorrelated(sub, ctes) {
+                match self.uncorrelated(sub, ctes, &in_restrictions(&lhs)) {
                     Some(u) => (0..len).map(|i| u.members().probe(&lhs, i)).collect(),
                     None => (0..len)
                         .map(|i| InSet::new(self.correlated(sub, input, i, ctes)?).probe(&lhs, i))
                         .collect(),
                 }
             }
-            CPred::Exists(sub) => match self.uncorrelated(sub, ctes) {
+            CPred::Exists(sub) => match self.uncorrelated(sub, ctes, &[]) {
                 Some(u) => Ok(vec![Truth::from_bool(!u.rows.is_empty()); len]),
                 None => (0..len)
                     .map(|i| {
@@ -729,14 +826,26 @@ impl<'a> VecEvaluator<'a> {
 
     /// The subquery's rows if it is uncorrelated, i.e. if it evaluates with
     /// no outer scope — the oracle's rule.  Decided and run once per pass.
-    fn uncorrelated(&self, sub: &SubPlan, ctes: &Ctes) -> Option<Rc<Uncorrelated>> {
+    ///
+    /// Restricted to an `IN`'s probes (`restrictions`), a run answers for those
+    /// probes only, so its rows are not kept for later batches.  It fails
+    /// exactly when the full run would: a restriction reaches only
+    /// operators that cannot raise.
+    fn uncorrelated(
+        &self,
+        sub: &SubPlan,
+        ctes: &Ctes,
+        restrictions: &[Restriction],
+    ) -> Option<Rc<Uncorrelated>> {
         let key = sub as *const SubPlan;
         if let Some(known) = self.subqueries.borrow().get(&key) {
             return known.clone();
         }
-        let rows = VecEvaluator::new(self.tables, None, None).run(sub, ctes).ok();
+        let rows = VecEvaluator::new(self.tables, None, None).run(sub, ctes, restrictions).ok();
         let known = rows.map(|rows| Rc::new(Uncorrelated { rows, members: OnceCell::new() }));
-        self.subqueries.borrow_mut().insert(key, known.clone());
+        if restrictions.is_empty() || known.is_none() {
+            self.subqueries.borrow_mut().insert(key, known.clone());
+        }
         known
     }
 
@@ -751,15 +860,181 @@ impl<'a> VecEvaluator<'a> {
     ) -> Result<ColumnTable> {
         let row = input.row(i);
         let scope = Scope { columns: input.columns(), row: &row, outer: self.outer };
-        VecEvaluator::new(self.tables, Some(&scope), None).run(sub, ctes)
+        VecEvaluator::new(self.tables, Some(&scope), None).run(sub, ctes, &[])
     }
 
-    fn run(&self, sub: &SubPlan, ctes: &Ctes) -> Result<ColumnTable> {
+    /// Runs a subquery, with `restrictions` on its output columns unless its
+    /// arity leaves one without a column (the probe then fails on arity).
+    fn run(&self, sub: &SubPlan, ctes: &Ctes, restrictions: &[Restriction]) -> Result<ColumnTable> {
         match &sub.root {
-            Ok(node) => self.eval(node, ctes),
+            Ok(node) if restrictions.iter().all(|r| r.col < node.columns.len()) => {
+                self.eval(node, ctes, restrictions)
+            }
+            Ok(node) => self.eval(node, ctes, &[]),
             Err(e) => Err(e.clone()),
         }
     }
+
+    // -------------------------------------------------------- restrictions
+
+    /// Whether `p` raises on no row: it holds no arithmetic, no subquery,
+    /// no error instruction and no outer reference the bound outer rows
+    /// leave unbound.  A restriction passes only through such programs, so
+    /// no error the oracle raises on a row goes missing with that row.
+    fn cannot_raise(&self, p: &CPred) -> bool {
+        match p {
+            CPred::Bool(_) => true,
+            CPred::Cmp(a, _, b) => self.cannot_raise_expr(a) && self.cannot_raise_expr(b),
+            CPred::IsNull(e) | CPred::InList(e, _) => self.cannot_raise_expr(e),
+            CPred::InQuery(..) | CPred::Exists(_) => false,
+            CPred::And(a, b) | CPred::Or(a, b) => self.cannot_raise(a) && self.cannot_raise(b),
+            CPred::Not(inner) => self.cannot_raise(inner),
+        }
+    }
+
+    /// [`VecEvaluator::cannot_raise`] for an expression.
+    fn cannot_raise_expr(&self, e: &CExpr) -> bool {
+        match e {
+            CExpr::Col(_) | CExpr::Value(_) => true,
+            CExpr::Outer(cref) => self.outer.and_then(|o| o.lookup(cref)).is_some(),
+            CExpr::Cast(p) => self.cannot_raise(p),
+            CExpr::Arith(..) | CExpr::ScalarAgg | CExpr::Star => false,
+        }
+    }
+
+    /// The restrictions a selection makes for its own input: one per
+    /// `column = c` conjunct whose `c` is an `Int` literal or bound outer
+    /// value below 2^53 in magnitude.
+    fn equality_restrictions(&self, p: &CPred, out: &mut Vec<Restriction>) {
+        match p {
+            CPred::And(a, b) => {
+                self.equality_restrictions(a, out);
+                self.equality_restrictions(b, out);
+            }
+            CPred::Cmp(CExpr::Col(col), CmpOp::Eq, c)
+            | CPred::Cmp(c, CmpOp::Eq, CExpr::Col(col)) => {
+                if let Some(c) = self.exact_int(c) {
+                    let keys = Column::splat(&Value::Int(c), 1);
+                    out.push(Restriction { col: *col, keys, eq: KeyEq::Compare });
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// `e`'s value if it is an `Int` literal or bound outer value that
+    /// `f64` holds exactly, and no other integer rounds to: `Value::compare`
+    /// calls it equal to that one integer only.
+    fn exact_int(&self, e: &CExpr) -> Option<i64> {
+        let v = match e {
+            CExpr::Value(v) => v,
+            CExpr::Outer(cref) => self.outer?.lookup(cref)?,
+            _ => return None,
+        };
+        match v {
+            Value::Int(c) if c.unsigned_abs() < 1 << 53 => Some(*c),
+            _ => None,
+        }
+    }
+}
+
+/// A superset pre-filter on one output column of a plan node: keep the
+/// rows whose column `col` equals one of the non-`NULL` slots of `keys`,
+/// plus every row where it is `NULL`.  The operator that made it still
+/// applies its own full test to what comes back.
+#[derive(Debug, Clone)]
+struct Restriction {
+    col: usize,
+    keys: Column,
+    eq: KeyEq,
+}
+
+impl Restriction {
+    /// The same restriction on column `col` of the input.
+    fn on(&self, col: usize) -> Restriction {
+        Restriction { col, ..self.clone() }
+    }
+}
+
+/// The equality of the operator that made a restriction.  A key index
+/// answers for it only on a landing column where the two agree.
+#[derive(Debug, Clone, Copy)]
+enum KeyEq {
+    /// A hash join's: the index's own, on every column.
+    Join,
+    /// `IN`'s `sql_eq`, probed with `Int`, `Str` or `Bool` values only: on
+    /// `Int`, `Str` and `Bool` columns.
+    Sql,
+    /// `=`'s `Value::compare` (through `f64`), against an `Int` below 2^53
+    /// in magnitude: on `Int` columns.
+    Compare,
+}
+
+impl KeyEq {
+    fn answers_for(self, col: &Column) -> bool {
+        match self {
+            KeyEq::Join => true,
+            KeyEq::Sql => {
+                matches!(col.data(), ColumnData::Int(_) | ColumnData::Str(_) | ColumnData::Bool(_))
+            }
+            KeyEq::Compare => matches!(col.data(), ColumnData::Int(_)),
+        }
+    }
+}
+
+/// The restrictions an uncorrelated `IN` hands its subquery: one per probe
+/// column whose probes are all non-`NULL` `Int`, `Str` or `Bool` values,
+/// the values on which `sql_eq` and the key index agree (so the probes
+/// pass the same type test as a landing column).  A `NULL` probe leaves
+/// every row of its column relevant.
+fn in_restrictions(lhs: &[VCol]) -> Vec<Restriction> {
+    lhs.iter()
+        .enumerate()
+        .filter_map(|(col, probes)| {
+            let keys = match probes {
+                VCol::Const(v) => Column::splat(v, 1),
+                VCol::Col(c) => c.clone(),
+            };
+            let no_null = keys.validity().is_none_or(|b| b.count_valid() == b.len());
+            (KeyEq::Sql.answers_for(&keys) && no_null).then_some(Restriction {
+                col,
+                keys,
+                eq: KeyEq::Sql,
+            })
+        })
+        .collect()
+}
+
+/// The rows of `table` that every restriction answerable from its key
+/// indexes keeps, ascending, or `None` if none is.  A restriction is
+/// answered when its equality agrees with the index on its column and it
+/// has fewer keys than the column has distinct keys (rows are compared
+/// first, so a restriction that cannot pass builds no index).
+fn key_rows(table: &ColumnTable, restrictions: &[Restriction]) -> Option<Vec<u32>> {
+    let mut kept: Option<Vec<u32>> = None;
+    for r in restrictions.iter().filter(|r| r.col < table.arity()) {
+        let col = table.col(r.col);
+        let n = r.keys.len();
+        if !r.eq.answers_for(col) || n >= col.len() || n >= col.key_index().distinct_keys() {
+            continue;
+        }
+        let mut rows = col.key_index().nulls().to_vec();
+        for j in 0..n {
+            for group in col.rows_matching(&r.keys, j) {
+                rows.extend_from_slice(group);
+            }
+        }
+        rows.sort_unstable();
+        rows.dedup();
+        kept = Some(match kept {
+            Some(mut prev) => {
+                prev.retain(|x| rows.binary_search(x).is_ok());
+                prev
+            }
+            None => rows,
+        });
+    }
+    kept
 }
 
 /// Evaluates a row-level program on each group's first row, as one batch
@@ -1614,7 +1889,8 @@ mod tests {
             columnar: &ColumnInstance::new(),
             converted: RefCell::default(),
         };
-        let out = VecEvaluator::new(&tables, None, None).eval(&plan.root, &Ctes::new()).unwrap();
+        let out =
+            VecEvaluator::new(&tables, None, None).eval(&plan.root, &Ctes::new(), &[]).unwrap();
         assert_eq!(out.len(), 4);
         // Every re-entry shares the one conversion of `emp`.
         let converted = tables.converted.borrow();
@@ -1623,6 +1899,311 @@ mod tests {
         drop(converted);
         let again = tables.scan("emp", &Arc::new(vec!["x".into(); 3])).unwrap();
         assert!(std::ptr::eq(emp.data(), again.col(0).data()));
+    }
+
+    /// Checks `sql` against the oracle, then runs it profiled over the
+    /// columnar image of [`instance`] and counts its `key_scan` stages.
+    fn key_scans(sql: &str) -> usize {
+        check(sql);
+        let inst = instance();
+        let plan = compile_query(&inst, &parse_query(sql).unwrap()).unwrap();
+        let (_, stages) =
+            eval_vectorized_profiled(&inst, &ColumnInstance::from_rel(&inst), &plan).unwrap();
+        stages.iter().filter(|s| s.op == "key_scan").count()
+    }
+
+    /// `SELECT e.name, t.n FROM emp AS e JOIN <derived> AS t ON e.dept =
+    /// t.k WHERE e.id = 1`: one anchored employee joined to `derived`.
+    fn anchored(derived: &str) -> String {
+        format!(
+            "SELECT e.name, t.n FROM emp AS e JOIN ({derived}) AS t ON e.dept = t.k WHERE e.id = 1"
+        )
+    }
+
+    #[test]
+    fn restrictions_descend_through_renames_projections_selects_and_preserved_sides() {
+        // The selection reads emp's index, the join dept's.
+        assert_eq!(
+            key_scans(
+                "SELECT e.name, d.dname FROM emp AS e JOIN dept AS d ON e.dept = d.dnum WHERE e.id = 1"
+            ),
+            2
+        );
+        // Through a derived table's renames and column-only projection.
+        assert_eq!(key_scans(&anchored("SELECT d.dnum AS k, d.dname AS n FROM dept AS d")), 2);
+        // Through a selection that cannot raise.
+        assert_eq!(
+            key_scans(&anchored(
+                "SELECT d.dnum AS k, d.dname AS n FROM dept AS d WHERE d.dname <> 'x' OR d.dnum IS NULL"
+            )),
+            2
+        );
+        // Into the left input of an inner join whose residual cannot
+        // raise; that join then restricts its right input in turn.
+        assert_eq!(
+            key_scans(&anchored(
+                "SELECT d.dnum AS k, x.dname AS n FROM dept AS d JOIN dept AS x \
+                 ON d.dnum = x.dnum AND (d.dname = x.dname OR x.dnum = 1)"
+            )),
+            3
+        );
+        // Into the preserved side of a LEFT join, which restricts its
+        // null-supplying side to the preserved rows' keys.
+        assert_eq!(
+            key_scans(&anchored(
+                "SELECT d.dnum AS k, x.name AS n FROM dept AS d LEFT JOIN emp AS x ON d.dnum = x.dept"
+            )),
+            3
+        );
+    }
+
+    #[test]
+    fn restrictions_stop_where_an_operator_could_raise_or_change_the_answer() {
+        let derived = [
+            // Arithmetic in a projection, or in a selection.
+            "SELECT d.dnum AS k, d.dnum + 1 AS n FROM dept AS d",
+            "SELECT d.dnum AS k, d.dname AS n FROM dept AS d WHERE d.dnum + 1 > 0",
+            // A subquery in a selection.
+            "SELECT d.dnum AS k, d.dname AS n FROM dept AS d \
+             WHERE EXISTS (SELECT x.id FROM emp AS x WHERE x.dept = d.dnum)",
+            // A join residual that could raise.
+            "SELECT d.dnum AS k, x.dname AS n FROM dept AS d JOIN dept AS x \
+             ON d.dnum = x.dnum AND d.dnum * 1 = x.dnum",
+            // The null-supplying side of a LEFT join.
+            "SELECT x.dnum AS k, d.dname AS n FROM dept AS d LEFT JOIN dept AS x ON d.dnum = x.dnum",
+            // A DISTINCT projection.
+            "SELECT DISTINCT d.dnum AS k, d.dname AS n FROM dept AS d",
+        ];
+        for d in derived {
+            // Only the anchor's own selection reads an index.
+            assert_eq!(key_scans(&anchored(d)), 1, "{d}");
+        }
+        // A CTE is no base table.
+        assert_eq!(
+            key_scans(
+                "WITH t AS (SELECT d.dnum AS k, d.dname AS n FROM dept AS d) \
+                 SELECT e.name, t.n FROM emp AS e JOIN t ON e.dept = t.k WHERE e.id = 1"
+            ),
+            1
+        );
+        // A string added to a number fails on both sides, also when the
+        // only row an index would keep holds no string (employee 4's name
+        // is NULL).
+        let fails = |derived: &str| {
+            let sql = format!(
+                "SELECT e.name, t.n FROM emp AS e JOIN ({derived}) AS t ON e.id = t.k WHERE e.id = 4"
+            );
+            assert!(check(&sql).is_none(), "{sql}");
+        };
+        fails("SELECT x.id AS k, x.name + 1 AS n FROM emp AS x");
+        fails("SELECT x.id AS k, x.name AS n FROM emp AS x WHERE x.name + 1 IS NULL");
+        fails("SELECT x.id AS k, y.name AS n FROM emp AS x JOIN emp AS y ON x.id = y.id AND x.name + 1 IS NULL");
+        fails("SELECT x.id AS k, y.n AS n FROM emp AS x JOIN (SELECT z.id AS k, z.name + 1 AS n FROM emp AS z) AS y ON x.id = y.k");
+        // Tables missing from the columnar image are converted, never
+        // restricted.
+        let inst = instance();
+        let q = parse_query(&anchored("SELECT d.dnum AS k, d.dname AS n FROM dept AS d")).unwrap();
+        let plan = compile_query(&inst, &q).unwrap();
+        let (_, stages) = eval_vectorized_profiled(&inst, &ColumnInstance::new(), &plan).unwrap();
+        assert!(stages.iter().all(|s| s.op != "key_scan"), "{stages:?}");
+    }
+
+    #[test]
+    fn joins_restrict_with_one_key_pair_and_fewer_left_rows_than_distinct_keys() {
+        // Two key pairs: only the anchor's selection restricts.
+        assert_eq!(
+            key_scans(
+                "SELECT e.name FROM emp AS e JOIN dept AS d ON e.dept = d.dnum AND e.name = d.dname \
+                 WHERE e.id = 1"
+            ),
+            1
+        );
+        // emp.dept has four rows and two distinct keys: one left row
+        // restricts, two do not.
+        assert_eq!(
+            key_scans(
+                "SELECT d.dname, e.name FROM dept AS d JOIN emp AS e ON d.dnum = e.dept WHERE d.dnum = 1"
+            ),
+            2
+        );
+        assert_eq!(
+            key_scans(
+                "SELECT d.dname, e.name FROM dept AS d JOIN emp AS e ON d.dnum = e.dept WHERE d.dnum < 3"
+            ),
+            0
+        );
+        // Every left row of a whole-table join: no index is read.
+        assert_eq!(
+            key_scans("SELECT e.name, d.dname FROM emp AS e JOIN dept AS d ON e.dept = d.dnum"),
+            0
+        );
+    }
+
+    #[test]
+    fn in_restricts_only_non_null_int_str_and_bool_probes() {
+        let col = |vals: Vec<Value>| VCol::Col(Column::from_values(vals));
+        let restricted = |lhs: Vec<VCol>| -> Vec<(usize, usize)> {
+            in_restrictions(&lhs).iter().map(|r| (r.col, r.keys.len())).collect()
+        };
+        assert_eq!(restricted(vec![col(vec![v(1), v(2)])]), vec![(0, 2)]);
+        assert_eq!(restricted(vec![col(vec![s("a"), s("b")])]), vec![(0, 2)]);
+        assert_eq!(restricted(vec![col(vec![Value::Bool(true)])]), vec![(0, 1)]);
+        assert_eq!(restricted(vec![VCol::Const(v(7))]), vec![(0, 1)]);
+        // A NULL probe, a float probe or a mixed column: no restriction.
+        assert!(restricted(vec![col(vec![v(1), Value::Null])]).is_empty());
+        assert!(restricted(vec![VCol::Const(Value::Null)]).is_empty());
+        assert!(restricted(vec![col(vec![f(1.0)])]).is_empty());
+        assert!(restricted(vec![col(vec![v(1), f(1.0)])]).is_empty());
+        // Column by column in a tuple IN.
+        assert_eq!(restricted(vec![col(vec![f(0.0)]), col(vec![v(3)])]), vec![(1, 1)]);
+        // The landing column must be Int, Str or Bool as well.
+        let table = ColumnTable::from_table(&Table::with_rows(
+            ["i", "s", "b", "f", "m"],
+            (0..6).map(|i| {
+                vec![
+                    v(i),
+                    s(&i.to_string()),
+                    Value::Bool(i % 2 == 0),
+                    f(i as f64),
+                    if i % 2 == 0 { v(i) } else { f(i as f64) },
+                ]
+            }),
+        ));
+        let on = |col: usize, keys: Column, eq: KeyEq| {
+            key_rows(&table, &[Restriction { col, keys, eq }])
+        };
+        let int_key = || Column::from_values(vec![v(2)]);
+        assert_eq!(on(0, int_key(), KeyEq::Sql), Some(vec![2]));
+        assert_eq!(on(1, Column::from_values(vec![s("4")]), KeyEq::Sql), Some(vec![4]));
+        assert_eq!(
+            on(2, Column::from_values(vec![Value::Bool(false)]), KeyEq::Sql),
+            Some(vec![1, 3, 5])
+        );
+        assert_eq!(on(3, int_key(), KeyEq::Sql), None);
+        assert_eq!(on(4, int_key(), KeyEq::Sql), None);
+        // The join's own equality is the index's, on every column.
+        assert_eq!(on(3, int_key(), KeyEq::Join), Some(vec![2]));
+        assert_eq!(on(4, int_key(), KeyEq::Join), Some(vec![2]));
+        // The size rule: fewer keys than the column has distinct keys.
+        let keys = |n: i64| Column::from_values((0..n).map(v).collect());
+        assert_eq!(on(0, keys(5), KeyEq::Sql), Some(vec![0, 1, 2, 3, 4]));
+        assert_eq!(on(0, keys(6), KeyEq::Sql), None);
+        assert_eq!(on(2, Column::from_values(vec![Value::Bool(true); 2]), KeyEq::Sql), None);
+    }
+
+    #[test]
+    fn equality_reads_the_index_only_for_exact_integer_constants() {
+        let big = 1i64 << 53;
+        let mut inst = RelInstance::new();
+        inst.insert_table(
+            "big",
+            Table::with_rows(
+                ["k"],
+                vec![vec![v(big)], vec![v(big + 1)], vec![v(5)], vec![Value::Null]],
+            ),
+        );
+        let columnar = ColumnInstance::from_rel(&inst);
+        let run = |sql: &str| {
+            let q = parse_query(sql).unwrap();
+            let plan = compile_query(&inst, &q).unwrap();
+            let (got, stages) = eval_vectorized_profiled(&inst, &columnar, &plan).unwrap();
+            assert_eq!(got, eval_query_unoptimized(&inst, &q).unwrap(), "{sql}");
+            (got.len(), stages.iter().any(|s| s.op == "key_scan"))
+        };
+        // Through f64, 2^53 + 1 equals both big keys: the oracle's answer
+        // stands because no index is read.
+        assert_eq!(run("SELECT b.k FROM big AS b WHERE b.k = 9007199254740993"), (2, false));
+        assert_eq!(run("SELECT b.k FROM big AS b WHERE b.k = 9007199254740992"), (2, false));
+        assert_eq!(run("SELECT b.k FROM big AS b WHERE b.k = 5"), (1, true));
+        assert_eq!(run("SELECT b.k FROM big AS b WHERE 5 = b.k AND b.k > 0"), (1, true));
+        assert_eq!(run("SELECT b.k FROM big AS b WHERE b.k = 5.0"), (1, false));
+        // A float or mixed column compares `0` equal to `-0.0`, the index
+        // does not: it is not read.
+        check("SELECT a.x FROM fa AS a WHERE a.x = 0");
+        assert_eq!(key_scans("SELECT a.x FROM fa AS a WHERE a.x = 0"), 0);
+        // Bound outer values pass the same test; unbound ones restrict
+        // nothing.
+        let tables = Tables { instance: &inst, columnar: &columnar, converted: RefCell::default() };
+        let row = [v(5), v(big), f(5.0)];
+        let columns = ["o.i".to_string(), "o.big".to_string(), "o.f".to_string()];
+        let scope = Scope { columns: &columns, row: &row, outer: None };
+        let bound = VecEvaluator::new(&tables, Some(&scope), None);
+        let outer = |c: &str| CExpr::Outer(crate::ast::ColumnRef::qualified("o", c));
+        assert_eq!(bound.exact_int(&outer("i")), Some(5));
+        assert_eq!(bound.exact_int(&outer("big")), None);
+        assert_eq!(bound.exact_int(&outer("f")), None);
+        assert_eq!(bound.exact_int(&CExpr::Value(v(-(big - 1)))), Some(-(big - 1)));
+        assert_eq!(bound.exact_int(&CExpr::Value(v(-big))), None);
+        let unbound = VecEvaluator::new(&tables, None, None);
+        assert_eq!(unbound.exact_int(&outer("i")), None);
+        assert!(!unbound.cannot_raise_expr(&outer("i")));
+        assert!(bound.cannot_raise_expr(&outer("i")));
+        // A correlated `col = outer` subquery reads the index per outer row.
+        check(
+            "SELECT e.id FROM emp AS e WHERE EXISTS (SELECT x.id FROM emp AS x WHERE x.id = e.id)",
+        );
+        check("SELECT e.id FROM emp AS e WHERE e.name IN (SELECT x.name FROM emp AS x WHERE x.dept = e.dept)");
+    }
+
+    /// USR, FOLLOWS, POSTED and PIC with perfbench's seed shape: 500 users
+    /// and pictures, three follows and three posts per user.
+    fn seed_shaped() -> RelInstance {
+        let mut inst = RelInstance::new();
+        inst.insert_table(
+            "USR",
+            Table::with_rows(
+                ["UsrId", "UsrName"],
+                (0..500).map(|i| vec![v(i), s(&format!("u{i}"))]),
+            ),
+        );
+        inst.insert_table(
+            "PIC",
+            Table::with_rows(["PicId", "PicSize"], (0..500).map(|i| vec![v(i), v(i % 7)])),
+        );
+        inst.insert_table(
+            "FOLLOWS",
+            Table::with_rows(
+                ["FId", "SRC", "TGT"],
+                (0..1500).map(|i| vec![v(i), v(i / 3), v((i * 7 + 1) % 500)]),
+            ),
+        );
+        inst.insert_table(
+            "POSTED",
+            Table::with_rows(
+                ["PostId", "PostDate", "SRC", "TGT"],
+                (0..1500).map(|i| vec![v(i), v(i % 30), v(i / 3), v((i * 11) % 500)]),
+            ),
+        );
+        inst
+    }
+
+    #[test]
+    fn the_seed_shaped_optional_translation_runs_by_key() {
+        // The translation of `MATCH (a:USR {UsrId: 260})-[f:FOLLOWS]->(u:USR)
+        // OPTIONAL MATCH (u:USR)-[p:POSTED]->(x:PIC) RETURN u.UsrId AS uid,
+        // x.PicSize AS size`.
+        let sql = "SELECT u_UsrId AS uid, x_PicSize AS size FROM (SELECT T1.a_UsrId AS a_UsrId, \
+            T1.a_UsrName AS a_UsrName, T1.f_FId AS f_FId, T1.u_UsrId AS u_UsrId, T1.u_UsrName AS u_UsrName, \
+            T2.p_PostId AS p_PostId, T2.p_PostDate AS p_PostDate, T2.x_PicId AS x_PicId, T2.x_PicSize AS x_PicSize \
+            FROM (SELECT a.UsrId AS a_UsrId, a.UsrName AS a_UsrName, f.FId AS f_FId, u.UsrId AS u_UsrId, \
+            u.UsrName AS u_UsrName FROM USR AS a JOIN FOLLOWS AS f ON f.SRC = a.UsrId JOIN USR AS u \
+            ON f.TGT = u.UsrId WHERE a.UsrId = 260) AS T1 LEFT JOIN (SELECT u.UsrId AS u_UsrId, \
+            u.UsrName AS u_UsrName, p.PostId AS p_PostId, p.PostDate AS p_PostDate, x.PicId AS x_PicId, \
+            x.PicSize AS x_PicSize FROM USR AS u JOIN POSTED AS p ON p.SRC = u.UsrId JOIN PIC AS x \
+            ON p.TGT = x.PicId) AS T2 ON T1.u_UsrId = T2.u_UsrId) AS sub";
+        let inst = seed_shaped();
+        let q = parse_query(sql).unwrap();
+        let plan = compile_query(&inst, &q).unwrap();
+        let (got, stages) =
+            eval_vectorized_profiled(&inst, &ColumnInstance::from_rel(&inst), &plan).unwrap();
+        assert_eq!(got, eval_query_unoptimized(&inst, &q).unwrap());
+        assert_eq!(got.len(), 9);
+        // All six base scans read by key, the derived table's three too.
+        assert_eq!(stages.iter().filter(|s| s.op == "key_scan").count(), 6, "{stages:?}");
+        assert!(stages.iter().all(|s| s.op != "scan"), "{stages:?}");
+        assert!(stages.iter().all(|s| s.rows_out < 1500), "{stages:?}");
+        let key_scan = stages.iter().find(|s| s.op == "key_scan").unwrap();
+        assert_eq!((key_scan.rows_out, key_scan.density), (1, Some(1.0 / 500.0)));
     }
 
     #[test]

@@ -3206,6 +3206,57 @@ vs\n{tb}"
     }
 
     #[test]
+    fn a_checksummed_record_that_does_not_decode_is_corrupt_and_no_file_changes() {
+        let dir = scratch("undecodable");
+        let first_segment;
+        {
+            let store = durable(&dir, durable_opts(true, 0)).open().unwrap();
+            let mut deltas = scripted_deltas().into_iter();
+            store.commit(deltas.next().unwrap()).unwrap();
+            // Keep the segment holding commit 1; the checkpoint vacuums it
+            // and rotates to a second segment, which takes commit 2.
+            let seg = wal_segment_files(&dir).unwrap().remove(0);
+            first_segment = (seg.clone(), std::fs::read(&seg).unwrap());
+            store.checkpoint_now().unwrap();
+            store.commit(deltas.next().unwrap()).unwrap();
+        }
+        // Restore the first segment (a crash between checkpoint and
+        // vacuum) with one more record after commit 1: its CRC passes, but
+        // it claims u32::MAX properties and does not decode.
+        let mut payload = Vec::new();
+        wal::put_u64(&mut payload, 2);
+        payload.push(0); // flags: no token
+        wal::put_u32(&mut payload, 1); // one operation
+        payload.push(0); // AddNode
+        wal::put_str(&mut payload, "EMP");
+        wal::put_u32(&mut payload, u32::MAX);
+        let mut bytes = first_segment.1.clone();
+        wal::put_u32(&mut bytes, payload.len() as u32);
+        wal::put_u32(&mut bytes, wal::crc32(&payload));
+        bytes.extend_from_slice(&payload);
+        std::fs::write(&first_segment.0, &bytes).unwrap();
+        let segments = wal_segment_files(&dir).unwrap();
+        assert_eq!(segments.len(), 2);
+        let before: Vec<Vec<u8>> = segments.iter().map(|p| std::fs::read(p).unwrap()).collect();
+        // Truncating there and vacuuming the second segment would drop the
+        // acknowledged commit 2: recovery refuses instead.
+        match durable(&dir, DurabilityOptions::default()).open() {
+            Err(StoreError::Corrupt { file, detail }) => {
+                assert_eq!(file, first_segment.0);
+                let offset = first_segment.1.len();
+                assert!(detail.contains(&format!("byte offset {offset}")), "{detail}");
+            }
+            Err(other) => panic!("expected Corrupt, got: {other}"),
+            Ok(_) => panic!("a segment with an undecodable record opened"),
+        }
+        assert_eq!(wal_segment_files(&dir).unwrap(), segments);
+        for (path, bytes) in segments.iter().zip(&before) {
+            assert_eq!(&std::fs::read(path).unwrap(), bytes, "{} changed", path.display());
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn a_corrupt_newest_checkpoint_with_vacuumed_wal_refuses_to_lose_commits() {
         let dir = scratch("fallback-refuse");
         {

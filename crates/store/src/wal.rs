@@ -21,9 +21,13 @@
 //!
 //! A **torn tail** — a crash mid-append leaving a truncated or
 //! corrupted final record — is detected by the length prefix running
-//! past end-of-file or by a CRC mismatch; [`read_segment`] stops at the
-//! last intact record and reports the valid prefix length so recovery
-//! can truncate the tear instead of failing.
+//! past end-of-file, by a zero length (a zero-filled tail) or by a CRC
+//! mismatch; [`read_segment`] stops at the last intact record and
+//! reports the valid prefix length so recovery can truncate the tear
+//! instead of failing.  A record whose CRC passes but which does not
+//! decode is no tear: it was written whole, so it is corrupt or of
+//! another layout, and acknowledged commits may follow it.  The scan
+//! fails with `Corrupt` and recovery changes no file.
 //!
 //! ## Segments
 //!
@@ -374,8 +378,10 @@ pub(crate) struct SegmentScan {
     pub(crate) torn: bool,
 }
 
-/// Scans a segment, stopping at the first torn or corrupt record.  Never
-/// fails on a tear — only on unreadable files.
+/// Scans a segment, stopping at the first torn record (a short header, a
+/// short payload, a zero length or a CRC mismatch).  Never fails on a
+/// tear — only on an unreadable file, or with `Corrupt` on a record whose
+/// CRC passes but which does not decode.
 pub(crate) fn read_segment(vfs: &dyn Vfs, path: &Path) -> StoreResult<SegmentScan> {
     let bytes = vfs.read(path).map_err(|e| StoreError::io("wal: reading", path, e))?;
     let mut records = Vec::new();
@@ -393,14 +399,22 @@ pub(crate) fn read_segment(vfs: &dyn Vfs, path: &Path) -> StoreResult<SegmentSca
         if len > remaining - 8 {
             break; // torn payload
         }
+        if len == 0 {
+            // No record is empty: a zero-filled tail, whose zero checksum
+            // matches the empty payload's.
+            break;
+        }
         let payload = &bytes[pos + 8..pos + 8 + len];
         if crc32(payload) != crc {
             break; // corrupt payload (e.g. a partial overwrite)
         }
-        match decode_record(payload) {
-            Ok(rec) => records.push(rec),
-            Err(_) => break, // checksum passed but the payload is garbage
-        }
+        let rec = decode_record(payload).map_err(|e| {
+            StoreError::corrupt(
+                path,
+                format!("wal: the record at byte offset {pos} passes its checksum but does not decode: {e}"),
+            )
+        })?;
+        records.push(rec);
         pos += 8 + len;
     }
     Ok(SegmentScan { records, valid_len: pos as u64, torn: true })
@@ -596,8 +610,29 @@ mod tests {
         put_u32(&mut bytes, crc32(&payload));
         bytes.extend_from_slice(&payload);
         std::fs::write(&path, &bytes).unwrap();
+        match read_segment(&StdVfs, &path) {
+            Err(StoreError::Corrupt { file, detail }) => {
+                assert_eq!(file, path);
+                assert!(detail.contains("byte offset 0"), "{detail}");
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_zero_filled_tail_is_a_tear() {
+        let dir = scratch_dir("zero-tail");
+        let path = segment_path(&dir, 0);
+        let mut w = WalWriter::create(&StdVfs, path.clone()).unwrap();
+        w.append(1, None, &sample_delta()).unwrap();
+        let one = w.len();
+        drop(w);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.extend_from_slice(&[0; 24]);
+        std::fs::write(&path, &bytes).unwrap();
         let scan = read_segment(&StdVfs, &path).unwrap();
-        assert!(scan.records.is_empty() && scan.torn && scan.valid_len == 0);
+        assert_eq!((scan.records.len(), scan.valid_len, scan.torn), (1, one, true));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -151,6 +151,37 @@ const KEYED_QUERIES: &[&str] = &[
     "SELECT b.v FROM b AS b WHERE b.x NOT IN (SELECT a.x FROM a AS a)",
     "SELECT a.v FROM a AS a WHERE a.x IN (SELECT b.x FROM b AS b WHERE b.v > 2)",
     "SELECT a.v FROM a AS a WHERE a.x IN (SELECT b.x FROM b AS b WHERE b.k1 = a.k1)",
+    // Restricted scans: each of these runs on the columnar image, where a
+    // join, an `IN` or a `col = c` selection may hand keys down to a base
+    // scan's key index.  A small anchored table LEFT JOIN a derived join
+    // chain, on hash keys and on the integer payload.
+    "SELECT s.k, t.bv, t.cv FROM (SELECT a.k1 AS k FROM a AS a WHERE a.v = 1) AS s \
+     LEFT JOIN (SELECT b.k1 AS k, b.v AS bv, c.v AS cv FROM b AS b JOIN b AS c ON b.k2 = c.k1) AS t \
+     ON s.k = t.k",
+    "SELECT s.v, t.x FROM (SELECT a.v AS v FROM a AS a WHERE a.k2 = 1) AS s \
+     LEFT JOIN (SELECT b.v AS v, c.x AS x FROM b AS b JOIN b AS c ON b.v = c.v) AS t ON s.v = t.v",
+    // IN and NOT IN over a join chain: NULL probes (a.v) and NULL
+    // subquery rows (b.v), and a mixed probe column (a.x).
+    "SELECT a.k1, a.v FROM a AS a WHERE a.v IN (SELECT b.v FROM b AS b JOIN b AS c ON b.k1 = c.k1)",
+    "SELECT a.k1, a.v FROM a AS a \
+     WHERE a.v NOT IN (SELECT b.v FROM b AS b JOIN b AS c ON b.k1 = c.k1)",
+    "SELECT a.v FROM a AS a WHERE a.x IN (SELECT b.x FROM b AS b JOIN b AS c ON b.v = c.v)",
+    // A two-column IN.
+    "SELECT a.k1, a.v FROM a AS a WHERE (a.v, a.k1) IN (SELECT b.v, b.k1 FROM b AS b)",
+    "SELECT a.k1, a.v FROM a AS a \
+     WHERE (a.v, a.k2) NOT IN (SELECT b.v, c.k2 FROM b AS b JOIN b AS c ON b.k1 = c.k1)",
+    // A derived table whose projection adds a string to a number: both
+    // sides fail whenever b holds a non-NULL payload.
+    "SELECT a.v, t.bad FROM a AS a JOIN (SELECT b.k1 AS k, b.v + 'x' AS bad FROM b AS b) AS t \
+     ON a.k1 = t.k",
+    // A correlated `col = outer` subquery.
+    "SELECT a.k1 FROM a AS a WHERE EXISTS (SELECT b.k2 FROM b AS b WHERE b.v = a.v)",
+    "SELECT a.k1, a.v FROM a AS a WHERE a.k2 IN (SELECT b.k2 FROM b AS b WHERE b.v = a.v)",
+    // `col = c` on the payload, and on keys that hold 2^53 and 2^53 + 1:
+    // the oracle compares through f64, so both match either constant.
+    "SELECT b.k1, b.x FROM b AS b WHERE b.v = 3",
+    "SELECT b.k1, b.v FROM b AS b WHERE b.k1 = 9007199254740993",
+    "SELECT b.k1, b.v FROM b AS b WHERE b.k2 = 9007199254740992 AND b.v = 2",
 ];
 
 /// Asserts that the vectorized executor returns exactly the oracle's table
