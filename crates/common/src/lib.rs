@@ -24,4 +24,4 @@ pub use error::{Error, Result, MAX_NESTING};
 pub use ident::Ident;
 pub use intern::intern;
 pub use truth::Truth;
-pub use value::{AggKind, BinArith, CmpOp, Value};
+pub use value::{number_hash_bits, AggKind, BinArith, CmpOp, Value};

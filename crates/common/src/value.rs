@@ -256,6 +256,22 @@ impl Ord for Value {
     }
 }
 
+/// The word a number hashes by: its `f64` bits, with `-0.0` written as
+/// `0.0` and every NaN as one NaN, so that numbers [`Value::strict_eq`]
+/// calls equal (`Int(0)`, `0.0` and `-0.0`; any two NaNs) hash alike.
+pub fn number_hash_bits(x: f64) -> u64 {
+    if x.is_nan() {
+        f64::NAN.to_bits()
+    } else if x == 0.0 {
+        0
+    } else {
+        x.to_bits()
+    }
+}
+
+/// Values that are equal (`strict_eq`) hash alike: numbers by
+/// [`number_hash_bits`] of their `f64` image, under one tag for `Int` and
+/// `Float`.
 impl std::hash::Hash for Value {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         match self {
@@ -266,11 +282,11 @@ impl std::hash::Hash for Value {
             }
             Value::Int(i) => {
                 2u8.hash(state);
-                (*i as f64).to_bits().hash(state);
+                number_hash_bits(*i as f64).hash(state);
             }
             Value::Float(f) => {
                 2u8.hash(state);
-                f.to_bits().hash(state);
+                number_hash_bits(*f).hash(state);
             }
             Value::Str(s) => {
                 3u8.hash(state);

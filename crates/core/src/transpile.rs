@@ -27,7 +27,7 @@ use std::collections::HashMap;
 /// Transpiles a Cypher query into a SQL query over the induced relational
 /// schema (the `Transpile` step of Algorithm 1).
 pub fn transpile_query(ctx: &SdtContext, query: &cy::Query) -> Result<SqlQuery> {
-    let mut t = Transpiler { ctx, fresh: 0 };
+    let mut t = Transpiler { ctx, fresh: 0, nullable: Vec::new() };
     t.query(query)
 }
 
@@ -89,6 +89,10 @@ struct PatternResult {
 struct Transpiler<'a> {
     ctx: &'a SdtContext,
     fresh: usize,
+    /// The variables that may hold `NULL` after the clauses translated so
+    /// far in the current return query: those an `OPTIONAL MATCH` bound,
+    /// and their `WITH` renamings.
+    nullable: Vec<Ident>,
 }
 
 impl<'a> Transpiler<'a> {
@@ -113,6 +117,7 @@ impl<'a> Transpiler<'a> {
     }
 
     fn return_query(&mut self, r: &cy::ReturnQuery) -> Result<SqlQuery> {
+        self.nullable.clear();
         let (vars, clause_q) = self.clause(&r.clause)?;
         let mut items = Vec::with_capacity(r.items.len());
         for (expr, name) in r.items.iter().zip(r.names.iter()) {
@@ -211,11 +216,22 @@ impl<'a> Transpiler<'a> {
                     pred: join_pred,
                 };
                 let projected = self.project_sided(joined, &vars_out, &t1, &x1, &t2)?;
+                for (v, _) in &pr.vars {
+                    if !x1.iter().any(|(v1, _)| v1 == v) && !self.nullable.contains(v) {
+                        self.nullable.push(v.clone());
+                    }
+                }
                 Ok((vars_out, projected))
             }
             cy::Clause::With { prev, old, new } => {
                 // C-With: projection plus renaming of the kept variables.
                 let (x1, q1) = self.clause(prev)?;
+                self.nullable = old
+                    .iter()
+                    .zip(new)
+                    .filter(|(o, _)| self.nullable.contains(o))
+                    .map(|(_, n)| n.clone())
+                    .collect();
                 let mut items = Vec::new();
                 let mut vars_out = Vec::new();
                 for (o, n) in old.iter().zip(new.iter()) {
@@ -553,7 +569,11 @@ impl<'a> Transpiler<'a> {
 
     /// `P-Exists`: the pattern becomes a subquery projecting the primary keys
     /// of the variables shared with the enclosing scope, and the predicate
-    /// becomes a (tuple) `IN` check correlating those keys.
+    /// becomes a (tuple) `IN` check correlating those keys.  A shared
+    /// variable that an `OPTIONAL MATCH` may have nullified matches
+    /// nothing, so its key is also required to be non-`NULL`: `NULL IN
+    /// (…)` alone would be `Unknown`, and `NOT EXISTS` would drop the row
+    /// that Cypher keeps.
     fn exists(
         &mut self,
         pp: &cy::PathPattern,
@@ -577,6 +597,7 @@ impl<'a> Transpiler<'a> {
         }
         let mut sub_items = Vec::new();
         let mut lhs = Vec::new();
+        let mut conds = Vec::new();
         for (v, l) in &shared {
             let pk = self.ctx.pk_of(l.as_str())?;
             let alias = pr.aliases.get(v.as_str()).cloned().unwrap_or_else(|| v.to_string());
@@ -584,10 +605,14 @@ impl<'a> Transpiler<'a> {
                 SqlExpr::Col(ColumnRef::qualified(alias, pk.clone())),
                 format!("{v}_{pk}"),
             ));
+            if self.nullable.contains(v) {
+                conds.push(SqlPred::Not(Box::new(SqlPred::IsNull(Box::new(style.prop(v, pk))))));
+            }
             lhs.push(style.prop(v, pk));
         }
         let sub = selected.project(sub_items);
-        Ok(SqlPred::InQuery(lhs, Box::new(sub)))
+        conds.push(SqlPred::InQuery(lhs, Box::new(sub)));
+        Ok(SqlPred::conjunction(conds))
     }
 }
 
@@ -792,6 +817,24 @@ mod tests {
             "MATCH (n:EMP) OPTIONAL MATCH (n:EMP)-[e:WORK_AT]->(m:DEPT) \
              RETURN n.name, Count(m) AS cnt",
         );
+    }
+
+    #[test]
+    fn soundness_exists_over_a_variable_optional_match_nullified() {
+        // D works nowhere, so m is NULL in D's row: EXISTS over m (or its
+        // `WITH` renaming) is false there, and NOT EXISTS true, where `NULL
+        // IN (…)` alone is Unknown.
+        let mut g = emp_graph();
+        g.add_node("EMP", [("id", Value::Int(4)), ("name", Value::str("D"))]);
+        let opt = "MATCH (n:EMP) OPTIONAL MATCH (n:EMP)-[e:WORK_AT]->(m:DEPT)";
+        for tail in [
+            "MATCH (n:EMP) WHERE NOT EXISTS ((m:DEPT)<-[f:WORK_AT]-(k:EMP)) RETURN n.name",
+            "MATCH (n:EMP) WHERE EXISTS ((m:DEPT)<-[f:WORK_AT]-(k:EMP)) RETURN n.name",
+            "WITH n AS x, m AS y MATCH (x:EMP) WHERE NOT EXISTS ((y:DEPT)<-[f:WORK_AT]-(k:EMP)) \
+             RETURN x.name",
+        ] {
+            assert_equivalent_on(&emp_schema(), &g, &format!("{opt} {tail}"));
+        }
     }
 
     #[test]

@@ -111,6 +111,13 @@ impl PathPattern {
         self.steps.iter().map(|(e, _)| e)
     }
 
+    /// The variables this pattern binds, in order of appearance, repeats
+    /// included.
+    pub fn var_names(&self) -> impl Iterator<Item = &Ident> {
+        std::iter::once(&self.start.var)
+            .chain(self.steps.iter().flat_map(|(e, n)| [&e.var, &n.var]))
+    }
+
     /// All variables bound by this pattern with their labels, in order of
     /// appearance (`X` in the translation judgments).
     pub fn variables(&self) -> Vec<(Ident, Ident)> {
@@ -194,12 +201,13 @@ impl Expr {
     pub fn variables(&self) -> Vec<Ident> {
         let mut out = Vec::new();
         self.collect_vars(&mut out);
-        out
+        out.into_iter().cloned().collect()
     }
 
-    fn collect_vars(&self, out: &mut Vec<Ident>) {
+    /// Pushes every variable the expression references onto `out`.
+    pub(crate) fn collect_vars<'a>(&'a self, out: &mut Vec<&'a Ident>) {
         match self {
-            Expr::Prop(v, _) | Expr::Var(v) => out.push(v.clone()),
+            Expr::Prop(v, _) | Expr::Var(v) => out.push(v),
             Expr::Cast(p) => p.collect_vars(out),
             Expr::Agg(_, e, _) => e.collect_vars(out),
             Expr::Arith(a, _, b) => {
@@ -280,14 +288,16 @@ impl Pred {
         }
     }
 
-    fn collect_vars(&self, out: &mut Vec<Ident>) {
+    /// Pushes every variable the predicate references, those of its
+    /// `EXISTS` patterns included, onto `out`.
+    pub(crate) fn collect_vars<'a>(&'a self, out: &mut Vec<&'a Ident>) {
         match self {
             Pred::Cmp(a, _, b) => {
                 a.collect_vars(out);
                 b.collect_vars(out);
             }
             Pred::IsNull(e) | Pred::In(e, _) => e.collect_vars(out),
-            Pred::Exists(pp) => out.extend(pp.variables().into_iter().map(|(v, _)| v)),
+            Pred::Exists(pp) => out.extend(pp.var_names()),
             Pred::And(a, b) | Pred::Or(a, b) => {
                 a.collect_vars(out);
                 b.collect_vars(out);
@@ -301,7 +311,7 @@ impl Pred {
     pub fn variables(&self) -> Vec<Ident> {
         let mut out = Vec::new();
         self.collect_vars(&mut out);
-        out
+        out.into_iter().cloned().collect()
     }
 }
 

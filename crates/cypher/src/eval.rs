@@ -5,66 +5,96 @@
 //! *bindings* (the paper's lists of matched subgraphs): each binding maps the
 //! pattern variables to graph elements, or to `Null` for variables introduced
 //! by an `OPTIONAL MATCH` that found no match.
+//!
+//! # Slot rows
+//!
+//! The query's variables are numbered once per evaluation, in order of
+//! first appearance, and a clause's bindings are one flat vector of slots,
+//! one row of `stride` slots (the number of variables) per binding.  A
+//! slot is unbound (its variable is not in the clause's scope), null, a
+//! node id or an edge id; a slot out of scope is unbound in every row of
+//! the clause.  Every clause reads and writes slots:
+//!
+//! * a pattern match extends a copy of the outer row (an all-unbound row
+//!   for a first `MATCH`) in place, binding a slot only if it is unbound
+//!   or already holds the same element, so merging with the outer binding
+//!   is part of binding;
+//! * `OPTIONAL MATCH` nullifies an outer row that found no match by
+//!   writing `Null` into the pattern's unbound slots;
+//! * `WITH` writes a fresh row holding only the kept slots;
+//! * `RETURN` groups rows by their key values and copies them into group
+//!   order, so each group is one contiguous run of rows.
+//!
+//! Nothing is allocated per binding.
+//!
+//! # Where a pattern starts
+//!
+//! A pattern is matched depth first from its start node, each step
+//! walking the previous node's adjacency list.  When the outer row already
+//! holds the start variable (`EXISTS`, `OPTIONAL MATCH`, a `MATCH` after a
+//! `MATCH`), the pattern starts at that node alone, and only if the node
+//! passes the start pattern's label and property tests; a start variable
+//! holding `NULL` or an edge starts at nothing.  Otherwise the start label
+//! is scanned.  Either way matches come out in the same order: the start
+//! label's order, then each step's adjacency order.  Only the start
+//! variable seeds a match; a bound variable later in the pattern is
+//! checked when its step binds it.
+//!
+//! # The naive matcher
+//!
+//! [`eval_query_unoptimized`] is the reference the matcher is tested
+//! against.  It shares the slot rows but never seeds: every pattern scans
+//! its start label and keeps the candidate the outer row allows, and every
+//! step rescans the whole edge arena for edges incident to the previous
+//! node.
 
 use crate::ast::*;
 use graphiti_common::{AggKind, Error, Ident, Result, Truth, Value};
-use graphiti_graph::{Edge, EdgeId, GraphInstance, GraphSchema, NodeId};
+use graphiti_graph::{Edge, EdgeId, GraphInstance, GraphSchema, Node, NodeId};
 use graphiti_obs::profile::{StageProfile, StageSink};
-use graphiti_relational::{counting_sort, first_seen, hash_eq_class_into, KeyHasher, Table};
+use graphiti_relational::{counting_sort, first_seen, KeyHasher, Table};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
-
-/// A reference to a bound graph element.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ElemRef {
-    /// A bound node.
-    Node(NodeId),
-    /// A bound edge.
-    Edge(EdgeId),
-}
-
-/// A variable binding produced by clause evaluation.  `None` represents a
-/// variable nullified by `OPTIONAL MATCH`.
-pub type Binding = BTreeMap<Ident, Option<ElemRef>>;
+use std::sync::Arc;
 
 /// Evaluates a Cypher query on a graph instance, producing a result table.
 ///
 /// The `schema` is needed to resolve default property keys (used by the
 /// `Exists` predicate and by bare-variable expressions such as `Count(n)`).
 ///
-/// Pattern matching walks the instance's persistent adjacency indexes
-/// (label → elements, per-node out/in edge lists), so extending a partial
-/// binding costs O(degree) instead of O(edges).  The pre-index behaviour is
-/// retained as [`eval_query_unoptimized`] for ablation benchmarks and
-/// differential testing; both engines produce table-equivalent results
-/// (Definition 4.4) by construction.
+/// Bindings are slot rows, and a pattern whose start variable the outer
+/// binding already holds starts at that node alone (see the module
+/// documentation).  Each step walks the persistent adjacency indexes
+/// (per-node out/in edge lists), so extending a partial binding costs
+/// O(degree) instead of O(edges).  [`eval_query_unoptimized`] keeps the
+/// label scan for every start and the edge-arena rescan for every step,
+/// for ablation benchmarks and differential testing; both return the same
+/// rows, and on directed patterns in the same order.
 pub fn eval_query(schema: &GraphSchema, graph: &GraphInstance, query: &Query) -> Result<Table> {
-    let ev = Evaluator { schema, graph, use_index: true, prof: None };
-    ev.query(query)
+    Evaluator::new(schema, graph, query, true, None).query(query)
 }
 
-/// [`eval_query`] with per-operator profiling: the pattern-match phase
-/// and each query-level operator (`return`, `order_by`, `union`) report
-/// wall time and rows in/out.  Stages come back in completion (post)
-/// order; results are identical to the unprofiled path.
+/// [`eval_query`] with per-operator profiling: each clause (`match`,
+/// `optional_match`, `with`, with rows in and out) and each query-level
+/// operator (`return`, `order_by`, `union`) reports wall time and rows.
+/// An `EXISTS` predicate is timed inside the clause that evaluates it.
+/// Stages come back in completion (post) order; results are identical to
+/// the unprofiled path.
 pub fn eval_query_profiled(
     schema: &GraphSchema,
     graph: &GraphInstance,
     query: &Query,
 ) -> Result<(Table, Vec<StageProfile>)> {
-    let ev = Evaluator {
-        schema,
-        graph,
-        use_index: true,
-        prof: Some(std::cell::RefCell::new(StageSink::new())),
-    };
+    let ev = Evaluator::new(schema, graph, query, true, Some(RefCell::new(StageSink::new())));
     let out = ev.query(query)?;
     let stages = ev.prof.expect("sink installed above").into_inner().finish();
     Ok((out, stages))
 }
 
-/// Evaluates a Cypher query with the naive pattern matcher: every partial
-/// binding rescans the full edge arena per step (O(bindings × edges)).
+/// Evaluates a Cypher query with the naive pattern matcher: every pattern
+/// scans its start label, and every partial binding rescans the full edge
+/// arena per step (O(bindings × edges)).
 ///
 /// This is the seed evaluator's strategy, kept as the ablation baseline and
 /// as the reference implementation the indexed engine is differentially
@@ -74,22 +104,201 @@ pub fn eval_query_unoptimized(
     graph: &GraphInstance,
     query: &Query,
 ) -> Result<Table> {
-    let ev = Evaluator { schema, graph, use_index: false, prof: None };
-    ev.query(query)
+    Evaluator::new(schema, graph, query, false, None).query(query)
+}
+
+/// What one variable holds in one binding.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    /// Not in the clause's scope.
+    Unbound,
+    /// In scope and `NULL`: nullified by `OPTIONAL MATCH`, or kept by
+    /// `WITH` under a name that was not in scope.
+    Null,
+    Node(NodeId),
+    Edge(EdgeId),
+}
+
+impl Slot {
+    /// Feeds the slot's words to `h` (`Count(DISTINCT *)`).
+    fn hash_into(self, h: &mut KeyHasher) {
+        let (tag, id) = match self {
+            Slot::Unbound => (0, 0),
+            Slot::Null => (1, 0),
+            Slot::Node(n) => (2, n.0),
+            Slot::Edge(e) => (3, e.0),
+        };
+        h.write_u64(tag);
+        h.write_usize(id);
+    }
+}
+
+/// Binds slot `s` of `row` to `elem`: succeeds if the slot was unbound
+/// (and binds it) or already holds `elem`, and fails on `NULL` or another
+/// element.
+fn bind(row: &mut [Slot], s: usize, elem: Slot) -> bool {
+    match row[s] {
+        Slot::Unbound => {
+            row[s] = elem;
+            true
+        }
+        held => held == elem,
+    }
+}
+
+/// A clause's bindings: `stride` slots per row, back to back.
+#[derive(Debug)]
+struct Rows {
+    stride: usize,
+    slots: Vec<Slot>,
+}
+
+impl Rows {
+    fn new(stride: usize) -> Rows {
+        Rows { stride, slots: Vec::new() }
+    }
+
+    fn len(&self) -> usize {
+        self.slots.len() / self.stride
+    }
+
+    fn row(&self, i: usize) -> &[Slot] {
+        &self.slots[i * self.stride..(i + 1) * self.stride]
+    }
+
+    fn iter(&self) -> std::slice::ChunksExact<'_, Slot> {
+        self.slots.chunks_exact(self.stride)
+    }
+
+    /// Rows `range`, back to back: a group of bindings.
+    fn run(&self, range: std::ops::Range<usize>) -> &[Slot] {
+        &self.slots[range.start * self.stride..range.end * self.stride]
+    }
+
+    fn push(&mut self, row: &[Slot]) {
+        self.slots.extend_from_slice(row);
+    }
+
+    /// Appends a copy of the last row.
+    fn push_copy_of_last(&mut self) {
+        let n = self.slots.len();
+        self.slots.extend_from_within(n - self.stride..n);
+    }
+
+    fn last_mut(&mut self) -> &mut [Slot] {
+        let n = self.slots.len();
+        &mut self.slots[n - self.stride..]
+    }
+
+    /// Moves row `from` to position `to`.
+    fn move_row(&mut self, from: usize, to: usize) {
+        if from != to {
+            self.slots.copy_within(from * self.stride..(from + 1) * self.stride, to * self.stride);
+        }
+    }
+
+    fn truncate(&mut self, len: usize) {
+        self.slots.truncate(len * self.stride);
+    }
+}
+
+/// The query's variables, numbered in order of first appearance: variable
+/// `i` is slot `i` of every row.  The names are borrowed from the query.
+struct Vars<'q>(Vec<&'q Ident>);
+
+impl<'q> Vars<'q> {
+    fn of(q: &'q Query) -> Vars<'q> {
+        let mut names = Vec::new();
+        query_names(q, &mut names);
+        let mut vars = Vars(Vec::new());
+        for v in names {
+            if vars.slot(v).is_none() {
+                vars.0.push(v);
+            }
+        }
+        vars
+    }
+
+    /// The slot of `v`, if the query names it.  Names are interned, so a
+    /// pointer comparison finds them; the content comparison is a fallback.
+    fn slot(&self, v: &Ident) -> Option<usize> {
+        let ptr = v.as_arc();
+        self.0
+            .iter()
+            .position(|n| Arc::ptr_eq(n.as_arc(), ptr))
+            .or_else(|| self.0.iter().position(|n| *n == v))
+    }
+}
+
+/// Pushes every variable `q` names onto `out`, in order of appearance.
+fn query_names<'q>(q: &'q Query, out: &mut Vec<&'q Ident>) {
+    match q {
+        Query::Return(r) => {
+            clause_names(&r.clause, out);
+            r.items.iter().for_each(|e| e.collect_vars(out));
+        }
+        Query::OrderBy { input, .. } => query_names(input, out),
+        Query::Union(a, b) | Query::UnionAll(a, b) => {
+            query_names(a, out);
+            query_names(b, out);
+        }
+    }
+}
+
+fn clause_names<'q>(c: &'q Clause, out: &mut Vec<&'q Ident>) {
+    match c {
+        Clause::Match { prev, pattern, pred } => {
+            if let Some(prev) = prev {
+                clause_names(prev, out);
+            }
+            out.extend(pattern.var_names());
+            pred.collect_vars(out);
+        }
+        Clause::OptMatch { prev, pattern, pred } => {
+            clause_names(prev, out);
+            out.extend(pattern.var_names());
+            pred.collect_vars(out);
+        }
+        Clause::With { prev, old, new } => {
+            clause_names(prev, out);
+            out.extend(old.iter().chain(new));
+        }
+    }
 }
 
 struct Evaluator<'a> {
     schema: &'a GraphSchema,
     graph: &'a GraphInstance,
-    /// Walk adjacency indexes (`true`) or rescan the edge arena per binding
-    /// (`false`, the retained naive path).
+    /// Walk adjacency indexes and start bound patterns at their bound node
+    /// (`true`), or scan every start label and rescan the edge arena per
+    /// binding (`false`, the retained naive path).
     use_index: bool,
+    vars: Vars<'a>,
+    /// Slots per row: the number of variables (at least one).
+    stride: usize,
     /// Per-operator stage collection, installed by [`eval_query_profiled`]
-    /// (`None` costs one branch per query node).
-    prof: Option<std::cell::RefCell<StageSink>>,
+    /// (`None` costs one branch per query node and clause).
+    prof: Option<RefCell<StageSink>>,
 }
 
 impl<'a> Evaluator<'a> {
+    fn new(
+        schema: &'a GraphSchema,
+        graph: &'a GraphInstance,
+        query: &'a Query,
+        use_index: bool,
+        prof: Option<RefCell<StageSink>>,
+    ) -> Evaluator<'a> {
+        let vars = Vars::of(query);
+        let stride = vars.0.len().max(1);
+        Evaluator { schema, graph, use_index, vars, stride, prof }
+    }
+
+    /// The slot of a pattern variable; [`Vars::of`] numbers every one.
+    fn pattern_slot(&self, v: &Ident) -> usize {
+        self.vars.slot(v).expect("every pattern variable of the query is numbered")
+    }
+
     // ---------------------------------------------------------------- query
 
     /// Evaluates one query node, recording a profile stage when a sink
@@ -157,25 +366,15 @@ impl<'a> Evaluator<'a> {
         Ok(table)
     }
 
-    /// The pattern-match phase, reported as its own `match` stage when
-    /// profiling (rows out = bindings produced).
-    fn clause_profiled(&self, c: &Clause) -> Result<Vec<Binding>> {
-        let Some(prof) = &self.prof else { return self.clause(c) };
-        prof.borrow_mut().begin("match");
-        let out = self.clause(c);
-        prof.borrow_mut().end(out.as_ref().map(|b| b.len() as u64).unwrap_or(0));
-        out
-    }
-
     fn return_query(&self, r: &ReturnQuery) -> Result<Table> {
-        let bindings = self.clause_profiled(&r.clause)?;
+        let rows = self.clause(&r.clause)?;
         let columns: Vec<String> = r.names.iter().map(|n| n.to_string()).collect();
         let mut table = Table::new(columns);
         if !r.has_agg() {
-            for b in &bindings {
+            for b in rows.iter() {
                 let mut row = Vec::with_capacity(r.items.len());
                 for e in &r.items {
-                    row.push(self.eval_expr(e, std::slice::from_ref(b))?);
+                    row.push(self.eval_expr(e, b)?);
                 }
                 table.push_row(row);
             }
@@ -184,35 +383,34 @@ impl<'a> Evaluator<'a> {
             // key (the Groups construction in Fig. 19).  Groups are located
             // through the hash kernel (strict equality, where `Null =
             // Null`) and numbered in first-seen order, so output order
-            // matches the naive engine; the bindings then move into group
-            // order, and each group is folded as one slice of them.
+            // matches the naive engine; the rows are then copied into group
+            // order, and each group is folded as one run of them.
             let group_exprs: Vec<&Expr> = r.items.iter().filter(|e| !e.has_agg()).collect();
             let width = group_exprs.len();
             // Every binding's key, back to back.
-            let mut keys: Vec<Value> = Vec::with_capacity(bindings.len() * width);
-            for b in &bindings {
+            let mut keys: Vec<Value> = Vec::with_capacity(rows.len() * width);
+            for b in rows.iter() {
                 for e in &group_exprs {
-                    keys.push(self.eval_expr(e, std::slice::from_ref(b))?);
+                    keys.push(self.eval_expr(e, b)?);
                 }
             }
             let key = |i: usize| &keys[i * width..(i + 1) * width];
-            let hashes: Vec<u64> =
-                (0..bindings.len()).map(|i| key_hash(key(i), Value::hash)).collect();
+            let hashes: Vec<u64> = (0..rows.len()).map(|i| key_hash(key(i))).collect();
             let classes =
                 first_seen(&hashes, |i, j| key(i).iter().zip(key(j)).all(|(a, b)| a.strict_eq(b)));
             let (order, mut offsets) = counting_sort(&classes.class_of, classes.firsts.len());
-            let mut slots: Vec<Option<Binding>> = bindings.into_iter().map(Some).collect();
-            let grouped: Vec<Binding> = order
-                .iter()
-                .map(|&i| slots[i as usize].take().expect("each binding moves once"))
-                .collect();
+            let mut grouped = Rows::new(self.stride);
+            grouped.slots.reserve(rows.slots.len());
+            for &i in &order {
+                grouped.push(rows.row(i as usize));
+            }
             // Like SQL, an aggregate-only RETURN over zero matches still
             // produces a single row (e.g. `RETURN Count(*)` yields 0).
-            if group_exprs.is_empty() && grouped.is_empty() {
+            if group_exprs.is_empty() && grouped.len() == 0 {
                 offsets.push(0);
             }
             for run in offsets.windows(2) {
-                let members = &grouped[run[0] as usize..run[1] as usize];
+                let members = grouped.run(run[0] as usize..run[1] as usize);
                 let mut row = Vec::with_capacity(r.items.len());
                 for e in &r.items {
                     row.push(self.eval_expr(e, members)?);
@@ -228,242 +426,220 @@ impl<'a> Evaluator<'a> {
 
     // --------------------------------------------------------------- clause
 
-    fn clause(&self, c: &Clause) -> Result<Vec<Binding>> {
+    /// Evaluates one clause, reported as its own stage when profiling
+    /// (rows in = the previous clause's rows, rows out = bindings).
+    fn clause(&self, c: &Clause) -> Result<Rows> {
+        let Some(prof) = &self.prof else { return self.clause_node(c) };
+        prof.borrow_mut().begin(match c {
+            Clause::Match { .. } => "match",
+            Clause::OptMatch { .. } => "optional_match",
+            Clause::With { .. } => "with",
+        });
+        let out = self.clause_node(c);
+        prof.borrow_mut().end(out.as_ref().map(|r| r.len() as u64).unwrap_or(0));
+        out
+    }
+
+    fn clause_node(&self, c: &Clause) -> Result<Rows> {
+        let mut out = Rows::new(self.stride);
         match c {
             Clause::Match { prev: None, pattern, pred } => {
-                let matches = self.match_pattern(pattern, None);
-                self.filter(matches, pred)
+                self.match_pattern(pattern, &vec![Slot::Unbound; self.stride], &mut out, false);
+                self.filter(&mut out, 0, pred)?;
             }
             Clause::Match { prev: Some(prev), pattern, pred } => {
                 let left = self.clause(prev)?;
-                let mut merged = Vec::new();
-                for l in &left {
-                    for m in self.match_pattern(pattern, Some(l)) {
-                        if let Some(joined) = merge_bindings(l, &m) {
-                            merged.push(joined);
-                        }
-                    }
+                for l in left.iter() {
+                    self.match_pattern(pattern, l, &mut out, false);
                 }
-                self.filter(merged, pred)
+                self.filter(&mut out, 0, pred)?;
             }
             Clause::OptMatch { prev, pattern, pred } => {
                 let left = self.clause(prev)?;
-                let mut out = Vec::new();
-                for l in &left {
-                    let mut found = Vec::new();
-                    for m in self.match_pattern(pattern, Some(l)) {
-                        if let Some(joined) = merge_bindings(l, &m) {
-                            if self.eval_pred(pred, std::slice::from_ref(&joined))?.is_true() {
-                                found.push(joined);
+                for l in left.iter() {
+                    let found = out.len();
+                    self.match_pattern(pattern, l, &mut out, false);
+                    self.filter(&mut out, found, pred)?;
+                    if out.len() == found {
+                        // Nullify the pattern's variables (Fig. 19, v2).
+                        out.push(l);
+                        let row = out.last_mut();
+                        for v in pattern.var_names() {
+                            let s = self.pattern_slot(v);
+                            if row[s] == Slot::Unbound {
+                                row[s] = Slot::Null;
                             }
                         }
                     }
-                    if found.is_empty() {
-                        // Nullify the pattern's variables (Fig. 19, v2).
-                        let mut nullified = l.clone();
-                        for (v, _) in pattern.variables() {
-                            nullified.entry(v).or_insert(None);
-                        }
-                        out.push(nullified);
-                    } else {
-                        out.append(&mut found);
-                    }
                 }
-                Ok(out)
             }
             Clause::With { prev, old, new } => {
                 let left = self.clause(prev)?;
-                let mut out = Vec::new();
-                for b in &left {
-                    let mut projected = Binding::new();
-                    for (o, n) in old.iter().zip(new.iter()) {
-                        let entry = b.get(o).cloned().unwrap_or(None);
-                        projected.insert(n.clone(), entry);
+                let kept: Vec<(Option<usize>, usize)> = old
+                    .iter()
+                    .zip(new)
+                    .map(|(o, n)| (self.vars.slot(o), self.pattern_slot(n)))
+                    .collect();
+                out.slots.reserve(left.slots.len());
+                let unbound = vec![Slot::Unbound; self.stride];
+                for l in left.iter() {
+                    out.push(&unbound);
+                    let row = out.last_mut();
+                    // A later name overwrites an earlier one, and a name
+                    // out of scope is kept as `NULL`.
+                    for &(o, n) in &kept {
+                        row[n] = match o.map(|o| l[o]) {
+                            None | Some(Slot::Unbound) => Slot::Null,
+                            Some(held) => held,
+                        };
                     }
-                    out.push(projected);
                 }
-                Ok(out)
-            }
-        }
-    }
-
-    fn filter(&self, bindings: Vec<Binding>, pred: &Pred) -> Result<Vec<Binding>> {
-        if pred == &Pred::True {
-            return Ok(bindings);
-        }
-        let mut out = Vec::new();
-        for b in bindings {
-            if self.eval_pred(pred, std::slice::from_ref(&b))?.is_true() {
-                out.push(b);
             }
         }
         Ok(out)
     }
 
+    /// Keeps the rows from `from` on that satisfy `pred`, in order.
+    fn filter(&self, rows: &mut Rows, from: usize, pred: &Pred) -> Result<()> {
+        if pred == &Pred::True {
+            return Ok(());
+        }
+        let mut kept = from;
+        for i in from..rows.len() {
+            if self.eval_pred(pred, rows.row(i))?.is_true() {
+                rows.move_row(i, kept);
+                kept += 1;
+            }
+        }
+        rows.truncate(kept);
+        Ok(())
+    }
+
     // -------------------------------------------------------------- pattern
 
-    /// Enumerates all matches of a path pattern, optionally constrained to be
-    /// consistent with an existing binding (shared variables must refer to
-    /// the same elements).
-    fn match_pattern(&self, pp: &PathPattern, context: Option<&Binding>) -> Vec<Binding> {
-        let mut partials: Vec<Binding> = Vec::new();
-        for node in self.graph.nodes_with_label(pp.start.label.as_str()) {
-            if !self.node_matches(node.id, &pp.start) {
-                continue;
-            }
-            let mut b = Binding::new();
-            if !bind(&mut b, &pp.start.var, ElemRef::Node(node.id)) {
-                continue;
-            }
-            if consistent_with_context(&b, context) {
-                partials.push(b);
-            }
-        }
-        let mut prev_var = pp.start.var.clone();
-        for (edge_pat, node_pat) in &pp.steps {
-            let mut next: Vec<Binding> = Vec::new();
-            for b in &partials {
-                let prev_node = match b.get(&prev_var) {
-                    Some(Some(ElemRef::Node(id))) => *id,
-                    _ => continue,
-                };
-                if self.use_index {
-                    self.extend_via_adjacency(b, prev_node, edge_pat, node_pat, context, &mut next);
-                } else {
-                    self.extend_via_scan(b, prev_node, edge_pat, node_pat, context, &mut next);
-                }
-            }
-            partials = next;
-            prev_var = node_pat.var.clone();
-        }
-        partials
-    }
-
-    /// Extends one partial binding by walking `prev_node`'s adjacency lists:
-    /// only edges incident to the bound node are considered, so a step costs
-    /// O(degree) per binding.
-    fn extend_via_adjacency(
+    /// Appends to `out` every match of `pp` that extends the row `ctx`:
+    /// shared variables must refer to the same elements, and a variable
+    /// `ctx` holds as `NULL` matches nothing.  Matches come in the start
+    /// label's order, then each step's adjacency order.  With `first_only`
+    /// the search stops at the first match; returns whether one was found
+    /// then.
+    fn match_pattern(
         &self,
-        b: &Binding,
-        prev_node: NodeId,
-        edge_pat: &EdgePattern,
-        node_pat: &NodePattern,
-        context: Option<&Binding>,
-        next: &mut Vec<Binding>,
-    ) {
-        let try_edge = |edge: &Edge, to: NodeId, next: &mut Vec<Binding>| {
-            if edge.label != edge_pat.label {
-                return;
-            }
-            self.push_step_binding(b, edge, to, edge_pat, node_pat, context, next);
+        pp: &PathPattern,
+        ctx: &[Slot],
+        out: &mut Rows,
+        first_only: bool,
+    ) -> bool {
+        let s = self.pattern_slot(&pp.start.var);
+        // The working row: the last row of `out` while the search runs.
+        out.push(ctx);
+        let found = match ctx[s] {
+            // The outer binding fixes the start: that node alone, or (for
+            // `NULL` or an edge) nothing.
+            held if held != Slot::Unbound && self.use_index => match held {
+                Slot::Node(id) => self.start_at(pp, s, self.graph.node(id), out, first_only),
+                _ => false,
+            },
+            _ => self
+                .graph
+                .nodes_with_label(pp.start.label.as_str())
+                .any(|node| self.start_at(pp, s, node, out, first_only)),
         };
+        // Drop the working row.
+        out.truncate(out.len() - 1);
+        found
+    }
+
+    /// Starts the search at `node` if it passes the start pattern's tests
+    /// and the working row allows it; returns whether the search stops.
+    fn start_at(
+        &self,
+        pp: &PathPattern,
+        s: usize,
+        node: &Node,
+        out: &mut Rows,
+        first_only: bool,
+    ) -> bool {
+        if !node_matches(node, &pp.start) {
+            return false;
+        }
+        let held = out.last_mut()[s];
+        if !bind(out.last_mut(), s, Slot::Node(node.id)) {
+            return false;
+        }
+        let stop = self.extend(pp, 0, node.id, out, first_only);
+        out.last_mut()[s] = held;
+        stop
+    }
+
+    /// Binds steps `k..` of `pp` into the working row (the last row of
+    /// `out`) from node `at`, keeping a copy of the row for every complete
+    /// match; returns whether the search stops (`first_only` and a match
+    /// found).  Each step walks `at`'s adjacency lists, or rescans the
+    /// edge arena on the naive path.
+    fn extend(
+        &self,
+        pp: &PathPattern,
+        k: usize,
+        at: NodeId,
+        out: &mut Rows,
+        first_only: bool,
+    ) -> bool {
+        let Some((edge_pat, node_pat)) = pp.steps.get(k) else {
+            // A complete match: keep it, and go on working in its copy.
+            out.push_copy_of_last();
+            return first_only;
+        };
+        let (es, ns) = (self.pattern_slot(&edge_pat.var), self.pattern_slot(&node_pat.var));
+        let mut step = |edge: &Edge, to: NodeId| -> bool {
+            if !edge_matches(edge, edge_pat) || !node_matches(self.graph.node(to), node_pat) {
+                return false;
+            }
+            let row = out.last_mut();
+            let held = (row[es], row[ns]);
+            let stop = bind(row, es, Slot::Edge(edge.id))
+                && bind(row, ns, Slot::Node(to))
+                && self.extend(pp, k + 1, to, out, first_only);
+            let row = out.last_mut();
+            row[es] = held.0;
+            row[ns] = held.1;
+            stop
+        };
+        if !self.use_index {
+            // The naive path: every edge of the label, in arena order, in
+            // each orientation that leaves from `at`.
+            return self.graph.edges().filter(|e| e.label == edge_pat.label).any(|edge| {
+                let orientations = match edge_pat.dir {
+                    Direction::Right => [Some((edge.src, edge.tgt)), None],
+                    Direction::Left => [Some((edge.tgt, edge.src)), None],
+                    Direction::Undirected => {
+                        [Some((edge.src, edge.tgt)), Some((edge.tgt, edge.src))]
+                    }
+                };
+                orientations.into_iter().flatten().any(|(from, to)| from == at && step(edge, to))
+            });
+        }
         match edge_pat.dir {
-            Direction::Right => {
-                for edge in self.graph.out_edges(prev_node) {
-                    try_edge(edge, edge.tgt, next);
-                }
-            }
-            Direction::Left => {
-                for edge in self.graph.in_edges(prev_node) {
-                    try_edge(edge, edge.src, next);
-                }
-            }
+            Direction::Right => self.graph.out_edges(at).any(|e| step(e, e.tgt)),
+            Direction::Left => self.graph.in_edges(at).any(|e| step(e, e.src)),
+            // A self-loop appears in both lists and yields two matches,
+            // mirroring the naive matcher's two orientations.
             Direction::Undirected => {
-                // A self-loop appears in both lists and yields two matches,
-                // mirroring the naive matcher's two orientations.
-                for edge in self.graph.out_edges(prev_node) {
-                    try_edge(edge, edge.tgt, next);
-                }
-                for edge in self.graph.in_edges(prev_node) {
-                    try_edge(edge, edge.src, next);
-                }
+                self.graph.out_edges(at).any(|e| step(e, e.tgt))
+                    || self.graph.in_edges(at).any(|e| step(e, e.src))
             }
         }
-    }
-
-    /// Extends one partial binding the naive way: rescan the whole edge
-    /// arena and keep the edges incident to `prev_node`.  Retained as the
-    /// ablation baseline for [`eval_query_unoptimized`].
-    fn extend_via_scan(
-        &self,
-        b: &Binding,
-        prev_node: NodeId,
-        edge_pat: &EdgePattern,
-        node_pat: &NodePattern,
-        context: Option<&Binding>,
-        next: &mut Vec<Binding>,
-    ) {
-        for edge in self.graph.edges().filter(|e| e.label == edge_pat.label) {
-            let candidates: [Option<(NodeId, NodeId)>; 2] = match edge_pat.dir {
-                Direction::Right => [Some((edge.src, edge.tgt)), None],
-                Direction::Left => [Some((edge.tgt, edge.src)), None],
-                Direction::Undirected => [Some((edge.src, edge.tgt)), Some((edge.tgt, edge.src))],
-            };
-            for (from, to) in candidates.into_iter().flatten() {
-                if from != prev_node {
-                    continue;
-                }
-                self.push_step_binding(b, edge, to, edge_pat, node_pat, context, next);
-            }
-        }
-    }
-
-    /// Shared tail of a pattern step: property checks, variable binding, and
-    /// context consistency for one candidate `(edge, to)` extension.
-    #[allow(clippy::too_many_arguments)]
-    fn push_step_binding(
-        &self,
-        b: &Binding,
-        edge: &Edge,
-        to: NodeId,
-        edge_pat: &EdgePattern,
-        node_pat: &NodePattern,
-        context: Option<&Binding>,
-        next: &mut Vec<Binding>,
-    ) {
-        if !self.edge_matches(edge.id, edge_pat) {
-            return;
-        }
-        let to_node = self.graph.node(to);
-        if to_node.label != node_pat.label || !self.node_matches(to, node_pat) {
-            return;
-        }
-        let mut nb = b.clone();
-        if !bind(&mut nb, &edge_pat.var, ElemRef::Edge(edge.id)) {
-            return;
-        }
-        if !bind(&mut nb, &node_pat.var, ElemRef::Node(to)) {
-            return;
-        }
-        if consistent_with_context(&nb, context) {
-            next.push(nb);
-        }
-    }
-
-    fn node_matches(&self, id: NodeId, pat: &NodePattern) -> bool {
-        let node = self.graph.node(id);
-        if node.label != pat.label {
-            return false;
-        }
-        pat.props.iter().all(|(k, v)| node.prop(k.as_str()).sql_eq(v).is_true())
-    }
-
-    fn edge_matches(&self, id: EdgeId, pat: &EdgePattern) -> bool {
-        let edge = self.graph.edge(id);
-        if edge.label != pat.label {
-            return false;
-        }
-        pat.props.iter().all(|(k, v)| edge.prop(k.as_str()).sql_eq(v).is_true())
     }
 
     // ----------------------------------------------------------- expression
 
     /// Evaluates an expression over a group of bindings (the paper's
-    /// `⟦E⟧_{G, gs}`).  Non-aggregate expressions look at the first binding.
-    fn eval_expr(&self, e: &Expr, group: &[Binding]) -> Result<Value> {
+    /// `⟦E⟧_{G, gs}`), given as rows back to back.  Non-aggregate
+    /// expressions look at the first row.
+    fn eval_expr(&self, e: &Expr, group: &[Slot]) -> Result<Value> {
         match e {
-            Expr::Prop(var, key) => Ok(self.lookup_prop(group.first(), var, key)),
-            Expr::Var(var) => Ok(self.lookup_identity(group.first(), var)),
+            Expr::Prop(var, key) => Ok(self.lookup_prop(self.first(group), var, key)),
+            Expr::Var(var) => Ok(self.lookup_identity(self.first(group), var)),
             Expr::Value(v) => Ok(v.clone()),
             Expr::Cast(p) => {
                 let t = self.eval_pred(p, group)?;
@@ -483,39 +659,56 @@ impl<'a> Evaluator<'a> {
         }
     }
 
+    /// A group's first row, if it has one.
+    fn first<'r>(&self, group: &'r [Slot]) -> Option<&'r [Slot]> {
+        group.get(..self.stride)
+    }
+
     fn eval_agg(
         &self,
         kind: AggKind,
         inner: &Expr,
         distinct: bool,
-        group: &[Binding],
+        group: &[Slot],
     ) -> Result<Value> {
+        let rows = group.chunks_exact(self.stride);
         if matches!(inner, Expr::Star) {
             if kind != AggKind::Count {
                 return Err(Error::eval("`*` may only appear inside Count(*)"));
             }
             if distinct {
-                // COUNT(DISTINCT *) counts distinct bindings.
-                let hashes: Vec<u64> = group
+                // COUNT(DISTINCT *) counts distinct bindings.  A slot out
+                // of scope is unbound in every row, so whole rows compare
+                // the variables in scope.
+                let rows: Vec<&[Slot]> = rows.collect();
+                let hashes: Vec<u64> = rows
                     .iter()
-                    .map(|b| key_hash(std::slice::from_ref(b), Binding::hash))
+                    .map(|row| {
+                        let mut h = KeyHasher::new();
+                        row.iter().for_each(|s| s.hash_into(&mut h));
+                        h.finish()
+                    })
                     .collect();
-                let distinct = first_seen(&hashes, |i, j| group[i] == group[j]);
+                let distinct = first_seen(&hashes, |i, j| rows[i] == rows[j]);
                 return Ok(Value::Int(distinct.firsts.len() as i64));
             }
-            return Ok(Value::Int(group.len() as i64));
+            return Ok(Value::Int(rows.len() as i64));
         }
-        let mut values = Vec::with_capacity(group.len());
-        for b in group {
-            values.push(self.eval_expr(inner, std::slice::from_ref(b))?);
+        if let (AggKind::Count, false, Expr::Var(v)) = (kind, distinct, inner) {
+            // A variable's identity is non-null exactly where it holds an
+            // element, so `Count(x)` counts those rows.
+            let held = |row: &[Slot]| self.held(Some(row), v);
+            let bound = rows.filter(|row| matches!(held(row), Slot::Node(_) | Slot::Edge(_)));
+            return Ok(Value::Int(bound.count() as i64));
+        }
+        let mut values = Vec::with_capacity(rows.len());
+        for b in rows {
+            values.push(self.eval_expr(inner, b)?);
         }
         if distinct {
-            // `strict_eq` decides duplicates, so values hash by their
-            // equality class.
-            let hashes: Vec<u64> = values
-                .iter()
-                .map(|v| key_hash(std::slice::from_ref(v), hash_eq_class_into))
-                .collect();
+            // `strict_eq` decides duplicates; `Value`'s hash agrees with it.
+            let hashes: Vec<u64> =
+                values.iter().map(|v| key_hash(std::slice::from_ref(v))).collect();
             let distinct = first_seen(&hashes, |i, j| values[i].strict_eq(&values[j]));
             Ok(kind.fold(distinct.firsts.iter().map(|&i| &values[i as usize])))
         } else {
@@ -523,47 +716,48 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    fn lookup_prop(&self, binding: Option<&Binding>, var: &Ident, key: &Ident) -> Value {
-        match binding.and_then(|b| b.get(var)) {
-            Some(Some(ElemRef::Node(id))) => self.graph.node(*id).prop(key.as_str()),
-            Some(Some(ElemRef::Edge(id))) => self.graph.edge(*id).prop(key.as_str()),
-            _ => Value::Null,
+    /// What `var` holds in `row`: unbound when there is no row or the query
+    /// does not name it.
+    fn held(&self, row: Option<&[Slot]>, var: &Ident) -> Slot {
+        match (row, self.vars.slot(var)) {
+            (Some(row), Some(s)) => row[s],
+            _ => Slot::Unbound,
+        }
+    }
+
+    fn lookup_prop(&self, row: Option<&[Slot]>, var: &Ident, key: &Ident) -> Value {
+        match self.held(row, var) {
+            Slot::Node(id) => self.graph.node(id).prop(key.as_str()),
+            Slot::Edge(id) => self.graph.edge(id).prop(key.as_str()),
+            Slot::Unbound | Slot::Null => Value::Null,
         }
     }
 
     /// The identity of a bound element, used by bare-variable expressions
     /// such as `Count(n)`: non-null iff the variable is bound.
-    fn lookup_identity(&self, binding: Option<&Binding>, var: &Ident) -> Value {
-        match binding.and_then(|b| b.get(var)) {
-            Some(Some(ElemRef::Node(id))) => {
-                // Use the node's default-key value when available so the
-                // identity is stable and meaningful; fall back to the id.
-                let node = self.graph.node(*id);
-                if let Some(dk) = self.schema.default_key_of(node.label.as_str()) {
-                    let v = node.prop(dk.as_str());
-                    if !v.is_null() {
-                        return v;
-                    }
-                }
-                Value::str_owned(id.to_string())
+    fn lookup_identity(&self, row: Option<&[Slot]>, var: &Ident) -> Value {
+        // Use the element's default-key value when available so the
+        // identity is stable and meaningful; fall back to the id.
+        let (label, props, id): (_, _, &dyn std::fmt::Display) = match self.held(row, var) {
+            Slot::Node(id) => {
+                let node = self.graph.node(id);
+                (&node.label, &node.props, &node.id)
             }
-            Some(Some(ElemRef::Edge(id))) => {
-                let edge = self.graph.edge(*id);
-                if let Some(dk) = self.schema.default_key_of(edge.label.as_str()) {
-                    let v = edge.prop(dk.as_str());
-                    if !v.is_null() {
-                        return v;
-                    }
-                }
-                Value::str_owned(id.to_string())
+            Slot::Edge(id) => {
+                let edge = self.graph.edge(id);
+                (&edge.label, &edge.props, &edge.id)
             }
-            _ => Value::Null,
+            Slot::Unbound | Slot::Null => return Value::Null,
+        };
+        match self.schema.default_key_of(label.as_str()).and_then(|dk| props.get(dk)) {
+            Some(v) if !v.is_null() => v.clone(),
+            _ => Value::str_owned(id.to_string()),
         }
     }
 
     // ------------------------------------------------------------ predicate
 
-    fn eval_pred(&self, p: &Pred, group: &[Binding]) -> Result<Truth> {
+    fn eval_pred(&self, p: &Pred, group: &[Slot]) -> Result<Truth> {
         match p {
             Pred::True => Ok(Truth::True),
             Pred::False => Ok(Truth::False),
@@ -585,9 +779,16 @@ impl<'a> Evaluator<'a> {
                 Ok(result)
             }
             Pred::Exists(pp) => {
-                let context = group.first().cloned().unwrap_or_default();
-                let matches = self.match_pattern(pp, Some(&context));
-                Ok(Truth::from_bool(!matches.is_empty()))
+                let unbound;
+                let ctx = match self.first(group) {
+                    Some(row) => row,
+                    None => {
+                        unbound = vec![Slot::Unbound; self.stride];
+                        &unbound
+                    }
+                };
+                let mut scratch = Rows::new(self.stride);
+                Ok(Truth::from_bool(self.match_pattern(pp, ctx, &mut scratch, true)))
             }
             Pred::And(a, b) => Ok(self.eval_pred(a, group)?.and(self.eval_pred(b, group)?)),
             Pred::Or(a, b) => Ok(self.eval_pred(a, group)?.or(self.eval_pred(b, group)?)),
@@ -596,49 +797,28 @@ impl<'a> Evaluator<'a> {
     }
 }
 
-/// The kernel hash of a key: each part's words, in order, through one
-/// [`KeyHasher`].
-fn key_hash<T>(parts: &[T], write: impl Fn(&T, &mut KeyHasher)) -> u64 {
+/// Whether `node` passes a node pattern's label and property tests.
+fn node_matches(node: &Node, pat: &NodePattern) -> bool {
+    node.label == pat.label && props_match(&node.props, &pat.props)
+}
+
+/// Whether `edge` passes an edge pattern's label and property tests.
+fn edge_matches(edge: &Edge, pat: &EdgePattern) -> bool {
+    edge.label == pat.label && props_match(&edge.props, &pat.props)
+}
+
+/// Whether every inline property is `sql_eq`-true: an absent property is
+/// `NULL`, which matches nothing.
+fn props_match(props: &BTreeMap<Ident, Value>, want: &[(Ident, Value)]) -> bool {
+    want.iter().all(|(k, v)| props.get(k).is_some_and(|held| held.sql_eq(v).is_true()))
+}
+
+/// The kernel hash of a key: each value's `Hash` words, in order, through
+/// one [`KeyHasher`].
+fn key_hash(values: &[Value]) -> u64 {
     let mut h = KeyHasher::new();
-    parts.iter().for_each(|p| write(p, &mut h));
+    values.iter().for_each(|v| v.hash(&mut h));
     h.finish()
-}
-
-/// Binds `var` to `elem`, failing (returning `false`) if the variable is
-/// already bound to a different element.
-fn bind(binding: &mut Binding, var: &Ident, elem: ElemRef) -> bool {
-    match binding.get(var) {
-        Some(Some(existing)) => *existing == elem,
-        Some(None) => false,
-        None => {
-            binding.insert(var.clone(), Some(elem));
-            true
-        }
-    }
-}
-
-/// Merges two bindings; shared variables must agree (and be non-null).
-fn merge_bindings(a: &Binding, b: &Binding) -> Option<Binding> {
-    let mut out = a.clone();
-    for (k, v) in b {
-        match out.get(k) {
-            Some(existing) if existing != v => return None,
-            _ => {
-                out.insert(k.clone(), *v);
-            }
-        }
-    }
-    Some(out)
-}
-
-/// Checks that a pattern binding agrees with an outer context on every
-/// shared variable.
-fn consistent_with_context(binding: &Binding, context: Option<&Binding>) -> bool {
-    let Some(ctx) = context else { return true };
-    binding.iter().all(|(k, v)| match ctx.get(k) {
-        Some(existing) => existing == v,
-        None => true,
-    })
 }
 
 fn union_tables(mut a: Table, b: Table, dedup: bool) -> Result<Table> {
@@ -1004,6 +1184,18 @@ mod tests {
     }
 
     #[test]
+    fn implicit_grouping_puts_equal_zeros_and_nans_in_one_group() {
+        // -0.0, 0, NaN, 0.0 and another NaN, in label order: `Int(0)` and
+        // `0.0` join the group `-0.0` opened, as `Count(DISTINCT)` merges
+        // them.
+        assert_rows(
+            "MATCH (n:T) WHERE n.id IN [4, 5, 12, 13, 14] RETURN n.a AS a, Count(*) AS c, \
+             Count(DISTINCT n.a) AS d",
+            &["[Float(-0.0), Int(3), Int(1)]", "[Float(NaN), Int(2), Int(1)]"],
+        );
+    }
+
+    #[test]
     fn order_by_and_min_max_place_nan_above_every_number() {
         // 64 nodes, every fourth a NaN, in a scrambled order.
         let schema = GraphSchema::new().with_node(NodeType::new("T", ["a"]));
@@ -1030,5 +1222,196 @@ mod tests {
             assert_eq!(t.rows[0][0], Value::Float(-20.5));
             assert!(matches!(t.rows[0][1], Value::Float(x) if x.is_nan()));
         }
+    }
+
+    /// Both evaluators' rows, rendered, in their order.
+    fn both(q: &str, schema: &GraphSchema, g: &GraphInstance) -> [Vec<String>; 2] {
+        let query = parse_query(q).unwrap();
+        let render = |t: Table| t.rows.iter().map(|r| format!("{r:?}")).collect::<Vec<_>>();
+        [
+            render(eval_query(schema, g, &query).unwrap()),
+            render(eval_query_unoptimized(schema, g, &query).unwrap()),
+        ]
+    }
+
+    /// Asserts that both evaluators return `want`, in order.
+    fn assert_both(q: &str, schema: &GraphSchema, g: &GraphInstance, want: &[&str]) {
+        for got in both(q, schema, g) {
+            assert_eq!(got, want, "{q}");
+        }
+    }
+
+    #[test]
+    fn a_bound_start_that_is_null_an_edge_or_another_label_matches_nothing() {
+        // Employee C works nowhere, so OPTIONAL MATCH leaves m NULL.
+        let mut g = emp_graph();
+        g.add_node("EMP", [("id", Value::Int(3)), ("name", Value::str("C"))]);
+        let s = emp_schema();
+        let opt = "MATCH (n:EMP) OPTIONAL MATCH (n:EMP)-[e:WORK_AT]->(m:DEPT {dnum: 1})";
+        assert_both(
+            &format!("{opt} RETURN n.name AS n, m.dname AS m"),
+            &s,
+            &g,
+            &[r#"[Str("A"), Str("CS")]"#, r#"[Str("B"), Str("CS")]"#, r#"[Str("C"), Null]"#],
+        );
+        // A MATCH and an EXISTS starting at the NULL drop C's row.
+        assert_both(
+            &format!("{opt} MATCH (m:DEPT) RETURN n.name AS n"),
+            &s,
+            &g,
+            &[r#"[Str("A")]"#, r#"[Str("B")]"#],
+        );
+        assert_both(
+            &format!("{opt} MATCH (m:DEPT)<-[f:WORK_AT]-(k:EMP) RETURN n.name AS n, k.name AS k"),
+            &s,
+            &g,
+            &[
+                r#"[Str("A"), Str("A")]"#,
+                r#"[Str("A"), Str("B")]"#,
+                r#"[Str("B"), Str("A")]"#,
+                r#"[Str("B"), Str("B")]"#,
+            ],
+        );
+        assert_both(
+            &format!(
+                "{opt} WITH n AS n, m AS m MATCH (n:EMP) \
+                 WHERE NOT EXISTS ((m:DEPT)<-[f:WORK_AT]-(k:EMP)) RETURN n.name AS n"
+            ),
+            &s,
+            &g,
+            &[r#"[Str("C")]"#],
+        );
+        // An edge, and a node of another label or with other properties.
+        let one_hop = "MATCH (n:EMP)-[e:WORK_AT]->(m:DEPT)";
+        for (tail, count) in [
+            ("WITH e AS x MATCH (x:DEPT) RETURN Count(*) AS c", 0),
+            ("WITH e AS x MATCH (x:EMP)-[f:WORK_AT]->(y:DEPT) RETURN Count(*) AS c", 0),
+            ("WITH n AS x MATCH (x:DEPT) RETURN Count(*) AS c", 0),
+            ("WITH m AS x MATCH (x:DEPT {dnum: 2}) RETURN Count(*) AS c", 0),
+            ("WITH m AS x MATCH (x:DEPT {dnum: 1}) RETURN Count(*) AS c", 2),
+            ("WITH n AS x MATCH (x:EMP {id: 2})-[f:WORK_AT]->(y:DEPT) RETURN Count(*) AS c", 1),
+        ] {
+            assert_both(&format!("{one_hop} {tail}"), &s, &g, &[&format!("[Int({count})]")]);
+        }
+    }
+
+    #[test]
+    fn a_pattern_from_a_bound_node_back_to_itself() {
+        // `R` has one self-loop, (3, 3); (8, 9) and (9, 8) form a cycle.
+        let (schema, g) = distinct_fixture();
+        for q in [
+            "MATCH (n:T)-[e:R]->(n:T) RETURN n.id AS id",
+            "MATCH (n:T) MATCH (n:T)-[e:R]->(n:T) RETURN n.id AS id",
+            "MATCH (n:T) WHERE EXISTS ((n:T)-[e:R]->(n:T)) RETURN n.id AS id",
+            "MATCH (n:T) OPTIONAL MATCH (n:T)-[e:R]->(n:T) WITH n AS n, e AS e \
+             MATCH (n:T) WHERE e.rid = 7 RETURN n.id AS id",
+        ] {
+            assert_both(q, &schema, &g, &["[Int(3)]"]);
+        }
+        assert_both(
+            "MATCH (n:T)-[e:R]->(m:T) MATCH (n:T)-[f:R]->(m:T)-[g:R]->(n:T) \
+             RETURN n.id AS a, m.id AS b, f.rid AS f",
+            &schema,
+            &g,
+            &[
+                "[Int(0), Int(2), Int(0)]",
+                "[Int(0), Int(2), Int(2)]",
+                "[Int(0), Int(2), Int(0)]",
+                "[Int(0), Int(2), Int(2)]",
+                "[Int(2), Int(0), Int(4)]",
+                "[Int(2), Int(0), Int(4)]",
+                "[Int(3), Int(3), Int(7)]",
+                "[Int(8), Int(9), Int(8)]",
+                "[Int(9), Int(8), Int(9)]",
+            ],
+        );
+    }
+
+    #[test]
+    fn bound_starts_keep_the_naive_matchers_row_order() {
+        let (schema, g) = distinct_fixture();
+        for q in [
+            "MATCH (n:T) OPTIONAL MATCH (n:T)-[e:R]->(m:T) RETURN n.id AS a, m.id AS b",
+            "MATCH (n:T) OPTIONAL MATCH (n:T)-[e:R]->(m:T)-[f:R]->(k:T) WHERE k.id > 2 \
+             RETURN n.id AS a, m.id AS b, k.id AS c",
+            "MATCH (n:T)-[e:R]->(m:T) MATCH (m:T)-[f:R]->(k:T) RETURN n.id AS a, k.id AS c",
+            "MATCH (n:T)-[e:R]->(m:T) MATCH (m:T)<-[f:R]-(k:T) RETURN n.id AS a, k.id AS c",
+            "MATCH (n:T)-[e:R]->(m:T) WITH m AS y MATCH (y:T)-[f:R]->(k:T) \
+             RETURN y.id AS a, k.id AS c",
+            "MATCH (n:T) OPTIONAL MATCH (n:T)-[e:R]->(m:T) WITH m AS y \
+             RETURN Count(DISTINCT *) AS d, Count(*) AS c, Count(y) AS b",
+        ] {
+            let [indexed, naive] = both(q, &schema, &g);
+            assert!(!indexed.is_empty(), "{q}");
+            assert_eq!(indexed, naive, "{q}");
+        }
+    }
+
+    /// USR 0 follows users 1–3, each of whom posted three pictures; user
+    /// 4 follows user 0 and posted nothing.
+    fn social_fixture() -> (GraphSchema, GraphInstance) {
+        let schema = GraphSchema::new()
+            .with_node(NodeType::new("USR", ["UsrId", "UsrName"]))
+            .with_node(NodeType::new("PIC", ["PicId", "PicSize"]))
+            .with_edge(EdgeType::new("FOLLOWS", "USR", "USR", ["FId"]))
+            .with_edge(EdgeType::new("POSTED", "USR", "PIC", ["PostId"]));
+        let mut g = GraphInstance::new();
+        let users: Vec<NodeId> =
+            (0..5).map(|i| g.add_node("USR", [("UsrId", Value::Int(i))])).collect();
+        for (k, &u) in users[1..4].iter().enumerate() {
+            g.add_edge("FOLLOWS", users[0], u, [("FId", Value::Int(k as i64))]);
+            for p in 0..3 {
+                let id = (3 * k + p) as i64;
+                let pic =
+                    g.add_node("PIC", [("PicId", Value::Int(id)), ("PicSize", Value::Int(id))]);
+                g.add_edge("POSTED", u, pic, [("PostId", Value::Int(id))]);
+            }
+        }
+        g.add_edge("FOLLOWS", users[4], users[0], [("FId", Value::Int(9))]);
+        (schema, g)
+    }
+
+    /// Each stage as `op in→out`, in completion order.
+    fn stages(q: &str, schema: &GraphSchema, g: &GraphInstance) -> Vec<String> {
+        let (table, stages) = eval_query_profiled(schema, g, &parse_query(q).unwrap()).unwrap();
+        assert_eq!(table, eval_query(schema, g, &parse_query(q).unwrap()).unwrap());
+        stages.iter().map(|s| format!("{} {}→{}", s.op, s.rows_in, s.rows_out)).collect()
+    }
+
+    #[test]
+    fn profiles_report_one_stage_per_clause() {
+        let (schema, g) = social_fixture();
+        let anchored = "MATCH (a:USR {UsrId: 0})-[f:FOLLOWS]->(u:USR)";
+        assert_eq!(
+            stages(
+                &format!(
+                    "{anchored} OPTIONAL MATCH (u:USR)-[p:POSTED]->(x:PIC) \
+                     RETURN u.UsrId AS uid, x.PicSize AS size"
+                ),
+                &schema,
+                &g
+            ),
+            vec!["match 0→3", "optional_match 3→9", "return 9→9"]
+        );
+        // `EXISTS` is timed inside the clause that evaluates it.
+        assert_eq!(
+            stages(
+                &format!(
+                    "{anchored} WHERE EXISTS ((u:USR)-[p:POSTED]->(x:PIC)) RETURN u.UsrId AS uid"
+                ),
+                &schema,
+                &g
+            ),
+            vec!["match 0→3", "return 3→3"]
+        );
+        assert_eq!(
+            stages(
+                "MATCH (a:USR)-[f:FOLLOWS]->(u:USR) WITH u AS v MATCH (v:USR)-[p:POSTED]->(x:PIC) \
+                 RETURN v.UsrId AS uid, Count(*) AS pics ORDER BY uid",
+                &schema,
+                &g
+            ),
+            vec!["match 0→4", "with 4→4", "match 4→9", "return 9→3", "order_by 3→3"]
+        );
     }
 }

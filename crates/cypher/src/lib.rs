@@ -43,6 +43,6 @@ pub use ast::{
     Clause, Direction, EdgePattern, Expr, NodePattern, PathPattern, Pred, Query, ReturnQuery,
     SortKey,
 };
-pub use eval::{eval_query, eval_query_profiled, eval_query_unoptimized, Binding, ElemRef};
+pub use eval::{eval_query, eval_query_profiled, eval_query_unoptimized};
 pub use parser::parse_query;
 pub use pretty::query_to_string;

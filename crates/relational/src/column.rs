@@ -26,7 +26,7 @@
 use crate::hash::KeyIndex;
 use crate::instance::RelInstance;
 use crate::table::{unqualified, Table};
-use graphiti_common::Value;
+use graphiti_common::{number_hash_bits, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hasher;
 use std::sync::{Arc, OnceLock};
@@ -360,6 +360,7 @@ impl Column {
     /// Hashes slot `i` exactly as [`Value`]'s `Hash` implementation would:
     /// the words the hash kernel ([`crate::hash`]) keys joins, groups and
     /// `DISTINCT` by, as the oracle's `HashMap<Vec<Value>, _>` keys do.
+    /// Slots that [`Column::strict_eq_at`] calls equal hash alike.
     #[inline]
     pub fn hash_value_into(&self, i: usize, state: &mut impl Hasher) {
         use std::hash::Hash;
@@ -370,11 +371,11 @@ impl Column {
         match self.data() {
             ColumnData::Int(v) => {
                 2u8.hash(state);
-                (v[i] as f64).to_bits().hash(state);
+                number_hash_bits(v[i] as f64).hash(state);
             }
             ColumnData::Float(v) => {
                 2u8.hash(state);
-                v[i].to_bits().hash(state);
+                number_hash_bits(v[i]).hash(state);
             }
             ColumnData::Bool(v) => {
                 1u8.hash(state);

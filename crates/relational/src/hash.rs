@@ -3,10 +3,11 @@
 //!
 //! [`KeyHasher`] folds each 64-bit word it is fed into its state with one
 //! folded multiply (the 128-bit product of state and key, high half XOR
-//! low half).  It is fed the words [`Column::hash_value_into`] writes, or
-//! those of [`hash_eq_class_into`] where equality is `sql_eq`, so the
-//! words that decide which keys may collide are the ones `Value`'s `Hash`
-//! writes.  Its seed and multiplier are drawn once per process from the
+//! low half).  It is fed the words `Value`'s `Hash` writes, or the same
+//! words from [`Column::hash_value_into`], so values that equality
+//! (`strict_eq`, and `sql_eq` on non-`NULL` values) calls equal always
+//! hash alike: numbers by their `f64` image, `-0.0` as `0.0` and one NaN
+//! for every NaN.  Its seed and multiplier are drawn once per process from the
 //! standard library's `RandomState`: the table picks a slot from a hash's
 //! low bits, and an unkeyed hash would let one fixed set of keys pile into
 //! one slot on every run.
@@ -25,8 +26,7 @@
 //! hashing the column again.
 
 use crate::column::{Column, ColumnData};
-use graphiti_common::Value;
-use std::hash::{BuildHasher, Hash, Hasher};
+use std::hash::{BuildHasher, Hasher};
 use std::sync::OnceLock;
 
 /// An empty slot, and the end of a chain.
@@ -123,33 +123,6 @@ pub fn hash_rows(keys: &[&Column], len: usize) -> Vec<u64> {
         }
     }
     states.iter().map(Hasher::finish).collect()
-}
-
-/// Writes `v`'s words for an equality that calls `Int(0)`, `0.0` and
-/// `-0.0` equal and every NaN equal to every NaN (`sql_eq`, and
-/// [`Value::strict_eq`] on non-`NULL` values): numbers go in by their
-/// `f64` value with `-0.0` as `0.0` and one bit pattern for NaN, every
-/// other value as `Value`'s `Hash` writes it.  Values that equality
-/// calls equal therefore always hash alike, unlike under `Value`'s own
-/// `Hash`.
-pub fn hash_eq_class_into(v: &Value, state: &mut impl Hasher) {
-    match v {
-        Value::Int(i) => canonical_bits(*i as f64).hash(state),
-        Value::Float(f) => canonical_bits(*f).hash(state),
-        other => other.hash(state),
-    }
-}
-
-/// One bit pattern per `f64` equality class: `-0.0` as `0.0`, every NaN
-/// as one NaN.
-fn canonical_bits(f: f64) -> u64 {
-    if f.is_nan() {
-        f64::NAN.to_bits()
-    } else if f == 0.0 {
-        0
-    } else {
-        f.to_bits()
-    }
 }
 
 /// A flat chained hash table over entries numbered from `0`.
@@ -407,7 +380,9 @@ impl KeyIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graphiti_common::Value;
     use proptest::prelude::*;
+    use std::hash::Hash;
 
     fn column(values: Vec<Value>) -> Column {
         Column::from_values(values)
@@ -476,21 +451,18 @@ mod tests {
         assert_eq!(hi[0], hf[0]);
         assert_eq!(hi[1], hi[2]);
         assert_eq!(hi[1], hf[1]);
-        // `0.0` and `-0.0` write different words there, and the same ones
-        // under `hash_eq_class_into`.
-        let zeros = column(vec![Value::Float(0.0), Value::Float(-0.0)]);
-        let hz = hash_rows(&[&zeros], 2);
-        assert_ne!(hz[0], hz[1]);
-        let eq_class = |v: &Value| {
-            let mut h = KeyHasher::new();
-            hash_eq_class_into(v, &mut h);
-            h.finish()
-        };
-        assert_eq!(eq_class(&Value::Float(0.0)), eq_class(&Value::Float(-0.0)));
-        assert_eq!(eq_class(&Value::Int(0)), eq_class(&Value::Float(-0.0)));
+        // `0`, `0.0` and `-0.0` are equal and write the same words; so do
+        // NaNs with different bits.
         let (nan_a, nan_b) =
             (f64::from_bits(0x7ff8_0000_0000_0001), f64::from_bits(0xfff8_0000_0000_0002));
-        assert_eq!(eq_class(&Value::Float(nan_a)), eq_class(&Value::Float(nan_b)));
+        let zeros = column(vec![Value::Float(0.0), Value::Float(-0.0), Value::Float(nan_a)]);
+        let nans = column(vec![Value::Float(nan_b), Value::Float(f64::NAN)]);
+        let (hz, hn) = (hash_rows(&[&zeros], 3), hash_rows(&[&nans], 2));
+        assert_eq!(hz[0], hz[1]);
+        assert_eq!(hz[0], hash_rows(&[&column(vec![Value::Int(0)])], 1)[0]);
+        assert_eq!(hz[2], hn[0]);
+        assert_eq!(hn[0], hn[1]);
+        assert_ne!(hz[0], hz[2]);
         // Strings hash by content, not by allocation.
         let s = column(vec![Value::str_owned("abcdefghij"), Value::str("abcdefghij")]);
         let hs = hash_rows(&[&s], 2);
@@ -597,15 +569,24 @@ mod tests {
                 assert_eq!(got, join_matches(&col, &probes, j), "{values:?} probed by slot {j}");
             }
         }
-        // Spelled out: `0.0` and `-0.0` hash apart, so they are two keys,
-        // as they are two join keys; so are NaNs with different bits.
+        // Spelled out: `0.0` and `-0.0` are one key, found by `0`, `0.0`
+        // and `-0.0` alike, as they are one join key; so are NaNs with
+        // different bits.
         let zeros = column(vec![Value::Float(0.0), Value::Float(-0.0), Value::Float(0.0)]);
-        assert_eq!(zeros.key_index().distinct_keys(), 2);
-        assert_eq!(index_matches(&zeros, &probes, 0), vec![vec![0, 2]]);
-        assert_eq!(index_matches(&zeros, &probes, 2), vec![vec![1]]);
+        assert_eq!(zeros.key_index().distinct_keys(), 1);
+        for j in 0..3 {
+            assert_eq!(index_matches(&zeros, &probes, j), vec![vec![0, 1, 2]], "probe {j}");
+        }
         let nans = column(vec![Value::Float(nan_a), Value::Float(nan_b), Value::Float(nan_a)]);
-        assert_eq!(nans.key_index().distinct_keys(), 2);
-        assert_eq!(index_matches(&nans, &probes, 3), vec![vec![0, 2]]);
+        assert_eq!(nans.key_index().distinct_keys(), 1);
+        for j in 3..6 {
+            assert_eq!(index_matches(&nans, &probes, j), vec![vec![0, 1, 2]], "probe {j}");
+        }
+        // A mixed column keeps `Int(0)` and the float zeros in groups of
+        // their own, which a probe finds together.
+        let mixed = column(vec![Value::Int(0), Value::Float(-0.0), Value::str("0")]);
+        assert_eq!(mixed.key_index().distinct_keys(), 3);
+        assert_eq!(index_matches(&mixed, &probes, 1), vec![vec![0], vec![1]]);
         // 2^53 as a float equals both integers it rounds from: one probe,
         // two groups.
         let ints = column(vec![Value::Int(big), Value::Int(big + 1), Value::Int(big)]);
@@ -691,6 +672,88 @@ mod tests {
             }
             let nulls: Vec<u32> = (0..col.len() as u32).filter(|&r| col.is_null(r as usize)).collect();
             prop_assert_eq!(index.nulls(), nulls.as_slice());
+        }
+    }
+
+    /// A value from the classes on which hashing and equality most easily
+    /// part: integers near ±2^53 and at the `i64` extremes, ±0.0, NaNs
+    /// with random payloads and signs, ±∞, strings, booleans and `NULL`.
+    fn arb_law_value() -> impl Strategy<Value = Value> {
+        let big = 1i64 << 53;
+        let near = |c: i64| (-2i64..=2).prop_map(move |d| c.wrapping_add(d));
+        let ints = prop_oneof![
+            near(big),
+            near(-big),
+            near(0),
+            near(i64::MAX),
+            near(i64::MIN),
+            any::<i64>(),
+        ]
+        .prop_map(Value::Int);
+        let nan = (any::<bool>(), 1u64..(1 << 52)).prop_map(|(neg, payload)| {
+            f64::from_bits((u64::from(neg) << 63) | 0x7ff0 << 48 | payload)
+        });
+        let floats = prop_oneof![
+            sample::select(vec![0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN]),
+            nan,
+            near(big).prop_map(|i| i as f64),
+            near(-big).prop_map(|i| i as f64),
+            any::<i64>().prop_map(|i| i as f64),
+            any::<u64>().prop_map(f64::from_bits),
+        ]
+        .prop_map(Value::Float);
+        prop_oneof![
+            ints,
+            floats,
+            sample::select(vec!["", "0", "a", "NaN"]).prop_map(Value::str),
+            any::<bool>().prop_map(Value::Bool),
+            Just(Value::Null),
+        ]
+    }
+
+    /// `Value`'s hash through one [`KeyHasher`].
+    fn value_hash(v: &Value) -> u64 {
+        let mut h = KeyHasher::new();
+        v.hash(&mut h);
+        h.finish()
+    }
+
+    /// Slot `i` of `col` hashed by [`Column::hash_value_into`].
+    fn slot_hash(col: &Column, i: usize) -> u64 {
+        let mut h = KeyHasher::new();
+        col.hash_value_into(i, &mut h);
+        h.finish()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Values that `strict_eq` calls equal hash alike, and a column
+        /// slot hashes as its value does, in a typed column and in a mixed
+        /// one.
+        #[test]
+        fn equal_values_hash_alike_in_every_representation(
+            a in arb_law_value(),
+            b in arb_law_value(),
+        ) {
+            if a.strict_eq(&b) {
+                prop_assert_eq!(value_hash(&a), value_hash(&b), "{:?} = {:?}", a, b);
+            }
+            for v in [&a, &b] {
+                // Typed: the value alone (or beside a `NULL`).
+                let typed = column(vec![v.clone(), Value::Null]);
+                prop_assert!(!matches!(typed.data(), ColumnData::Mixed(_)) || v.is_null());
+                prop_assert_eq!(slot_hash(&typed, 0), value_hash(v), "{:?} typed", v);
+                // Mixed: beside a value of another representation.
+                let other = if matches!(v, Value::Str(_)) { Value::Int(1) } else { Value::str("x") };
+                let mixed = column(vec![v.clone(), other]);
+                prop_assert!(matches!(mixed.data(), ColumnData::Mixed(_)) || v.is_null());
+                prop_assert_eq!(slot_hash(&mixed, 0), value_hash(v), "{:?} mixed", v);
+            }
+            let (ca, cb) = (column(vec![a.clone()]), column(vec![b.clone()]));
+            if ca.strict_eq_at(0, &cb, 0) {
+                prop_assert_eq!(slot_hash(&ca, 0), slot_hash(&cb, 0), "{:?} = {:?}", a, b);
+            }
         }
     }
 

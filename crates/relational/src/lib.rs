@@ -20,10 +20,7 @@ pub mod schema;
 pub mod table;
 
 pub use column::{Bitmap, Column, ColumnData, ColumnInstance, ColumnTable, NameIndex, NULL_IDX};
-pub use hash::{
-    counting_sort, first_seen, hash_eq_class_into, hash_rows, FirstSeen, HashTable, KeyHasher,
-    KeyIndex,
-};
+pub use hash::{counting_sort, first_seen, hash_rows, FirstSeen, HashTable, KeyHasher, KeyIndex};
 pub use instance::RelInstance;
 pub use schema::{Constraint, RelSchema, Relation};
 pub use table::{column_index_in, Row, Table, TableDelta};

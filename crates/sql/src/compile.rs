@@ -83,6 +83,9 @@ pub enum CPred {
 pub enum CGroupExpr {
     /// `Count(*)` — the group's cardinality.
     CountStar,
+    /// `Count(DISTINCT *)` — the group's distinct rows over every input
+    /// column, `NULL` equal to `NULL`.
+    CountDistinctRows,
     /// An aggregate over a compiled row expression; the flag is `DISTINCT`.
     Agg(AggKind, CExpr, bool),
     /// Arithmetic over group-level operands.
@@ -162,10 +165,12 @@ pub fn compile_group_expr(e: &SqlExpr, columns: &[String], layouts: &Layouts<'_>
     match e {
         SqlExpr::Agg(kind, inner, distinct) => {
             if matches!(inner.as_ref(), SqlExpr::Star) {
-                if *kind == AggKind::Count {
-                    CGroupExpr::CountStar
-                } else {
+                if *kind != AggKind::Count {
                     CGroupExpr::StarAgg
+                } else if *distinct {
+                    CGroupExpr::CountDistinctRows
+                } else {
+                    CGroupExpr::CountStar
                 }
             } else {
                 CGroupExpr::Agg(*kind, compile_expr(inner, columns, layouts), *distinct)

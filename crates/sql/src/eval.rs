@@ -414,6 +414,17 @@ impl<'a> Evaluator<'a> {
                     if *kind != AggKind::Count {
                         return Err(Error::eval("`*` may only appear inside Count(*)"));
                     }
+                    if *distinct {
+                        // Distinct rows over every column, `NULL` equal to
+                        // `NULL` (`Value`'s `==` is `strict_eq`).
+                        let mut uniq: Vec<&Vec<Value>> = Vec::new();
+                        for &row in rows {
+                            if !uniq.contains(&row) {
+                                uniq.push(row);
+                            }
+                        }
+                        return Ok(Value::Int(uniq.len() as i64));
+                    }
                     return Ok(Value::Int(rows.len() as i64));
                 }
                 let mut values = Vec::with_capacity(rows.len());

@@ -80,12 +80,12 @@ use crate::plan::{compile_query, CompiledQuery, PlanNode, PlanOp, SubPlan};
 use graphiti_common::{AggKind, BinArith, CmpOp, Error, Result, Truth, Value};
 use graphiti_obs::profile::{StageProfile, StageSink};
 use graphiti_relational::{
-    counting_sort, first_seen, hash_eq_class_into, hash_rows, Bitmap, Column, ColumnData,
-    ColumnInstance, ColumnTable, HashTable, KeyHasher, RelInstance, Table, NULL_IDX,
+    counting_sort, first_seen, hash_rows, Bitmap, Column, ColumnData, ColumnInstance, ColumnTable,
+    HashTable, KeyHasher, RelInstance, Table, NULL_IDX,
 };
 use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
-use std::hash::Hasher;
+use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -647,6 +647,7 @@ impl<'a> VecEvaluator<'a> {
             CGroupExpr::CountStar => {
                 Ok(groups.iter().map(|g| Value::Int(g.len() as i64)).collect())
             }
+            CGroupExpr::CountDistinctRows => Ok(count_distinct_rows(batch, groups)),
             CGroupExpr::StarAgg => {
                 if groups.len() == 0 {
                     Ok(Vec::new())
@@ -1065,11 +1066,11 @@ fn in_list(x: &Value, vs: &[Value]) -> Truth {
 /// The rows of an `IN` subquery, hashed for membership probes.
 ///
 /// A probe answers exactly what the oracle's `in_membership` computes: the
-/// `OR` over rows of the `AND` over columns of `sql_eq`.  `sql_eq` calls
-/// `Int(0)`, `Float(0.0)` and `Float(-0.0)` equal, and every NaN equal to
-/// every NaN, so rows hash by [`hash_eq_class_into`] — unlike `Value`'s
-/// and `Column`'s hashes.  The rows stay in their columns: the table
-/// holds row numbers, and candidates are read back slot by slot.
+/// `OR` over rows of the `AND` over columns of `sql_eq`.  Values that
+/// `sql_eq` calls equal hash alike (`Int(0)`, `Float(0.0)` and
+/// `Float(-0.0)`; every NaN), so rows hash by their columns' words.  The
+/// rows stay in their columns: the table holds row numbers, and
+/// candidates are read back slot by slot.
 struct InSet {
     rows: ColumnTable,
     /// The rows without a `NULL`, by key hash.
@@ -1081,9 +1082,7 @@ struct InSet {
 impl InSet {
     fn new(rows: ColumnTable) -> InSet {
         let has_null = |r: usize| rows.cols().iter().any(|c| c.is_null(r));
-        let hashes = (0..rows.len())
-            .map(|r| eq_class_hash(rows.cols().iter().map(|c| c.value(r))))
-            .collect();
+        let hashes = hash_rows(&rows.cols().iter().collect::<Vec<_>>(), rows.len());
         let table = HashTable::build(hashes, has_null);
         let with_null = (0..rows.len()).filter(|&r| has_null(r)).map(|r| r as u32).collect();
         InSet { rows, table, with_null }
@@ -1109,18 +1108,18 @@ impl InSet {
         if lhs.iter().any(|l| l.value(i).is_null()) {
             return Ok(unknown_if((0..self.rows.len() as u32).any(unrefuted)));
         }
-        if self.table.matches(eq_class_hash(lhs.iter().map(|l| l.value(i)))).any(unrefuted) {
+        if self.table.matches(value_hash(lhs.iter().map(|l| l.value(i)))).any(unrefuted) {
             return Ok(Truth::True);
         }
         Ok(unknown_if(self.with_null.iter().any(|&r| unrefuted(r))))
     }
 }
 
-/// Hashes a key so that `sql_eq`-equal keys collide.
-fn eq_class_hash(key: impl Iterator<Item = Value>) -> u64 {
+/// Hashes a key as [`hash_rows`] hashes a row holding it.
+fn value_hash(key: impl Iterator<Item = Value>) -> u64 {
     let mut h = KeyHasher::new();
     for v in key {
-        hash_eq_class_into(&v, &mut h);
+        v.hash(&mut h);
     }
     h.finish()
 }
@@ -1349,12 +1348,41 @@ fn fold_members(kind: AggKind, col: &Column, members: &[u32]) -> Value {
     }
 }
 
+/// Each group's number of distinct rows over every column of `batch`,
+/// `NULL` equal to `NULL`: the oracle's `COUNT(DISTINCT *)`.
+fn count_distinct_rows(batch: &ColumnTable, groups: &Groups) -> Vec<Value> {
+    let members: Vec<(u32, u32)> = groups
+        .iter()
+        .enumerate()
+        .flat_map(|(g, rows)| rows.iter().map(move |&m| (g as u32, m)))
+        .collect();
+    let cols = batch.cols();
+    let hashes: Vec<u64> = members
+        .iter()
+        .map(|&(g, m)| {
+            let mut h = KeyHasher::new();
+            h.write_u32(g);
+            cols.iter().for_each(|c| c.hash_value_into(m as usize, &mut h));
+            h.finish()
+        })
+        .collect();
+    let distinct = first_seen(&hashes, |a, b| {
+        let ((ga, ma), (gb, mb)) = (members[a], members[b]);
+        ga == gb && cols.iter().all(|c| c.strict_eq_at(ma as usize, c, mb as usize))
+    });
+    let mut counts = vec![0i64; groups.len()];
+    for &first in &distinct.firsts {
+        counts[members[first as usize].0 as usize] += 1;
+    }
+    counts.into_iter().map(Value::Int).collect()
+}
+
 /// Folds `kind` over each group's distinct non-`NULL` values of `col`, in
 /// first-seen order — [`AggKind::fold`] over the oracle's `uniq` list,
 /// whose `NULL`s the fold skips anyway.  One table serves every group,
 /// keyed by group and value, and each distinct value stays in `col` as
 /// the member that first held it.  The oracle calls two values duplicates
-/// when they are `strict_eq`, so values hash by [`hash_eq_class_into`].
+/// when they are `strict_eq`, and such values hash alike.
 fn fold_distinct(kind: AggKind, col: &Column, groups: &Groups) -> Vec<Value> {
     // Every non-NULL member with its group, in group order.
     let members: Vec<(u32, u32)> = groups
@@ -1368,7 +1396,7 @@ fn fold_distinct(kind: AggKind, col: &Column, groups: &Groups) -> Vec<Value> {
         .map(|&(g, m)| {
             let mut h = KeyHasher::new();
             h.write_u32(g);
-            hash_eq_class_into(&col.value(m as usize), &mut h);
+            col.hash_value_into(m as usize, &mut h);
             h.finish()
         })
         .collect();
@@ -1859,6 +1887,81 @@ mod tests {
         assert_eq!(rows("SELECT b.y FROM fb AS b WHERE b.y IN (SELECT a.x FROM fa AS a)"), 2);
         check("SELECT a.x FROM fa AS a WHERE EXISTS (SELECT c.y FROM fc AS c WHERE c.y = a.x)");
         check("SELECT a.x FROM fa AS a WHERE a.x IN (SELECT c.y FROM fc AS c WHERE c.y = a.x)");
+    }
+
+    #[test]
+    fn equal_zeros_and_nans_are_one_key_in_both_executors_on_every_run() {
+        // `Int(0)`, `0.0` and `-0.0` are equal, and so are NaNs with
+        // different bits; the oracle's hash maps used to merge them only
+        // when a randomly keyed hash tag matched.
+        let nan_a = f64::from_bits(0x7ff8_0000_0000_0001);
+        let nan_b = f64::from_bits(0xfff8_0000_0000_0002);
+        let mut inst = RelInstance::new();
+        inst.insert_table("za", Table::with_rows(["x"], vec![vec![v(0)]]));
+        inst.insert_table("zb", Table::with_rows(["y"], vec![vec![f(-0.0)]]));
+        let keys = [v(0), f(-0.0), f(0.0), f(nan_a), f(nan_b), v(1)];
+        inst.insert_table("zk", Table::with_rows(["k"], keys.map(|k| vec![k])));
+        let render = |t: Table| t.rows.iter().map(|r| format!("{r:?}")).collect::<Vec<_>>();
+        for (q, want) in [
+            ("SELECT a.x FROM za AS a, zb AS b WHERE a.x = b.y", vec!["[Int(0)]"]),
+            (
+                "SELECT a.x, b.y FROM za AS a JOIN zb AS b ON a.x = b.y",
+                vec!["[Int(0), Float(-0.0)]"],
+            ),
+            (
+                "SELECT b.y FROM zb AS b LEFT JOIN za AS a ON b.y = a.x WHERE a.x = 0",
+                vec!["[Float(-0.0)]"],
+            ),
+            (
+                "SELECT k.k, Count(*) AS c FROM zk AS k GROUP BY k.k",
+                vec!["[Int(0), Int(3)]", "[Float(NaN), Int(2)]", "[Int(1), Int(1)]"],
+            ),
+            ("SELECT DISTINCT k.k FROM zk AS k", vec!["[Int(0)]", "[Float(NaN)]", "[Int(1)]"]),
+            (
+                "SELECT k.k FROM zk AS k UNION SELECT a.x FROM za AS a",
+                vec!["[Int(0)]", "[Float(NaN)]", "[Int(1)]"],
+            ),
+        ] {
+            let q = parse_query(q).unwrap();
+            assert_eq!(render(eval_query(&inst, &q).unwrap()), want, "{q:?}");
+            for _ in 0..200 {
+                assert_eq!(render(eval_query_unoptimized(&inst, &q).unwrap()), want, "{q:?}");
+            }
+        }
+        // A self-join pairs every member of a class with every other.
+        let q = parse_query("SELECT a.k FROM zk AS a JOIN zk AS b ON a.k = b.k").unwrap();
+        assert_eq!(eval_query(&inst, &q).unwrap().len(), 3 * 3 + 2 * 2 + 1);
+        for _ in 0..200 {
+            assert_eq!(eval_query_unoptimized(&inst, &q).unwrap().len(), 3 * 3 + 2 * 2 + 1);
+        }
+    }
+
+    #[test]
+    fn count_distinct_star_counts_distinct_rows() {
+        // Rows repeat, `NULL`s included; `Count(DISTINCT *)` counts each
+        // once, `NULL` equal to `NULL`, per group and over a whole table.
+        let mut inst = RelInstance::new();
+        let rows = [
+            [v(1), v(1)],
+            [v(1), v(1)],
+            [v(1), Value::Null],
+            [v(2), Value::Null],
+            [v(1), Value::Null],
+        ];
+        inst.insert_table("t", Table::with_rows(["g", "x"], rows.map(|r| r.to_vec())));
+        let render = |t: Table| t.rows.iter().map(|r| format!("{r:?}")).collect::<Vec<_>>();
+        for (q, want) in [
+            ("SELECT Count(DISTINCT *) AS d, Count(*) AS c FROM t AS t", vec!["[Int(3), Int(5)]"]),
+            (
+                "SELECT t.g, Count(DISTINCT *) AS d FROM t AS t GROUP BY t.g",
+                vec!["[Int(1), Int(2)]", "[Int(2), Int(1)]"],
+            ),
+            ("SELECT Count(DISTINCT *) AS d FROM t AS t WHERE t.g > 5", vec!["[Int(0)]"]),
+        ] {
+            let q = parse_query(q).unwrap();
+            assert_eq!(render(eval_query(&inst, &q).unwrap()), want, "{q:?}");
+            assert_eq!(render(eval_query_unoptimized(&inst, &q).unwrap()), want, "{q:?}");
+        }
     }
 
     #[test]

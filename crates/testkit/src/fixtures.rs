@@ -9,6 +9,9 @@
 //! * [`biomed`] — the paper's Section 2 motivating scenario
 //!   (CONCEPT/PA/SENTENCE with CS and SP edges), including the Figure 3a
 //!   instance on which the buggy translation of Figure 4 is refuted.
+//! * [`social`] — users who post pictures and follow each other: its
+//!   `FOLLOWS` edge has the same label at both ends, so a pattern's
+//!   variables can meet themselves (`(n)-[e]->(n)`, self-loops, cycles).
 
 /// The EMP/DEPT/WORK_AT employee scenario.
 pub mod emp {
@@ -107,6 +110,21 @@ pub mod biomed {
          RETURN c.CID AS cid, p.PID AS pid",
         "MATCH (s:SENTENCE) WHERE EXISTS ((p:PA)-[e:SP]->(s:SENTENCE)) RETURN s.SID AS sid",
     ];
+}
+
+/// The social domain the serving benchmark queries.
+pub mod social {
+    use graphiti_graph::{EdgeType, GraphSchema, NodeType};
+
+    /// Schema: `USR(UsrId, UsrName)`, `PIC(PicId, PicSize)`,
+    /// `FOLLOWS(FId): USR -> USR`, `POSTED(PostId, PostDate): USR -> PIC`.
+    pub fn schema() -> GraphSchema {
+        GraphSchema::new()
+            .with_node(NodeType::new("USR", ["UsrId", "UsrName"]))
+            .with_node(NodeType::new("PIC", ["PicId", "PicSize"]))
+            .with_edge(EdgeType::new("FOLLOWS", "USR", "USR", ["FId"]))
+            .with_edge(EdgeType::new("POSTED", "USR", "PIC", ["PostId", "PostDate"]))
+    }
 }
 
 #[cfg(test)]

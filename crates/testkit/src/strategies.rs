@@ -119,7 +119,7 @@ impl Strategy for ArbCypher {
         let template = if self.schema.edge_types.is_empty() {
             rng.gen_range(0..3usize)
         } else {
-            rng.gen_range(0..10usize)
+            rng.gen_range(0..15usize)
         };
         match template {
             // Single-type templates.
@@ -166,13 +166,77 @@ impl Strategy for ArbCypher {
                         l = e.label,
                         t = tgt.label
                     ),
-                    _ => {
+                    9 => {
                         let c = rng.gen_range(0..3i64);
                         format!(
                             "MATCH {pattern} WHERE n.{k} > {c} RETURN n.{k} AS a, m.{tk} AS b",
                             k = src.keys[0]
                         )
                     }
+                    // A MATCH after a MATCH that binds its start variable.
+                    10 => {
+                        let c = rng.gen_range(0..3i64);
+                        format!(
+                            "MATCH (n:{s}) WHERE n.{k} >= {c} MATCH {pattern} \
+                             RETURN n.{sk} AS a, m.{tk} AS b",
+                            s = src.label,
+                            k = src.keys[0]
+                        )
+                    }
+                    // A MATCH or an EXISTS starting at the variable an
+                    // OPTIONAL MATCH may nullify.
+                    11 | 12 => {
+                        let back = format!(
+                            "(m:{t})<-[f:{l}]-(k:{s})",
+                            t = tgt.label,
+                            l = e.label,
+                            s = src.label
+                        );
+                        let opt = format!("MATCH (n:{s}) OPTIONAL MATCH {pattern}", s = src.label);
+                        if template == 11 {
+                            format!("{opt} MATCH {back} RETURN n.{sk} AS a, k.{sk} AS b")
+                        } else {
+                            let not = if rng.gen_bool(0.5) { "NOT " } else { "" };
+                            format!(
+                                "{opt} MATCH (n:{s}) WHERE {not}EXISTS ({back}) \
+                                 RETURN n.{sk} AS a, m.{tk} AS b",
+                                s = src.label
+                            )
+                        }
+                    }
+                    // A pattern starting at a variable `WITH` renamed.
+                    13 => {
+                        if rng.gen_bool(0.5) {
+                            format!(
+                                "MATCH {pattern} WITH n AS y MATCH (y:{s})-[f:{l}]->(z:{t}) \
+                                 RETURN y.{sk} AS a, z.{tk} AS b",
+                                s = src.label,
+                                l = e.label,
+                                t = tgt.label
+                            )
+                        } else {
+                            format!(
+                                "MATCH {pattern} WITH m AS y MATCH (y:{t})<-[f:{l}]-(z:{s}) \
+                                 RETURN y.{tk} AS a, z.{sk} AS b",
+                                s = src.label,
+                                l = e.label,
+                                t = tgt.label
+                            )
+                        }
+                    }
+                    // `Count(DISTINCT *)` over the bindings `WITH` keeps.
+                    _ => match rng.gen_range(0..3usize) {
+                        0 => format!("MATCH {pattern} WITH n AS x RETURN Count(DISTINCT *) AS d"),
+                        1 => format!(
+                            "MATCH {pattern} WITH n AS x, m AS y \
+                             RETURN x.{sk} AS a, Count(DISTINCT *) AS d, Count(*) AS c"
+                        ),
+                        _ => format!(
+                            "MATCH (n:{s}) OPTIONAL MATCH {pattern} WITH m AS y \
+                             RETURN Count(DISTINCT *) AS d, Count(y) AS c",
+                            s = src.label
+                        ),
+                    },
                 }
             }
         }
@@ -190,7 +254,10 @@ fn pick_key(keys: &[graphiti_common::Ident], rng: &mut StdRng) -> String {
 /// grouping aggregation, `OPTIONAL MATCH`, `EXISTS`, its anti-join `NOT
 /// EXISTS`, and `EXISTS` with both endpoints bound (a tuple `IN` once
 /// transpiled), instantiated with labels and property keys drawn from
-/// `schema`.
+/// `schema`.  Others start a pattern at a variable an earlier clause
+/// bound: a `MATCH` after a `MATCH`, a `MATCH` or `EXISTS` on the variable
+/// an `OPTIONAL MATCH` may nullify, a pattern from a variable `WITH`
+/// renamed; and `Count(DISTINCT *)` counts the bindings `WITH` keeps.
 pub fn arb_cypher(schema: &GraphSchema) -> ArbCypher {
     assert!(
         !schema.node_types.is_empty(),

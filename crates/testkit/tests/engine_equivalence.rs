@@ -17,7 +17,9 @@ use graphiti_transformer::apply_to_graph;
 use proptest::prelude::*;
 
 /// Asserts that the indexed and naive Cypher engines agree on one
-/// (graph, query) pair, and returns whether the query was in-fragment.
+/// (graph, query) pair.  Adjacency lists keep arena order, so on the
+/// directed patterns these queries walk both return their rows in the
+/// same order too.
 fn cypher_engines_agree(schema: &GraphSchema, graph: &GraphInstance, query_text: &str) {
     let query = graphiti_cypher::parse_query(query_text)
         .unwrap_or_else(|e| panic!("`{query_text}` failed to parse: {e}"));
@@ -29,6 +31,7 @@ fn cypher_engines_agree(schema: &GraphSchema, graph: &GraphInstance, query_text:
         indexed.equivalent(&naive),
         "cypher engines disagree on `{query_text}`:\nindexed:\n{indexed}\nnaive:\n{naive}"
     );
+    assert_eq!(indexed.rows, naive.rows, "cypher engines order `{query_text}` differently");
 }
 
 /// Asserts that the SQL executor (`eval_query`) and the naive oracle agree
@@ -72,6 +75,17 @@ proptest! {
         q in arb_cypher(&fixtures::biomed::schema()),
     ) {
         cypher_engines_agree(&fixtures::biomed::schema(), &graph, &q);
+    }
+
+    /// Indexed vs naive Cypher on random social graphs, whose `FOLLOWS`
+    /// edges join `USR` to `USR`: self-loops, cycles, and patterns that
+    /// start at a node an earlier clause bound to either end.
+    #[test]
+    fn cypher_engines_agree_on_random_social_inputs(
+        graph in arb_instance(&fixtures::social::schema(), 5, 10),
+        q in arb_cypher(&fixtures::social::schema()),
+    ) {
+        cypher_engines_agree(&fixtures::social::schema(), &graph, &q);
     }
 
     /// Executor vs naive SQL on the transpilations of random queries over

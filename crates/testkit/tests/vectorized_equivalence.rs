@@ -69,47 +69,39 @@ fn arb_table() -> impl Strategy<Value = Table> {
 }
 
 /// A hash key: `NULL`, duplicates, both numeric representations of equal
-/// numbers (`0`/`0.0`, `1`/`1.0`), a NaN, and 2^53 and 2^53 + 1 (one
-/// `f64`, so they hash alike and compare unequal).
+/// numbers (`0`/`0.0`/`-0.0`, `1`/`1.0`), NaNs with different bits, and
+/// 2^53 and 2^53 + 1 (one `f64`, so they hash alike and compare unequal).
 ///
-/// Every pair here that `strict_eq` calls equal writes equal hash words.
-/// `0.0` against `-0.0`, NaNs with different bits, and 2^53 as a float
-/// (equal to both integers) break that, and the oracle locates join,
-/// group and `DISTINCT` keys in a std `HashMap` under `Value`'s `Hash`:
-/// whether it merges such a pair depends on a 7-bit tag of a randomly
-/// keyed hash (0.0 met -0.0 in 161 of 20,000 runs), so its answer changes
-/// from run to run.  Those values go in [`arb_value_key`], which feeds
-/// only `IN` and `COUNT(DISTINCT)`, where the oracle compares without
-/// hashing.  ROADMAP's value-semantics item makes `Hash` agree with
-/// equality; after it, they belong here too.
+/// Every pair here that `strict_eq` calls equal writes equal hash words,
+/// so the oracle's std `HashMap`s merge them on every run.  2^53 as a
+/// float, equal to both integers it rounds from, stays in
+/// [`arb_value_key`], which feeds only `IN` and `COUNT(DISTINCT)`, where
+/// the oracle compares without hashing: with it, equality is not
+/// transitive, and which integer's group it joins depends on which the
+/// operator meets first (ROADMAP's exact-integer half of the value
+/// semantics).
 fn arb_hash_key() -> impl Strategy<Value = Value> {
     let big = 1i64 << 53;
     sample::select(vec![
         Value::Null,
         Value::Int(0),
         Value::Float(0.0),
+        Value::Float(-0.0),
         Value::Int(1),
         Value::Float(1.0),
         Value::Int(2),
         Value::Float(2.5),
         Value::Float(f64::NAN),
+        Value::Float(f64::from_bits(0x7ff8_0000_0000_0001)),
+        Value::Float(f64::from_bits(0xfff8_0000_0000_0002)),
         Value::Int(big),
         Value::Int(big + 1),
     ])
 }
 
-/// Every key of [`arb_hash_key`], plus `-0.0`, two NaNs with different
-/// bits, and 2^53 as a float.
+/// Every key of [`arb_hash_key`], plus 2^53 as a float.
 fn arb_value_key() -> impl Strategy<Value = Value> {
-    prop_oneof![
-        arb_hash_key(),
-        sample::select(vec![
-            Value::Float(-0.0),
-            Value::Float(f64::from_bits(0x7ff8_0000_0000_0001)),
-            Value::Float(f64::from_bits(0xfff8_0000_0000_0002)),
-            Value::Float((1i64 << 53) as f64),
-        ]),
-    ]
+    prop_oneof![arb_hash_key(), Just(Value::Float((1i64 << 53) as f64))]
 }
 
 /// A table `(k1, k2, x, v)` of up to `max_rows` rows: two hash keys, a

@@ -49,6 +49,18 @@ proptest! {
         prop_assert!(result.is_ok(), "{}", result.err().map(|e| e.to_string()).unwrap_or_default());
     }
 
+    /// The same soundness property over the social schema, whose
+    /// `FOLLOWS` edges have `USR` at both ends.
+    #[test]
+    fn transpilation_is_sound_on_random_social_queries(
+        graph in arb_instance(&fixtures::social::schema(), 4, 8),
+        query in arb_cypher(&fixtures::social::schema()),
+    ) {
+        let schema = fixtures::social::schema();
+        let result = differential_oracle(&schema, &graph, &query);
+        prop_assert!(result.is_ok(), "{}", result.err().map(|e| e.to_string()).unwrap_or_default());
+    }
+
     /// The SDT is invertible on its image: graph → induced tables → graph →
     /// induced tables is a fixpoint (used for counterexample lifting).
     #[test]
